@@ -1,0 +1,91 @@
+"""Golden reports: fixed configs whose JSON must stay byte-identical.
+
+Each digest is the sha256 of json.dumps(report.to_dict(), sort_keys=True).
+A refactor that keeps behaviour keeps every digest; a digest is re-pinned
+only when a report is meant to change.  The sabotaged runs pin the
+counterexample text, which is where morphisms are printed.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cdcat import cdc, faa, suites
+from cdcat.algebra import INT
+from cdcat.combinat import partitions
+from cdcat.poly import Polynomial, PolyMap
+
+
+def digest(report) -> str:
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def faa_axioms():
+    be = cdc.PolyBackend(INT)
+    sampler = faa.FaaSampler(be, cdc.PolySampler(INT, seed=4, max_arity=2, max_degree=2))
+    return cdc.check_axioms(faa.FaaBackend(be), sampler, samples=5)
+
+
+def poly_D_dropping_last_direction(f):
+    n, rig = f.dom, f.rig
+    comps = []
+    for p in f.components:
+        acc = Polynomial.zero(rig, 2 * n)
+        for j in range(n - 1):
+            widened = Polynomial(rig, 2 * n, {e + (0,) * n: c
+                                              for e, c in p.partial(j).terms.items()})
+            acc = acc + widened * Polynomial.var(rig, 2 * n, n + j)
+        comps.append(acc)
+    return PolyMap(rig, 2 * n, f.cod, comps)
+
+
+GOLDEN = {
+    "cdc-nat": (lambda: suites.cdc_suite("nat", samples=20),
+                "73fb57bf2a6a5ec02748ecf12772575dc1d8425d8e0f60d125c7d62d558311a7"),
+    "cdc-int": (lambda: suites.cdc_suite("int", samples=20),
+                "1cf7af9950c42083266d367f3281500982aeee5d9794a915eaf78551dd6e3ecd"),
+    "cdc-rat": (lambda: suites.cdc_suite("rat", samples=20),
+                "e8fba99268486e648d4a89dc584b2791f8118e82fa92c79bf2216b495afb862b"),
+    "cdc-zmod5": (lambda: suites.cdc_suite("zmod:5", samples=20),
+                  "16703ff3e5c757ba2a7db366465784f017f45f62b6b6d9a909344c23d3ef1066"),
+    "modality": (lambda: suites.modality_suite(2, dim=1, maxdeg=2),
+                 "605c94a185b19edb547fc4e43e26b11442dcbc43f2456baf3daaacd8a1d12e50"),
+    "kleisli": (lambda: suites.kleisli_suite(2, max_dim=2, support=1, samples=3),
+                "932c3feca3ab8351f588fd78135709b5918d5e4a7ed13412c917e32c2d4911fe"),
+    "yoneda": (lambda: suites.yoneda_suite(2, max_dim=2),
+               "028abb5e883117e0259c0729b647b33aba2be7e6e5e4c6b2b0550f9c85797eea"),
+    "presheaf": (lambda: suites.presheaf_suite(2, max_dim=2, q_bound=1, map_budget=4),
+                 "3309bf8a4e67911d809c2c274ad79ee6d677ed58751c20d42116012a944f90ae"),
+    "faa-axioms": (faa_axioms,
+                   "6ea896c9b1aedf63c51a7e7383d9e21ae4283251b73b3d1a854ae0312b47ce4a"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report(name):
+    run, expected = GOLDEN[name]
+    report = run()
+    assert report.passed, report.render()
+    assert digest(report) == expected
+
+
+@pytest.mark.parametrize("name, run, expected", [
+    ("cdc-int", lambda: suites.cdc_suite("int", samples=20),
+     "c32e708f51e64a2067b581f90043ff1a5dcb94afad0f1e73f600f5b23450e0bd"),
+    ("faa-axioms", faa_axioms,
+     "1e8a31b5414da6a7ce96693dc79203ba76379802660694c22f39af42860b05b0"),
+])
+def test_golden_report_with_broken_poly_D(monkeypatch, name, run, expected):
+    monkeypatch.setattr(cdc, "poly_D", poly_D_dropping_last_direction)
+    report = run()
+    assert not report.passed
+    assert digest(report) == expected
+
+
+def test_golden_report_with_a_dropped_chain_rule_term(monkeypatch):
+    monkeypatch.setattr(faa, "_composition_partitions", lambda n: partitions(n)[:-1])
+    report = faa_axioms()
+    assert not report.passed
+    assert digest(report) == "af689605eb4f4fa16e17b1b612f26be5033392c3fc65cffb8c375e425532ddf6"
