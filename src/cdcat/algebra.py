@@ -10,7 +10,7 @@ normal-form QGenerators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NegationUnsupported, SpaceMismatch, SpecMismatch
@@ -76,23 +76,29 @@ class RigValue:
     def is_zero(self) -> bool:
         return self.payload == 0
 
-    @property
-    def is_one(self) -> bool:
-        return self.payload == 1
-
     def __str__(self):
         return str(self.payload)
 
 
 def rig_value(spec: RigSpec, raw) -> RigValue:
-    """Build a normalized RigValue from an int, Fraction, or RigValue."""
+    """Build a normalized RigValue from an int, Fraction, or RigValue; rat
+    also parses a literal such as "1/2" or "0.1", exactly.
+
+    Anything else, float and bool included, raises SpecMismatch.
+    """
     if isinstance(raw, RigValue):
         if raw.spec != spec:
             raise SpecMismatch(f"{raw.spec} vs {spec}")
         return raw
     if spec.kind == "rat":
-        return RigValue(spec, Fraction(raw))
-    if not isinstance(raw, int):
+        if isinstance(raw, bool) or not isinstance(raw, (int, Fraction, str)):
+            raise SpecMismatch(f"{raw!r} is not an exact scalar of rig {spec}")
+        try:
+            value = Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise SpecMismatch(f"{raw!r} is not a rational literal") from None
+        return RigValue(spec, value)
+    if type(raw) is not int:  # refuses bool too
         raise SpecMismatch(f"non-integer scalar {raw!r} in rig {spec}")
     if spec.kind == "zmod":
         return RigValue(spec, raw % spec.modulus)
@@ -166,9 +172,6 @@ class QSpace:
 
     def __str__(self):
         return f"Q{self.inner}"
-
-
-Space = object  # descriptor union; kept duck-typed
 
 
 def basis_keys(space):

@@ -1,10 +1,12 @@
 """Generic cartesian differential calculus over pluggable backends.
 
-A backend supplies composition, finite products (flattened: objects form a
-monoid under product), hom-module structure, and a differential D.  On top
-of that this module derives partial and iterated derivatives, the
-partition-sum decomposition of n-fold D and its inverse, linearity tests,
-and an executable check of the seven differential axioms.
+A backend supplies identity, compose, product, proj, pairing, zero, add,
+scale and D: composition, finite products (flattened: objects form a
+monoid under product), hom-module structure and a differential.  Its
+morphisms carry dom, cod and is_zero, and compare with == and print with
+str.  On top of that this module derives partial and iterated derivatives,
+the partition-sum decomposition of n-fold D and its inverse, linearity
+tests, and an executable check of the seven differential axioms.
 """
 
 from __future__ import annotations
@@ -31,18 +33,6 @@ class PolyBackend:
 
     def compose(self, g, f):
         return substitute(g, f)
-
-    def dom(self, f):
-        return f.dom
-
-    def cod(self, f):
-        return f.cod
-
-    def equal(self, f, g):
-        return f == g
-
-    def describe(self, f):
-        return f.to_str()
 
     def product(self, objs):
         return sum(objs)
@@ -227,20 +217,20 @@ def reconstruct_from_iterated(backend, Dnf, A, n: int):
 def is_k_linear(backend, f, sampler, samples: int = 20):
     """Sampled additivity/homogeneity of f(-), plus the syntactic test when
     the backend offers one.  Returns (verdict, witness-or-None)."""
-    A = backend.dom(f)
+    A = f.dom
     for _ in range(samples):
         Z = sampler.random_object()
         g = sampler.random_morphism(Z, A)
         h = sampler.random_morphism(Z, A)
         lhs = backend.compose(f, backend.add(g, h))
         rhs = backend.add(backend.compose(f, g), backend.compose(f, h))
-        if not backend.equal(lhs, rhs):
-            return False, f"additivity fails at g={backend.describe(g)}, h={backend.describe(h)}"
+        if lhs != rhs:
+            return False, f"additivity fails at g={g}, h={h}"
         c = sampler.random_scalar()
         lhs = backend.compose(f, backend.scale(c, g))
         rhs = backend.scale(c, backend.compose(f, g))
-        if not backend.equal(lhs, rhs):
-            return False, f"homogeneity fails at c={c}, g={backend.describe(g)}"
+        if lhs != rhs:
+            return False, f"homogeneity fails at c={c}, g={g}"
     if hasattr(backend, "is_linear_syntactic") and not backend.is_linear_syntactic(f):
         return False, "a monomial of total degree != 1 survives sampling"
     return True, None
@@ -248,12 +238,12 @@ def is_k_linear(backend, f, sampler, samples: int = 20):
 
 def is_D_linear(backend, f, sampler=None):
     """Exact comparison of Df against f pi1."""
-    A = backend.dom(f)
+    A = f.dom
     fpi1 = backend.compose(f, backend.proj([A, A], 1))
     df = backend.D(f)
-    if backend.equal(df, fpi1):
+    if df == fpi1:
         return True, None
-    return False, f"Df={backend.describe(df)} differs from f.pi1={backend.describe(fpi1)}"
+    return False, f"Df={df} differs from f.pi1={fpi1}"
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +277,10 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
         A, B, f = rand_f()
         g = sampler.random_morphism(A, B)
         c = sampler.random_scalar()
-        if not backend.equal(backend.D(backend.add(f, g)),
-                             backend.add(backend.D(f), backend.D(g))):
-            return f"D(f+g) != Df+Dg for f={backend.describe(f)}, g={backend.describe(g)}"
-        if not backend.equal(backend.D(backend.scale(c, f)),
-                             backend.scale(c, backend.D(f))):
-            return f"D(c f) != c Df for c={c}, f={backend.describe(f)}"
+        if backend.D(backend.add(f, g)) != backend.add(backend.D(f), backend.D(g)):
+            return f"D(f+g) != Df+Dg for f={f}, g={g}"
+        if backend.D(backend.scale(c, f)) != backend.scale(c, backend.D(f)):
+            return f"D(c f) != c Df for c={c}, f={f}"
         return None
 
     def ax_ii():
@@ -305,17 +293,17 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
             backend.compose(df, backend.pairing([p0, p1])),
             backend.compose(df, backend.pairing([p0, p2])),
         )
-        if not backend.equal(lhs, rhs):
-            return f"Df not additive in the direction for f={backend.describe(f)}"
+        if lhs != rhs:
+            return f"Df not additive in the direction for f={f}"
         c = sampler.random_scalar()
         blocks2 = [A, A]
         q0, q1 = (backend.proj(blocks2, j) for j in range(2))
         lhs = backend.compose(df, backend.pairing([q0, backend.scale(c, q1)]))
         rhs = backend.scale(c, df)
-        if not backend.equal(lhs, rhs):
-            return f"Df not homogeneous in the direction, c={c}, f={backend.describe(f)}"
+        if lhs != rhs:
+            return f"Df not homogeneous in the direction, c={c}, f={f}"
         if hasattr(backend, "d_second_block_linear") and not backend.d_second_block_linear(f):
-            return f"direction-block degree != 1 in Df for f={backend.describe(f)}"
+            return f"direction-block degree != 1 in Df for f={f}"
         return None
 
     def ax_iii():
@@ -325,14 +313,13 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
         pi1 = backend.proj([AB, AB], 1)
         for i in range(2):
             pi = backend.proj([A, B], i)
-            if not backend.equal(backend.D(pi), backend.compose(pi, pi1)):
+            if backend.D(pi) != backend.compose(pi, pi1):
                 return f"D(proj {i}) != proj.pi1 at objects ({A},{B})"
         return None
 
     def ax_iv():
         A = sampler.random_object()
-        if not backend.equal(backend.D(backend.identity(A)),
-                             backend.proj([A, A], 1)):
+        if backend.D(backend.identity(A)) != backend.proj([A, A], 1):
             return f"D(id) != pi1 at object {A}"
         return None
 
@@ -348,8 +335,8 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
             backend.D(g),
             backend.pairing([backend.compose(f, pi0), backend.D(f)]),
         )
-        if not backend.equal(lhs, rhs):
-            return f"chain rule fails for f={backend.describe(f)}, g={backend.describe(g)}"
+        if lhs != rhs:
+            return f"chain rule fails for f={f}, g={g}"
         return None
 
     def ax_vi():
@@ -361,8 +348,8 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
         z = backend.zero(dom3, A)
         lhs = backend.compose(ddf, backend.pairing([p0, p1, z, p2]))
         rhs = backend.compose(backend.D(f), backend.pairing([p0, p2]))
-        if not backend.equal(lhs, rhs):
-            return f"DDf(x,r,0,v) != Df(x,v) for f={backend.describe(f)}"
+        if lhs != rhs:
+            return f"DDf(x,r,0,v) != Df(x,v) for f={f}"
         return None
 
     def ax_vii():
@@ -374,8 +361,8 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
         z = backend.zero(dom3, A)
         lhs = backend.compose(ddf, backend.pairing([p0, p1, p2, z]))
         rhs = backend.compose(ddf, backend.pairing([p0, p2, p1, z]))
-        if not backend.equal(lhs, rhs):
-            return f"DDf(x,r,s,0) != DDf(x,s,r,0) for f={backend.describe(f)}"
+        if lhs != rhs:
+            return f"DDf(x,r,s,0) != DDf(x,s,r,0) for f={f}"
         return None
 
     run("axiom-i-D-linear-in-f", ax_i)

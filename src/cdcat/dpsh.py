@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from . import faa
 from .algebra import Free, ModuleElement, QGenerator, QSpace, rig_value, zero_elem
-from .errors import InvalidSequence, ObjectMismatch, SizeLimit
+from .errors import InvalidSequence, SizeLimit
 from .matcat import MatBackend, MatMap
 from .qmodality import LinearMap, q_gen_elem, q_inject, q_map
 from .reports import Report
@@ -59,10 +60,6 @@ class ReprPresheaf:
 
     def coords(self, A, xi: MatMap):
         return tuple(xi.rows[i][j] for i in range(self.target) for j in range(A))
-
-    def from_coords(self, A, vec):
-        rows = tuple(tuple(vec[i * A + j] for j in range(A)) for i in range(self.target))
-        return MatMap(self.base.backend.rig, A, self.target, rows)
 
     def zero(self, A):
         return self.base.backend.zero(A, self.target)
@@ -587,31 +584,11 @@ class ClassifiedMap:
 
 def validate_sequence(base, X, A, sequence) -> str | None:
     """Symmetry and slotwise linearity of a candidate sequence, via actions."""
-    be = base.backend
+    action = (X.act, X.add, X.scale, X.eq)
     for n, x in enumerate(sequence):
-        if n == 0:
-            continue
-        blocks = [A] * (n + 1)
-        projs = [be.proj(blocks, j) for j in range(n + 1)]
-        for j in range(1, n):
-            perm = projs[:j] + [projs[j + 1], projs[j]] + projs[j + 2:]
-            if not X.eq(X.act(be.pairing(perm), x), x):
-                return f"entry {n} not symmetric in slots {j},{j + 1}"
-        ext = [A] * (n + 2)
-        ep = [be.proj(ext, j) for j in range(n + 2)]
-        for j in range(1, n + 1):
-            both = ep[:j] + [be.add(ep[j], ep[n + 1])] + ep[j + 1:n + 1]
-            one = ep[:n + 1]
-            other = ep[:j] + [ep[n + 1]] + ep[j + 1:n + 1]
-            lhs = X.act(be.pairing(both), x)
-            rhs = X.add(X.act(be.pairing(one), x), X.act(be.pairing(other), x))
-            if not X.eq(lhs, rhs):
-                return f"entry {n} not additive in slot {j}"
-        for j in range(1, n + 1):
-            for c in range(base.modulus):
-                scaled = projs[:j] + [be.scale(c, projs[j])] + projs[j + 1:]
-                if not X.eq(X.act(be.pairing(scaled), x), X.scale(c, x)):
-                    return f"entry {n} not homogeneous in slot {j} at {c}"
+        problem = faa.multilinearity_problem(base.backend, A, n, x, action)
+        if problem is not None:
+            return f"entry {n} {problem}"
     return None
 
 
@@ -637,133 +614,43 @@ def canonical_generator(base, A: int, n: int) -> ModuleElement:
 # ---------------------------------------------------------------------------
 # Faa di Bruno presheaf maps and the Yoneda embedding
 
-class FaaPresheafMap:
-    """Map y(A) ~> y(B) presented by its derivative family at stage A;
-    components at every object arise by acting with pairings."""
-
-    def __init__(self, base, A: int, B: int, family):
-        be = base.backend
-        family = list(family)
-        while family and family[-1].is_zero:
-            family.pop()
-        self.base = base
-        self.A = A
-        self.B = B
-        self.family = tuple(family)
-
-    def component(self, n: int) -> MatMap:
-        if n < len(self.family):
-            return self.family[n]
-        return self.base.backend.zero((n + 1) * self.A, self.B)
-
-    def at(self, Z: int, n: int, gs) -> MatMap:
-        """alpha_Z^(n)(g0..gn) = f^(n) after the pairing of the g's."""
-        be = self.base.backend
-        return be.compose(self.component(n), be.pairing(list(gs)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FaaPresheafMap)
-            and (self.A, self.B) == (other.A, other.B)
-            and self.family == other.family
-        )
-
-    def __hash__(self):
-        return hash((self.A, self.B, self.family))
-
-    def __str__(self):
-        return "yFaa[" + ", ".join(map(str, self.family)) + "]"
+def yoneda_map(base: FiniteCdcBase, f: MatMap) -> faa.FaaMap:
+    """y(f): the FaaMap y(A) ~> y(B) whose family is the derivative tower
+    of f: A -> B.  At a stage Z its n-th component sends g0..gn in hom(Z, A)
+    to f^(n) after the pairing of the g's."""
+    return faa.coalgebra(base.backend, f)
 
 
-def presheaf_map_compose(g: FaaPresheafMap, f: FaaPresheafMap) -> FaaPresheafMap:
-    """Pointwise Faa di Bruno composition of presheaf maps."""
-    from .faa import FaaMap, faa_compose
-
-    if f.B != g.A:
-        raise ObjectMismatch(f"{f.B} vs {g.A}")
-    be = f.base.backend
-    composite = faa_compose(
-        FaaMap(be, g.A, g.B, list(g.family)),
-        FaaMap(be, f.A, f.B, list(f.family)),
-    )
-    return FaaPresheafMap(f.base, f.A, g.B, composite.family)
-
-
-def presheaf_map_identity(base: FiniteCdcBase, A: int) -> FaaPresheafMap:
-    from .faa import faa_identity
-
-    return FaaPresheafMap(base, A, A, faa_identity(base.backend, A).family)
-
-
-def yoneda_map(base: FiniteCdcBase, f: MatMap) -> FaaPresheafMap:
-    """y(f): the presheaf map whose family is f's derivative tower."""
-    from .faa import coalgebra
-
-    lifted = coalgebra(base.backend, f)
-    return FaaPresheafMap(base, f.dom, f.cod, lifted.family)
-
-
-def respects_differential(base, alpha: FaaPresheafMap, degree_bound: int = 1,
+def respects_differential(base, alpha: faa.FaaMap, degree_bound: int = 1,
                           objects=None) -> str | None:
     """Check alpha(D q) = D(alpha(q)) on Q(yA) generators up to a degree."""
     be = base.backend
-    yA = representable(base, alpha.A)
-    yB = representable(base, alpha.B)
+    yA = representable(base, alpha.dom)
+    yB = representable(base, alpha.cod)
     QyA = presheaf_Q(yA, bound=degree_bound)
-    cm = ClassifiedMap(base, yB, alpha.A, [alpha.component(n) for n in
-                                           range(len(alpha.family) + degree_bound + 2)])
-    for Z in (objects if objects is not None else base.objects):
+    cm = ClassifiedMap(base, yB, alpha.dom, [alpha.component(n) for n in
+                                             range(len(alpha.family) + degree_bound + 2)])
+
+    def rename(Z):
         # identify Q(yA)(Z) elements (over the b-basis) with hom-space ones
         src = QyA._space(Z)
-        hsp = hom_space(base, Z, alpha.A)
-        rename = LinearMap(
+        hsp = hom_space(base, Z, alpha.dom)
+        return LinearMap(
             be.rig, src, hsp,
             lambda key: ModuleElement(
                 be.rig, hsp, {hsp.basis[src.basis.index(key)]: rig_value(be.rig, 1)}
             ),
         )
-        rename2 = LinearMap(
-            be.rig, QyA._space(2 * Z), hom_space(base, 2 * Z, alpha.A),
-            lambda key: ModuleElement(
-                be.rig, hom_space(base, 2 * Z, alpha.A),
-                {hom_space(base, 2 * Z, alpha.A).basis[
-                    QyA._space(2 * Z).basis.index(key)]: rig_value(be.rig, 1)},
-            ),
-        )
+
+    for Z in (objects if objects is not None else base.objects):
+        rename1, rename2 = rename(Z), rename(2 * Z)
         for q in QyA.spanning(Z):
             dq = QyA.diff(Z, q)
             lhs = cm.eval(2 * Z, q_map(rename2, dq))
-            rhs = be.D(cm.eval(Z, q_map(rename, q)))
+            rhs = be.D(cm.eval(Z, q_map(rename1, q)))
             if lhs != rhs:
                 gen = next(iter(q.coeffs))
                 return f"differential-respect fails at Z={Z}, generator {gen}"
-    return None
-
-
-def _entry_ok(base, A, f, n) -> str | None:
-    """Symmetry plus k-linearity in the last n slots, as exact matrix laws."""
-    be = base.backend
-    blocks = [A] * (n + 1)
-    projs = [be.proj(blocks, j) for j in range(n + 1)]
-    for j in range(1, n):
-        perm = projs[:j] + [projs[j + 1], projs[j]] + projs[j + 2:]
-        if be.compose(f, be.pairing(perm)) != f:
-            return "not symmetric"
-    ext = [A] * (n + 2)
-    ep = [be.proj(ext, j) for j in range(n + 2)]
-    for j in range(1, n + 1):
-        both = ep[:j] + [be.add(ep[j], ep[n + 1])] + ep[j + 1:n + 1]
-        one = ep[:n + 1]
-        other = ep[:j] + [ep[n + 1]] + ep[j + 1:n + 1]
-        lhs = be.compose(f, be.pairing(both))
-        rhs = be.add(be.compose(f, be.pairing(one)), be.compose(f, be.pairing(other)))
-        if lhs != rhs:
-            return "not additive"
-    for j in range(1, n + 1):
-        for c in range(base.modulus):
-            scaled = projs[:j] + [be.scale(c, projs[j])] + projs[j + 1:]
-            if be.compose(f, be.pairing(scaled)) != be.scale(c, f):
-                return "not homogeneous"
     return None
 
 
@@ -790,7 +677,7 @@ def full_fidelity(base: FiniteCdcBase, A: int, B: int, support_bound: int = 2,
     tried = 0
     for combo in itertools.product(*candidates_by_level):
         tried += 1
-        alpha = FaaPresheafMap(base, A, B, list(combo))
+        alpha = faa.FaaMap(be, A, B, combo)
         if respects_differential(base, alpha, degree_bound=degree_bound) is None:
             survivors.append(alpha)
 
@@ -810,10 +697,6 @@ def full_fidelity(base: FiniteCdcBase, A: int, B: int, support_bound: int = 2,
 
 def _level_candidates(base, A, B, n):
     be = base.backend
-    if n == 0:
-        return base.all_maps(A, B)
-    out = []
-    for f in be.all_maps((n + 1) * A, B):
-        if _entry_ok(base, A, f, n) is None:
-            out.append(f)
-    return out
+    action = faa.hom_action(be)
+    return [f for f in be.all_maps((n + 1) * A, B)
+            if faa.multilinearity_problem(be, A, n, f, action) is None]

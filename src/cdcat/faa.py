@@ -11,6 +11,8 @@ so the two implementations can be compared as independent oracles.
 from __future__ import annotations
 
 import itertools
+import operator
+from fractions import Fraction
 
 from .algebra import (
     Free,
@@ -51,7 +53,7 @@ class FaaMap:
 
     def __init__(self, backend, dom, cod, family, validate=False):
         family = list(family)
-        while family and self._is_zero_mor(backend, family[-1]):
+        while family and family[-1].is_zero:
             family.pop()
         self.backend = backend
         self.dom = dom
@@ -62,13 +64,13 @@ class FaaMap:
             if problem is not None:
                 raise InvalidSequence(problem)
 
-    @staticmethod
-    def _is_zero_mor(backend, f):
-        return backend.equal(f, backend.zero(backend.dom(f), backend.cod(f)))
-
     @property
     def support(self) -> int:
         return len(self.family) - 1 if self.family else -1
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.family
 
     def component(self, n: int):
         """f^(n), materializing the zero morphism beyond the support."""
@@ -77,72 +79,86 @@ class FaaMap:
         dom_obj = self.backend.product([self.dom] * (n + 1))
         return self.backend.zero(dom_obj, self.cod)
 
+    # families are trimmed of trailing zeros, so comparing them is exact
     def __eq__(self, other):
-        if not isinstance(other, FaaMap):
-            return False
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            return False
-        top = max(len(self.family), len(other.family))
-        return all(
-            self.backend.equal(self.component(n), other.component(n))
-            for n in range(top)
+        return (
+            isinstance(other, FaaMap)
+            and (self.dom, self.cod, self.family) == (other.dom, other.cod, other.family)
         )
 
+    def __hash__(self):
+        return hash((self.dom, self.cod, self.family))
+
     def __str__(self):
-        body = ", ".join(self.backend.describe(f) for f in self.family)
+        body = ", ".join(map(str, self.family))
         return f"Faa[{body}]"
 
     __repr__ = __str__
 
 
-def validate_family(backend, A, B, family) -> str | None:
-    """Symmetry and slotwise k-linearity of each component, by exact
-    composition identities; returns a description of the first failure."""
-    scalars = _validation_scalars(backend)
-    for n, f in enumerate(family):
-        if n == 0:
-            continue
-        blocks = [A] * (n + 1)
-        projs = [backend.proj(blocks, j) for j in range(n + 1)]
-        # symmetry: adjacent transpositions of the last n slots
-        for j in range(1, n):
-            perm = projs[:j] + [projs[j + 1], projs[j]] + projs[j + 2:]
-            if not backend.equal(f, backend.compose(f, backend.pairing(perm))):
-                return f"component {n} not symmetric in slots {j},{j + 1}"
-        # additivity in each of the last n slots, on an extended domain
-        ext = [A] * (n + 2)
-        eprojs = [backend.proj(ext, j) for j in range(n + 2)]
-        for j in range(1, n + 1):
-            both = eprojs[:j] + [backend.add(eprojs[j], eprojs[n + 1])] + eprojs[j + 1:n + 1]
-            one = eprojs[:n + 1]
-            other = eprojs[:j] + [eprojs[n + 1]] + eprojs[j + 1:n + 1]
-            lhs = backend.compose(f, backend.pairing(both))
-            rhs = backend.add(
-                backend.compose(f, backend.pairing(one)),
-                backend.compose(f, backend.pairing(other)),
-            )
-            if not backend.equal(lhs, rhs):
-                return f"component {n} not additive in slot {j}"
-        # homogeneity in each slot for the sampled/complete scalar set
-        for j in range(1, n + 1):
-            for c in scalars:
-                scaled = projs[:j] + [backend.scale(c, projs[j])] + projs[j + 1:]
-                lhs = backend.compose(f, backend.pairing(scaled))
-                rhs = backend.scale(c, f)
-                if not backend.equal(lhs, rhs):
-                    return f"component {n} not homogeneous in slot {j} at {c}"
+def hom_action(backend):
+    """Base maps acting on a hom-set by precomposition, as the
+    (act, add, scale, eq) that multilinearity_problem takes."""
+    return (lambda h, f: backend.compose(f, h), backend.add, backend.scale,
+            operator.eq)
+
+
+def multilinearity_problem(backend, A, n: int, x, action) -> str | None:
+    """Why x, indexed by A x A^n, is not symmetric and k-linear in its last
+    n slots, or None; checked by exact identities.
+
+    `action` = (act, add, scale, eq) is the structure of the module x lives
+    in, where act(h, x) reindexes x along a base map h: Z -> A x A^n; for a
+    hom-set see hom_action, for a presheaf X it is (X.act, X.add, X.scale,
+    X.eq).  Homogeneity is checked at every scalar of a finite rig and at a
+    few of an infinite one.
+    """
+    act, add, scale, eq = action
+    blocks = [A] * (n + 1)
+    projs = [backend.proj(blocks, j) for j in range(n + 1)]
+    # symmetry: adjacent transpositions of the last n slots
+    for j in range(1, n):
+        perm = projs[:j] + [projs[j + 1], projs[j]] + projs[j + 2:]
+        if not eq(act(backend.pairing(perm), x), x):
+            return f"not symmetric in slots {j},{j + 1}"
+    # additivity in each of the last n slots, on an extended domain
+    ext = [A] * (n + 2)
+    eprojs = [backend.proj(ext, j) for j in range(n + 2)]
+    for j in range(1, n + 1):
+        both = eprojs[:j] + [backend.add(eprojs[j], eprojs[n + 1])] + eprojs[j + 1:n + 1]
+        one = eprojs[:n + 1]
+        other = eprojs[:j] + [eprojs[n + 1]] + eprojs[j + 1:n + 1]
+        lhs = act(backend.pairing(both), x)
+        rhs = add(act(backend.pairing(one), x), act(backend.pairing(other), x))
+        if not eq(lhs, rhs):
+            return f"not additive in slot {j}"
+    # homogeneity in each slot
+    for j in range(1, n + 1):
+        for c in _validation_scalars(backend.rig):
+            scaled = projs[:j] + [backend.scale(c, projs[j])] + projs[j + 1:]
+            if not eq(act(backend.pairing(scaled), x), scale(c, x)):
+                return f"not homogeneous in slot {j} at {c}"
     return None
 
 
-def _validation_scalars(backend):
-    rig = backend.rig
-    if rig.kind == "zmod":
-        return list(range(rig.modulus))
-    if rig.kind == "rat":
-        from fractions import Fraction
+def validate_family(backend, A, B, family) -> str | None:
+    """Symmetry and slotwise k-linearity of each component; returns a
+    description of the first failure."""
+    action = hom_action(backend)
+    for n, f in enumerate(family):
+        problem = multilinearity_problem(backend, A, n, f, action)
+        if problem is not None:
+            return f"component {n} {problem}"
+    return None
 
-        return [rig_value(rig, 2), rig_value(rig, Fraction(1, 2))]
-    return [rig_value(rig, 2)] if rig.kind == "nat" else [rig_value(rig, 2), rig_value(rig, -1)]
+
+def _validation_scalars(rig):
+    # raw payloads: every scalar of a finite rig, a few of an infinite one
+    if rig.kind == "zmod":
+        return range(rig.modulus)
+    if rig.kind == "rat":
+        return [2, Fraction(1, 2)]
+    return [2] if rig.kind == "nat" else [2, -1]
 
 
 # ---------------------------------------------------------------------------
@@ -162,10 +178,6 @@ def faa_projection(backend, objs, i: int) -> FaaMap:
     base = backend.proj(objs, i)
     comp1 = backend.compose(base, backend.proj([P, P], 1))
     return FaaMap(backend, P, objs[i], [base, comp1])
-
-
-def faa_projections(backend, A, B):
-    return faa_projection(backend, [A, B], 0), faa_projection(backend, [A, B], 1)
 
 
 def faa_pairing(maps) -> FaaMap:
@@ -299,18 +311,18 @@ def coalgebra(backend, f, max_support: int = 16) -> FaaMap:
     """Lift a base CDC morphism to its family of iterated first partials."""
     from .cdc import partial_derivative
 
-    A = backend.dom(f)
+    A = f.dom
     family = [f]
     blocks = [A]
     g = f
     for _ in range(max_support):
         g = partial_derivative(backend, g, blocks, 1)
         blocks.append(A)
-        if backend.equal(g, backend.zero(backend.product(blocks), backend.cod(f))):
-            return FaaMap(backend, A, backend.cod(f), family)
+        if g.is_zero:
+            return FaaMap(backend, A, f.cod, family)
         family.append(g)
     raise NoFiniteSupport(
-        f"derivatives of {backend.describe(f)} do not vanish within {max_support} steps"
+        f"derivatives of {f} do not vanish within {max_support} steps"
     )
 
 
@@ -329,18 +341,6 @@ class FaaBackend:
 
     def compose(self, g, f):
         return faa_compose(g, f)
-
-    def dom(self, f):
-        return f.dom
-
-    def cod(self, f):
-        return f.cod
-
-    def equal(self, f, g):
-        return f == g
-
-    def describe(self, f):
-        return str(f)
 
     def product(self, objs):
         return self.base.product(objs)

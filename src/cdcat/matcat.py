@@ -70,18 +70,6 @@ class MatBackend:
         )
         return MatMap(self.rig, f.dom, g.cod, rows)
 
-    def dom(self, f: MatMap) -> int:
-        return f.dom
-
-    def cod(self, f: MatMap) -> int:
-        return f.cod
-
-    def equal(self, f: MatMap, g: MatMap) -> bool:
-        return f == g
-
-    def describe(self, f: MatMap) -> str:
-        return str(f)
-
     # -- products
 
     def product(self, objs) -> int:

@@ -558,18 +558,6 @@ class FinFnBackend:
     def compose(self, g: TableMap, f: TableMap) -> TableMap:
         return table_compose(g, f)
 
-    def dom(self, f):
-        return f.dom
-
-    def cod(self, f):
-        return f.cod
-
-    def equal(self, f, g):
-        return f == g
-
-    def describe(self, f):
-        return repr(f)
-
     def product(self, mods) -> FinModule:
         return fin_product(mods)
 
@@ -586,8 +574,6 @@ class FinFnBackend:
         return f + g
 
     def scale(self, c, f):
-        if hasattr(c, "payload"):
-            c = c.payload
         return f.scale(c)
 
     def all_maps(self, dom: FinModule, cod: FinModule):

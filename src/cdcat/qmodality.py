@@ -19,13 +19,11 @@ from .algebra import (
     RigSpec,
     RigValue,
     Tensor,
-    all_rig_values,
     basis_elem,
     basis_keys,
     enum_elements,
     monomial_mul,
     rig_one,
-    rig_value,
     rig_zero,
     zero_elem,
 )

@@ -19,14 +19,12 @@ from .algebra import (
     RigSpec,
     Tensor,
     basis_elem,
-    basis_keys,
-    enum_elements,
     rig_value,
     tensor_elem,
     zero_elem,
     zmod,
 )
-from .poly import FinFnBackend, FinModule, TableMap
+from .poly import FinFnBackend, FinModule
 from .qmodality import UNIT_SPACE, LinearMap
 from .reports import Report
 
@@ -79,15 +77,6 @@ def _delta_lin(rig, A) -> LinearMap:
                      lambda gen: qm.comult(qm.q_gen_elem(rig, gen)))
 
 
-def _e_lin(rig, A) -> LinearMap:
-    return LinearMap(
-        rig, QSpace(A), UNIT_SPACE,
-        lambda gen: basis_elem(rig, UNIT_SPACE, "1").scale(
-            qm.comonoid_counit(qm.q_gen_elem(rig, gen))
-        ),
-    )
-
-
 def _mx_lin(rig, A, B) -> LinearMap:
     return LinearMap(
         rig, Tensor((QSpace(A), QSpace(B))), QSpace(Tensor((A, B))),
@@ -105,7 +94,6 @@ def _pair_tensor_lin(f: LinearMap, g: LinearMap) -> LinearMap:
 
 
 def _swap_tensor(t, space):
-    out = zero_elem(t.rig, space)
     from .algebra import ModuleElement
 
     return ModuleElement(
@@ -514,16 +502,12 @@ def enumerate_families(backend: FinFnBackend, A: FinModule, B: FinModule,
                        support: int):
     """All finite-support families (f0..f_support) with each component
     symmetric and multilinear in its derivative slots."""
+    action = faa.hom_action(backend)
     levels = []
     for n in range(support + 1):
         dom = FinModule(A.rig, A.dim * (n + 1))
-        zeros = [TableMap.zero(FinModule(A.rig, A.dim * (k + 1)), B)
-                 for k in range(n)]
-        level = []
-        for f in backend.all_maps(dom, B):
-            if faa.validate_family(backend, A, B, zeros + [f]) is None:
-                level.append(f)
-        levels.append(level)
+        levels.append([f for f in backend.all_maps(dom, B)
+                       if faa.multilinearity_problem(backend, A, n, f, action) is None])
     return [faa.FaaMap(backend, A, B, list(combo))
             for combo in itertools.product(*levels)]
 
@@ -656,7 +640,7 @@ def yoneda_suite(modulus: int = 2, max_dim: int = 2, support_bound: int = 2,
             for g in base.all_maps(B, C):
                 n += 1
                 lhs = dpsh.yoneda_map(base, be.compose(g, f))
-                rhs = dpsh.presheaf_map_compose(
+                rhs = faa.faa_compose(
                     dpsh.yoneda_map(base, g), dpsh.yoneda_map(base, f))
                 if lhs != rhs:
                     ok, witness = False, f"y(g.f) != y(g).y(f) at {f}, {g}"

@@ -73,6 +73,22 @@ def test_spec_mismatch_is_rejected():
         rig_value(INT, 1) + rig_value(NAT, 1)
 
 
+@pytest.mark.parametrize("spec, raw", [
+    (RAT, 0.1), (RAT, 0.5), (RAT, True), (RAT, "abc"), (RAT, "1/0"), (RAT, None),
+    (INT, True), (INT, 2.0), (INT, "2"), (NAT, False), (zmod(3), 1.0),
+    (zmod(3), Fraction(1)),
+])
+def test_inexact_scalars_are_rejected(spec, raw):
+    with pytest.raises(SpecMismatch):
+        rig_value(spec, raw)
+
+
+def test_exact_scalars_are_kept_exactly():
+    assert rig_value(RAT, "0.1").payload == Fraction(1, 10)
+    assert rig_value(RAT, Fraction(1, 3)).payload == Fraction(1, 3)
+    assert type(rig_value(INT, 7).payload) is int
+
+
 @pytest.mark.parametrize("m", range(1, 8))
 def test_zmod_rig_laws_exhaustive(m):
     spec = zmod(m)

@@ -130,3 +130,19 @@ def test_kleisli_check_small(capsys):
     code, out, _ = run(capsys, "check", "kleisli-iso", "--dim", "1", "--degree", "2")
     assert code == 0
     assert "compose-matches-faa-exhaustive-dim1" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["nderiv", "--n", "-1", "[x1]"],
+    ["diff", "--arity", "-1", "[1]"],
+    ["faa-compose", "--maxdeg", "-1", "[x1]", "[x1]"],
+    ["check", "kleisli-iso", "--degree", "-1"],
+    ["check", "cdc", "--samples", "-1"],
+    ["check", "cdc", "--samples", "0"],
+    ["check", "yoneda", "--dim", "0"],
+])
+def test_out_of_range_numeric_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")

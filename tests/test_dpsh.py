@@ -2,7 +2,7 @@
 
 import pytest
 
-from cdcat import dpsh
+from cdcat import dpsh, faa
 from cdcat.errors import InvalidSequence, ObjectMismatch
 from cdcat.matcat import MatMap
 from cdcat.qmodality import q_gen_elem, q_inject
@@ -132,11 +132,11 @@ def test_classified_map_is_linear_in_q():
 def test_yoneda_preserves_identity_and_composition():
     base = small_base(2, (1,))
     be = base.backend
-    assert dpsh.yoneda_map(base, be.identity(1)) == dpsh.presheaf_map_identity(base, 1)
+    assert dpsh.yoneda_map(base, be.identity(1)) == faa.faa_identity(be, 1)
     for f in base.all_maps(1, 1):
         for g in base.all_maps(1, 1):
             lhs = dpsh.yoneda_map(base, be.compose(g, f))
-            rhs = dpsh.presheaf_map_compose(
+            rhs = faa.faa_compose(
                 dpsh.yoneda_map(base, g), dpsh.yoneda_map(base, f)
             )
             assert lhs == rhs
@@ -147,7 +147,7 @@ def test_presheaf_map_compose_checks_objects():
     be = base.backend
     f = dpsh.yoneda_map(base, be.zero(1, 2))
     with pytest.raises(ObjectMismatch):
-        dpsh.presheaf_map_compose(f, f)
+        faa.faa_compose(f, f)
 
 
 def test_yoneda_maps_respect_the_differential():
@@ -160,7 +160,7 @@ def test_corrupted_family_fails_differential_respect():
     base = small_base(2, (1, 2))
     be = base.backend
     f = be.identity(1)
-    alpha = dpsh.FaaPresheafMap(base, 1, 1, [f, be.proj([1, 1], 0)])
+    alpha = faa.FaaMap(be, 1, 1, [f, be.proj([1, 1], 0)])
     assert dpsh.respects_differential(base, alpha) is not None
 
 
