@@ -137,8 +137,10 @@ def run(argv) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 2
-    for flag, least in (("n", 0), ("arity", 0), ("maxdeg", 0), ("degree", 0),
-                        ("samples", 1), ("dim", 1)):
+    # sampled maps in `check` need an input; constant maps elsewhere do not
+    arity_least = 1 if args.verb == "check" else 0
+    for flag, least in (("n", 0), ("arity", arity_least), ("maxdeg", 0),
+                        ("degree", 0), ("samples", 1), ("dim", 1)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             print(f"error: --{flag} must be at least {least}, got {value}",

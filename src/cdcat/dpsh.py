@@ -12,7 +12,8 @@ import itertools
 import random
 
 from . import faa
-from .algebra import Free, ModuleElement, QGenerator, QSpace, rig_value, zero_elem
+from .algebra import (Free, ModuleElement, Monomial, QGenerator, QSpace,
+                      basis_elem, rig_value, zero_elem)
 from .errors import InvalidSequence, SizeLimit
 from .matcat import MatBackend, MatMap
 from .qmodality import LinearMap, q_gen_elem, q_inject, q_map
@@ -26,9 +27,18 @@ class FiniteCdcBase:
         self.backend = MatBackend(modulus)
         self.modulus = modulus
         self.objects = list(objects)
+        self._q_representables = {}
 
     def all_maps(self, dom, cod):
         return list(self.backend.all_maps(dom, cod))
+
+    def q_representable(self, A: int, bound: int) -> "QPresheaf":
+        """Q(yA) with generator degree bound `bound`, built once per base so
+        every check shares its spanning sets and differentials."""
+        key = (A, bound)
+        if key not in self._q_representables:
+            self._q_representables[key] = presheaf_Q(representable(self, A), bound)
+        return self._q_representables[key]
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +70,10 @@ class ReprPresheaf:
 
     def coords(self, A, xi: MatMap):
         return tuple(xi.rows[i][j] for i in range(self.target) for j in range(A))
+
+    def from_coords(self, A, vec) -> MatMap:
+        rows = tuple(tuple(vec[i * A + j] for j in range(A)) for i in range(self.target))
+        return MatMap(self.base.backend.rig, A, self.target, rows)
 
     def zero(self, A):
         return self.base.backend.zero(A, self.target)
@@ -224,6 +238,7 @@ class QPresheaf:
         self.name = f"Q{X.name}"
         self._spaces = {}
         self._bases = {}
+        self._spannings = {}
         self._act_maps = {}
         self._diff_maps = {}
         self._act_results = {}
@@ -242,12 +257,7 @@ class QPresheaf:
         return self._spaces[A]
 
     def _to_elem(self, A, xi) -> ModuleElement:
-        space = self._space(A)
-        vec = self.X.coords(A, xi)
-        return ModuleElement(
-            self.rig, space,
-            {space.basis[i]: rig_value(self.rig, v) for i, v in enumerate(vec)},
-        )
+        return faa.vec_to_elem(self.rig, self._space(A), self.X.coords(A, xi))
 
     def _linear(self, A, Z, fn) -> LinearMap:
         """Linear map between component spaces from a basis-level action."""
@@ -260,15 +270,16 @@ class QPresheaf:
         )
 
     def spanning(self, A):
-        points = [self._to_elem(A, x) for x in _all_elements(self.X, A)]
-        keys = self._space(A).basis
-        out = []
-        for p in points:
-            for deg in range(self.bound + 1):
-                for combo in itertools.combinations_with_replacement(keys, deg):
-                    gen = QGenerator(p, _monomial(combo))
-                    out.append(q_gen_elem(self.rig, gen))
-        return out
+        if A not in self._spannings:
+            points = [self._to_elem(A, x) for x in _all_elements(self.X, A)]
+            keys = self._space(A).basis
+            self._spannings[A] = [
+                q_gen_elem(self.rig, QGenerator(p, Monomial.of(combo)))
+                for p in points
+                for deg in range(self.bound + 1)
+                for combo in itertools.combinations_with_replacement(keys, deg)
+            ]
+        return self._spannings[A]
 
     def zero(self, A):
         return zero_elem(self.rig, QSpace(self._space(A)))
@@ -307,12 +318,11 @@ class QPresheaf:
                 self._linear(A, AA, lambda b: self.X.diff(A, b)),
             )
         act0, dmap = self._diff_maps[A]
-        rig = self.rig
         src = self._space(A)
         out = self.zero(AA)
         for gen, c in q.coeffs.items():
             entries = [gen.point] + [
-                ModuleElement(rig, src, {k: rig_value(rig, 1)}) for k in gen.tail.keys
+                basis_elem(self.rig, src, k) for k in gen.tail.keys
             ]
             shifted = [act0.apply(e) for e in entries]
             for i, e in enumerate(entries):
@@ -323,12 +333,6 @@ class QPresheaf:
                 out = out + q_inject(shifted[0], tails).scale(c)
         self._diff_results[memo_key] = out
         return out
-
-
-def _monomial(keys):
-    from .algebra import Monomial
-
-    return Monomial.of(keys)
 
 
 def _all_elements(X, A):
@@ -528,28 +532,6 @@ def check_presheaf(X, objects=None, map_budget: int | None = None,
 # ---------------------------------------------------------------------------
 # classification of derivative sequences by Q of a representable
 
-def hom_space(base: FiniteCdcBase, Z: int, A: int) -> Free:
-    return Free(tuple(f"h{i + 1}" for i in range(A * Z)))
-
-
-def mat_to_elem(base, f: MatMap) -> ModuleElement:
-    space = hom_space(base, f.dom, f.cod)
-    rig = base.backend.rig
-    flat = [f.rows[i][j] for i in range(f.cod) for j in range(f.dom)]
-    return ModuleElement(
-        rig, space,
-        {space.basis[i]: rig_value(rig, v) for i, v in enumerate(flat)},
-    )
-
-
-def elem_to_mat(base, elem: ModuleElement, Z: int, A: int) -> MatMap:
-    rig = base.backend.rig
-    space = hom_space(base, Z, A)
-    flat = [elem.coeffs.get(b, rig_value(rig, 0)).payload for b in space.basis]
-    rows = tuple(tuple(flat[i * Z + j] for j in range(Z)) for i in range(A))
-    return MatMap(rig, Z, A, rows)
-
-
 class ClassifiedMap:
     """The linear presheaf map Q(yA) -> X induced by a derivative sequence:
     a generator of maps evaluates by acting the matching sequence entry."""
@@ -557,26 +539,25 @@ class ClassifiedMap:
     def __init__(self, base, X, A, sequence):
         self.base = base
         self.X = X
-        self.A = A
         self.sequence = list(sequence)
+        self.yA = representable(base, A)
+        self._units = {}
 
     def eval(self, Z: int, q: ModuleElement):
-        """q is a QElement over the hom-space basis of hom(Z, A)."""
+        """q is an element of Q(yA)(Z): its k-th basis key names the k-th
+        matrix unit of yA.basis(Z)."""
         be = self.base.backend
+        space = q.space.inner
+        if Z not in self._units:
+            self._units[Z] = dict(zip(space.basis, self.yA.basis(Z)))
+        units = self._units[Z]
         out = self.X.zero(Z)
         for gen, c in q.coeffs.items():
             n = gen.degree
             if n >= len(self.sequence):
                 continue  # zero beyond the sequence's support
-            f0 = elem_to_mat(self.base, gen.point, Z, self.A)
-            mats = [f0]
-            space = hom_space(self.base, Z, self.A)
-            for key in gen.tail.keys:
-                unit = ModuleElement(
-                    self.base.backend.rig, space,
-                    {key: rig_value(self.base.backend.rig, 1)},
-                )
-                mats.append(elem_to_mat(self.base, unit, Z, self.A))
+            mats = [self.yA.from_coords(Z, faa.elem_to_vec(gen.point, space))]
+            mats += [units[key] for key in gen.tail.keys]
             val = self.X.act(be.pairing(mats), self.sequence[n])
             out = self.X.add(out, self.X.scale(c.payload, val))
         return out
@@ -603,11 +584,12 @@ def classify(base, X, A: int, sequence, validate: bool = True) -> ClassifiedMap:
 
 
 def canonical_generator(base, A: int, n: int) -> ModuleElement:
-    """<pi0, ..., pin> as a QElement over hom((n+1)A, A): evaluating a
+    """<pi0, ..., pin> as an element of Q(yA)((n+1)A): evaluating a
     classified map there recovers the n-th sequence entry."""
     be = base.backend
+    QyA = presheaf_Q(representable(base, A))
     blocks = [A] * (n + 1)
-    pis = [mat_to_elem(base, be.proj(blocks, j)) for j in range(n + 1)]
+    pis = [QyA._to_elem((n + 1) * A, be.proj(blocks, j)) for j in range(n + 1)]
     return q_inject(pis[0], pis[1:])
 
 
@@ -625,29 +607,14 @@ def respects_differential(base, alpha: faa.FaaMap, degree_bound: int = 1,
                           objects=None) -> str | None:
     """Check alpha(D q) = D(alpha(q)) on Q(yA) generators up to a degree."""
     be = base.backend
-    yA = representable(base, alpha.dom)
-    yB = representable(base, alpha.cod)
-    QyA = presheaf_Q(yA, bound=degree_bound)
-    cm = ClassifiedMap(base, yB, alpha.dom, [alpha.component(n) for n in
-                                             range(len(alpha.family) + degree_bound + 2)])
-
-    def rename(Z):
-        # identify Q(yA)(Z) elements (over the b-basis) with hom-space ones
-        src = QyA._space(Z)
-        hsp = hom_space(base, Z, alpha.dom)
-        return LinearMap(
-            be.rig, src, hsp,
-            lambda key: ModuleElement(
-                be.rig, hsp, {hsp.basis[src.basis.index(key)]: rig_value(be.rig, 1)}
-            ),
-        )
-
+    QyA = base.q_representable(alpha.dom, degree_bound)
+    cm = ClassifiedMap(base, representable(base, alpha.cod), alpha.dom,
+                       [alpha.component(n)
+                        for n in range(len(alpha.family) + degree_bound + 2)])
     for Z in (objects if objects is not None else base.objects):
-        rename1, rename2 = rename(Z), rename(2 * Z)
         for q in QyA.spanning(Z):
-            dq = QyA.diff(Z, q)
-            lhs = cm.eval(2 * Z, q_map(rename2, dq))
-            rhs = be.D(cm.eval(Z, q_map(rename1, q)))
+            lhs = cm.eval(2 * Z, QyA.diff(Z, q))
+            rhs = be.D(cm.eval(Z, q))
             if lhs != rhs:
                 gen = next(iter(q.coeffs))
                 return f"differential-respect fails at Z={Z}, generator {gen}"

@@ -20,6 +20,7 @@ from .algebra import (
     Product,
     QSpace,
     basis_elem,
+    basis_keys,
     rig_value,
     zero_elem,
 )
@@ -491,14 +492,11 @@ def kleisli_D(f: KleisliMap, degree_bound: int = 8) -> KleisliMap:
     if top + 1 > degree_bound:
         raise DegreeBoundExceeded(f"needs components up to {top + 1} > bound {degree_bound}")
 
+    # the k-th key of A x A is the k-th key of the product space
+    prod_key = dict(zip(AA_space.basis, basis_keys(prod_space)))
     to_prod = LinearMap(
         rig, AA_space, prod_space,
-        lambda key: basis_elem(
-            rig, prod_space,
-            (0, A_space.basis[int(key[1:]) - 1])
-            if int(key[1:]) <= A.dim
-            else (1, A_space.basis[int(key[1:]) - 1 - A.dim]),
-        ),
+        lambda key: basis_elem(rig, prod_space, prod_key[key]),
     )
 
     def value_at(q):

@@ -310,12 +310,18 @@ def is_linear_syntactic(f: PolyMap) -> bool:
 # ---------------------------------------------------------------------------
 # parser
 
+# Deepest parenthesis nesting accepted; each level costs four stack frames,
+# so this stays well below Python's default recursion limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, src: str, rig: RigSpec, arity: int):
         self.src = src
         self.rig = rig
         self.arity = arity
         self.pos = 0
+        self.depth = 0
 
     def error(self, message):
         raise ParseError(message, self.pos)
@@ -386,9 +392,13 @@ class _Parser:
     def atom(self) -> Polynomial:
         ch = self.peek()
         if ch == "(":
+            if self.depth == MAX_NESTING:
+                self.error(f"parentheses nested deeper than {MAX_NESTING}")
             self.pos += 1
+            self.depth += 1
             inner = self.poly()
             self.expect(")")
+            self.depth -= 1
             return inner
         if ch == "x":
             self.pos += 1

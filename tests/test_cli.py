@@ -68,6 +68,21 @@ def test_parse_error_exit_code_and_hint(capsys):
     assert "expected: '[' poly (';' poly)* ']'" in err
 
 
+def test_constant_maps_keep_arity_zero(capsys):
+    code, out, _ = run(capsys, "diff", "--arity", "0", "[1]")
+    assert code == 0
+    assert out == "[0]\n"
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    depth = 5000
+    code, out, err = run(capsys, "diff", "[" + "(" * depth + "x1" + ")" * depth + "]")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("parse error: ")
+    assert "Traceback" not in err
+
+
 def test_nat_rig_rejects_minus(capsys):
     code, _, err = run(capsys, "diff", "--rig", "nat", "[x1 - x1]")
     assert code == 2
@@ -140,6 +155,7 @@ def test_kleisli_check_small(capsys):
     ["check", "cdc", "--samples", "-1"],
     ["check", "cdc", "--samples", "0"],
     ["check", "yoneda", "--dim", "0"],
+    ["check", "cdc", "--arity", "0"],
 ])
 def test_out_of_range_numeric_flags_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

@@ -81,9 +81,10 @@ def test_sabotaged_differential_fails_chain_axiom():
 
 def test_hom_element_round_trip():
     base = small_base(3, (1, 2))
+    y2 = dpsh.representable(base, 2)
     for f in base.all_maps(2, 2):
-        elem = dpsh.mat_to_elem(base, f)
-        assert dpsh.elem_to_mat(base, elem, 2, 2) == f
+        vec = y2.coords(2, f)
+        assert y2.from_coords(2, vec) == f
 
 
 def test_classify_round_trip_on_canonical_generators():
@@ -162,6 +163,37 @@ def test_corrupted_family_fails_differential_respect():
     f = be.identity(1)
     alpha = faa.FaaMap(be, 1, 1, [f, be.proj([1, 1], 0)])
     assert dpsh.respects_differential(base, alpha) is not None
+
+
+def test_q_representable_memo_is_keyed_on_the_degree_bound():
+    # alpha passes on degree-1 generators and fails on degree-2 ones; a Q(yA)
+    # shared across bounds would hand the second check the first's generators
+    base = small_base(2, (1, 2))
+    be = base.backend
+    alpha = faa.FaaMap(be, 1, 1, [
+        be.identity(1), be.proj([1, 1], 1), be.zero(3, 1),
+        MatMap(be.rig, 4, 1, ((0, 1, 1, 1),)),
+    ])
+    assert dpsh.respects_differential(base, alpha, degree_bound=1) is None
+    assert dpsh.respects_differential(base, alpha, degree_bound=2) is not None
+    for f in base.all_maps(1, 2):
+        yf = dpsh.yoneda_map(base, f)
+        assert dpsh.respects_differential(base, yf, degree_bound=2) is None
+
+
+def test_full_fidelity_builds_q_of_the_representable_once(monkeypatch):
+    built = []
+    original = dpsh.presheaf_Q
+
+    def counting(X, bound=2):
+        built.append((X.name, bound))
+        return original(X, bound)
+
+    monkeypatch.setattr(dpsh, "presheaf_Q", counting)
+    base = small_base(2, (1, 2))
+    report = dpsh.full_fidelity(base, 1, 2, support_bound=2, degree_bound=1)
+    assert report.passed, report.render()
+    assert built == [("y(1)", 1)]
 
 
 def test_full_fidelity_smallest_case():

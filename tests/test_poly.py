@@ -13,6 +13,7 @@ from cdcat.errors import (
     UnknownVariable,
 )
 from cdcat.poly import (
+    MAX_NESTING,
     FinFnBackend,
     FinModule,
     Polynomial,
@@ -105,6 +106,16 @@ def test_parse_error_reports_position():
 def test_parse_rejects_trailing_input():
     with pytest.raises(ParseError):
         p("[x1] junk")
+
+
+def test_nesting_limit():
+    def nested(depth):
+        return "[" + "(" * depth + "x1" + ")" * depth + "]"
+
+    assert p(nested(MAX_NESTING)) == p("[x1]")
+    with pytest.raises(ParseError) as info:
+        p(nested(MAX_NESTING + 1))
+    assert "nested deeper" in str(info.value)
 
 
 def test_zmod_literals_reduce():
