@@ -52,6 +52,9 @@ GOLDEN = {
                   "16703ff3e5c757ba2a7db366465784f017f45f62b6b6d9a909344c23d3ef1066"),
     "modality": (lambda: suites.modality_suite(2, dim=1, maxdeg=2),
                  "605c94a185b19edb547fc4e43e26b11442dcbc43f2456baf3daaacd8a1d12e50"),
+    "modality-dim2": (lambda: suites.modality_suite(2, dim=2, maxdeg=2,
+                                                    pair_total_degree=2, seed=7),
+                      "7f92dbe117c1977ee2392eb7c6abe3e9403562b881946998f68f5d4d48080b8d"),
     "kleisli": (lambda: suites.kleisli_suite(2, max_dim=2, support=1, samples=3),
                 "932c3feca3ab8351f588fd78135709b5918d5e4a7ed13412c917e32c2d4911fe"),
     "yoneda": (lambda: suites.yoneda_suite(2, max_dim=2),
