@@ -5,12 +5,17 @@ coefficient dictionaries over canonical basis keys, so this module fixes the
 key conventions once: Free spaces use their basis names, Product keys are
 (slot, inner key), Tensor keys are tuples of inner keys, and QSpace keys are
 normal-form QGenerators.
+
+Accumulation rule: a linear sum adds its (key, coefficient) terms into one
+dict with `add_into` / `add_scaled` and builds one ModuleElement at the end,
+which drops zeros once; adding ModuleElements term by term would copy the
+partial sum at every step.  Hashes are order-free, so no dict probe sorts.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NegationUnsupported, SpaceMismatch, SpecMismatch
@@ -56,16 +61,20 @@ class RigValue:
     payload: object  # int, or Fraction for rat
 
     def _check(self, other: "RigValue"):
-        if self.spec != other.spec:
+        if other.spec is not self.spec and other.spec != self.spec:
             raise SpecMismatch(f"{self.spec} vs {other.spec}")
 
+    # sums and products of normalized values stay normalized (nat stays
+    # non-negative), so only zmod reduces
     def __add__(self, other: "RigValue") -> "RigValue":
         self._check(other)
-        return rig_value(self.spec, self.payload + other.payload)
+        spec, value = self.spec, self.payload + other.payload
+        return RigValue(spec, value % spec.modulus if spec.kind == "zmod" else value)
 
     def __mul__(self, other: "RigValue") -> "RigValue":
         self._check(other)
-        return rig_value(self.spec, self.payload * other.payload)
+        spec, value = self.spec, self.payload * other.payload
+        return RigValue(spec, value % spec.modulus if spec.kind == "zmod" else value)
 
     def __neg__(self) -> "RigValue":
         if not self.spec.has_negatives:
@@ -75,6 +84,9 @@ class RigValue:
     @property
     def is_zero(self) -> bool:
         return self.payload == 0
+
+    def __hash__(self):
+        return hash(self.payload)
 
     def __str__(self):
         return str(self.payload)
@@ -231,6 +243,18 @@ def key_token(key):
     raise TypeError(f"unsupported basis key {key!r}")
 
 
+def add_into(out: dict, key, val: RigValue) -> None:
+    """out[key] += val; zeros stay until a ModuleElement is built from out."""
+    old = out.get(key)
+    out[key] = val if old is None else old + val
+
+
+def add_scaled(out: dict, c: RigValue, elem: "ModuleElement") -> None:
+    """out += c * elem, term by term."""
+    for k, v in elem.coeffs.items():
+        add_into(out, k, c * v)
+
+
 # ---------------------------------------------------------------------------
 # module elements
 
@@ -253,7 +277,7 @@ class ModuleElement:
         self._check(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out[k] + v if k in out else v
+            add_into(out, k, v)
         return ModuleElement(self.rig, self.space, out)
 
     def scale(self, c) -> "ModuleElement":
@@ -285,7 +309,7 @@ class ModuleElement:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.rig, self.space, self._token()))
+            self._hash = hash((self.rig, self.space, frozenset(self.coeffs.items())))
         return self._hash
 
     def __str__(self):
@@ -312,10 +336,12 @@ def linear_combine(terms) -> ModuleElement:
     if not terms:
         raise ValueError("linear_combine needs at least one term to fix the space")
     _, first = terms[0]
-    out = zero_elem(first.rig, first.space)
+    out = {}
     for c, elem in terms:
-        out = out + elem.scale(c)
-    return out
+        first._check(elem)
+        c = rig_value(first.rig, c)
+        add_scaled(out, c, elem)
+    return ModuleElement(first.rig, first.space, out)
 
 
 def tensor_elem(a: ModuleElement, b: ModuleElement) -> ModuleElement:
@@ -323,12 +349,8 @@ def tensor_elem(a: ModuleElement, b: ModuleElement) -> ModuleElement:
     if a.rig != b.rig:
         raise SpecMismatch(f"{a.rig} vs {b.rig}")
     space = Tensor((a.space, b.space))
-    out = {}
-    for ka, va in a.coeffs.items():
-        for kb, vb in b.coeffs.items():
-            key = (ka, kb)
-            prod = va * vb
-            out[key] = out[key] + prod if key in out else prod
+    out = {(ka, kb): va * vb
+           for ka, va in a.coeffs.items() for kb, vb in b.coeffs.items()}
     return ModuleElement(a.rig, space, out)
 
 
@@ -351,7 +373,8 @@ class Monomial:
 
     @staticmethod
     def of(keys) -> "Monomial":
-        return Monomial(tuple(sorted(keys, key=key_token)))
+        keys = tuple(keys)  # fewer than two keys need no sort tokens
+        return Monomial(tuple(sorted(keys, key=key_token)) if len(keys) > 1 else keys)
 
     @property
     def degree(self) -> int:
@@ -365,12 +388,19 @@ def monomial_mul(mu: Monomial, nu: Monomial) -> Monomial:
     return Monomial.of(mu.keys + nu.keys)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QGenerator:
     """Normal-form generator <x0; b1...bn>: opaque point, basis-key tail."""
 
     point: ModuleElement
     tail: Monomial
+    _hash: int = field(init=False, repr=False, compare=False)  # set once, at build
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.point, self.tail)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def degree(self) -> int:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 
+from .algebra import add_into
 from .combinat import partitions
 from .errors import ArityError
 from .poly import PolyMap, Polynomial, is_linear_syntactic, poly_D, substitute
@@ -110,9 +111,7 @@ class PolySampler:
             for _ in range(budget):
                 if arity:
                     expo[self.rng.randrange(arity)] += 1
-            c = self._coeff()
-            e = tuple(expo)
-            terms[e] = terms[e] + c if e in terms else c
+            add_into(terms, tuple(expo), self._coeff())
         return Polynomial(self.rig, arity, terms)
 
     def random_morphism(self, dom, cod) -> PolyMap:

@@ -13,7 +13,7 @@ import random
 
 from . import faa
 from .algebra import (Free, ModuleElement, Monomial, QGenerator, QSpace,
-                      basis_elem, rig_value, zero_elem)
+                      add_scaled, basis_elem, rig_value, zero_elem)
 from .errors import InvalidSequence, SizeLimit
 from .matcat import MatBackend, MatMap
 from .qmodality import LinearMap, q_gen_elem, q_inject, q_map
@@ -319,7 +319,7 @@ class QPresheaf:
             )
         act0, dmap = self._diff_maps[A]
         src = self._space(A)
-        out = self.zero(AA)
+        out = {}
         for gen, c in q.coeffs.items():
             entries = [gen.point] + [
                 basis_elem(self.rig, src, k) for k in gen.tail.keys
@@ -330,9 +330,10 @@ class QPresheaf:
                     tails = shifted[1:] + [dmap.apply(e)]
                 else:
                     tails = shifted[1:i] + [dmap.apply(e)] + shifted[i + 1:]
-                out = out + q_inject(shifted[0], tails).scale(c)
-        self._diff_results[memo_key] = out
-        return out
+                add_scaled(out, c, q_inject(shifted[0], tails))
+        result = ModuleElement(self.rig, QSpace(self._space(AA)), out)
+        self._diff_results[memo_key] = result
+        return result
 
 
 def _all_elements(X, A):

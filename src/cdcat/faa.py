@@ -19,10 +19,10 @@ from .algebra import (
     ModuleElement,
     Product,
     QSpace,
+    add_scaled,
     basis_elem,
     basis_keys,
     rig_value,
-    zero_elem,
 )
 from .combinat import partial_isos, partitions, arrange
 from .errors import (
@@ -410,7 +410,7 @@ class KleisliMap(FaaMap):
         rig = backend.rig
         A_space = q.space.inner
         cod_space = fin_space(self.cod)
-        out = zero_elem(rig, cod_space)
+        out = {}
         for gen, c in q.coeffs.items():
             n = gen.degree
             fn = self.component(n)
@@ -420,8 +420,8 @@ class KleisliMap(FaaMap):
                 unit = tuple(1 if b == key else 0 for b in A_space.basis)
                 tail += unit
             val = fn.table[x0 + tail]
-            out = out + vec_to_elem(rig, cod_space, val).scale(c)
-        return out
+            add_scaled(out, c, vec_to_elem(rig, cod_space, val))
+        return ModuleElement(rig, cod_space, out)
 
     def as_linear_map(self) -> LinearMap:
         rig = self.backend.rig
@@ -503,11 +503,11 @@ def kleisli_D(f: KleisliMap, degree_bound: int = 8) -> KleisliMap:
         # q lives over QSpace(AA_space); transport to Q(A x A) first
         qq = q_map(to_prod, q)
         t = storage(qq)
-        acc = zero_elem(rig, QSpace(A_space))
+        acc = {}
         for (g1, g2), v in t.coeffs.items():
             y = q_counit(q_gen_elem(rig, g2))
-            acc = acc + deriving(q_gen_elem(rig, g1), y).scale(v)
-        return f.eval_q(acc)
+            add_scaled(acc, v, deriving(q_gen_elem(rig, g1), y))
+        return f.eval_q(ModuleElement(rig, QSpace(A_space), acc))
 
     family = _family_from_values(backend, AA, f.cod, value_at, top)
     return KleisliMap(backend, AA, f.cod, family)

@@ -7,6 +7,7 @@ as the finite carrier for exhaustive presheaf and embedding checks.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .algebra import RigSpec
@@ -61,12 +62,10 @@ class MatBackend:
         if g.dom != f.cod:
             raise ObjectMismatch(f"{g.dom} vs {f.cod}")
         m = self.modulus
+        cols = list(zip(*f.rows)) or [()] * f.dom  # f.cod == 0 has no rows
         rows = tuple(
-            tuple(
-                sum(g.rows[i][k] * f.rows[k][j] for k in range(f.cod)) % m
-                for j in range(f.dom)
-            )
-            for i in range(g.cod)
+            tuple(sum(map(operator.mul, row, col)) % m for col in cols)
+            for row in g.rows
         )
         return MatMap(self.rig, f.dom, g.cod, rows)
 

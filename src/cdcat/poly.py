@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import RigSpec, RigValue, rig_one, rig_value, rig_zero
+from .algebra import RigSpec, RigValue, add_into, rig_one, rig_value, rig_zero
 from .errors import (
     ArityError,
     NegationUnsupported,
@@ -66,7 +66,7 @@ class Polynomial:
         self._check(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
+            add_into(out, e, c)
         return Polynomial(self.rig, self.arity, out)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
@@ -74,9 +74,7 @@ class Polynomial:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                out[e] = out[e] + c if e in out else c
+                add_into(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return Polynomial(self.rig, self.arity, out)
 
     def scale(self, c) -> "Polynomial":
@@ -101,18 +99,9 @@ class Polynomial:
 
     def partial(self, i: int) -> "Polynomial":
         """Formal partial derivative in x_i (0-based); multiplicity cast into k."""
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            mult = rig_value(self.rig, 0)
-            one = rig_one(self.rig)
-            for _ in range(e[i]):
-                mult = mult + one
-            e2 = e[:i] + (e[i] - 1,) + e[i + 1:]
-            c2 = c * mult
-            out[e2] = out[e2] + c2 if e2 in out else c2
-        return Polynomial(self.rig, self.arity, out)
+        return Polynomial(self.rig, self.arity, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * rig_value(self.rig, e[i])
+            for e, c in self.terms.items() if e[i]})
 
     def substitute(self, args) -> "Polynomial":
         """Plug the i-th arg polynomial in for x_i."""
@@ -120,7 +109,7 @@ class Polynomial:
             raise ArityError(f"need {self.arity} arguments, got {len(args)}")
         inner = args[0].arity if args else 0
         powers = [{0: Polynomial.const(self.rig, inner, 1)} for _ in args]
-        out = Polynomial.zero(self.rig, inner)
+        out = {}
 
         def power(i, n):
             memo = powers[i]
@@ -133,8 +122,9 @@ class Polynomial:
             for i, exp in enumerate(e):
                 if exp:
                     term = term * power(i, exp)
-            out = out + term
-        return out
+            for e2, c2 in term.terms.items():
+                add_into(out, e2, c2)
+        return Polynomial(self.rig, inner, out)
 
     def eval(self, point) -> RigValue:
         consts = [Polynomial.const(self.rig, 0, v) for v in point]

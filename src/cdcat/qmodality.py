@@ -19,12 +19,15 @@ from .algebra import (
     RigSpec,
     RigValue,
     Tensor,
+    add_into,
+    add_scaled,
     basis_elem,
     basis_keys,
     enum_elements,
     monomial_mul,
     rig_one,
     rig_zero,
+    tensor_elem,
     zero_elem,
 )
 from .combinat import arrange, partial_isos, partitions
@@ -49,16 +52,20 @@ class LinearMap:
 
     def on_basis(self, key) -> ModuleElement:
         if key not in self._memo:
-            self._memo[key] = self._on_basis(key)
+            image = self._on_basis(key)
+            if image.space != self.codomain or image.rig != self.rig:
+                raise SpaceMismatch(
+                    f"{image.space}/{image.rig} vs {self.codomain}/{self.rig}")
+            self._memo[key] = image
         return self._memo[key]
 
     def apply(self, elem: ModuleElement) -> ModuleElement:
         if elem.space != self.domain:
             raise SpaceMismatch(f"{elem.space} vs {self.domain}")
-        out = zero_elem(self.rig, self.codomain)
-        for k, v in elem.coeffs.items():
-            out = out + self.on_basis(k).scale(v)
-        return out
+        out = {}
+        for k, c in elem.coeffs.items():
+            add_scaled(out, c, self.on_basis(k))
+        return ModuleElement(self.rig, self.codomain, out)
 
 
 def identity_map(rig, space) -> LinearMap:
@@ -89,12 +96,10 @@ def inject_elem(elem: ModuleElement, prod: Product, slot: int) -> ModuleElement:
 
 def apply_tensor(f: LinearMap, g: LinearMap, t: ModuleElement) -> ModuleElement:
     """Apply f (x) g to an element of Tensor((dom f, dom g))."""
-    out = zero_elem(f.rig, Tensor((f.codomain, g.codomain)))
-    from .algebra import tensor_elem
-
-    for (ka, kb), v in t.coeffs.items():
-        out = out + tensor_elem(f.on_basis(ka), g.on_basis(kb)).scale(v)
-    return out
+    out = {}
+    for (ka, kb), c in t.coeffs.items():
+        add_scaled(out, c, tensor_elem(f.on_basis(ka), g.on_basis(kb)))
+    return ModuleElement(f.rig, Tensor((f.codomain, g.codomain)), out)
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +122,11 @@ def q_inject(point: ModuleElement, tails) -> ModuleElement:
             raise SpaceMismatch("tail entry not in the point's space")
     choices = {(): rig_one(rig)}
     for t in tails:
-        nxt = {}
-        for keys, c in choices.items():
-            for k, v in t.coeffs.items():
-                kk = keys + (k,)
-                cv = c * v
-                nxt[kk] = nxt[kk] + cv if kk in nxt else cv
-        choices = nxt
+        choices = {keys + (k,): c * v
+                   for keys, c in choices.items() for k, v in t.coeffs.items()}
     out = {}
     for keys, c in choices.items():
-        gen = QGenerator(point, _make_tail(keys))
-        out[gen] = out[gen] + c if gen in out else c
+        add_into(out, QGenerator(point, _make_tail(keys)), c)
     return ModuleElement(rig, QSpace(point.space), out)
 
 
@@ -138,12 +137,11 @@ def _tail_elems(rig, gen: QGenerator):
 
 def q_map(f: LinearMap, q: ModuleElement) -> ModuleElement:
     """Functorial action Qf: <x0,...,xn> -> <f(x0),...,f(xn)>."""
-    rig = q.rig
-    out = zero_elem(rig, QSpace(f.codomain))
+    out = {}
     for gen, c in q.coeffs.items():
-        image = q_inject(f.apply(gen.point), [f.apply(t) for t in _tail_elems(rig, gen)])
-        out = out + image.scale(c)
-    return out
+        image = q_inject(f.apply(gen.point), [f.on_basis(k) for k in gen.tail.keys])
+        add_scaled(out, c, image)
+    return ModuleElement(q.rig, QSpace(f.codomain), out)
 
 
 def q_functor(f: LinearMap) -> LinearMap:
@@ -162,22 +160,20 @@ def q_functor(f: LinearMap) -> LinearMap:
 
 def counit(q: ModuleElement) -> ModuleElement:
     """epsilon: <x0> -> x0, <x0,x1> -> x1, 0 in degrees >= 2."""
-    rig = q.rig
-    A = q.space.inner
-    out = zero_elem(rig, A)
+    out = {}
     for gen, c in q.coeffs.items():
         if gen.degree == 0:
-            out = out + gen.point.scale(c)
+            add_scaled(out, c, gen.point)
         elif gen.degree == 1:
-            out = out + basis_elem(rig, A, gen.tail.keys[0]).scale(c)
-    return out
+            add_into(out, gen.tail.keys[0], c)
+    return ModuleElement(q.rig, q.space.inner, out)
 
 
 def comult(q: ModuleElement) -> ModuleElement:
     """delta: partition sum <<x0>, <x_{A1}>, ..., <x_{Ak}>> in QQA."""
     rig = q.rig
     A = q.space.inner
-    out = zero_elem(rig, QSpace(QSpace(A)))
+    out = {}
     for gen, c in q.coeffs.items():
         point_outer = QGenerator(gen.point, _make_tail(()))
         keys = gen.tail.keys
@@ -189,8 +185,8 @@ def comult(q: ModuleElement) -> ModuleElement:
             outer = QGenerator(
                 basis_elem(rig, QSpace(A), point_outer), _make_tail(tail_gens)
             )
-            out = out + ModuleElement(rig, out.space, {outer: c})
-    return out
+            add_into(out, outer, c)
+    return ModuleElement(rig, QSpace(QSpace(A)), out)
 
 
 # ---------------------------------------------------------------------------
@@ -207,17 +203,16 @@ def comonoid_counit(q: ModuleElement) -> RigValue:
 
 def comonoid_comult(q: ModuleElement) -> ModuleElement:
     """Delta: subset sum of <x_I> (x) <x_{[n] minus I}> in QA (x) QA."""
-    rig = q.rig
     QA = q.space
-    out = zero_elem(rig, Tensor((QA, QA)))
+    out = {}
     for gen, c in q.coeffs.items():
         keys = gen.tail.keys
         n = gen.degree
         for mask in range(1 << n):
             left = QGenerator(gen.point, _make_tail(tuple(keys[i] for i in range(n) if mask >> i & 1)))
             right = QGenerator(gen.point, _make_tail(tuple(keys[i] for i in range(n) if not mask >> i & 1)))
-            out = out + ModuleElement(rig, out.space, {(left, right): c})
-    return out
+            add_into(out, (left, right), c)
+    return ModuleElement(q.rig, Tensor((QA, QA)), out)
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +234,6 @@ class _TensorGrid:
 
     def __getitem__(self, idx):
         if idx not in self._memo:
-            from .algebra import tensor_elem
-
             i, j = idx
             self._memo[idx] = tensor_elem(self.xs[i], self.ys[j])
         return self._memo[idx]
@@ -251,7 +244,7 @@ def monoidal_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     rig = p.rig
     A = p.space.inner
     B = q.space.inner
-    out = zero_elem(rig, QSpace(Tensor((A, B))))
+    out = {}
     for g, cg in p.coeffs.items():
         xs = [g.point] + _tail_elems(rig, g)
         for h, ch in q.coeffs.items():
@@ -260,8 +253,8 @@ def monoidal_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
             c = cg * ch
             for theta in partial_isos(g.degree, h.degree):
                 arranged = arrange(theta, grid)
-                out = out + q_inject(arranged[0], arranged[1:]).scale(c)
-    return out
+                add_scaled(out, c, q_inject(arranged[0], arranged[1:]))
+    return ModuleElement(rig, QSpace(Tensor((A, B))), out)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +265,12 @@ def deriving(q: ModuleElement, y: ModuleElement) -> ModuleElement:
     rig = q.rig
     if y.space != q.space.inner:
         raise SpaceMismatch(f"{y.space} vs {q.space.inner}")
-    out = zero_elem(rig, q.space)
+    out = {}
     for gen, c in q.coeffs.items():
         for k, v in y.coeffs.items():
             new = QGenerator(gen.point, monomial_mul(gen.tail, _make_tail((k,))))
-            out = out + ModuleElement(rig, q.space, {new: c * v})
-    return out
+            add_into(out, new, c * v)
+    return ModuleElement(rig, q.space, out)
 
 
 def fusion(p: ModuleElement, q: ModuleElement) -> ModuleElement:
@@ -286,7 +279,7 @@ def fusion(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     A = p.space.inner
     B = q.space.inner
     QB = QSpace(B)
-    out = zero_elem(rig, QSpace(Tensor((A, QB))))
+    out = {}
     for g, cg in p.coeffs.items():
         xs = [g.point] + _tail_elems(rig, g)
         m = g.degree
@@ -309,8 +302,8 @@ def fusion(p: ModuleElement, q: ModuleElement) -> ModuleElement:
                 grid = _TensorGrid(xs, ys)
                 for theta in partial_isos(m, part.block_count):
                     arranged = arrange(theta, grid)
-                    out = out + q_inject(arranged[0], arranged[1:]).scale(c)
-    return out
+                    add_scaled(out, c, q_inject(arranged[0], arranged[1:]))
+    return ModuleElement(rig, QSpace(Tensor((A, QB))), out)
 
 
 # ---------------------------------------------------------------------------
@@ -333,13 +326,12 @@ def storage_inv(t: ModuleElement) -> ModuleElement:
     rig = t.rig
     QA, QB = t.space.factors
     prod = Product((QA.inner, QB.inner))
-    out = zero_elem(rig, QSpace(prod))
+    out = {}
     for (g1, g2), v in t.coeffs.items():
         point = inject_elem(g1.point, prod, 0) + inject_elem(g2.point, prod, 1)
         tail = tuple((0, k) for k in g1.tail.keys) + tuple((1, k) for k in g2.tail.keys)
-        gen = QGenerator(point, _make_tail(tail))
-        out = out + ModuleElement(rig, out.space, {gen: v})
-    return out
+        add_into(out, QGenerator(point, _make_tail(tail)), v)
+    return ModuleElement(rig, QSpace(prod), out)
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +353,12 @@ def bialg_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     rig = p.rig
     if p.space != q.space:
         raise SpaceMismatch(f"{p.space} vs {q.space}")
-    out = zero_elem(rig, p.space)
+    out = {}
     for g, cg in p.coeffs.items():
         for h, ch in q.coeffs.items():
             gen = QGenerator(g.point + h.point, monomial_mul(g.tail, h.tail))
-            out = out + ModuleElement(rig, p.space, {gen: cg * ch})
-    return out
+            add_into(out, gen, cg * ch)
+    return ModuleElement(rig, p.space, out)
 
 
 def codereliction(x: ModuleElement) -> ModuleElement:

@@ -11,9 +11,9 @@ from math import comb, factorial
 import pytest
 
 from cdcat import cdc, faa, qmodality, suites
-from cdcat.algebra import INT, Monomial, zero_elem
+from cdcat.algebra import INT, Monomial, rig_value, zero_elem
 from cdcat.combinat import PartialIso, arrange, partial_isos, partitions
-from cdcat.poly import parse_poly_map, poly_D, substitute
+from cdcat.poly import Polynomial, parse_poly_map, poly_D, substitute
 
 
 def verdict(num, ok, desc):
@@ -233,3 +233,17 @@ def test_criterion_8_mutation_sensitivity(monkeypatch):
         "all five documented sabotages make a suite fail with a printed "
         "counterexample",
     ), [desc for desc, caught in results if not caught]
+
+
+def partial_with_multiplicity_off_by_one(self, i):
+    return Polynomial(self.rig, self.arity, {
+        e[:i] + (e[i] - 1,) + e[i + 1:]: c * rig_value(self.rig, e[i] + 1)
+        for e, c in self.terms.items() if e[i]})
+
+
+@pytest.mark.parametrize("rig", ["nat", "int", "rat", "zmod:5"])
+def test_criterion_8_poly_layer_sabotage(monkeypatch, rig):
+    """The Poly/CDC layer's sabotage: d(x^n)/dx = (n + 1) x^(n-1)."""
+    monkeypatch.setattr(Polynomial, "partial", partial_with_multiplicity_off_by_one)
+    failing = first_failure(suites.cdc_suite(rig, samples=40))
+    assert failing is not None and failing.counterexample is not None

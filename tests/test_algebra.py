@@ -11,11 +11,13 @@ from cdcat.algebra import (
     NAT,
     RAT,
     Free,
+    ModuleElement,
     Monomial,
     Product,
     QGenerator,
     RigSpec,
     Tensor,
+    add_into,
     all_rig_values,
     basis_elem,
     basis_keys,
@@ -123,6 +125,45 @@ def test_rat_rig_commutes(p, q):
     x, y = rig_value(RAT, p), rig_value(RAT, q)
     assert x + y == y + x
     assert x * y == y * x
+
+
+SPECS = [NAT, INT, RAT, zmod(2), zmod(5)]
+
+
+@given(st.sampled_from(SPECS), st.integers(0, 40), st.integers(0, 40))
+def test_direct_arithmetic_matches_rig_value(spec, a, b):
+    x, y = rig_value(spec, a), rig_value(spec, b)
+    assert x + y == rig_value(spec, a + b)
+    assert x * y == rig_value(spec, a * b)
+    if spec.kind == "zmod":
+        assert 0 <= (x + y).payload < spec.modulus
+        assert 0 <= (x * y).payload < spec.modulus
+
+
+@given(st.integers(0, 10**6), st.integers(0, 10**6))
+def test_nat_is_closed_and_non_negative(a, b):
+    x, y = rig_value(NAT, a), rig_value(NAT, b)
+    for z, expected in ((x + y, a + b), (x * y, a * b)):
+        assert z.spec == NAT
+        assert type(z.payload) is int and z.payload == expected >= 0
+
+
+@given(st.sampled_from(SPECS), st.sampled_from(SPECS), st.integers(0, 9))
+def test_arithmetic_across_specs_is_rejected(s1, s2, a):
+    x, y = rig_value(s1, a), rig_value(s2, a)
+    if s1 == s2:
+        assert x + y == rig_value(s1, 2 * a)
+        return
+    with pytest.raises(SpecMismatch):
+        x + y
+    with pytest.raises(SpecMismatch):
+        x * y
+
+
+def test_equal_specs_built_separately_still_combine():
+    x, y = rig_value(zmod(3), 2), rig_value(zmod(3), 2)
+    assert x.spec is not y.spec
+    assert (x + y).payload == 1 and (x * y).payload == 1
 
 
 def test_all_rig_values_only_for_finite_rigs():
@@ -254,3 +295,49 @@ def test_qgenerator_degree_and_str():
     gen = QGenerator(basis_elem(INT, A, "e1"), Monomial.of(("e2", "e1")))
     assert gen.degree == 2
     assert str(gen) == "<1*e1; e1,e2>"
+
+
+# ---------------------------------------------------------------------------
+# order-free hashing and the accumulator
+
+keyed_coeffs = st.dictionaries(st.sampled_from(["e1", "e2"]), st.integers(-9, 9))
+
+
+@given(keyed_coeffs, st.randoms())
+def test_equal_elements_hash_equal_whatever_the_insertion_order(raw, rnd):
+    items = list(raw.items())
+    shuffled = items[:]
+    rnd.shuffle(shuffled)
+    x = ModuleElement(INT, A, {k: rig_value(INT, v) for k, v in items})
+    y = ModuleElement(INT, A, {k: rig_value(INT, v) for k, v in shuffled})
+    assert x == y and hash(x) == hash(y)
+
+
+@given(keyed_coeffs, st.lists(st.sampled_from(["e1", "e2"]), max_size=3))
+def test_equal_generators_collapse_to_one_dict_key(raw, tail):
+    def build():
+        point = ModuleElement(INT, A, {k: rig_value(INT, v) for k, v in raw.items()})
+        return QGenerator(point, Monomial.of(tail))
+
+    g, h = build(), build()
+    assert g is not h and g.point is not h.point
+    assert g == h and hash(g) == hash(h)
+    out = {}
+    add_into(out, g, rig_value(INT, 2))
+    add_into(out, h, rig_value(INT, 3))
+    assert len(out) == 1 and out[g].payload == 5
+
+
+@given(keyed_coeffs)
+def test_cancelling_sums_leave_no_zero_coefficient(raw):
+    z2 = zmod(2)
+    x = ModuleElement(z2, A, {k: rig_value(z2, v) for k, v in raw.items()})
+    y = ModuleElement(INT, A, {k: rig_value(INT, v) for k, v in raw.items()})
+    for total in (x + x, linear_combine([(1, x), (1, x)]),
+                  y + (-y), linear_combine([(1, y), (-1, y)])):
+        assert total.is_zero and total.coeffs == {}
+    out = {}
+    for k, v in x.coeffs.items():
+        add_into(out, k, v)
+        add_into(out, k, v)
+    assert ModuleElement(z2, A, out).coeffs == {}

@@ -1,5 +1,8 @@
 """Derived differential calculus and the axiom checker over Poly and Mat."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +21,7 @@ from cdcat.cdc import (
     reconstruct_from_iterated,
 )
 from cdcat.errors import ArityError
-from cdcat.matcat import MatBackend, MatSampler
+from cdcat.matcat import MatBackend, MatMap, MatSampler
 from cdcat.poly import parse_poly_map, substitute
 
 BE = PolyBackend(INT)
@@ -153,6 +156,23 @@ def test_poly_axioms_pass(rig):
     report = check_axioms(backend, sampler, samples=25)
     assert report.passed, report.render()
     assert len(report.checks) == 7
+
+
+def test_mat_compose_matches_the_index_formula():
+    mat = MatBackend(3)
+    rng = random.Random(5)
+
+    def rand(cod, dom):
+        return MatMap(mat.rig, dom, cod, tuple(
+            tuple(rng.randrange(3) for _ in range(dom)) for _ in range(cod)))
+
+    for a, b, c in itertools.product(range(4), repeat=3):  # zero dims included
+        g, f = rand(a, b), rand(b, c)
+        expected = tuple(
+            tuple(sum(g.rows[i][k] * f.rows[k][j] for k in range(b)) % 3
+                  for j in range(c))
+            for i in range(a))
+        assert mat.compose(g, f) == MatMap(mat.rig, c, a, expected)
 
 
 def test_mat_axioms_pass():

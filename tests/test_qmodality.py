@@ -65,6 +65,14 @@ def test_q_map_acts_on_point_and_tail():
     assert got == one_gen(F1.scale(2), "f1").scale(2)
 
 
+def test_linear_map_rejects_images_outside_its_codomain():
+    f = qm.LinearMap(INT, A, B, lambda k: E1)
+    with pytest.raises(SpaceMismatch):
+        f.apply(E2)
+    with pytest.raises(SpaceMismatch):
+        qm.q_map(f, one_gen(E1, "e2"))
+
+
 def test_q_functor_preserves_identity_and_composition():
     rig = zmod(3)
     a = Free(("e1", "e2"))
