@@ -11,9 +11,10 @@ import json
 
 import pytest
 
-from cdcat import cdc, faa, suites
-from cdcat.algebra import INT
+from cdcat import cdc, faa, qmodality, suites
+from cdcat.algebra import INT, Monomial
 from cdcat.combinat import partitions
+from cdcat.matcat import MatBackend, MatMap
 from cdcat.poly import Polynomial, PolyMap
 
 
@@ -92,3 +93,27 @@ def test_golden_report_with_a_dropped_chain_rule_term(monkeypatch):
     report = faa_axioms()
     assert not report.passed
     assert digest(report) == "af689605eb4f4fa16e17b1b612f26be5033392c3fc65cffb8c375e425532ddf6"
+
+
+def mat_D_with_the_zero_block_first(self, f):
+    rows = tuple(r + (0,) * f.dom for r in f.rows)
+    return MatMap(self.rig, 2 * f.dom, f.cod, rows)
+
+
+@pytest.mark.parametrize("name, owner, attr, value, run, expected", [
+    ("modality", qmodality, "_make_tail", lambda keys: Monomial(tuple(keys)),
+     lambda: suites.modality_suite(2, dim=1, maxdeg=2),
+     "f4b336a6e236330da7a19b12ecd276b0b9a0f4d50b8366d6e036820b921bcd45"),
+    ("kleisli", faa, "_composition_partitions", lambda n: partitions(n)[:-1],
+     lambda: suites.kleisli_suite(2, max_dim=2, support=1, samples=3),
+     "c274ad3702de3515e488138192bc63dbb4721965c5529119ed033fd895b10c9b"),
+    ("presheaf", MatBackend, "D", mat_D_with_the_zero_block_first,
+     lambda: suites.presheaf_suite(2, max_dim=2, q_bound=1, map_budget=4),
+     "82cc47e815e09154ecb6085102f851c57ffd034092568134ac214b6df7c945f3"),
+])
+def test_golden_failing_suite_report(monkeypatch, name, owner, attr, value, run,
+                                     expected):
+    monkeypatch.setattr(owner, attr, value)
+    report = run()
+    assert not report.passed
+    assert digest(report) == expected
