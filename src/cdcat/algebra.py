@@ -14,6 +14,7 @@ partial sum at every step.  Hashes are order-free, so no dict probe sorts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -123,7 +124,9 @@ def rig_zero(spec: RigSpec) -> RigValue:
     return rig_value(spec, 0)
 
 
+@functools.cache
 def rig_one(spec: RigSpec) -> RigValue:
+    """The unit of `spec`, built once per spec (that of zmod:1 is 0)."""
     return rig_value(spec, 1)
 
 

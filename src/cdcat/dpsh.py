@@ -387,146 +387,113 @@ def check_presheaf(X, objects=None, map_budget: int | None = None,
     report = Report("presheaf-axioms", config)
     scalars = list(range(base.modulus))
 
-    def tuples_of(maps, arity):
-        combos = list(itertools.product(maps, repeat=arity))
+    def tuples_of(maps):
+        combos = list(itertools.product(maps, repeat=3))
         if map_budget is not None and len(combos) > map_budget:
             combos = rng.sample(combos, map_budget)
         return combos
 
     # functoriality
-    ok, n, witness = True, 0, None
-    for A in objects:
-        for xi in X.spanning(A):
-            n += 1
-            if not X.eq(X.act(be.identity(A), xi), xi):
-                ok, witness = False, f"xi.id != xi at A={A}"
-                break
-        if not ok:
-            break
-    report.add("action-preserves-identity", ok, n, witness)
+    report.check(((A, xi) for A in objects for xi in X.spanning(A)), (
+        "action-preserves-identity",
+        lambda item: None if X.eq(X.act(be.identity(item[0]), item[1]), item[1])
+        else f"xi.id != xi at A={item[0]}"))
 
-    ok, n, witness = True, 0, None
-    for A, B, C in itertools.product(objects, repeat=3):
-        fs = base.all_maps(B, A)
-        gs = base.all_maps(C, B)
-        for xi in X.spanning(A):
-            for f, g in itertools.product(fs, gs):
-                n += 1
-                lhs = X.act(g, X.act(f, xi))
-                rhs = X.act(be.compose(f, g), xi)
-                if not X.eq(lhs, rhs):
-                    ok, witness = False, f"(xi.f).g != xi.(fg) at A={A},B={B},C={C}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("action-preserves-composition", ok, n, witness)
+    def compositions():
+        for A, B, C in itertools.product(objects, repeat=3):
+            fs = base.all_maps(B, A)
+            gs = base.all_maps(C, B)
+            for xi in X.spanning(A):
+                for f, g in itertools.product(fs, gs):
+                    yield A, B, C, xi, f, g
 
-    # (i) D is k-linear
-    ok, n, witness = True, 0, None
-    for A in objects:
-        span = X.spanning(A)
-        for xi in span:
-            for eta in span:
-                n += 1
-                if not X.eq(
-                    X.diff(A, X.add(xi, eta)),
-                    X.add(X.diff(A, xi), X.diff(A, eta)),
-                ):
-                    ok, witness = False, f"D not additive at A={A}"
-                    break
-            for c in scalars:
-                if not X.eq(X.diff(A, X.scale(c, xi)), X.scale(c, X.diff(A, xi))):
-                    ok, witness = False, f"D not homogeneous at A={A}, c={c}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("axiom-i-D-linear", ok, n, witness)
+    def composition(item):
+        A, B, C, xi, f, g = item
+        if not X.eq(X.act(g, X.act(f, xi)), X.act(be.compose(f, g), xi)):
+            return f"(xi.f).g != xi.(fg) at A={A},B={B},C={C}"
+        return None
+
+    report.check(compositions(), ("action-preserves-composition", composition))
+
+    # (i) D is k-linear; homogeneity rides on the last pair of each xi
+    def pairs():
+        for A in objects:
+            span = X.spanning(A)
+            last = len(span) - 1
+            for xi in span:
+                for i, eta in enumerate(span):
+                    yield A, xi, eta, scalars if i == last else ()
+
+    def linear(item):
+        A, xi, eta, cs = item
+        if not X.eq(X.diff(A, X.add(xi, eta)), X.add(X.diff(A, xi), X.diff(A, eta))):
+            return f"D not additive at A={A}"
+        for c in cs:
+            if not X.eq(X.diff(A, X.scale(c, xi)), X.scale(c, X.diff(A, xi))):
+                return f"D not homogeneous at A={A}, c={c}"
+        return None
+
+    report.check(pairs(), ("axiom-i-D-linear", linear))
+
+    # the derivative axioms act with maps drawn from hom(Z, A) on D xi (and
+    # DD xi), computed once per xi; pi0 and zero are computed once per stage
+    def derivatives(draw, second=False):
+        for A in objects:
+            for Z in objects:
+                maps = base.all_maps(Z, A)
+                stage = (A, Z, be.proj([Z, Z], 0), be.zero(Z, A))
+                for xi in X.spanning(A):
+                    dxi = X.diff(A, xi)
+                    ddxi = X.diff(2 * A, dxi) if second else None
+                    for args in draw(maps):
+                        yield stage, xi, dxi, ddxi, args
 
     # (ii) D xi linear in the direction argument
-    ok, n, witness = True, 0, None
-    for A in objects:
-        for Z in objects:
-            maps = base.all_maps(Z, A)
-            for xi in X.spanning(A):
-                dxi = X.diff(A, xi)
-                for x, v, w in tuples_of(maps, 3):
-                    n += 1
-                    lhs = X.act(be.pairing([x, be.add(v, w)]), dxi)
-                    rhs = X.add(
-                        X.act(be.pairing([x, v]), dxi),
-                        X.act(be.pairing([x, w]), dxi),
-                    )
-                    if not X.eq(lhs, rhs):
-                        ok, witness = False, f"Dxi not additive in direction, A={A}, Z={Z}"
-                        break
-                    c = scalars[n % len(scalars)]
-                    lhs = X.act(be.pairing([x, be.scale(c, v)]), dxi)
-                    rhs = X.scale(c, X.act(be.pairing([x, v]), dxi))
-                    if not X.eq(lhs, rhs):
-                        ok, witness = False, f"Dxi not homogeneous in direction, A={A}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("axiom-ii-direction-linear", ok, n, witness)
+    def direction_linear(item):
+        n, ((A, Z, _, _), _, dxi, _, (x, v, w)) = item
+        lhs = X.act(be.pairing([x, be.add(v, w)]), dxi)
+        rhs = X.add(X.act(be.pairing([x, v]), dxi), X.act(be.pairing([x, w]), dxi))
+        if not X.eq(lhs, rhs):
+            return f"Dxi not additive in direction, A={A}, Z={Z}"
+        c = scalars[n % len(scalars)]
+        lhs = X.act(be.pairing([x, be.scale(c, v)]), dxi)
+        rhs = X.scale(c, X.act(be.pairing([x, v]), dxi))
+        if not X.eq(lhs, rhs):
+            return f"Dxi not homogeneous in direction, A={A}"
+        return None
+
+    report.check(enumerate(derivatives(tuples_of), 1),
+                 ("axiom-ii-direction-linear", direction_linear))
 
     # (iii) D(xi . f) = D(xi) . (f pi0, Df)
-    ok, n, witness = True, 0, None
-    for A in objects:
-        for Z in objects:
-            maps = base.all_maps(Z, A)
-            for xi in X.spanning(A):
-                dxi = X.diff(A, xi)
-                for f in maps:
-                    n += 1
-                    pi0 = be.proj([Z, Z], 0)
-                    lhs = X.diff(Z, X.act(f, xi))
-                    rhs = X.act(be.pairing([be.compose(f, pi0), be.D(f)]), dxi)
-                    if not X.eq(lhs, rhs):
-                        ok, witness = False, f"axiom (iii) fails at A={A}, Z={Z}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("axiom-iii-chain-compatibility", ok, n, witness)
+    def chain(item):
+        (A, Z, pi0, _), xi, dxi, _, f = item
+        lhs = X.diff(Z, X.act(f, xi))
+        rhs = X.act(be.pairing([be.compose(f, pi0), be.D(f)]), dxi)
+        if not X.eq(lhs, rhs):
+            return f"axiom (iii) fails at A={A}, Z={Z}"
+        return None
 
-    # (iv)/(v): second-order identities
-    ok4, n4, w4 = True, 0, None
-    ok5, n5, w5 = True, 0, None
-    for A in objects:
-        for Z in objects:
-            maps = base.all_maps(Z, A)
-            zero = be.zero(Z, A)
-            for xi in X.spanning(A):
-                dxi = X.diff(A, xi)
-                ddxi = X.diff(2 * A, dxi)
-                for x, r, s in tuples_of(maps, 3):
-                    n4 += 1
-                    lhs = X.act(be.pairing([x, r, zero, s]), ddxi)
-                    rhs = X.act(be.pairing([x, s]), dxi)
-                    if ok4 and not X.eq(lhs, rhs):
-                        ok4, w4 = False, f"axiom (iv) fails at A={A}, Z={Z}"
-                    n5 += 1
-                    lhs = X.act(be.pairing([x, r, s, zero]), ddxi)
-                    rhs = X.act(be.pairing([x, s, r, zero]), ddxi)
-                    if ok5 and not X.eq(lhs, rhs):
-                        ok5, w5 = False, f"axiom (v) fails at A={A}, Z={Z}"
-                if not (ok4 or ok5):
-                    break
-            if not (ok4 or ok5):
-                break
-    report.add("axiom-iv-first-order-slice", ok4, n4, w4)
-    report.add("axiom-v-mixed-symmetry", ok5, n5, w5)
+    report.check(derivatives(iter), ("axiom-iii-chain-compatibility", chain))
+
+    # (iv)/(v): second-order identities, on one sampled stream
+    def first_order_slice(item):
+        (A, Z, _, zero), _, dxi, ddxi, (x, r, s) = item
+        if not X.eq(X.act(be.pairing([x, r, zero, s]), ddxi),
+                    X.act(be.pairing([x, s]), dxi)):
+            return f"axiom (iv) fails at A={A}, Z={Z}"
+        return None
+
+    def mixed_symmetry(item):
+        (A, Z, _, zero), _, _, ddxi, (x, r, s) = item
+        if not X.eq(X.act(be.pairing([x, r, s, zero]), ddxi),
+                    X.act(be.pairing([x, s, r, zero]), ddxi)):
+            return f"axiom (v) fails at A={A}, Z={Z}"
+        return None
+
+    report.check(derivatives(tuples_of, second=True),
+                 ("axiom-iv-first-order-slice", first_order_slice),
+                 ("axiom-v-mixed-symmetry", mixed_symmetry))
     return report
 
 

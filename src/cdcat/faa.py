@@ -396,9 +396,8 @@ def vec_to_elem(rig, space: Free, vec) -> ModuleElement:
 
 
 def elem_to_vec(elem: ModuleElement, space: Free):
-    return tuple(
-        elem.coeffs.get(b, rig_value(elem.rig, 0)).payload for b in space.basis
-    )
+    coeffs = elem.coeffs
+    return tuple(coeffs[b].payload if b in coeffs else 0 for b in space.basis)
 
 
 class KleisliMap(FaaMap):

@@ -1,4 +1,9 @@
-"""Suite reports: per-check status with counterexamples, JSON-renderable."""
+"""Suite reports: per-check status with counterexamples, JSON-renderable.
+
+A check's `checked` is the number of instances it decided, up to and
+including its first failure: a passing check decided every instance, a
+failing one stops at the instance its counterexample names.
+"""
 
 from __future__ import annotations
 
@@ -28,6 +33,31 @@ class Report:
 
     def add(self, name, passed, checked=0, counterexample=None):
         self.checks.append(CheckResult(name, passed, checked, counterexample))
+
+    def check(self, items, *laws):
+        """Decide every law on one lazy stream of instances.
+
+        Each law is a (name, law) pair; law(item) returns a counterexample
+        string or None.  A law stops at its own first failure, and the
+        stream is not advanced once every law has failed.  A law's
+        `checked` is then the 1-based index of the instance it failed on.
+        """
+        live = [(CheckResult(name, True), law) for name, law in laws]
+        self.checks.extend(result for result, _ in live)
+        if not live:
+            return
+        for item in items:
+            failed = False
+            for result, law in live:
+                result.checked += 1
+                witness = law(item)
+                if witness is not None:
+                    result.passed, result.counterexample = False, witness
+                    failed = True
+            if failed:
+                live = [(result, law) for result, law in live if result.passed]
+                if not live:
+                    return
 
     @property
     def passed(self) -> bool:

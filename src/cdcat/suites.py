@@ -131,35 +131,7 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
     QA = QSpace(A)
     QB = QSpace(B)
 
-    def pairs(xs, ys, budget):
-        return [(p, q) for p in xs for q in ys
-                if _degree(p) + _degree(q) <= budget]
-
-    def run(name, fn, items):
-        checked = 0
-        for item in items:
-            checked += 1
-            witness = fn(item)
-            if witness is not None:
-                report.add(name, False, checked, witness)
-                return
-        report.add(name, True, checked)
-
-    # comonad laws
-    run("comonad-counit-outer",
-        lambda q: None if qm.counit(qm.comult(q)) == q else f"eps.delta != id at {q}",
-        gens)
-    run("comonad-counit-inner",
-        lambda q: None if qm.q_map(eps_a, qm.comult(q)) == q
-        else f"Q(eps).delta != id at {q}",
-        gens)
-    run("comonad-coassociative",
-        lambda q: None
-        if qm.q_map(delta_a, qm.comult(q)) == qm.comult(qm.comult(q))
-        else f"delta not coassociative at {q}",
-        gens)
-
-    # comonoid laws
+    # comonad and comonoid laws, delta a comonoid morphism, unit coherence
     def counital(q):
         left, right = {}, {}
         for (g1, g2), c in qm.comonoid_comult(q).coeffs.items():
@@ -168,8 +140,6 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
         if ModuleElement(rig, QA, left) != q or ModuleElement(rig, QA, right) != q:
             return f"Delta not counital at {q}"
         return None
-
-    run("comonoid-counital", counital, gens)
 
     def coassoc(q):
         lhs, rhs = {}, {}
@@ -185,21 +155,6 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
             return f"Delta not coassociative at {q}"
         return None
 
-    run("comonoid-coassociative", coassoc, gens)
-    run("comonoid-cocommutative",
-        lambda q: None
-        if _swap_tensor(qm.comonoid_comult(q), Tensor((QA, QA)))
-        == qm.comonoid_comult(q)
-        else f"Delta not cocommutative at {q}",
-        gens)
-
-    # delta is a comonoid morphism
-    run("comult-preserves-e",
-        lambda q: None
-        if qm.comonoid_counit(qm.comult(q)) == qm.comonoid_counit(q)
-        else f"e.delta != e at {q}",
-        gens)
-
     def delta_comonoid(q):
         lhs = qm.comonoid_comult(qm.comult(q))
         rhs = {}
@@ -212,9 +167,6 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
             return f"Delta.delta != (delta x delta).Delta at {q}"
         return None
 
-    run("comult-preserves-Delta", delta_comonoid, gens)
-
-    # monoidal functor laws
     unit_i = basis_elem(rig, UNIT_SPACE, "1")
     mi = qm.monoidal_unit(rig)
     lam = LinearMap(rig, Tensor((UNIT_SPACE, A)), A,
@@ -222,21 +174,38 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
     rho = LinearMap(rig, Tensor((A, UNIT_SPACE)), A,
                     lambda key: basis_elem(rig, A, key[0]))
 
-    def left_unit(q):
-        got = qm.q_map(lam, qm.monoidal_mult(mi, q))
-        if got != q:
-            return f"left unit coherence fails at {q}"
-        return None
+    report.check(
+        gens,
+        ("comonad-counit-outer",
+         lambda q: None if qm.counit(qm.comult(q)) == q else f"eps.delta != id at {q}"),
+        ("comonad-counit-inner",
+         lambda q: None if qm.q_map(eps_a, qm.comult(q)) == q
+         else f"Q(eps).delta != id at {q}"),
+        ("comonad-coassociative",
+         lambda q: None
+         if qm.q_map(delta_a, qm.comult(q)) == qm.comult(qm.comult(q))
+         else f"delta not coassociative at {q}"),
+        ("comonoid-counital", counital),
+        ("comonoid-coassociative", coassoc),
+        ("comonoid-cocommutative",
+         lambda q: None
+         if _swap_tensor(qm.comonoid_comult(q), Tensor((QA, QA)))
+         == qm.comonoid_comult(q)
+         else f"Delta not cocommutative at {q}"),
+        ("comult-preserves-e",
+         lambda q: None
+         if qm.comonoid_counit(qm.comult(q)) == qm.comonoid_counit(q)
+         else f"e.delta != e at {q}"),
+        ("comult-preserves-Delta", delta_comonoid),
+        ("monoidal-left-unit",
+         lambda q: None if qm.q_map(lam, qm.monoidal_mult(mi, q)) == q
+         else f"left unit coherence fails at {q}"),
+        ("monoidal-right-unit",
+         lambda q: None if qm.q_map(rho, qm.monoidal_mult(q, mi)) == q
+         else f"right unit coherence fails at {q}"),
+    )
 
-    def right_unit(q):
-        got = qm.q_map(rho, qm.monoidal_mult(q, mi))
-        if got != q:
-            return f"right unit coherence fails at {q}"
-        return None
-
-    run("monoidal-left-unit", left_unit, gens)
-    run("monoidal-right-unit", right_unit, gens)
-
+    # monoidal functor laws
     C = Free(tuple(f"c{i + 1}" for i in range(dim)))
     gens_c = _gen_elems(rig, C, maxdeg)
     assoc = LinearMap(
@@ -257,7 +226,7 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
             return f"monoidal associativity fails at {p}, {q}, {r}"
         return None
 
-    run("monoidal-associative", associativity, triples)
+    report.check(triples, ("monoidal-associative", associativity))
 
     sym = LinearMap(rig, Tensor((A, B)), Tensor((B, A)),
                     lambda key: basis_elem(rig, Tensor((B, A)), (key[1], key[0])))
@@ -270,30 +239,28 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
             return f"monoidal symmetry fails at {p}, {q}"
         return None
 
-    ab_pairs = pairs(gens, gens_b, pair_total_degree)
-    run("monoidal-symmetric", symmetry, ab_pairs)
-
     # naturality of the monoidal multiplication in sampled linear maps
-    nat_maps = [(_random_linear(rig, A, A, rng), _random_linear(rig, B, B, rng))
-                for _ in range(3)]
+    nat_maps = [(f, g, _pair_tensor_lin(f, g)) for f, g in [
+        (_random_linear(rig, A, A, rng), _random_linear(rig, B, B, rng))
+        for _ in range(3)]]
 
     def mult_natural(item):
         p, q = item
-        for f, g in nat_maps:
-            fg = _pair_tensor_lin(f, g)
-            qfg = LinearMap(rig, Tensor((A, B)), Tensor((A, B)), fg.on_basis)
-            lhs = qm.q_map(qfg, qm.monoidal_mult(p, q))
+        for f, g, fg in nat_maps:
+            lhs = qm.q_map(fg, qm.monoidal_mult(p, q))
             rhs = qm.monoidal_mult(qm.q_map(f, p), qm.q_map(g, q))
             if lhs != rhs:
                 return f"m-tensor not natural at {p}, {q}"
         return None
 
-    run("monoidal-mult-natural", mult_natural, ab_pairs)
+    ab_pairs = [(p, q) for p in gens for q in gens_b
+                if _degree(p) + _degree(q) <= pair_total_degree]
+    report.check(ab_pairs, ("monoidal-symmetric", symmetry),
+                 ("monoidal-mult-natural", mult_natural))
 
     # monoidality of epsilon and delta
-    run("counit-monoidal-unit",
-        lambda q: None if qm.counit(mi) == unit_i else "eps(m_I) != 1",
-        [mi])
+    report.check([mi], ("counit-monoidal-unit",
+                        lambda q: None if qm.counit(q) == unit_i else "eps(m_I) != 1"))
 
     def counit_monoidal(item):
         p, q = item
@@ -303,14 +270,13 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
             return f"eps not monoidal at {p}, {q}"
         return None
 
-    run("counit-monoidal-mult", counit_monoidal, ab_pairs)
+    report.check(ab_pairs, ("counit-monoidal-mult", counit_monoidal))
 
     mi_lin = LinearMap(rig, UNIT_SPACE, QSpace(UNIT_SPACE),
                        lambda key: qm.monoidal_unit(rig))
-    run("comult-monoidal-unit",
-        lambda q: None if qm.comult(mi) == qm.q_map(mi_lin, mi)
-        else "delta(m_I) != Q(m_I).m_I",
-        [mi])
+    report.check([mi], ("comult-monoidal-unit",
+                        lambda q: None if qm.comult(q) == qm.q_map(mi_lin, q)
+                        else "delta(m_I) != Q(m_I).m_I"))
 
     mx = _mx_lin(rig, A, B)
 
@@ -323,7 +289,7 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
             return f"delta not monoidal at {p}, {q}"
         return None
 
-    run("comult-monoidal-mult", comult_monoidal, ab_pairs)
+    report.check(ab_pairs, ("comult-monoidal-mult", comult_monoidal))
 
     # the four deriving rules
     gy = [(q, y) for q in gens for y in vecs]
@@ -341,14 +307,6 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
             return f"product rule fails at {q}, {y}"
         return None
 
-    run("deriving-product-rule", product_rule, gy)
-    run("deriving-linear-rule",
-        lambda item: None
-        if qm.counit(qm.deriving(item[0], item[1]))
-        == item[1].scale(qm.comonoid_counit(item[0]))
-        else f"linear rule fails at {item[0]}, {item[1]}",
-        gy)
-
     def chain_rule(item):
         q, y = item
         lhs = qm.comult(qm.deriving(q, y))
@@ -362,26 +320,36 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
             return f"chain rule fails at {q}, {y}"
         return None
 
-    run("deriving-chain-rule", chain_rule, gy)
-    run("deriving-interchange",
-        lambda item: None
-        if qm.deriving(qm.deriving(item[0], item[1]), item[2])
-        == qm.deriving(qm.deriving(item[0], item[2]), item[1])
-        else f"interchange fails at {item}",
-        [(q, a, b) for q in gens for a in vecs for b in vecs])
+    report.check(
+        gy,
+        ("deriving-product-rule", product_rule),
+        ("deriving-linear-rule",
+         lambda item: None
+         if qm.counit(qm.deriving(item[0], item[1]))
+         == item[1].scale(qm.comonoid_counit(item[0]))
+         else f"linear rule fails at {item[0]}, {item[1]}"),
+        ("deriving-chain-rule", chain_rule),
+    )
+    report.check(
+        [(q, a, b) for q in gens for a in vecs for b in vecs],
+        ("deriving-interchange",
+         lambda item: None
+         if qm.deriving(qm.deriving(item[0], item[1]), item[2])
+         == qm.deriving(qm.deriving(item[0], item[2]), item[1])
+         else f"interchange fails at {item}"),
+    )
 
     # fusion is the composite through delta
-    run("fusion-factors-through-comult",
-        lambda item: None
-        if qm.fusion(item[0], item[1])
-        == qm.monoidal_mult(item[0], qm.comult(item[1]))
-        else f"fusion mismatch at {item[0]}, {item[1]}",
-        ab_pairs)
+    report.check(ab_pairs, ("fusion-factors-through-comult",
+                            lambda item: None
+                            if qm.fusion(item[0], item[1])
+                            == qm.monoidal_mult(item[0], qm.comult(item[1]))
+                            else f"fusion mismatch at {item[0]}, {item[1]}"))
 
     # reconstruction of the monoidal constraints from the storage maps
-    run("rebuild-monoidal-unit",
-        lambda _: None if _rebuild_unit(rig) == mi else "m_I rebuild mismatch",
-        [mi])
+    report.check([mi], ("rebuild-monoidal-unit",
+                        lambda q: None if _rebuild_unit(rig) == q
+                        else "m_I rebuild mismatch"))
 
     chi_lin = LinearMap(
         rig, QSpace(Product((A, B))), Tensor((QA, QB)),
@@ -403,53 +371,45 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
             return f"m-tensor rebuild mismatch at {p}, {q}"
         return None
 
-    run("rebuild-monoidal-mult", rebuild_mult, ab_pairs)
+    report.check(ab_pairs, ("rebuild-monoidal-mult", rebuild_mult))
 
     # storage is a two-sided inverse
-    prod = Product((A, B))
-    prod_gens = _gen_elems(rig, prod, maxdeg)
-    run("storage-left-inverse",
-        lambda q: None if qm.storage_inv(qm.storage(q)) == q
-        else f"chi-inv.chi != id at {q}",
-        prod_gens)
-    run("storage-right-inverse",
-        lambda item: None
-        if qm.storage(qm.storage_inv(tensor_elem(item[0], item[1])))
-        == tensor_elem(item[0], item[1])
-        else f"chi.chi-inv != id at {item[0]}, {item[1]}",
-        ab_pairs)
+    prod_gens = _gen_elems(rig, Product((A, B)), maxdeg)
+    report.check(prod_gens, ("storage-left-inverse",
+                             lambda q: None if qm.storage_inv(qm.storage(q)) == q
+                             else f"chi-inv.chi != id at {q}"))
+    report.check(ab_pairs, ("storage-right-inverse",
+                            lambda item: None
+                            if qm.storage(qm.storage_inv(tensor_elem(item[0], item[1])))
+                            == tensor_elem(item[0], item[1])
+                            else f"chi.chi-inv != id at {item[0]}, {item[1]}"))
 
     # deriving transformation vs codereliction and the bialgebra maps
     u = qm.bialg_unit(rig, A)
-    run("deriving-from-codereliction",
-        lambda item: None
-        if qm.deriving(item[0], item[1])
-        == qm.bialg_mult(item[0], qm.codereliction(item[1]))
-        else f"d != nabla.(1 x eta) at {item[0]}, {item[1]}",
-        gy)
-    run("codereliction-from-deriving",
-        lambda y: None if qm.codereliction(y) == qm.deriving(u, y)
-        else f"eta != d.(u x 1) at {y}",
-        vecs)
-    run("bialgebra-unit-law",
-        lambda q: None if qm.bialg_mult(u, q) == q and qm.bialg_mult(q, u) == q
-        else f"nabla unit law fails at {q}",
-        gens)
+    report.check(gy, ("deriving-from-codereliction",
+                      lambda item: None
+                      if qm.deriving(item[0], item[1])
+                      == qm.bialg_mult(item[0], qm.codereliction(item[1]))
+                      else f"d != nabla.(1 x eta) at {item[0]}, {item[1]}"))
+    report.check(vecs, ("codereliction-from-deriving",
+                        lambda y: None if qm.codereliction(y) == qm.deriving(u, y)
+                        else f"eta != d.(u x 1) at {y}"))
 
     # naturality in sampled linear maps
-    nat_fs = [_random_linear(rig, A, B, rng) for _ in range(4)]
+    nat_fs = []
+    for f in [_random_linear(rig, A, B, rng) for _ in range(4)]:
+        qf = qm.q_functor(f)
+        nat_fs.append((f, qf, _pair_tensor_lin(qf, qf)))
 
-    def natural(item):
-        q = item
-        for f in nat_fs:
+    def natural(q):
+        for f, qf_lin, ff in nat_fs:
             qf = qm.q_map(f, q)
             if f.apply(qm.counit(q)) != qm.counit(qf):
                 return f"eps not natural at {q}"
-            if qm.q_map(qm.q_functor(f), qm.comult(q)) != qm.comult(qf):
+            if qm.q_map(qf_lin, qm.comult(q)) != qm.comult(qf):
                 return f"delta not natural at {q}"
             if qm.comonoid_counit(q) != qm.comonoid_counit(qf):
                 return f"e not natural at {q}"
-            ff = _pair_tensor_lin(_q_lin(rig, f, A, B), _q_lin(rig, f, A, B))
             if ff.apply(qm.comonoid_comult(q)) != qm.comonoid_comult(qf):
                 return f"Delta not natural at {q}"
             for y in vecs:
@@ -457,13 +417,14 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
                     return f"d not natural at {q}, {y}"
         return None
 
-    run("naturality-in-linear-maps", natural, gens)
+    report.check(
+        gens,
+        ("bialgebra-unit-law",
+         lambda q: None if qm.bialg_mult(u, q) == q and qm.bialg_mult(q, u) == q
+         else f"nabla unit law fails at {q}"),
+        ("naturality-in-linear-maps", natural),
+    )
     return report
-
-
-def _q_lin(rig, f: LinearMap, A, B) -> LinearMap:
-    return LinearMap(rig, QSpace(A), QSpace(B),
-                     lambda gen: qm.q_map(f, qm.q_gen_elem(rig, gen)))
 
 
 def _rebuild_unit(rig):
@@ -520,59 +481,50 @@ def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,
     def within_bound(kg, kf):
         return max(kf.support, 0) * max(kg.support, 0) <= degree_bound
 
-    ok, n, skipped, witness = True, 0, 0, None
-    for kf in kls:
-        for kg in kls:
-            if not within_bound(kg, kf):
-                skipped += 1
-                continue
-            n += 1
+    def derivable(kf):
+        return max(kf.support, 0) + 1 <= degree_bound
+
+    def compose_law(what):
+        def law(item):
+            n, kg, kf = item
             via_q = faa.kleisli_compose(kg, kf, degree_bound=degree_bound)
-            direct = faa.faa_compose(kg, kf)
-            if list(via_q.family) != list(direct.family):
-                ok, witness = False, f"composition mismatch at pair #{n}"
-                break
-        if not ok:
-            break
-    report.add("compose-matches-faa-exhaustive-dim1", ok, n, witness)
-    report.add("pairs-skipped-by-degree-bound", True, skipped)
+            if list(via_q.family) != list(faa.faa_compose(kg, kf).family):
+                return f"composition mismatch at {what} #{n}"
+            return None
+        return law
 
-    ok, n, witness = True, 0, None
-    for kf in kls:
-        if max(kf.support, 0) + 1 > degree_bound:
-            continue
-        n += 1
-        via_q = faa.kleisli_D(kf, degree_bound=degree_bound)
-        direct = faa.faa_D(kf)
-        if list(via_q.family) != list(direct.family):
-            ok, witness = False, f"derivative mismatch at family #{n}"
-            break
-    report.add("derivative-matches-faa-exhaustive-dim1", ok, n, witness)
+    def derivative_law(what):
+        def law(item):
+            n, kf = item
+            via_q = faa.kleisli_D(kf, degree_bound=degree_bound)
+            if list(via_q.family) != list(faa.faa_D(kf).family):
+                return f"derivative mismatch at {what} #{n}"
+            return None
+        return law
 
-    # sampled pairs at the higher dimensions
+    def numbered(items):
+        return ((n, *item) for n, item in enumerate(items, 1))
+
+    pairs = [(kg, kf) for kf in kls for kg in kls]
+    in_bound = [(kg, kf) for kg, kf in pairs if within_bound(kg, kf)]
+    report.check(numbered(in_bound),
+                 ("compose-matches-faa-exhaustive-dim1", compose_law("pair")))
+    report.add("pairs-skipped-by-degree-bound", True, len(pairs) - len(in_bound))
+    report.check(numbered((kf,) for kf in kls if derivable(kf)),
+                 ("derivative-matches-faa-exhaustive-dim1", derivative_law("family")))
+
+    # sampled pairs at the higher dimensions, all drawn before any is decided
     rng = random.Random(seed)
     for dim in range(2, max_dim + 1):
         A2 = backend.module(dim)
-        ok, n, witness = True, 0, None
-        okd, wd = True, None
-        for _ in range(samples):
-            kf = _random_kleisli(backend, A2, A2, support, rng)
-            kg = _random_kleisli(backend, A2, A2, support, rng)
-            if within_bound(kg, kf):
-                n += 1
-                via_q = faa.kleisli_compose(kg, kf, degree_bound=degree_bound)
-                direct = faa.faa_compose(kg, kf)
-                if list(via_q.family) != list(direct.family):
-                    ok, witness = False, f"composition mismatch at sample #{n}"
-                    break
-            if max(kf.support, 0) + 1 <= degree_bound:
-                via_qd = faa.kleisli_D(kf, degree_bound=degree_bound)
-                directd = faa.faa_D(kf)
-                if list(via_qd.family) != list(directd.family):
-                    okd, wd = False, f"derivative mismatch at sample #{n}"
-                    break
-        report.add(f"compose-matches-faa-sampled-dim{dim}", ok, n, witness)
-        report.add(f"derivative-matches-faa-sampled-dim{dim}", okd, n, wd)
+        drawn = [(_random_kleisli(backend, A2, A2, support, rng),
+                  _random_kleisli(backend, A2, A2, support, rng))
+                 for _ in range(samples)]
+        report.check(numbered((kg, kf) for kf, kg in drawn if within_bound(kg, kf)),
+                     (f"compose-matches-faa-sampled-dim{dim}", compose_law("sample")))
+        report.check(numbered((kf,) for kf, _ in drawn if derivable(kf)),
+                     (f"derivative-matches-faa-sampled-dim{dim}",
+                      derivative_law("sample")))
     return report
 
 
@@ -621,63 +573,51 @@ def yoneda_suite(modulus: int = 2, max_dim: int = 2, support_bound: int = 2,
                            chk.checked, chk.counterexample)
 
     # functoriality of the embedding
-    ok, n, witness = True, 0, None
-    for A, B, C in itertools.product(base.objects, repeat=3):
-        for f in base.all_maps(A, B):
-            for g in base.all_maps(B, C):
-                n += 1
-                lhs = dpsh.yoneda_map(base, be.compose(g, f))
-                rhs = faa.faa_compose(
-                    dpsh.yoneda_map(base, g), dpsh.yoneda_map(base, f))
-                if lhs != rhs:
-                    ok, witness = False, f"y(g.f) != y(g).y(f) at {f}, {g}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("yoneda-functorial", ok, n, witness)
+    def functorial(item):
+        f, g = item
+        lhs = dpsh.yoneda_map(base, be.compose(g, f))
+        rhs = faa.faa_compose(dpsh.yoneda_map(base, g), dpsh.yoneda_map(base, f))
+        if lhs != rhs:
+            return f"y(g.f) != y(g).y(f) at {f}, {g}"
+        return None
+
+    report.check(((f, g) for A, B, C in itertools.product(base.objects, repeat=3)
+                  for f in base.all_maps(A, B) for g in base.all_maps(B, C)),
+                 ("yoneda-functorial", functorial))
 
     # identities and units
-    ok, n, witness = True, 0, None
-    for A in base.objects:
-        n += 1
-        yid = dpsh.yoneda_map(base, be.identity(A))
-        lifted = faa.faa_identity(be, A)
-        if list(yid.family) != list(lifted.family):
-            ok, witness = False, f"y(id) is not the identity family at {A}"
-            break
-    report.add("yoneda-preserves-identity", ok, n, witness)
+    report.check(base.objects, (
+        "yoneda-preserves-identity",
+        lambda A: None
+        if list(dpsh.yoneda_map(base, be.identity(A)).family)
+        == list(faa.faa_identity(be, A).family)
+        else f"y(id) is not the identity family at {A}"))
 
     # the higher-action dictionary: acting with <f> is reindexing, acting
-    # with <pi0, pi1> is the differential
-    ok, n, witness = True, 0, None
-    for A in base.objects:
-        for B in base.objects:
+    # with <pi0, pi1> is the differential; the last instance of each xi
+    # (f = None) is the differential one
+    def dictionary():
+        for A, B in itertools.product(base.objects, repeat=2):
             for xi in base.all_maps(A, B):
                 tower = faa.coalgebra(be, xi)
                 for Z in base.objects:
                     for f in base.all_maps(Z, A):
-                        n += 1
-                        via = be.compose(tower.component(0), f)
-                        if via != be.compose(xi, f):
-                            ok, witness = False, f"xi.f != m(xi x <f>) at {xi}, {f}"
-                            break
-                    if not ok:
-                        break
-                n += 1
-                pi0 = be.proj([A, A], 0)
-                pi1 = be.proj([A, A], 1)
-                via = be.compose(tower.component(1), be.pairing([pi0, pi1]))
-                if via != be.D(xi):
-                    ok, witness = False, f"D(xi) != m(xi x <pi0, pi1>) at {xi}"
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    report.add("higher-action-dictionary", ok, n, witness)
+                        yield xi, tower, f
+                yield xi, tower, None
+
+    def dictionary_law(item):
+        xi, tower, f = item
+        if f is not None:
+            if be.compose(tower.component(0), f) != be.compose(xi, f):
+                return f"xi.f != m(xi x <f>) at {xi}, {f}"
+            return None
+        A = xi.dom
+        pi01 = be.pairing([be.proj([A, A], 0), be.proj([A, A], 1)])
+        if be.compose(tower.component(1), pi01) != be.D(xi):
+            return f"D(xi) != m(xi x <pi0, pi1>) at {xi}"
+        return None
+
+    report.check(dictionary(), ("higher-action-dictionary", dictionary_law))
     return report
 
 

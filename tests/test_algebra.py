@@ -91,6 +91,12 @@ def test_exact_scalars_are_kept_exactly():
     assert type(rig_value(INT, 7).payload) is int
 
 
+def test_rig_one_is_built_once_per_spec():
+    assert rig_one(zmod(5)) is rig_one(zmod(5))
+    assert rig_one(zmod(1)).payload == 0
+    assert rig_one(RAT).payload == Fraction(1)
+
+
 @pytest.mark.parametrize("m", range(1, 8))
 def test_zmod_rig_laws_exhaustive(m):
     spec = zmod(m)

@@ -1,5 +1,7 @@
 """Differential presheaves over Mat(Z/m) and the embedding machinery."""
 
+import itertools
+
 import pytest
 
 from cdcat import dpsh, faa
@@ -74,6 +76,36 @@ def test_sabotaged_differential_fails_chain_axiom():
     chain = by_name["axiom-iii-chain-compatibility"]
     assert not chain.passed
     assert chain.counterexample
+
+
+def test_a_failing_second_order_axiom_stops_at_its_first_failing_tuple():
+    base = small_base(3, (1,))
+    be = base.backend
+
+    class Doubled(dpsh.ReprPresheaf):
+        def diff(self, A, xi):
+            return be.scale(2, be.D(xi))
+
+    X = Doubled(base, 1)
+    maps = base.all_maps(1, 1)
+    zero = be.zero(1, 1)
+    index, first = 0, None
+    for xi in X.spanning(1):
+        dxi = X.diff(1, xi)
+        ddxi = X.diff(2, dxi)
+        for x, r, s in itertools.product(maps, repeat=3):
+            index += 1
+            lhs = X.act(be.pairing([x, r, zero, s]), ddxi)
+            if first is None and lhs != X.act(be.pairing([x, s]), dxi):
+                first = index
+    assert first is not None and first < index
+
+    by_name = {c.name: c for c in dpsh.check_presheaf(X).checks}
+    slice_iv = by_name["axiom-iv-first-order-slice"]
+    assert not slice_iv.passed
+    assert slice_iv.checked == first
+    symmetry_v = by_name["axiom-v-mixed-symmetry"]
+    assert symmetry_v.passed and symmetry_v.checked == index == 81
 
 
 # ---------------------------------------------------------------------------

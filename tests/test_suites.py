@@ -1,10 +1,11 @@
 """Suite plumbing: rig parsing, family enumeration, report shape."""
 
 import json
+import random
 
 import pytest
 
-from cdcat import suites
+from cdcat import faa, suites
 from cdcat.algebra import INT, NAT, RAT, zmod
 from cdcat.poly import FinFnBackend
 from cdcat.reports import Report
@@ -70,3 +71,33 @@ def test_modality_suite_tiny():
     assert "comonad-counit-outer" in names
     assert "deriving-product-rule" in names
     assert "storage-left-inverse" in names
+
+
+def test_kleisli_sampled_checks_count_their_own_instances():
+    # replay the dim-2 draws: the suite's rng is first used by them
+    backend = FinFnBackend(2)
+    A2 = backend.module(2)
+    rng = random.Random(0)
+    drawn = [(suites._random_kleisli(backend, A2, A2, 1, rng),
+              suites._random_kleisli(backend, A2, A2, 1, rng)) for _ in range(3)]
+    in_bound = sum(max(kf.support, 0) * max(kg.support, 0) <= 1 for kf, kg in drawn)
+    derivable = sum(max(kf.support, 0) + 1 <= 1 for kf, _ in drawn)
+    assert derivable < in_bound
+
+    report = suites.kleisli_suite(2, max_dim=2, support=1, degree_bound=1, samples=3)
+    assert report.passed, report.render()
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["compose-matches-faa-sampled-dim2"].checked == in_bound
+    assert by_name["derivative-matches-faa-sampled-dim2"].checked == derivable
+
+
+def test_kleisli_derivative_failure_leaves_the_compose_check_whole(monkeypatch):
+    monkeypatch.setattr(faa, "faa_D", lambda kf: kf)
+    report = suites.kleisli_suite(2, max_dim=2, support=1, samples=3)
+    by_name = {c.name: c for c in report.checks}
+    compose = by_name["compose-matches-faa-sampled-dim2"]
+    derivative = by_name["derivative-matches-faa-sampled-dim2"]
+    assert compose.passed and compose.checked == 3
+    assert not derivative.passed
+    assert derivative.checked == 1
+    assert derivative.counterexample == "derivative mismatch at sample #1"
