@@ -106,10 +106,10 @@ def mat_D_with_the_zero_block_first(self, f):
      "f4b336a6e236330da7a19b12ecd276b0b9a0f4d50b8366d6e036820b921bcd45"),
     ("kleisli", faa, "_composition_partitions", lambda n: partitions(n)[:-1],
      lambda: suites.kleisli_suite(2, max_dim=2, support=1, samples=3),
-     "c274ad3702de3515e488138192bc63dbb4721965c5529119ed033fd895b10c9b"),
+     "6ef21dfa1a53a8b9cb7d0d8fb173dcef7a01a4eabe9a143a68f6b5387ea63c5b"),
     ("presheaf", MatBackend, "D", mat_D_with_the_zero_block_first,
      lambda: suites.presheaf_suite(2, max_dim=2, q_bound=1, map_budget=4),
-     "82cc47e815e09154ecb6085102f851c57ffd034092568134ac214b6df7c945f3"),
+     "4d909d38b446268c122bd7f0b5bccd1e2b68de47c96716547b0bdaa1b30e911b"),
 ])
 def test_golden_failing_suite_report(monkeypatch, name, owner, attr, value, run,
                                      expected):
