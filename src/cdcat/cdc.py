@@ -291,7 +291,7 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
         )
         if lhs != rhs:
             return f"Df not additive in the direction for f={f}"
-        # the scalar is drawn only once additivity holds
+        # drawn after the additivity test, so the sampler keeps its order
         c = sampler.random_scalar()
         blocks2 = [A, A]
         q0, q1 = (backend.proj(blocks2, j) for j in range(2))

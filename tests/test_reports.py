@@ -55,8 +55,3 @@ def test_the_stream_is_not_advanced_once_every_law_has_failed():
     assert [c.checked for c in report.checks] == [3, 5]
     assert not report.passed
 
-
-def test_a_check_with_no_laws_pulls_nothing():
-    report = Report("runner")
-    report.check(iter(lambda: 1 / 0, None))
-    assert report.checks == []
