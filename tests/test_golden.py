@@ -3,7 +3,8 @@
 Each digest is the sha256 of json.dumps(report.to_dict(), sort_keys=True).
 A refactor that keeps behaviour keeps every digest; a digest is re-pinned
 only when a report is meant to change.  The sabotaged runs pin the
-counterexample text, which is where morphisms are printed.
+counterexample text, which is where morphisms are printed.  The Poly
+outputs are pinned the same way, as the sha256 of their rendered text.
 """
 
 import hashlib
@@ -15,7 +16,7 @@ from cdcat import cdc, faa, qmodality, suites
 from cdcat.algebra import INT, Monomial
 from cdcat.combinat import partitions
 from cdcat.matcat import MatBackend, MatMap
-from cdcat.poly import Polynomial, PolyMap
+from cdcat.poly import Polynomial, PolyMap, poly_D, substitute
 
 
 def digest(report) -> str:
@@ -117,3 +118,40 @@ def test_golden_failing_suite_report(monkeypatch, name, owner, attr, value, run,
     report = run()
     assert not report.passed
     assert digest(report) == expected
+
+
+def poly_outputs(rig_name):
+    """Rendered substitute, poly_D, nth_derivative and coalgebra outputs on
+    seeded PolySampler draws; one line per output."""
+    rig = suites.parse_rig(rig_name)
+    backend = cdc.PolyBackend(rig)
+    sampler = cdc.PolySampler(rig, seed=11, max_arity=2, max_degree=3, max_terms=3)
+    lines = []
+    for _ in range(10):
+        a, b, c = (sampler.random_object() for _ in range(3))
+        f = sampler.random_morphism(a, b)
+        g = sampler.random_morphism(b, c)
+        lines.append(f"{g} o {f} = {substitute(g, f)}")
+        lines.append(f"D{f} = {poly_D(f)}")
+        for n in range(3):
+            lines.append(f"d{n}{f} = {cdc.nth_derivative(backend, f, a, n)}")
+        tf, tg = faa.coalgebra(backend, f), faa.coalgebra(backend, g)
+        lines.append(f"tower{g} = {tg}")
+        if tf.support * tg.support <= 6:  # keeps the partition sums small
+            lines.append(f"tower{g} o tower{f} = {faa.faa_compose(tg, tf)}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("rig_name, expected", [
+    ("nat",
+     "40cd02e7e000d56dcbb1fc07d7cba49c5ac66edd532e4312476a1dea79def322"),
+    ("int",
+     "903e5dfbaf5c0450dd8196005024dd152061f56c67358e353657860657ef0fe8"),
+    ("rat",
+     "e00cf39e204809b068b6634d79620d710dd8a45c4ce91bd50b20513ac861c18a"),
+    ("zmod:5",
+     "d434a463813ee6fd274fb9becbec6686cc7678d832643c7335e67447e31bb9eb"),
+])
+def test_golden_poly_outputs(rig_name, expected):
+    text = poly_outputs(rig_name)
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
