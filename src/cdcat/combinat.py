@@ -34,19 +34,25 @@ def _canon(blocks, n) -> SetPartition:
     return SetPartition(blocks, n)
 
 
+# partitions(n) per n, built once; callers get a fresh list each time
+_PARTITIONS: dict[int, list[SetPartition]] = {}
+
+
 def partitions(n: int) -> list[SetPartition]:
     """All unordered partitions of [n]; n = 0 gives the empty partition."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out = [[]]
-    for k in range(1, n + 1):
-        nxt = []
-        for p in out:
-            for i in range(len(p)):
-                nxt.append(p[:i] + [p[i] + (k,)] + p[i + 1:])
-            nxt.append(p + [(k,)])
-        out = nxt
-    return [_canon(p, n) for p in out]
+    if n not in _PARTITIONS:
+        out = [[]]
+        for k in range(1, n + 1):
+            nxt = []
+            for p in out:
+                for i in range(len(p)):
+                    nxt.append(p[:i] + [p[i] + (k,)] + p[i + 1:])
+                nxt.append(p + [(k,)])
+            out = nxt
+        _PARTITIONS[n] = [_canon(p, n) for p in out]
+    return list(_PARTITIONS[n])
 
 
 def subsets(n: int) -> list[tuple[int, ...]]:
