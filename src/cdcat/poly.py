@@ -10,6 +10,7 @@ oracle world for the co-Kleisli checks.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .algebra import RigSpec, RigValue, add_into, rig_one, rig_value, rig_zero
@@ -51,7 +52,7 @@ class Polynomial:
         """The variable x_i, 0-based."""
         if not 0 <= i < arity:
             raise ArityError(f"variable index {i} out of range for arity {arity}")
-        e = tuple(1 if j == i else 0 for j in range(arity))
+        e = (0,) * i + (1,) + (0,) * (arity - i - 1)
         return Polynomial(rig, arity, {e: rig_one(rig)})
 
     # -- arithmetic
@@ -71,11 +72,7 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                add_into(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
-        return Polynomial(self.rig, self.arity, out)
+        return Polynomial(self.rig, self.arity, _times(self.terms, other.terms, {}))
 
     def scale(self, c) -> "Polynomial":
         c = rig_value(self.rig, c)
@@ -85,10 +82,7 @@ class Polynomial:
         return Polynomial(self.rig, self.arity, {e: -v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
-        out = Polynomial.const(self.rig, self.arity, 1)
-        for _ in range(n):
-            out = out * self
-        return out
+        return _power(self, n, Polynomial.__mul__)
 
     @property
     def is_zero(self) -> bool:
@@ -108,23 +102,13 @@ class Polynomial:
         if len(args) != self.arity:
             raise ArityError(f"need {self.arity} arguments, got {len(args)}")
         inner = args[0].arity if args else 0
-        powers = [{0: Polynomial.const(self.rig, inner, 1)} for _ in args]
-        out = {}
-
-        def power(i, n):
-            memo = powers[i]
-            if n not in memo:
-                memo[n] = power(i, n - 1) * args[i]
-            return memo[n]
-
-        for e, c in self.terms.items():
-            term = Polynomial.const(self.rig, inner, c)
-            for i, exp in enumerate(e):
-                if exp:
-                    term = term * power(i, exp)
-            for e2, c2 in term.terms.items():
-                add_into(out, e2, c2)
-        return Polynomial(self.rig, inner, out)
+        for a in args:
+            if a.rig != self.rig:
+                raise SpecMismatch(f"{a.rig} vs {self.rig}")
+            if a.arity != inner:
+                raise ArityError(f"argument arity {a.arity} vs {inner}")
+        terms = _substitute(self.terms, _power_tables(args), inner)
+        return Polynomial(self.rig, inner, terms)
 
     def eval(self, point) -> RigValue:
         consts = [Polynomial.const(self.rig, 0, v) for v in point]
@@ -175,6 +159,56 @@ class Polynomial:
         return self.to_str()
 
     __repr__ = __str__
+
+
+# ---------------------------------------------------------------------------
+# the term-dict kernel: exponent tuple -> RigValue, no Polynomial built for
+# intermediate products; zeros left by cancellation stay until one is
+
+def _times(t1: dict, t2: dict, out: dict) -> dict:
+    """Add the product of term dicts t1 and t2 into out, and return out."""
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            add_into(out, tuple(map(operator.add, e1, e2)), c1 * c2)
+    return out
+
+
+def _power(p, n: int, times):
+    """p^n by repeated squaring, multiplying with times(a, b)."""
+    out = None
+    while True:
+        if n & 1:
+            out = p if out is None else times(out, p)
+        n >>= 1
+        if not n:
+            return Polynomial.const(p.rig, p.arity, 1) if out is None else out
+        p = times(p, p)
+
+
+def _power_tables(args) -> list:
+    """Per argument, the term dicts of its powers 1, 2, ... at those
+    indices, filled on demand by _substitute."""
+    return [[None, a.terms] for a in args]
+
+
+def _substitute(terms: dict, tables: list, inner: int) -> dict:
+    """The terms of sum c x^e with x_i replaced by the base of tables[i]."""
+    out = {}
+    for e, c in terms.items():
+        product = None  # of the powers, scaled by c once at the end
+        for i, n in enumerate(e):
+            if n:
+                powers = tables[i]
+                while len(powers) <= n:
+                    nxt = _times(powers[-1], powers[1], {})
+                    powers.append({k: v for k, v in nxt.items() if not v.is_zero})
+                product = powers[n] if product is None else _times(product, powers[n], {})
+        if product is None:
+            add_into(out, (0,) * inner, c)
+            continue
+        for e2, c2 in product.items():
+            add_into(out, e2, c * c2)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,26 +302,26 @@ def substitute(g: PolyMap, f: PolyMap) -> PolyMap:
     """Composite g after f by polynomial substitution."""
     if g.dom != f.cod or g.rig != f.rig:
         raise ArityError(f"cannot compose {g.dom}<-{f.cod}")
-    comps = [p.substitute(list(f.components)) for p in g.components]
+    tables = _power_tables(f.components)  # shared by g's components
+    comps = [Polynomial(g.rig, f.dom, _substitute(p.terms, tables, f.dom))
+             for p in g.components]
     return PolyMap(g.rig, f.dom, g.cod, comps)
 
 
 def poly_D(f: PolyMap) -> PolyMap:
     """Total derivative: (Df)(x, v) = sum_j (df_i/dx_j) v_j, arity doubled."""
     n = f.dom
-    rig = f.rig
-
-    def widen(p):
-        # reinterpret an arity-n polynomial in the first block of 2n vars
-        return Polynomial(rig, 2 * n, {e + (0,) * n: c for e, c in p.terms.items()})
-
+    # e + shifts[j] widens e to 2n variables and multiplies by v_j; distinct
+    # j give distinct keys, so each component is one dict with nothing summed
+    shifts = [tuple(int(k == j) for k in range(n)) for j in range(n)]
     comps = []
     for p in f.components:
-        acc = Polynomial.zero(rig, 2 * n)
-        for j in range(n):
-            acc = acc + widen(p.partial(j)) * Polynomial.var(rig, 2 * n, n + j)
-        comps.append(acc)
-    return PolyMap(rig, 2 * n, f.cod, comps)
+        terms = {}
+        for j, shift in enumerate(shifts):
+            for e, c in p.partial(j).terms.items():
+                terms[e + shift] = c
+        comps.append(Polynomial(f.rig, 2 * n, terms))
+    return PolyMap(f.rig, 2 * n, f.cod, comps)
 
 
 def is_linear_syntactic(f: PolyMap) -> bool:
@@ -303,6 +337,10 @@ def is_linear_syntactic(f: PolyMap) -> bool:
 # Deepest parenthesis nesting accepted; each level costs four stack frames,
 # so this stays well below Python's default recursion limit.
 MAX_NESTING = 100
+
+# Most term pairs one product in a parsed map may multiply, '^' included:
+# enough for (x1+x2+x3+x4)^20, a refusal within a second for ^1000.
+MAX_TERMS = 100_000
 
 
 class _Parser:
@@ -365,8 +403,14 @@ class _Parser:
         acc = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            acc = acc * self.factor()
+            acc = self.times(acc, self.factor())
         return acc
+
+    def times(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        if len(a.terms) * len(b.terms) > MAX_TERMS:
+            raise SizeLimit(f"a product of {len(a.terms)} by {len(b.terms)} terms "
+                            f"exceeds the limit of {MAX_TERMS} term pairs")
+        return a * b
 
     def factor(self) -> Polynomial:
         base = self.atom()
@@ -376,7 +420,7 @@ class _Parser:
             if self.peek() == "":
                 self.pos = save
                 self.error("expected exponent after '^'")
-            base = base ** self.nat()
+            base = _power(base, self.nat(), self.times)
         return base
 
     def atom(self) -> Polynomial:

@@ -1,6 +1,7 @@
 """The cdcat command line: output format, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -81,6 +82,22 @@ def test_deep_nesting_is_a_parse_error(capsys):
     assert out == ""
     assert err.startswith("parse error: ")
     assert "Traceback" not in err
+
+
+def test_large_power_is_refused_within_a_second(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "diff", "[(x1+x2+x3+x4)^1000]")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "term pairs" in err
+    assert "Traceback" not in err
+
+
+def test_huge_exponent_of_one_term_differentiates_exactly(capsys):
+    code, out, _ = run(capsys, "diff", "[x1^1000000000]")
+    assert code == 0
+    assert out == "[1000000000*x1^999999999*v1]\n"
 
 
 def test_nat_rig_rejects_minus(capsys):

@@ -10,10 +10,12 @@ from cdcat.errors import (
     NegationUnsupported,
     ParseError,
     SizeLimit,
+    SpecMismatch,
     UnknownVariable,
 )
 from cdcat.poly import (
     MAX_NESTING,
+    MAX_TERMS,
     FinFnBackend,
     FinModule,
     Polynomial,
@@ -77,6 +79,62 @@ def test_composition_mismatch():
         substitute(p("[x1]", arity=1), p("[x1; x2]", arity=2))
 
 
+def test_substitute_refuses_bad_arguments():
+    poly = p("[x1*x2 + 1]", arity=2).components[0]
+    x, y = p("[x1; x2]", arity=2).components
+    with pytest.raises(ArityError):
+        poly.substitute([x])
+    with pytest.raises(ArityError):
+        poly.substitute([x, Polynomial.var(INT, 3, 0)])
+    with pytest.raises(SpecMismatch):
+        poly.substitute([x, Polynomial.var(RAT, 2, 1)])
+    # a constant polynomial still checks the arguments it never multiplies
+    with pytest.raises(SpecMismatch):
+        Polynomial.const(INT, 1, 3).substitute([Polynomial.var(RAT, 1, 0)])
+    assert poly.substitute([y, x]) == poly
+
+
+def test_cancelled_terms_leave_no_zero_coefficient():
+    rig = zmod(5)
+    a, b = parse_poly_map("[x1 + 4*x2; x1 + x2]", rig, 2).components
+    product = a * b
+    assert product == parse_poly_map("[x1^2 + 4*x2^2]", rig, 2).components[0]
+    assert all(not c.is_zero for c in product.terms.values())
+    composite = substitute(parse_poly_map("[x1*x2]", rig, 2),
+                           parse_poly_map("[x1 + 4*x2; x1 + x2]", rig, 2))
+    assert composite.components[0] == product
+    assert all(not c.is_zero for c in composite.components[0].terms.values())
+    assert all(not c.is_zero for c in (a ** 5).terms.values())
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.sampled_from([INT, RAT, zmod(5), zmod(4)]))
+def test_shared_power_tables_match_componentwise_substitution(seed, rig):
+    sampler = PolySampler(rig, seed=seed, max_arity=3, max_degree=3)
+    a, b, c = (sampler.random_object() for _ in range(3))
+    f = sampler.random_morphism(a, b)
+    g = sampler.random_morphism(b, c)
+    expected = PolyMap(rig, a, c, [q.substitute(list(f.components))
+                                   for q in g.components])
+    assert substitute(g, f) == expected
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=9))
+def test_power_by_squaring_matches_repeated_products(seed, n):
+    q = PolySampler(INT, seed=seed, max_arity=2, max_degree=2).random_poly(2)
+    expected = Polynomial.const(INT, 2, 1)
+    for _ in range(n):
+        expected = expected * q
+    assert q ** n == expected
+
+
+def test_poly_D_of_arity_zero():
+    f = PolyMap(INT, 0, 2, [Polynomial.const(INT, 0, 3), Polynomial.zero(INT, 0)])
+    assert poly_D(f) == PolyMap.zero(INT, 0, 2)
+
+
 # ---------------------------------------------------------------------------
 # parser
 
@@ -106,6 +164,18 @@ def test_parse_error_reports_position():
 def test_parse_rejects_trailing_input():
     with pytest.raises(ParseError):
         p("[x1] junk")
+
+
+def test_term_limit():
+    quartic = p("[(x1 + x2 + x3 + x4)^20]", arity=4)
+    assert len(quartic.components[0].terms) == 1771  # C(23, 3) monomials
+    assert MAX_TERMS < 969 * 969  # the square of the ^16 power of that sum
+    with pytest.raises(SizeLimit):
+        p("[(x1 + x2 + x3 + x4)^32]", arity=4)
+    with pytest.raises(SizeLimit):
+        p("[(x1 + x2 + x3 + x4)^16 * (x1 + x2 + x3 + x4)^16]", arity=4)
+    assert p("[x1^1000000000]").components[0].terms == {
+        (1_000_000_000,): rig_value(INT, 1)}
 
 
 def test_nesting_limit():
@@ -199,7 +269,5 @@ def test_fin_backend_module_structure():
 
 
 def test_fin_module_needs_zmod():
-    from cdcat.errors import SpecMismatch
-
     with pytest.raises(SpecMismatch):
         FinModule(INT, 2)
