@@ -82,6 +82,8 @@ class Polynomial:
         return Polynomial(self.rig, self.arity, {e: -v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
+        if n < 0:
+            raise ValueError("exponent must be nonnegative")
         return _power(self, n, Polynomial.__mul__)
 
     @property
@@ -174,7 +176,7 @@ def _times(t1: dict, t2: dict, out: dict) -> dict:
 
 
 def _power(p, n: int, times):
-    """p^n by repeated squaring, multiplying with times(a, b)."""
+    """p^n for n >= 0 by repeated squaring, multiplying with times(a, b)."""
     out = None
     while True:
         if n & 1:

@@ -31,6 +31,13 @@ def test_partition_counts_are_bell_numbers(n):
     assert len(set(parts)) == len(parts)
 
 
+def test_partitions_hands_out_a_fresh_list_each_call():
+    first = partitions(4)
+    first.pop()
+    assert len(partitions(4)) == bell(4)
+    assert partitions(4) is not partitions(4)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_partitions_cover_the_ground_set(n):
     for p in partitions(n):

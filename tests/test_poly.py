@@ -94,6 +94,21 @@ def test_substitute_refuses_bad_arguments():
     assert poly.substitute([y, x]) == poly
 
 
+def test_arithmetic_and_maps_refuse_mixed_rigs_and_arities():
+    x = Polynomial.var(INT, 2, 0)
+    for op in (lambda a, b: a + b, lambda a, b: a * b):
+        with pytest.raises(SpecMismatch):
+            op(x, Polynomial.var(RAT, 2, 0))
+        with pytest.raises(ArityError):
+            op(x, Polynomial.var(INT, 3, 0))
+    with pytest.raises(ArityError):
+        PolyMap(INT, 1, 1, [x])
+    with pytest.raises(ArityError):
+        PolyMap(RAT, 2, 1, [x])
+    with pytest.raises(ArityError):
+        PolyMap(INT, 2, 2, [x])
+
+
 def test_cancelled_terms_leave_no_zero_coefficient():
     rig = zmod(5)
     a, b = parse_poly_map("[x1 + 4*x2; x1 + x2]", rig, 2).components
@@ -128,6 +143,11 @@ def test_power_by_squaring_matches_repeated_products(seed, n):
     for _ in range(n):
         expected = expected * q
     assert q ** n == expected
+
+
+def test_negative_power_is_refused():
+    with pytest.raises(ValueError):
+        Polynomial.var(INT, 1, 0) ** -1
 
 
 def test_poly_D_of_arity_zero():

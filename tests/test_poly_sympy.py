@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdcat import cdc
+from cdcat import cdc, faa
 from cdcat.algebra import INT, RAT, rig_value
 from cdcat.poly import Polynomial, PolyMap, poly_D, substitute
 
@@ -84,19 +84,37 @@ def test_poly_D_matches_sympy(rig_name, n, data):
         assert same(q, expected)
 
 
+def sympy_nth_derivative(p: Polynomial, n: int):
+    """f^(n)(x, v1..vn): the sum over j1..jn of d^n f / dx_j1..dx_jn times
+    v1_j1 ... vn_jn, in variables x1.. of n + 1 blocks of p.arity."""
+    a = p.arity
+    xs = symbols(a * (n + 1))
+    expected = to_sympy(p)
+    for k in range(1, n + 1):
+        v = xs[a * k:a * (k + 1)]
+        expected = sum((sympy.diff(expected, xs[j]) * v[j] for j in range(a)),
+                       sympy.Integer(0))
+    return expected
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(sorted(RIGS)), st.integers(min_value=1, max_value=2),
        st.integers(min_value=0, max_value=3), st.data())
 def test_nth_derivative_matches_sympy(rig_name, a, n, data):
     rig = RIGS[rig_name]
     f = data.draw(poly_maps(rig, a, 1))
-    xs = symbols(a * (n + 1))
-    x = xs[:a]
-    blocks = [xs[a * k:a * (k + 1)] for k in range(1, n + 1)]
-    # f^(n)(x, v1..vn) = sum over j1..jn of d^n f / dx_j1..dx_jn * v1_j1 ... vn_jn
-    expected = to_sympy(f.components[0])
-    for v in blocks:
-        expected = sum((sympy.diff(expected, x[j]) * v[j] for j in range(a)),
-                       sympy.Integer(0))
     got = cdc.nth_derivative(cdc.PolyBackend(rig), f, a, n)
-    assert same(got.components[0], expected)
+    assert same(got.components[0], sympy_nth_derivative(f.components[0], n))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(RIGS)), st.integers(min_value=1, max_value=2),
+       st.data())
+def test_coalgebra_tower_matches_sympy(rig_name, a, data):
+    rig = RIGS[rig_name]
+    f = data.draw(poly_maps(rig, a, 1, max_exp=2))
+    tower = faa.coalgebra(cdc.PolyBackend(rig), f)
+    # the tower holds f^(0), f^(1), ... up to the last nonzero derivative
+    for n, component in enumerate(tower.family):
+        assert same(component.components[0], sympy_nth_derivative(f.components[0], n))
+    assert sympy_nth_derivative(f.components[0], len(tower.family)) == 0
