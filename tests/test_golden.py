@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from cdcat import cdc, faa, qmodality, suites
+from cdcat import cdc, dpsh, faa, qmodality, suites
 from cdcat.algebra import INT, Monomial
 from cdcat.combinat import partitions
 from cdcat.matcat import MatBackend, MatMap
@@ -118,6 +118,32 @@ def test_golden_failing_suite_report(monkeypatch, name, owner, attr, value, run,
     report = run()
     assert not report.passed
     assert digest(report) == expected
+
+
+class ZeroFixesTwo(dpsh.ReprPresheaf):
+    """y(1) whose action lets the zero map fix the element 2: identities
+    still act trivially, composition does not."""
+
+    def act(self, f, xi):
+        if f.is_zero and xi.rows == ((2,),):
+            return xi
+        return super().act(f, xi)
+
+
+def test_golden_presheaf_report_with_a_non_functorial_action():
+    report = dpsh.check_presheaf(ZeroFixesTwo(dpsh.FiniteCdcBase(3, [1]), 1))
+    composition = {c.name: c for c in report.checks}["action-preserves-composition"]
+    assert not composition.passed and composition.checked == 16
+    assert digest(report) == "eda5de5c99c65d558219b0ebc5d16de947c02e0676f4fdb68465a1b28cbe7cc6"
+
+
+def test_golden_full_fidelity_with_an_add_that_drops_its_second_argument(monkeypatch):
+    # every candidate then evaluates to zero on both sides of its
+    # differential check, so all 16 candidates survive
+    monkeypatch.setattr(MatBackend, "add", lambda self, f, g: f)
+    report = dpsh.full_fidelity(dpsh.FiniteCdcBase(2, [1, 2]), 2, 1)
+    assert not report.passed
+    assert digest(report) == "ca864cdd7e0128b424f1eeb1a4070a1a46f7b768f7db6146bb2f3ebae6e38935"
 
 
 def poly_outputs(rig_name):
