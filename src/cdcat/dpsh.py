@@ -15,7 +15,7 @@ from . import faa
 from .algebra import (Free, ModuleElement, Monomial, QGenerator, QSpace,
                       add_scaled, basis_elem, rig_value, zero_elem)
 from .errors import InvalidSequence, SizeLimit
-from .matcat import MatBackend, MatMap
+from .matcat import MatBackend, MatMap, trusted_matmap
 from .qmodality import LinearMap, q_gen_elem, q_inject, q_map
 from .reports import Report
 
@@ -28,6 +28,7 @@ class FiniteCdcBase:
         self.modulus = modulus
         self.objects = list(objects)
         self._q_representables = {}
+        self._generator_pairings = {}  # (A, Z, QGenerator) -> MatMap
 
     def all_maps(self, dom, cod):
         return list(self.backend.all_maps(dom, cod))
@@ -65,7 +66,7 @@ class ReprPresheaf:
                     tuple(1 if (r, c) == (i, j) else 0 for c in range(A))
                     for r in range(self.target)
                 )
-                out.append(MatMap(be.rig, A, self.target, rows))
+                out.append(trusted_matmap(be.rig, A, self.target, rows))
         return out
 
     def coords(self, A, xi: MatMap):
@@ -73,7 +74,7 @@ class ReprPresheaf:
 
     def from_coords(self, A, vec) -> MatMap:
         rows = tuple(tuple(vec[i * A + j] for j in range(A)) for i in range(self.target))
-        return MatMap(self.base.backend.rig, A, self.target, rows)
+        return trusted_matmap(self.base.backend.rig, A, self.target, rows)
 
     def zero(self, A):
         return self.base.backend.zero(A, self.target)
@@ -399,17 +400,25 @@ def check_presheaf(X, objects=None, map_budget: int | None = None,
         lambda item: None if X.eq(X.act(be.identity(item[0]), item[1]), item[1])
         else f"xi.id != xi at A={item[0]}"))
 
+    # each composite fg is computed once per (A, B, C) and each xi.f once
+    # per (A, B), shared by every C; the instance order is (A, B, C, xi, f, g)
     def compositions():
-        for A, B, C in itertools.product(objects, repeat=3):
+        for A, B in itertools.product(objects, repeat=2):
             fs = base.all_maps(B, A)
-            gs = base.all_maps(C, B)
-            for xi in X.spanning(A):
-                for f, g in itertools.product(fs, gs):
-                    yield A, B, C, xi, f, g
+            acted = {}  # (index of xi, index of f) -> xi.f
+            for C in objects:
+                gs = base.all_maps(C, B)
+                fgs = [[be.compose(f, g) for g in gs] for f in fs]
+                for k, xi in enumerate(X.spanning(A)):
+                    for i, f in enumerate(fs):
+                        if (k, i) not in acted:
+                            acted[k, i] = X.act(f, xi)
+                        for g, fg in zip(gs, fgs[i]):
+                            yield A, B, C, xi, acted[k, i], g, fg
 
     def composition(item):
-        A, B, C, xi, f, g = item
-        if not X.eq(X.act(g, X.act(f, xi)), X.act(be.compose(f, g), xi)):
+        A, B, C, xi, xf, g, fg = item
+        if not X.eq(X.act(g, xf), X.act(fg, xi)):
             return f"(xi.f).g != xi.(fg) at A={A},B={B},C={C}"
         return None
 
@@ -514,21 +523,28 @@ class ClassifiedMap:
     def eval(self, Z: int, q: ModuleElement):
         """q is an element of Q(yA)(Z): its k-th basis key names the k-th
         matrix unit of yA.basis(Z)."""
-        be = self.base.backend
-        space = q.space.inner
-        if Z not in self._units:
-            self._units[Z] = dict(zip(space.basis, self.yA.basis(Z)))
-        units = self._units[Z]
         out = self.X.zero(Z)
         for gen, c in q.coeffs.items():
             n = gen.degree
             if n >= len(self.sequence):
                 continue  # zero beyond the sequence's support
-            mats = [self.yA.from_coords(Z, faa.elem_to_vec(gen.point, space))]
-            mats += [units[key] for key in gen.tail.keys]
-            val = self.X.act(be.pairing(mats), self.sequence[n])
+            val = self.X.act(self._pairing(Z, q.space.inner, gen), self.sequence[n])
             out = self.X.add(out, self.X.scale(c.payload, val))
         return out
+
+    def _pairing(self, Z, space, gen) -> MatMap:
+        """<point; tail units> of a generator, built once per base for every
+        classified map out of the same A."""
+        memo = self.base._generator_pairings
+        key = (self.yA.target, Z, gen)
+        if key not in memo:
+            if Z not in self._units:
+                self._units[Z] = dict(zip(space.basis, self.yA.basis(Z)))
+            units = self._units[Z]
+            mats = [self.yA.from_coords(Z, faa.elem_to_vec(gen.point, space))]
+            mats += [units[k] for k in gen.tail.keys]
+            memo[key] = self.base.backend.pairing(mats)
+        return memo[key]
 
 
 def validate_sequence(base, X, A, sequence) -> str | None:
@@ -632,6 +648,5 @@ def full_fidelity(base: FiniteCdcBase, A: int, B: int, support_bound: int = 2,
 
 def _level_candidates(base, A, B, n):
     be = base.backend
-    action = faa.hom_action(be)
-    return [f for f in be.all_maps((n + 1) * A, B)
-            if faa.multilinearity_problem(be, A, n, f, action) is None]
+    problem = faa.multilinearity_test(be, A, n, faa.hom_action(be))
+    return [f for f in be.all_maps((n + 1) * A, B) if problem(f) is None]

@@ -104,6 +104,47 @@ def hom_action(backend):
             operator.eq)
 
 
+def multilinearity_test(backend, A, n: int, action):
+    """The checker behind multilinearity_problem: a function of x, indexed
+    by A x A^n, returning why x is not symmetric and k-linear in its last n
+    slots, or None.  Its test maps (base maps into A x A^n) are built here,
+    once, and shared by every x it is called on."""
+    act, add, scale, eq = action
+    blocks = [A] * (n + 1)
+    projs = [backend.proj(blocks, j) for j in range(n + 1)]
+    # symmetry: adjacent transpositions of the last n slots
+    swaps = [(j, backend.pairing(projs[:j] + [projs[j + 1], projs[j]] + projs[j + 2:]))
+             for j in range(1, n)]
+    # additivity in each of the last n slots, on an extended domain
+    ext = [A] * (n + 2)
+    eprojs = [backend.proj(ext, j) for j in range(n + 2)]
+    one = backend.pairing(eprojs[:n + 1])
+    sums = []
+    for j in range(1, n + 1):
+        both = eprojs[:j] + [backend.add(eprojs[j], eprojs[n + 1])] + eprojs[j + 1:n + 1]
+        other = eprojs[:j] + [eprojs[n + 1]] + eprojs[j + 1:n + 1]
+        sums.append((j, backend.pairing(both), backend.pairing(other)))
+    # homogeneity in each slot
+    scalings = [
+        (j, c, backend.pairing(projs[:j] + [backend.scale(c, projs[j])] + projs[j + 1:]))
+        for j in range(1, n + 1) for c in _validation_scalars(backend.rig)
+    ]
+
+    def problem(x) -> str | None:
+        for j, swap in swaps:
+            if not eq(act(swap, x), x):
+                return f"not symmetric in slots {j},{j + 1}"
+        for j, both, other in sums:
+            if not eq(act(both, x), add(act(one, x), act(other, x))):
+                return f"not additive in slot {j}"
+        for j, c, scaled in scalings:
+            if not eq(act(scaled, x), scale(c, x)):
+                return f"not homogeneous in slot {j} at {c}"
+        return None
+
+    return problem
+
+
 def multilinearity_problem(backend, A, n: int, x, action) -> str | None:
     """Why x, indexed by A x A^n, is not symmetric and k-linear in its last
     n slots, or None; checked by exact identities.
@@ -112,34 +153,11 @@ def multilinearity_problem(backend, A, n: int, x, action) -> str | None:
     in, where act(h, x) reindexes x along a base map h: Z -> A x A^n; for a
     hom-set see hom_action, for a presheaf X it is (X.act, X.add, X.scale,
     X.eq).  Homogeneity is checked at every scalar of a finite rig and at a
-    few of an infinite one.
+    few of an infinite one.  The test maps depend only on (backend, A, n):
+    a caller checking many x builds them once per (A, n) through
+    multilinearity_test.
     """
-    act, add, scale, eq = action
-    blocks = [A] * (n + 1)
-    projs = [backend.proj(blocks, j) for j in range(n + 1)]
-    # symmetry: adjacent transpositions of the last n slots
-    for j in range(1, n):
-        perm = projs[:j] + [projs[j + 1], projs[j]] + projs[j + 2:]
-        if not eq(act(backend.pairing(perm), x), x):
-            return f"not symmetric in slots {j},{j + 1}"
-    # additivity in each of the last n slots, on an extended domain
-    ext = [A] * (n + 2)
-    eprojs = [backend.proj(ext, j) for j in range(n + 2)]
-    for j in range(1, n + 1):
-        both = eprojs[:j] + [backend.add(eprojs[j], eprojs[n + 1])] + eprojs[j + 1:n + 1]
-        one = eprojs[:n + 1]
-        other = eprojs[:j] + [eprojs[n + 1]] + eprojs[j + 1:n + 1]
-        lhs = act(backend.pairing(both), x)
-        rhs = add(act(backend.pairing(one), x), act(backend.pairing(other), x))
-        if not eq(lhs, rhs):
-            return f"not additive in slot {j}"
-    # homogeneity in each slot
-    for j in range(1, n + 1):
-        for c in _validation_scalars(backend.rig):
-            scaled = projs[:j] + [backend.scale(c, projs[j])] + projs[j + 1:]
-            if not eq(act(backend.pairing(scaled), x), scale(c, x)):
-                return f"not homogeneous in slot {j} at {c}"
-    return None
+    return multilinearity_test(backend, A, n, action)(x)
 
 
 def validate_family(backend, A, B, family) -> str | None:

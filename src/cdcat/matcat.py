@@ -41,6 +41,14 @@ class MatMap:
         return "[" + "; ".join(",".join(map(str, r)) for r in self.rows) + "]"
 
 
+def trusted_matmap(rig: RigSpec, dom: int, cod: int, rows: tuple) -> MatMap:
+    """A MatMap built without MatMap's rig and shape checks, for results
+    whose shape the caller already guarantees (the backend's own outputs)."""
+    f = object.__new__(MatMap)
+    f.__dict__.update(rig=rig, dom=dom, cod=cod, rows=rows)
+    return f
+
+
 class MatBackend:
     """CDC backend: objects are dimensions, morphisms MatMaps, Df = f pi1."""
 
@@ -53,7 +61,7 @@ class MatBackend:
     # -- category structure
 
     def identity(self, n: int) -> MatMap:
-        return MatMap(
+        return trusted_matmap(
             self.rig, n, n,
             tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
         )
@@ -67,7 +75,7 @@ class MatBackend:
             tuple(sum(map(operator.mul, row, col)) % m for col in cols)
             for row in g.rows
         )
-        return MatMap(self.rig, f.dom, g.cod, rows)
+        return trusted_matmap(self.rig, f.dom, g.cod, rows)
 
     # -- products
 
@@ -81,7 +89,7 @@ class MatBackend:
             tuple(1 if j == lo + r else 0 for j in range(total))
             for r in range(objs[i])
         )
-        return MatMap(self.rig, total, objs[i], rows)
+        return trusted_matmap(self.rig, total, objs[i], rows)
 
     def pairing(self, maps) -> MatMap:
         maps = list(maps)
@@ -89,31 +97,33 @@ class MatBackend:
         if any(f.dom != dom for f in maps):
             raise ObjectMismatch("pairing needs a common domain")
         rows = tuple(r for f in maps for r in f.rows)
-        return MatMap(self.rig, dom, sum(f.cod for f in maps), rows)
+        return trusted_matmap(self.rig, dom, sum(f.cod for f in maps), rows)
 
     # -- hom module structure
 
     def zero(self, dom: int, cod: int) -> MatMap:
-        return MatMap(self.rig, dom, cod, tuple((0,) * dom for _ in range(cod)))
+        return trusted_matmap(self.rig, dom, cod, tuple((0,) * dom for _ in range(cod)))
 
     def add(self, f: MatMap, g: MatMap) -> MatMap:
+        if (f.dom, f.cod) != (g.dom, g.cod):
+            raise ObjectMismatch(f"{f.cod}x{f.dom} vs {g.cod}x{g.dom}")
         m = self.modulus
         rows = tuple(
             tuple((a + b) % m for a, b in zip(r1, r2))
             for r1, r2 in zip(f.rows, g.rows)
         )
-        return MatMap(self.rig, f.dom, f.cod, rows)
+        return trusted_matmap(self.rig, f.dom, f.cod, rows)
 
     def scale(self, c: int, f: MatMap) -> MatMap:
         m = self.modulus
         rows = tuple(tuple((c * a) % m for a in r) for r in f.rows)
-        return MatMap(self.rig, f.dom, f.cod, rows)
+        return trusted_matmap(self.rig, f.dom, f.cod, rows)
 
     # -- differential (trivial: biproduct instance)
 
     def D(self, f: MatMap) -> MatMap:
         rows = tuple((0,) * f.dom + r for r in f.rows)
-        return MatMap(self.rig, 2 * f.dom, f.cod, rows)
+        return trusted_matmap(self.rig, 2 * f.dom, f.cod, rows)
 
     # -- finite enumeration
 
@@ -121,7 +131,7 @@ class MatBackend:
         entries = itertools.product(range(self.modulus), repeat=dom * cod)
         for flat in entries:
             rows = tuple(flat[i * dom:(i + 1) * dom] for i in range(cod))
-            yield MatMap(self.rig, dom, cod, rows)
+            yield trusted_matmap(self.rig, dom, cod, rows)
 
 
 class MatSampler:

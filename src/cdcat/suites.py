@@ -454,8 +454,8 @@ def enumerate_families(backend: FinFnBackend, A: FinModule, B: FinModule,
     levels = []
     for n in range(support + 1):
         dom = FinModule(A.rig, A.dim * (n + 1))
-        levels.append([f for f in backend.all_maps(dom, B)
-                       if faa.multilinearity_problem(backend, A, n, f, action) is None])
+        problem = faa.multilinearity_test(backend, A, n, action)
+        levels.append([f for f in backend.all_maps(dom, B) if problem(f) is None])
     return [faa.FaaMap(backend, A, B, list(combo))
             for combo in itertools.product(*levels)]
 
