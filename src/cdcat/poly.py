@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .algebra import RigSpec, RigValue, add_into, rig_one, rig_value, rig_zero
 from .errors import (
@@ -344,6 +345,28 @@ MAX_NESTING = 100
 # enough for (x1+x2+x3+x4)^20, a refusal within a second for ^1000.
 MAX_TERMS = 100_000
 
+# Most decimal digits a numeral or a coefficient of a parsed map may have:
+# far below Python's int-to-str limit, so every result still prints, and a
+# power of a constant is refused after a few squarings.
+MAX_DIGITS = 1_000
+_MAX_BITS = (10 ** MAX_DIGITS).bit_length()
+
+# Most variables a parsed map may have: every exponent tuple is this long,
+# and D, which doubles it, is quadratic in it.
+MAX_ARITY = 100
+
+
+def _coefficient_bits(p: Polynomial) -> int:
+    """Bit length of p's largest coefficient (numerator or denominator)."""
+    best = 0
+    for c in p.terms.values():
+        v = c.payload
+        if isinstance(v, Fraction):
+            best = max(best, v.numerator.bit_length(), v.denominator.bit_length())
+        else:
+            best = max(best, v.bit_length())
+    return best
+
 
 class _Parser:
     def __init__(self, src: str, rig: RigSpec, arity: int):
@@ -376,6 +399,9 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             self.error("expected a natural number")
+        if self.pos - start > MAX_DIGITS:
+            raise SizeLimit(f"a numeral of {self.pos - start} digits exceeds the "
+                            f"limit of {MAX_DIGITS} digits")
         return int(self.src[start:self.pos])
 
     def map_(self) -> PolyMap:
@@ -412,6 +438,9 @@ class _Parser:
         if len(a.terms) * len(b.terms) > MAX_TERMS:
             raise SizeLimit(f"a product of {len(a.terms)} by {len(b.terms)} terms "
                             f"exceeds the limit of {MAX_TERMS} term pairs")
+        if _coefficient_bits(a) + _coefficient_bits(b) > _MAX_BITS:
+            raise SizeLimit(f"a product of coefficients may exceed the limit of "
+                            f"{MAX_DIGITS} digits")
         return a * b
 
     def factor(self) -> Polynomial:
@@ -453,8 +482,6 @@ class _Parser:
                 den = self.nat()
                 if den == 0:
                     self.error("zero denominator")
-                from fractions import Fraction
-
                 return Polynomial.const(self.rig, self.arity, Fraction(num, den))
             return Polynomial.const(self.rig, self.arity, num)
         self.error("expected a factor")
@@ -462,6 +489,8 @@ class _Parser:
 
 def parse_poly_map(src: str, rig: RigSpec, arity: int) -> PolyMap:
     """Parse '[poly; poly; ...]' in variables x1..x<arity>."""
+    if arity > MAX_ARITY:
+        raise SizeLimit(f"arity {arity} exceeds the limit of {MAX_ARITY} variables")
     return _Parser(src, rig, arity).map_()
 
 

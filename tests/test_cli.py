@@ -1,9 +1,12 @@
 """The cdcat command line: output format, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdcat import cli
 from cdcat.reports import Report
@@ -100,6 +103,26 @@ def test_huge_exponent_of_one_term_differentiates_exactly(capsys):
     assert out == "[1000000000*x1^999999999*v1]\n"
 
 
+
+@pytest.mark.parametrize("text", ["[7^3000000*x1]", "[7^30000000*x1]"])
+def test_power_of_a_constant_is_refused_within_a_second(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "diff", text)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "digits" in err
+    assert "Traceback" not in err
+
+
+def test_an_inferred_arity_past_the_limit_is_refused(capsys):
+    # x100000 would make every exponent tuple 100,000 long, and D quadratic in it
+    start = time.perf_counter()
+    code, out, err = run(capsys, "diff", "[x1*x100000]")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "variables" in err
+
 def test_nat_rig_rejects_minus(capsys):
     code, _, err = run(capsys, "diff", "--rig", "nat", "[x1 - x1]")
     assert code == 2
@@ -179,3 +202,88 @@ def test_out_of_range_numeric_flags_are_usage_errors(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any argv built from the real verbs, flags and map text exits 0, 1
+# or 2 without a traceback.  Suite sizes stay at their smallest valid values
+# (a size of -1 is the invalid draw), and faa-compose gets maps of degree at
+# most 3: valid runs outside those bounds take seconds to minutes.
+
+VARIABLES = ["x1", "x2", "x3"]
+NUMBERS = ["0", "2", "7", "1/2"]
+SOUP = VARIABLES + NUMBERS + ["x0", "x101", "+", "-", "*", "^", "(", ")", ";",
+                              " ", "3000000", "[", "]"]
+RIGS = ["int", "nat", "rat", "zmod:2", "zmod:5", "zmod:0", "zmod:x", "real"]
+
+
+def polynomial(exponents, max_leaves):
+    def grow(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from([" + ", " - ", "*"]), inner).map("".join),
+            inner.map(lambda t: f"({t})"),
+            *([st.tuples(inner, st.sampled_from(exponents)).map("".join)]
+              if exponents else []))
+    return st.recursive(st.sampled_from(VARIABLES + NUMBERS), grow,
+                        max_leaves=max_leaves)
+
+
+def map_text(exponents=("^2", "^3", "^3000000"), max_leaves=6):
+    components = st.lists(polynomial(exponents, max_leaves), min_size=1, max_size=2)
+    soup = st.lists(st.sampled_from(SOUP), max_size=12).map("".join)
+    valid = components.map(lambda cs: "[" + "; ".join(cs) + "]")
+    return st.one_of(valid, valid, soup.map(lambda t: f"[{t}]"), soup)
+
+
+def size(valid):
+    """Mostly a valid value, sometimes -1."""
+    return st.integers(0, 5).map(lambda k: valid[k % len(valid)] if k else -1)
+
+
+def flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
+
+
+@st.composite
+def cli_argv(draw):
+    verb = draw(st.sampled_from(["diff", "nderiv", "partial", "faa-compose",
+                                 "check", "frobnicate"]))
+    argv = [verb]
+    if verb == "check":
+        argv.append(draw(st.sampled_from(
+            ["cdc", "modality", "kleisli-iso", "yoneda", "presheaf", "bogus"])))
+        # sizes always given: the defaults of kleisli-iso and cdc run for seconds
+        for name, valid in (("--mod", (1, 2)), ("--dim", (1,)),
+                            ("--samples", (1, 2)), ("--degree", (0, 1))):
+            argv += [name, str(draw(size(valid)))]
+        argv += draw(flag("--maxdeg", size((0, 1, 2))))
+        argv += draw(flag("--arity", size((1, 2))))
+        argv += draw(flag("--seed", st.integers(0, 3)))
+        argv += draw(flag("--rig", st.sampled_from(RIGS)))
+        argv += draw(st.sampled_from([[], ["--json"]]))
+    elif verb != "frobnicate":
+        argv += draw(flag("--rig", st.sampled_from(RIGS)))
+        argv += draw(flag("--arity", st.sampled_from([3, 4, 0, -1, 101])))
+        if verb == "nderiv":
+            argv += ["--n", str(draw(size((1, 2, 3))))]
+        if verb == "partial":
+            argv += ["--i", str(draw(size((1, 2, 4))))]
+        if verb == "faa-compose":
+            argv += draw(flag("--maxdeg", st.integers(-1, 3)))
+            argv += [draw(map_text((), 3)), draw(map_text((), 3))]
+        else:
+            argv.append(draw(map_text()))
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(
+            ["--bogus", "--json", "--rig", "--n", "-1", "[x1]", ""])))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(cli_argv())
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -14,6 +14,8 @@ from cdcat.errors import (
     UnknownVariable,
 )
 from cdcat.poly import (
+    MAX_ARITY,
+    MAX_DIGITS,
     MAX_NESTING,
     MAX_TERMS,
     FinFnBackend,
@@ -259,6 +261,33 @@ def test_table_functoriality():
         table_from_poly(g), table_from_poly(f)
     )
 
+
+
+def test_coefficient_digit_limit():
+    # 2^3000 has 904 digits and parses; 2^3400 (1024 digits) is refused
+    assert p("[2^3000*x1]").components[0].terms == {(1,): rig_value(INT, 2 ** 3000)}
+    with pytest.raises(SizeLimit):
+        p("[2^3400*x1]")
+    with pytest.raises(SizeLimit):
+        p("[2^3000*x1 * 2^3000]")
+    # the bound is on coefficients, so a reduced residue or a huge exponent passes
+    assert p("[7^30000000*x1]", rig=zmod(5)).components[0].terms == {
+        (1,): rig_value(zmod(5), pow(7, 30000000, 5))}
+    assert p("[x1^1000000000]").components[0].terms == {
+        (1_000_000_000,): rig_value(INT, 1)}
+    # numerals: MAX_DIGITS digits parse, one more is refused before int()
+    assert p("[" + "9" * MAX_DIGITS + "]").components[0].terms == {
+        (0,): rig_value(INT, 10 ** MAX_DIGITS - 1)}
+    with pytest.raises(SizeLimit):
+        p("[" + "9" * (MAX_DIGITS + 1) + "]")
+    with pytest.raises(SizeLimit):
+        p("[1/" + "7" * (MAX_DIGITS + 1) + "]", rig=RAT)
+
+
+def test_arity_limit():
+    assert p("[x1*x%d]" % MAX_ARITY, arity=MAX_ARITY).dom == MAX_ARITY
+    with pytest.raises(SizeLimit):
+        p("[x1]", arity=MAX_ARITY + 1)
 
 def test_table_from_poly_size_limit():
     f = parse_poly_map("[x1]", zmod(7), 1)
