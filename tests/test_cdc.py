@@ -20,7 +20,8 @@ from cdcat.cdc import (
     partial_derivative,
     reconstruct_from_iterated,
 )
-from cdcat.errors import ArityError
+from cdcat.errors import ArityError, ObjectMismatch, SpecMismatch
+from cdcat.dpsh import FiniteCdcBase, representable
 from cdcat.matcat import MatBackend, MatMap, MatSampler
 from cdcat.poly import parse_poly_map, substitute
 
@@ -174,6 +175,69 @@ def test_mat_compose_matches_the_index_formula():
             for i in range(a))
         assert mat.compose(g, f) == MatMap(mat.rig, c, a, expected)
 
+
+
+# ---------------------------------------------------------------------------
+# the public MatMap checks its input; the backend's results skip the checks
+
+def test_public_mat_map_refuses_bad_shapes_and_rigs():
+    rig = zmod(3)
+    with pytest.raises(ArityError):
+        MatMap(rig, 2, 2, ((1, 0), (1,)))  # ragged row
+    with pytest.raises(ArityError):
+        MatMap(rig, 2, 2, ((1, 0),))  # one row short
+    with pytest.raises(ArityError):
+        MatMap(rig, 1, 0, ((1,),))  # a row too many
+    with pytest.raises(SpecMismatch):
+        MatMap(INT, 1, 1, ((1,),))
+
+
+def test_mat_backend_refuses_mismatched_objects():
+    mat = MatBackend(3)
+    with pytest.raises(ObjectMismatch):
+        mat.compose(mat.identity(2), mat.identity(1))
+    with pytest.raises(ObjectMismatch):
+        mat.pairing([mat.identity(1), mat.zero(2, 1)])
+    with pytest.raises(ObjectMismatch):
+        mat.add(mat.identity(1), mat.identity(2))
+    with pytest.raises(ObjectMismatch):
+        mat.add(mat.zero(1, 2), mat.zero(2, 1))
+
+
+def mat_maps(dom, cod):
+    entries = st.lists(st.integers(0, 2), min_size=dom * cod, max_size=dom * cod)
+    return entries.map(lambda flat: MatMap(
+        zmod(3), dom, cod, tuple(tuple(flat[i * dom:(i + 1) * dom]) for i in range(cod))))
+
+
+def internal_results(draw):
+    """Every kind of result MatBackend and ReprPresheaf build without the
+    public constructor, on drawn dims 0..3 over Z/3."""
+    mat = MatBackend(3)
+    a, b, c = (draw(st.integers(0, 3)) for _ in range(3))
+    f, f2, g = draw(mat_maps(a, b)), draw(mat_maps(a, b)), draw(mat_maps(b, c))
+    objs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    yield mat.compose(g, f)
+    yield mat.pairing([f, f2])
+    yield mat.proj(objs, draw(st.integers(0, len(objs) - 1)))
+    yield mat.D(f)
+    yield mat.zero(a, b)
+    yield mat.add(f, f2)
+    yield mat.scale(draw(st.integers(0, 2)), f)
+    yield mat.identity(a)
+    if a * b <= 4:
+        yield from mat.all_maps(a, b)
+    y = representable(FiniteCdcBase(3, [1]), b)
+    yield from y.basis(a)
+    yield y.from_coords(a, y.coords(a, f))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_internal_mat_results_equal_their_public_rebuild(data):
+    for r in internal_results(data.draw):
+        assert all(x in range(3) for row in r.rows for x in row)
+        assert r == MatMap(r.rig, r.dom, r.cod, r.rows)
 
 def test_mat_axioms_pass():
     backend = MatBackend(4)
