@@ -13,7 +13,7 @@ import json
 import pytest
 
 from cdcat import cdc, dpsh, faa, qmodality, suites
-from cdcat.algebra import INT, Monomial
+from cdcat.algebra import INT, ModuleElement, Monomial
 from cdcat.combinat import partitions
 from cdcat.matcat import MatBackend, MatMap
 from cdcat.poly import Polynomial, PolyMap, poly_D, substitute
@@ -57,6 +57,9 @@ GOLDEN = {
     "modality-dim2": (lambda: suites.modality_suite(2, dim=2, maxdeg=2,
                                                     pair_total_degree=2, seed=7),
                       "7f92dbe117c1977ee2392eb7c6abe3e9403562b881946998f68f5d4d48080b8d"),
+    "modality-zmod3": (lambda: suites.modality_suite(3, dim=1, maxdeg=3,
+                                                     pair_total_degree=3, seed=7),
+                       "fbfdfbfe30139b6ba571b2e084971d7236a550271eccfd5388c4338fcd525b03"),
     "kleisli": (lambda: suites.kleisli_suite(2, max_dim=2, support=1, samples=3),
                 "932c3feca3ab8351f588fd78135709b5918d5e4a7ed13412c917e32c2d4911fe"),
     "yoneda": (lambda: suites.yoneda_suite(2, max_dim=2),
@@ -118,6 +121,33 @@ def test_golden_failing_suite_report(monkeypatch, name, owner, attr, value, run,
     report = run()
     assert not report.passed
     assert digest(report) == expected
+
+
+def comonoid_comult_without_the_empty_left_terms(q):
+    out = COMONOID_COMULT(q)
+    trimmed = {k: c for k, c in out.coeffs.items() if k[0].degree != 0}
+    return ModuleElement(out.rig, out.space, trimmed)
+
+
+COMONOID_COMULT = qmodality.comonoid_comult
+
+
+def test_golden_zmod3_modality_report_with_dropped_subset_terms(monkeypatch):
+    # over zmod:2 every coefficient is 1; zmod:3 pins where the scalars go
+    monkeypatch.setattr(qmodality, "comonoid_comult",
+                        comonoid_comult_without_the_empty_left_terms)
+    report = suites.modality_suite(3, dim=1, maxdeg=3, pair_total_degree=3, seed=7)
+    assert not report.passed
+    assert digest(report) == "f9cb2f7eaad7e1a70a4c0bcd953ba8b2402d0f9614d60491bcf86e70fee9c7bb"
+
+
+def test_modality_suite_keeps_no_q_result_across_calls(monkeypatch):
+    # a run after a passing one must still see a sabotaged seam
+    run = lambda: suites.modality_suite(3, dim=1, maxdeg=3,  # noqa: E731
+                                        pair_total_degree=3, seed=7)
+    assert run().passed
+    monkeypatch.setattr(qmodality, "_make_tail", lambda keys: Monomial(tuple(keys)))
+    assert not run().passed
 
 
 class ZeroFixesTwo(dpsh.ReprPresheaf):
