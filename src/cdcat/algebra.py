@@ -233,8 +233,23 @@ def _value_token(v: RigValue):
     return ("i", p)
 
 
+# key_token per key: a token depends only on the key's value.  The memo is
+# emptied when it reaches _TOKENS_MAX entries, which bounds its memory.
+_TOKENS: dict = {}
+_TOKENS_MAX = 1 << 16
+
+
 def key_token(key):
     """Canonical, totally ordered token for any basis key (possibly nested)."""
+    token = _TOKENS.get(key)
+    if token is None:
+        if len(_TOKENS) >= _TOKENS_MAX:
+            _TOKENS.clear()
+        token = _TOKENS[key] = _key_token(key)
+    return token
+
+
+def _key_token(key):
     if isinstance(key, str):
         return ("s", key)
     if isinstance(key, int):

@@ -13,8 +13,8 @@ import json
 import sys
 
 from . import cdc, faa, suites
-from .errors import CdcatError, ParseError
-from .poly import parse_poly_map
+from .errors import CdcatError, ParseError, SizeLimit
+from .poly import MAX_ARITY, parse_poly_map
 from .reports import Report
 
 EPILOG = """\
@@ -157,6 +157,10 @@ def run(argv) -> int:
 
         if args.verb == "nderiv":
             f, rig, arity = _parse_map(args.map, args.rig, args.arity)
+            # a constant map counts as arity 1, so that --n stays bounded too
+            if max(arity, 1) * (args.n + 1) > MAX_ARITY:
+                raise SizeLimit(f"--n {args.n} gives more than {MAX_ARITY} "
+                                f"variables at arity {arity}")
             backend = cdc.PolyBackend(rig)
             out = cdc.nth_derivative(backend, f, arity, args.n)
             print(out.to_str(_block_namer([arity] * (args.n + 1))))

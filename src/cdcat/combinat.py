@@ -91,17 +91,23 @@ class PartialIso:
         return f"[{self.m}]=~[{self.n}]{{{body}}}"
 
 
+# partial_isos(m, n) per (m, n), built once; callers get a fresh list each time
+_PARTIAL_ISOS: dict[tuple[int, int], list[PartialIso]] = {}
+
+
 def partial_isos(m: int, n: int) -> list[PartialIso]:
     """Every partial bijection [m] =~ [n], each exactly once."""
     if m < 0 or n < 0:
         raise ValueError("arities must be nonnegative")
-    out = []
-    for k in range(min(m, n) + 1):
-        for dom in itertools.combinations(range(1, m + 1), k):
-            for img in itertools.combinations(range(1, n + 1), k):
-                for perm in itertools.permutations(img):
-                    out.append(PartialIso(tuple(zip(dom, perm)), m, n))
-    return out
+    if (m, n) not in _PARTIAL_ISOS:
+        out = []
+        for k in range(min(m, n) + 1):
+            for dom in itertools.combinations(range(1, m + 1), k):
+                for img in itertools.combinations(range(1, n + 1), k):
+                    for perm in itertools.permutations(img):
+                        out.append(PartialIso(tuple(zip(dom, perm)), m, n))
+        _PARTIAL_ISOS[m, n] = out
+    return list(_PARTIAL_ISOS[m, n])
 
 
 def arrange(theta: PartialIso, grid) -> list:

@@ -59,11 +59,12 @@ class ReprPresheaf:
 
     def basis(self, A):
         be = self.base.backend
+        one = 1 % be.modulus  # Z/1 has 1 = 0
         out = []
         for i in range(self.target):
             for j in range(A):
                 rows = tuple(
-                    tuple(1 if (r, c) == (i, j) else 0 for c in range(A))
+                    tuple(one if (r, c) == (i, j) else 0 for c in range(A))
                     for r in range(self.target)
                 )
                 out.append(trusted_matmap(be.rig, A, self.target, rows))
@@ -369,6 +370,14 @@ def presheaf_Q(X, bound: int = 2) -> QPresheaf:
 # ---------------------------------------------------------------------------
 # the presheaf axioms
 
+def _sample_triples(maps, k: int, rng) -> list:
+    """rng.sample(list(itertools.product(maps, repeat=3)), k) without the
+    list: the same indices are drawn from a range and decoded."""
+    n = len(maps)
+    return [(maps[i // (n * n)], maps[i // n % n], maps[i % n])
+            for i in rng.sample(range(n ** 3), k)]
+
+
 def check_presheaf(X, objects=None, map_budget: int | None = None,
                    seed: int = 0) -> Report:
     """Verify functoriality and the five differential-presheaf axioms.
@@ -389,10 +398,9 @@ def check_presheaf(X, objects=None, map_budget: int | None = None,
     scalars = list(range(base.modulus))
 
     def tuples_of(maps):
-        combos = list(itertools.product(maps, repeat=3))
-        if map_budget is not None and len(combos) > map_budget:
-            combos = rng.sample(combos, map_budget)
-        return combos
+        if map_budget is not None and len(maps) ** 3 > map_budget:
+            return _sample_triples(maps, map_budget, rng)
+        return list(itertools.product(maps, repeat=3))
 
     # functoriality
     report.check(((A, xi) for A in objects for xi in X.spanning(A)), (

@@ -61,9 +61,10 @@ class MatBackend:
     # -- category structure
 
     def identity(self, n: int) -> MatMap:
+        one = 1 % self.modulus  # Z/1 has 1 = 0
         return trusted_matmap(
             self.rig, n, n,
-            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
+            tuple(tuple(one if i == j else 0 for j in range(n)) for i in range(n)),
         )
 
     def compose(self, g: MatMap, f: MatMap) -> MatMap:
@@ -85,8 +86,9 @@ class MatBackend:
     def proj(self, objs, i: int) -> MatMap:
         total = sum(objs)
         lo = sum(objs[:i])
+        one = 1 % self.modulus
         rows = tuple(
-            tuple(1 if j == lo + r else 0 for j in range(total))
+            tuple(one if j == lo + r else 0 for j in range(total))
             for r in range(objs[i])
         )
         return trusted_matmap(self.rig, total, objs[i], rows)

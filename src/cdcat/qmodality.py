@@ -113,6 +113,19 @@ def _make_tail(keys) -> Monomial:
     return Monomial.of(keys)
 
 
+def _inject_into(out: dict, c: RigValue, point: ModuleElement, tails) -> None:
+    """out += c * <point; tails>, each tail a coefficient dict on the point's
+    basis.  A structure map adds every term of its result into one dict and
+    builds one ModuleElement at the end: wrapping each <point; tails> on its
+    own would filter and copy terms that are only added into `out` again."""
+    choices = {(): c}
+    for t in tails:
+        choices = {keys + (k,): d * v
+                   for keys, d in choices.items() for k, v in t.items()}
+    for keys, d in choices.items():
+        add_into(out, QGenerator(point, _make_tail(keys)), d)
+
+
 def q_inject(point: ModuleElement, tails) -> ModuleElement:
     """Normal-form generator sum <point; tails>, multilinear in the tails."""
     rig = point.rig
@@ -120,27 +133,17 @@ def q_inject(point: ModuleElement, tails) -> ModuleElement:
     for t in tails:
         if t.space != point.space or t.rig != rig:
             raise SpaceMismatch("tail entry not in the point's space")
-    choices = {(): rig_one(rig)}
-    for t in tails:
-        choices = {keys + (k,): c * v
-                   for keys, c in choices.items() for k, v in t.coeffs.items()}
     out = {}
-    for keys, c in choices.items():
-        add_into(out, QGenerator(point, _make_tail(keys)), c)
+    _inject_into(out, rig_one(rig), point, [t.coeffs for t in tails])
     return ModuleElement(rig, QSpace(point.space), out)
-
-
-def _tail_elems(rig, gen: QGenerator):
-    A = gen.point.space
-    return [basis_elem(rig, A, k) for k in gen.tail.keys]
 
 
 def q_map(f: LinearMap, q: ModuleElement) -> ModuleElement:
     """Functorial action Qf: <x0,...,xn> -> <f(x0),...,f(xn)>."""
     out = {}
     for gen, c in q.coeffs.items():
-        image = q_inject(f.apply(gen.point), [f.on_basis(k) for k in gen.tail.keys])
-        add_scaled(out, c, image)
+        _inject_into(out, c, f.apply(gen.point),
+                     [f.on_basis(k).coeffs for k in gen.tail.keys])
     return ModuleElement(q.rig, QSpace(f.codomain), out)
 
 
@@ -225,35 +228,38 @@ def monoidal_unit(rig: RigSpec) -> ModuleElement:
 
 
 class _TensorGrid:
-    """grid[i, j] = xs[i] (x) ys[j], built lazily."""
+    """grid[i, j] = rows[i] (x) cols[j] as a coefficient dict, built lazily."""
 
-    def __init__(self, xs, ys):
-        self.xs = xs
-        self.ys = ys
+    def __init__(self, rows, cols):
+        self.rows = rows
+        self.cols = cols
         self._memo = {}
 
     def __getitem__(self, idx):
         if idx not in self._memo:
             i, j = idx
-            self._memo[idx] = tensor_elem(self.xs[i], self.ys[j])
+            self._memo[idx] = {(ka, kb): va * vb
+                               for ka, va in self.rows[i].items()
+                               for kb, vb in self.cols[j].items()}
         return self._memo[idx]
 
 
 def monoidal_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     """m_tensor: partial-isomorphism sum of pairwise-tensored arranged lists."""
     rig = p.rig
+    one = rig_one(rig)
     A = p.space.inner
     B = q.space.inner
     out = {}
     for g, cg in p.coeffs.items():
-        xs = [g.point] + _tail_elems(rig, g)
+        xs = [g.point.coeffs] + [{k: one} for k in g.tail.keys]
         for h, ch in q.coeffs.items():
-            ys = [h.point] + _tail_elems(rig, h)
+            ys = [h.point.coeffs] + [{k: one} for k in h.tail.keys]
+            point = tensor_elem(g.point, h.point)
             grid = _TensorGrid(xs, ys)
             c = cg * ch
             for theta in partial_isos(g.degree, h.degree):
-                arranged = arrange(theta, grid)
-                add_scaled(out, c, q_inject(arranged[0], arranged[1:]))
+                _inject_into(out, c, point, arrange(theta, grid)[1:])
     return ModuleElement(rig, QSpace(Tensor((A, B))), out)
 
 
@@ -276,33 +282,28 @@ def deriving(q: ModuleElement, y: ModuleElement) -> ModuleElement:
 def fusion(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     """H: QA (x) QB -> Q(A (x) QB), the partition/partial-iso double sum."""
     rig = p.rig
+    one = rig_one(rig)
     A = p.space.inner
     B = q.space.inner
     QB = QSpace(B)
     out = {}
     for g, cg in p.coeffs.items():
-        xs = [g.point] + _tail_elems(rig, g)
+        xs = [g.point.coeffs] + [{k: one} for k in g.tail.keys]
         m = g.degree
         for h, ch in q.coeffs.items():
             keys = h.tail.keys
             c = cg * ch
+            # block 0 is empty: <y_{A_0}> = <y0>
+            y0 = {QGenerator(h.point, _make_tail(())): one}
+            point = tensor_elem(g.point, ModuleElement(rig, QB, y0))
             for part in partitions(h.degree):
-                # block 0 is empty: <y_{A_0}> = <y0>
-                ys = [basis_elem(rig, QB, QGenerator(h.point, _make_tail(())))]
-                ys += [
-                    basis_elem(
-                        rig,
-                        QB,
-                        QGenerator(
-                            h.point, _make_tail(tuple(keys[i - 1] for i in block))
-                        ),
-                    )
+                ys = [y0] + [
+                    {QGenerator(h.point, _make_tail(tuple(keys[i - 1] for i in block))): one}
                     for block in part.blocks
                 ]
                 grid = _TensorGrid(xs, ys)
                 for theta in partial_isos(m, part.block_count):
-                    arranged = arrange(theta, grid)
-                    add_scaled(out, c, q_inject(arranged[0], arranged[1:]))
+                    _inject_into(out, c, point, arrange(theta, grid)[1:])
     return ModuleElement(rig, QSpace(Tensor((A, QB))), out)
 
 

@@ -204,18 +204,19 @@ def test_mat_backend_refuses_mismatched_objects():
         mat.add(mat.zero(1, 2), mat.zero(2, 1))
 
 
-def mat_maps(dom, cod):
-    entries = st.lists(st.integers(0, 2), min_size=dom * cod, max_size=dom * cod)
+def mat_maps(m, dom, cod):
+    entries = st.lists(st.integers(0, m - 1), min_size=dom * cod, max_size=dom * cod)
     return entries.map(lambda flat: MatMap(
-        zmod(3), dom, cod, tuple(tuple(flat[i * dom:(i + 1) * dom]) for i in range(cod))))
+        zmod(m), dom, cod, tuple(tuple(flat[i * dom:(i + 1) * dom]) for i in range(cod))))
 
 
-def internal_results(draw):
+def internal_results(draw, m):
     """Every kind of result MatBackend and ReprPresheaf build without the
-    public constructor, on drawn dims 0..3 over Z/3."""
-    mat = MatBackend(3)
+    public constructor, on drawn dims 0..3 over Z/m."""
+    mat = MatBackend(m)
     a, b, c = (draw(st.integers(0, 3)) for _ in range(3))
-    f, f2, g = draw(mat_maps(a, b)), draw(mat_maps(a, b)), draw(mat_maps(b, c))
+    f, f2, g = (draw(mat_maps(m, a, b)), draw(mat_maps(m, a, b)),
+                draw(mat_maps(m, b, c)))
     objs = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
     yield mat.compose(g, f)
     yield mat.pairing([f, f2])
@@ -227,7 +228,7 @@ def internal_results(draw):
     yield mat.identity(a)
     if a * b <= 4:
         yield from mat.all_maps(a, b)
-    y = representable(FiniteCdcBase(3, [1]), b)
+    y = representable(FiniteCdcBase(m, [1]), b)
     yield from y.basis(a)
     yield y.from_coords(a, y.coords(a, f))
 
@@ -235,8 +236,9 @@ def internal_results(draw):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_internal_mat_results_equal_their_public_rebuild(data):
-    for r in internal_results(data.draw):
-        assert all(x in range(3) for row in r.rows for x in row)
+    m = data.draw(st.sampled_from([1, 3]))  # Z/1 has 1 = 0
+    for r in internal_results(data.draw, m):
+        assert all(x in range(m) for row in r.rows for x in row)
         assert r == MatMap(r.rig, r.dom, r.cod, r.rows)
 
 def test_mat_axioms_pass():

@@ -123,6 +123,27 @@ def test_an_inferred_arity_past_the_limit_is_refused(capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "variables" in err
 
+@pytest.mark.parametrize("text", ["[x1]", "[1]"])
+def test_an_nderiv_order_past_the_arity_limit_is_refused(capsys, text):
+    # a constant map counts as arity 1, so --n is bounded for it too
+    start = time.perf_counter()
+    code, out, err = run(capsys, "nderiv", "--n", "1000", text)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "variables" in err
+
+
+def test_nderiv_at_the_arity_limit_still_prints(capsys):
+    code, out, _ = run(capsys, "nderiv", "--n", "99", "[x1]")
+    assert (code, out) == (0, "[0]\n")
+
+
+def test_check_yoneda_over_z_mod_1_passes(capsys):
+    # Z/1 has 1 = 0, so the identity matrix is the zero matrix
+    code, out, _ = run(capsys, "check", "yoneda", "--mod", "1", "--dim", "1")
+    assert code == 0, out
+
+
 def test_nat_rig_rejects_minus(capsys):
     code, _, err = run(capsys, "diff", "--rig", "nat", "[x1 - x1]")
     assert code == 2

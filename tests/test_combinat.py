@@ -38,6 +38,13 @@ def test_partitions_hands_out_a_fresh_list_each_call():
     assert partitions(4) is not partitions(4)
 
 
+def test_partial_isos_hands_out_a_fresh_list_each_call():
+    first = partial_isos(2, 3)
+    first.pop()
+    assert len(partial_isos(2, 3)) == iso_count(2, 3)
+    assert partial_isos(2, 3) is not partial_isos(2, 3)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_partitions_cover_the_ground_set(n):
     for p in partitions(n):

@@ -1,6 +1,7 @@
 """Differential presheaves over Mat(Z/m) and the embedding machinery."""
 
 import itertools
+import random
 
 import pytest
 
@@ -106,6 +107,14 @@ def test_a_failing_second_order_axiom_stops_at_its_first_failing_tuple():
     assert slice_iv.checked == first
     symmetry_v = by_name["axiom-v-mixed-symmetry"]
     assert symmetry_v.passed and symmetry_v.checked == index == 81
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (4, 4), (9, 4), (9, 729), (27, 10)])
+def test_sampled_triples_are_the_sample_of_the_listed_triples(n, k):
+    maps = [f"m{i}" for i in range(n)]
+    for seed in range(3):
+        listed = random.Random(seed).sample(list(itertools.product(maps, repeat=3)), k)
+        assert dpsh._sample_triples(maps, k, random.Random(seed)) == listed
 
 
 # ---------------------------------------------------------------------------
