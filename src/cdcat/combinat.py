@@ -6,6 +6,7 @@ output are reproducible; the sums themselves are order-independent.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -86,6 +87,14 @@ class PartialIso:
     def image(self) -> tuple[int, ...]:
         return tuple(j for _, j in self.pairs)
 
+    @functools.cached_property
+    def cells(self) -> tuple:
+        """The grid indices `arrange` reads, in its order."""
+        rows, cols = set(self.domain), set(self.image)
+        return (((0, 0),) + tuple(sorted(self.pairs))
+                + tuple((i, 0) for i in range(1, self.m + 1) if i not in rows)
+                + tuple((0, j) for j in range(1, self.n + 1) if j not in cols))
+
     def __str__(self):
         body = ",".join(f"{i}->{j}" for i, j in self.pairs)
         return f"[{self.m}]=~[{self.n}]{{{body}}}"
@@ -118,21 +127,10 @@ def arrange(theta: PartialIso, grid) -> list:
     length is always |theta| + 1.  `grid` is indexed as grid[i, j] with
     0 <= i <= m and 0 <= j <= n.
     """
-    def at(i, j):
+    out = []
+    for i, j in theta.cells:
         try:
-            return grid[i, j]
+            out.append(grid[i, j])
         except (KeyError, IndexError) as exc:
             raise IndexOutOfRange(f"grid lacks index ({i},{j})") from exc
-
-    matched_rows = set(theta.domain)
-    matched_cols = set(theta.image)
-    out = [at(0, 0)]
-    for i, j in sorted(theta.pairs):
-        out.append(at(i, j))
-    for i in range(1, theta.m + 1):
-        if i not in matched_rows:
-            out.append(at(i, 0))
-    for j in range(1, theta.n + 1):
-        if j not in matched_cols:
-            out.append(at(0, j))
     return out

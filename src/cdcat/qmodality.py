@@ -141,9 +141,12 @@ def q_inject(point: ModuleElement, tails) -> ModuleElement:
 def q_map(f: LinearMap, q: ModuleElement) -> ModuleElement:
     """Functorial action Qf: <x0,...,xn> -> <f(x0),...,f(xn)>."""
     out = {}
+    images = {}  # f(point) per point: the generators of a sum often share one
     for gen, c in q.coeffs.items():
-        _inject_into(out, c, f.apply(gen.point),
-                     [f.on_basis(k).coeffs for k in gen.tail.keys])
+        image = images.get(gen.point)
+        if image is None:
+            image = images[gen.point] = f.apply(gen.point)
+        _inject_into(out, c, image, [f.on_basis(k).coeffs for k in gen.tail.keys])
     return ModuleElement(q.rig, QSpace(f.codomain), out)
 
 
@@ -251,11 +254,15 @@ def monoidal_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     A = p.space.inner
     B = q.space.inner
     out = {}
+    q_rows = [(h, ch, [h.point.coeffs] + [{k: one} for k in h.tail.keys])
+              for h, ch in q.coeffs.items()]
+    points = {}  # x0 (x) y0 per pair of points, which generators often share
     for g, cg in p.coeffs.items():
         xs = [g.point.coeffs] + [{k: one} for k in g.tail.keys]
-        for h, ch in q.coeffs.items():
-            ys = [h.point.coeffs] + [{k: one} for k in h.tail.keys]
-            point = tensor_elem(g.point, h.point)
+        for h, ch, ys in q_rows:
+            point = points.get((g.point, h.point))
+            if point is None:
+                point = points[g.point, h.point] = tensor_elem(g.point, h.point)
             grid = _TensorGrid(xs, ys)
             c = cg * ch
             for theta in partial_isos(g.degree, h.degree):
