@@ -144,6 +144,12 @@ def test_check_yoneda_over_z_mod_1_passes(capsys):
     assert code == 0, out
 
 
+def test_check_presheaf_over_z_mod_1_passes(capsys):
+    # every unit and tensor element over Z/1 is the zero vector
+    code, out, _ = run(capsys, "check", "presheaf", "--mod", "1", "--dim", "1")
+    assert code == 0, out
+
+
 def test_nat_rig_rejects_minus(capsys):
     code, _, err = run(capsys, "diff", "--rig", "nat", "[x1 - x1]")
     assert code == 2

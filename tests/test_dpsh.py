@@ -109,6 +109,13 @@ def test_a_failing_second_order_axiom_stops_at_its_first_failing_tuple():
     assert symmetry_v.passed and symmetry_v.checked == index == 81
 
 
+@pytest.mark.parametrize("cls", [dpsh.ReprPresheaf, dpsh.UnitPresheaf,
+                                 dpsh.TensorPresheaf, dpsh.QPresheaf])
+def test_each_presheaf_defines_act_and_diff_itself(cls):
+    # the benchmark's tracer wraps vars(cls)["act"] and vars(cls)["diff"]
+    assert "act" in vars(cls) and "diff" in vars(cls)
+
+
 @pytest.mark.parametrize("n, k", [(2, 1), (4, 4), (9, 4), (9, 729), (27, 10)])
 def test_sampled_triples_are_the_sample_of_the_listed_triples(n, k):
     maps = [f"m{i}" for i in range(n)]

@@ -66,6 +66,10 @@ GOLDEN = {
                "028abb5e883117e0259c0729b647b33aba2be7e6e5e4c6b2b0550f9c85797eea"),
     "presheaf": (lambda: suites.presheaf_suite(2, max_dim=2, q_bound=1, map_budget=4),
                  "3309bf8a4e67911d809c2c274ad79ee6d677ed58751c20d42116012a944f90ae"),
+    # q_bound=2 pins the degree-2 generators of Qy(1) as well
+    "presheaf-q2": (lambda: suites.presheaf_suite(2, max_dim=2, q_bound=2, map_budget=4,
+                                                  seed=0),
+                    "67e8d80a635e51e92af1981620dce22a0dfa7086f400450a1e701af1b3f73f06"),
     "faa-axioms": (faa_axioms,
                    "6ea896c9b1aedf63c51a7e7383d9e21ae4283251b73b3d1a854ae0312b47ce4a"),
 }
