@@ -12,11 +12,10 @@ import itertools
 import random
 
 from . import faa
-from .algebra import (Free, ModuleElement, Monomial, QGenerator, QSpace,
-                      add_scaled, basis_elem, rig_value, zero_elem)
+from .algebra import Free, ModuleElement, QSpace, add_scaled, basis_elem
 from .errors import InvalidSequence, SizeLimit
 from .matcat import MatBackend, MatMap, trusted_matmap
-from .qmodality import LinearMap, q_gen_elem, q_inject, q_map
+from .qmodality import LinearMap, enum_generators, q_gen_elem, q_inject, q_map
 from .reports import Report
 
 
@@ -45,36 +44,85 @@ class FiniteCdcBase:
 # ---------------------------------------------------------------------------
 # presheaf flavours
 
-class ReprPresheaf:
+class FinitePresheaf:
+    """A presheaf that is a finite free Z/m-module at each stage A, given by
+    dim(A), coords and from_coords.  Elements are dicts from basis index to
+    nonzero residue unless a subclass says otherwise; every element compares
+    with ==.  Each instance memoises the coordinates of its basis images
+    under the action and the differential, which the tensor and Q
+    presheaves read their factors through."""
+
+    def __init__(self, base: FiniteCdcBase):
+        self.base = base
+        self._images = {}  # (f.dom, f.cod, f.rows, k) or (A, k) -> coords
+
+    def _unit(self, A, k):
+        one = 1 % self.base.modulus  # Z/1 has 1 = 0
+        return self.from_coords(A, tuple(one if i == k else 0
+                                         for i in range(self.dim(A))))
+
+    def basis(self, A):
+        return [self._unit(A, k) for k in range(self.dim(A))]
+
+    def spanning(self, A):
+        """Every element of the stage, in the order of its coordinates."""
+        scalars = range(self.base.modulus)
+        return [self.from_coords(A, vec)
+                for vec in itertools.product(scalars, repeat=self.dim(A))]
+
+    def acted(self, f: MatMap, k):
+        """coords(act(f, b)) for the k-th basis element b at stage f.cod."""
+        key = (f.dom, f.cod, f.rows, k)
+        if key not in self._images:
+            self._images[key] = self.coords(f.dom, self.act(f, self._unit(f.cod, k)))
+        return self._images[key]
+
+    def differed(self, A, k):
+        """coords(diff(A, b)) for the k-th basis element b at stage A."""
+        key = (A, k)
+        if key not in self._images:
+            self._images[key] = self.coords(2 * A, self.diff(A, self._unit(A, k)))
+        return self._images[key]
+
+    def coords(self, A, xi):
+        return tuple(xi.get(k, 0) for k in range(self.dim(A)))
+
+    def from_coords(self, A, vec):
+        return {k: v for k, v in enumerate(vec) if v}
+
+    def zero(self, A):
+        return {}
+
+    def add(self, x, y):
+        m = self.base.modulus
+        out = dict(x)
+        for k, v in y.items():
+            out[k] = (out.get(k, 0) + v) % m
+        return {k: v for k, v in out.items() if v}
+
+    def scale(self, c, x):
+        m = self.base.modulus
+        return {k: c * v % m for k, v in x.items() if c * v % m}
+
+
+class ReprPresheaf(FinitePresheaf):
     """The representable y(B): components hom(-, B), action by precomposition,
-    differential inherited from the base."""
+    differential inherited from the base.  Elements are MatMaps, with the
+    base's module operations; coordinates read the rows in order."""
 
     def __init__(self, base: FiniteCdcBase, target: int):
-        self.base = base
+        super().__init__(base)
         self.target = target
         self.name = f"y({target})"
 
-    def spanning(self, A):
-        return self.base.all_maps(A, self.target)
-
-    def basis(self, A):
-        be = self.base.backend
-        one = 1 % be.modulus  # Z/1 has 1 = 0
-        out = []
-        for i in range(self.target):
-            for j in range(A):
-                rows = tuple(
-                    tuple(one if (r, c) == (i, j) else 0 for c in range(A))
-                    for r in range(self.target)
-                )
-                out.append(trusted_matmap(be.rig, A, self.target, rows))
-        return out
+    def dim(self, A):
+        return self.target * A
 
     def coords(self, A, xi: MatMap):
-        return tuple(xi.rows[i][j] for i in range(self.target) for j in range(A))
+        return sum(xi.rows, ())
 
     def from_coords(self, A, vec) -> MatMap:
-        rows = tuple(tuple(vec[i * A + j] for j in range(A)) for i in range(self.target))
+        rows = tuple(tuple(vec[i * A:(i + 1) * A]) for i in range(self.target))
         return trusted_matmap(self.base.backend.rig, A, self.target, rows)
 
     def zero(self, A):
@@ -86,9 +134,6 @@ class ReprPresheaf:
     def scale(self, c, x):
         return self.base.backend.scale(c, x)
 
-    def eq(self, x, y):
-        return x == y
-
     def act(self, f: MatMap, xi: MatMap) -> MatMap:
         return self.base.backend.compose(xi, f)
 
@@ -96,214 +141,126 @@ class ReprPresheaf:
         return self.base.backend.D(xi)
 
 
-class UnitPresheaf:
+class UnitPresheaf(FinitePresheaf):
     """Constant at k with the everywhere-zero differential."""
 
-    def __init__(self, base: FiniteCdcBase):
-        self.base = base
-        self.name = "unit"
+    name = "unit"
 
-    def spanning(self, A):
-        return list(range(self.base.modulus))
-
-    def basis(self, A):
-        return [1]
-
-    def coords(self, A, xi):
-        return (xi,)
-
-    def zero(self, A):
-        return 0
-
-    def add(self, x, y):
-        return (x + y) % self.base.modulus
-
-    def scale(self, c, x):
-        return (c * x) % self.base.modulus
-
-    def eq(self, x, y):
-        return x == y
+    def dim(self, A):
+        return 1
 
     def act(self, f, xi):
         return xi
 
     def diff(self, A, xi):
-        return 0
+        return {}
 
 
-class TensorPresheaf:
-    """Pointwise tensor with the product-rule differential."""
+class TensorPresheaf(FinitePresheaf):
+    """Pointwise tensor with the product-rule differential.  Basis index
+    i * Y.dim(A) + j names b_i (x) b_j; the spanning set is the basis."""
 
     def __init__(self, X, Y):
-        self.base = X.base
+        super().__init__(X.base)
         self.X = X
         self.Y = Y
         self.name = f"{X.name}(x){Y.name}"
-        self._bases = {}
-        self._act_cache = {}
 
-    def _factor_bases(self, A):
-        if A not in self._bases:
-            self._bases[A] = (self.X.basis(A), self.Y.basis(A))
-        return self._bases[A]
-
-    def _acted(self, f: MatMap, i, j):
-        key = (f.dom, f.cod, f.rows, i, j)
-        if key not in self._act_cache:
-            bx, by = self._factor_bases(f.cod)
-            self._act_cache[key] = (
-                self.X.coords(f.dom, self.X.act(f, bx[i])),
-                self.Y.coords(f.dom, self.Y.act(f, by[j])),
-            )
-        return self._act_cache[key]
-
-    # elements: dict (i, j) -> nonzero residue, indices into the factor bases
-
-    def _norm(self, d):
-        return {k: v for k, v in d.items() if v % self.base.modulus}
+    def dim(self, A):
+        return self.X.dim(A) * self.Y.dim(A)
 
     def spanning(self, A):
         return self.basis(A)
 
-    def basis(self, A):
-        bx, by = self._factor_bases(A)
-        return [{(i, j): 1} for i in range(len(bx)) for j in range(len(by))]
-
-    def coords(self, A, xi):
-        bx, by = self._factor_bases(A)
-        return tuple(
-            xi.get((i, j), 0) for i in range(len(bx)) for j in range(len(by))
-        )
-
-    def zero(self, A):
-        return {}
-
-    def add(self, x, y):
-        m = self.base.modulus
-        out = dict(x)
-        for k, v in y.items():
-            out[k] = (out.get(k, 0) + v) % m
-        return self._norm(out)
-
-    def scale(self, c, x):
-        m = self.base.modulus
-        return self._norm({k: (c * v) % m for k, v in x.items()})
-
-    def eq(self, x, y):
-        return self._norm(x) == self._norm(y)
-
-    def _outer(self, xv, yv, c, acc):
-        m = self.base.modulus
-        for i, a in enumerate(xv):
-            if not a:
-                continue
-            for j, b in enumerate(yv):
-                if not b:
-                    continue
-                k = (i, j)
-                acc[k] = (acc.get(k, 0) + c * a * b) % m
-
     def act(self, f: MatMap, xi):
-        acc = {}
-        for (i, j), c in xi.items():
-            xv, yv = self._acted(f, i, j)
-            self._outer(xv, yv, c, acc)
-        return self._norm(acc)
+        X, Y = self.X, self.Y
+        return self._expand(xi, f.cod, f.dom,
+                            lambda i, j: [(X.acted(f, i), Y.acted(f, j))])
 
     def diff(self, A, xi):
-        be = self.base.backend
-        pi0 = be.proj([A, A], 0)
-        AA = 2 * A
-        bx, by = self._factor_bases(A)
+        X, Y = self.X, self.Y
+        pi0 = self.base.backend.proj([A, A], 0)
+        return self._expand(xi, A, 2 * A, lambda i, j: [
+            (X.differed(A, i), Y.acted(pi0, j)),
+            (X.acted(pi0, i), Y.differed(A, j)),
+        ])
+
+    def _expand(self, xi, A, Z, images):
+        """The stage-Z element sum c * (x (x) y) over the terms c * b_(i,j)
+        of xi (at stage A) and the coordinate pairs (x, y) in images(i, j)."""
+        m, height, width = self.base.modulus, self.Y.dim(A), self.Y.dim(Z)
         acc = {}
-        for (i, j), c in xi.items():
-            dx = self.X.coords(AA, self.X.diff(A, bx[i]))
-            y0 = self.Y.coords(AA, self.Y.act(pi0, by[j]))
-            self._outer(dx, y0, c, acc)
-            x0 = self.X.coords(AA, self.X.act(pi0, bx[i]))
-            dy = self.Y.coords(AA, self.Y.diff(A, by[j]))
-            self._outer(x0, dy, c, acc)
-        return self._norm(acc)
+        for k, c in xi.items():
+            for xv, yv in images(*divmod(k, height)):
+                for i, a in enumerate(xv):
+                    if a:
+                        for j, b in enumerate(yv):
+                            if b:
+                                key = i * width + j
+                                acc[key] = (acc.get(key, 0) + c * a * b) % m
+        return {k: v for k, v in acc.items() if v}
 
 
 class QPresheaf:
     """Q applied componentwise: elements are QElements over the component
-    basis; the differential shifts every entry by pi0 and appends one
-    base-level derivative.  `bound` limits only the enumerated spanning
-    set (and is echoed in reports), not the arithmetic."""
+    basis of a finite presheaf X, which Q reads through X's memo of basis
+    images; the differential shifts every entry by pi0 and appends one
+    base-level derivative.  Q is not finite: `bound` limits only the
+    enumerated spanning set (and is echoed in reports), not the arithmetic."""
 
-    def __init__(self, X, bound: int = 2):
+    def __init__(self, X: FinitePresheaf, bound: int = 2):
         self.base = X.base
         self.X = X
         self.bound = bound
         self.rig = X.base.backend.rig
         self.name = f"Q{X.name}"
         self._spaces = {}
-        self._bases = {}
         self._spannings = {}
         self._act_maps = {}
         self._diff_maps = {}
         self._act_results = {}
         self._diff_results = {}
 
-    def _basis(self, A):
-        if A not in self._bases:
-            self._bases[A] = self.X.basis(A)
-        return self._bases[A]
-
     def _space(self, A) -> Free:
         if A not in self._spaces:
-            self._spaces[A] = Free(
-                tuple(f"b{i + 1}" for i in range(len(self._basis(A))))
-            )
+            self._spaces[A] = Free(tuple(f"b{i + 1}" for i in range(self.X.dim(A))))
         return self._spaces[A]
 
     def _to_elem(self, A, xi) -> ModuleElement:
         return faa.vec_to_elem(self.rig, self._space(A), self.X.coords(A, xi))
 
-    def _linear(self, A, Z, fn) -> LinearMap:
-        """Linear map between component spaces from a basis-level action."""
-        bx = self._basis(A)
-        src = self._space(A)
-        index = {key: i for i, key in enumerate(src.basis)}
+    def _linear(self, A, Z, image) -> LinearMap:
+        """Linear map between component spaces from the coordinates image(k)
+        of the k-th basis element's image."""
+        src, dst = self._space(A), self._space(Z)
+        index = {key: k for k, key in enumerate(src.basis)}
         return LinearMap(
-            self.rig, src, self._space(Z),
-            lambda key: self._to_elem(Z, fn(bx[index[key]])),
+            self.rig, src, dst,
+            lambda key: faa.vec_to_elem(self.rig, dst, image(index[key])),
         )
 
     def spanning(self, A):
         if A not in self._spannings:
-            points = [self._to_elem(A, x) for x in _all_elements(self.X, A)]
-            keys = self._space(A).basis
             self._spannings[A] = [
-                q_gen_elem(self.rig, QGenerator(p, Monomial.of(combo)))
-                for p in points
-                for deg in range(self.bound + 1)
-                for combo in itertools.combinations_with_replacement(keys, deg)
+                q_gen_elem(self.rig, gen)
+                for gen in enum_generators(self.rig, self._space(A), self.bound)
             ]
         return self._spannings[A]
-
-    def zero(self, A):
-        return zero_elem(self.rig, QSpace(self._space(A)))
 
     def add(self, x, y):
         return x + y
 
     def scale(self, c, x):
-        return x.scale(rig_value(self.rig, c))
-
-    def eq(self, x, y):
-        return x == y
+        return x.scale(c)
 
     def act(self, f: MatMap, q):
-        key = (f.dom, f.cod, f.rows) if isinstance(f, MatMap) else f
+        key = (f.dom, f.cod, f.rows)
         memo_key = (key, q)
         if memo_key in self._act_results:
             return self._act_results[memo_key]
         if key not in self._act_maps:
             self._act_maps[key] = self._linear(
-                f.cod, f.dom, lambda b: self.X.act(f, b)
-            )
+                f.cod, f.dom, lambda k: self.X.acted(f, k))
         out = q_map(self._act_maps[key], q)
         self._act_results[memo_key] = out
         return out
@@ -312,12 +269,12 @@ class QPresheaf:
         memo_key = (A, q)
         if memo_key in self._diff_results:
             return self._diff_results[memo_key]
-        pi0 = self.base.backend.proj([A, A], 0)
         AA = 2 * A
         if A not in self._diff_maps:
+            pi0 = self.base.backend.proj([A, A], 0)
             self._diff_maps[A] = (
-                self._linear(A, AA, lambda b: self.X.act(pi0, b)),
-                self._linear(A, AA, lambda b: self.X.diff(A, b)),
+                self._linear(A, AA, lambda k: self.X.acted(pi0, k)),
+                self._linear(A, AA, lambda k: self.X.differed(A, k)),
             )
         act0, dmap = self._diff_maps[A]
         src = self._space(A)
@@ -336,19 +293,6 @@ class QPresheaf:
         result = ModuleElement(self.rig, QSpace(self._space(AA)), out)
         self._diff_results[memo_key] = result
         return result
-
-
-def _all_elements(X, A):
-    """Every element of a component module, from its basis (zmod scalars)."""
-    basis = X.basis(A)
-    m = X.base.modulus
-    out = []
-    for combo in itertools.product(range(m), repeat=len(basis)):
-        elem = X.zero(A)
-        for c, b in zip(combo, basis):
-            elem = X.add(elem, X.scale(c, b))
-        out.append(elem)
-    return out
 
 
 def representable(base: FiniteCdcBase, target: int) -> ReprPresheaf:
@@ -405,7 +349,7 @@ def check_presheaf(X, objects=None, map_budget: int | None = None,
     # functoriality
     report.check(((A, xi) for A in objects for xi in X.spanning(A)), (
         "action-preserves-identity",
-        lambda item: None if X.eq(X.act(be.identity(item[0]), item[1]), item[1])
+        lambda item: None if X.act(be.identity(item[0]), item[1]) == item[1]
         else f"xi.id != xi at A={item[0]}"))
 
     # each composite fg is computed once per (A, B, C) and each xi.f once
@@ -426,7 +370,7 @@ def check_presheaf(X, objects=None, map_budget: int | None = None,
 
     def composition(item):
         A, B, C, xi, xf, g, fg = item
-        if not X.eq(X.act(g, xf), X.act(fg, xi)):
+        if X.act(g, xf) != X.act(fg, xi):
             return f"(xi.f).g != xi.(fg) at A={A},B={B},C={C}"
         return None
 
@@ -443,10 +387,10 @@ def check_presheaf(X, objects=None, map_budget: int | None = None,
 
     def linear(item):
         A, xi, eta, cs = item
-        if not X.eq(X.diff(A, X.add(xi, eta)), X.add(X.diff(A, xi), X.diff(A, eta))):
+        if X.diff(A, X.add(xi, eta)) != X.add(X.diff(A, xi), X.diff(A, eta)):
             return f"D not additive at A={A}"
         for c in cs:
-            if not X.eq(X.diff(A, X.scale(c, xi)), X.scale(c, X.diff(A, xi))):
+            if X.diff(A, X.scale(c, xi)) != X.scale(c, X.diff(A, xi)):
                 return f"D not homogeneous at A={A}, c={c}"
         return None
 
@@ -470,12 +414,12 @@ def check_presheaf(X, objects=None, map_budget: int | None = None,
         n, ((A, Z, _, _), _, dxi, _, (x, v, w)) = item
         lhs = X.act(be.pairing([x, be.add(v, w)]), dxi)
         rhs = X.add(X.act(be.pairing([x, v]), dxi), X.act(be.pairing([x, w]), dxi))
-        if not X.eq(lhs, rhs):
+        if lhs != rhs:
             return f"Dxi not additive in direction, A={A}, Z={Z}"
         c = scalars[n % len(scalars)]
         lhs = X.act(be.pairing([x, be.scale(c, v)]), dxi)
         rhs = X.scale(c, X.act(be.pairing([x, v]), dxi))
-        if not X.eq(lhs, rhs):
+        if lhs != rhs:
             return f"Dxi not homogeneous in direction, A={A}"
         return None
 
@@ -487,7 +431,7 @@ def check_presheaf(X, objects=None, map_budget: int | None = None,
         (A, Z, pi0, _), xi, dxi, _, f = item
         lhs = X.diff(Z, X.act(f, xi))
         rhs = X.act(be.pairing([be.compose(f, pi0), be.D(f)]), dxi)
-        if not X.eq(lhs, rhs):
+        if lhs != rhs:
             return f"axiom (iii) fails at A={A}, Z={Z}"
         return None
 
@@ -496,15 +440,15 @@ def check_presheaf(X, objects=None, map_budget: int | None = None,
     # (iv)/(v): second-order identities, on one sampled stream
     def first_order_slice(item):
         (A, Z, _, zero), _, dxi, ddxi, (x, r, s) = item
-        if not X.eq(X.act(be.pairing([x, r, zero, s]), ddxi),
-                    X.act(be.pairing([x, s]), dxi)):
+        if (X.act(be.pairing([x, r, zero, s]), ddxi)
+                != X.act(be.pairing([x, s]), dxi)):
             return f"axiom (iv) fails at A={A}, Z={Z}"
         return None
 
     def mixed_symmetry(item):
         (A, Z, _, zero), _, _, ddxi, (x, r, s) = item
-        if not X.eq(X.act(be.pairing([x, r, s, zero]), ddxi),
-                    X.act(be.pairing([x, s, r, zero]), ddxi)):
+        if (X.act(be.pairing([x, r, s, zero]), ddxi)
+                != X.act(be.pairing([x, s, r, zero]), ddxi)):
             return f"axiom (v) fails at A={A}, Z={Z}"
         return None
 
@@ -557,7 +501,7 @@ class ClassifiedMap:
 
 def validate_sequence(base, X, A, sequence) -> str | None:
     """Symmetry and slotwise linearity of a candidate sequence, via actions."""
-    action = (X.act, X.add, X.scale, X.eq)
+    action = (X.act, X.add, X.scale)
     for n, x in enumerate(sequence):
         problem = faa.multilinearity_problem(base.backend, A, n, x, action)
         if problem is not None:
@@ -565,13 +509,12 @@ def validate_sequence(base, X, A, sequence) -> str | None:
     return None
 
 
-def classify(base, X, A: int, sequence, validate: bool = True) -> ClassifiedMap:
+def classify(base, X, A: int, sequence) -> ClassifiedMap:
     """Lemma-style classification: a symmetric multilinear derivative
     sequence of X at stage A induces a linear presheaf map Q(yA) -> X."""
-    if validate:
-        problem = validate_sequence(base, X, A, sequence)
-        if problem is not None:
-            raise InvalidSequence(problem)
+    problem = validate_sequence(base, X, A, sequence)
+    if problem is not None:
+        raise InvalidSequence(problem)
     return ClassifiedMap(base, X, A, sequence)
 
 
@@ -587,6 +530,9 @@ def canonical_generator(base, A: int, n: int) -> ModuleElement:
 
 # ---------------------------------------------------------------------------
 # Faa di Bruno presheaf maps and the Yoneda embedding
+
+# full_fidelity refuses to enumerate more candidate families than this
+MAX_CANDIDATES = 1 << 22
 
 def yoneda_map(base: FiniteCdcBase, f: MatMap) -> faa.FaaMap:
     """y(f): the FaaMap y(A) ~> y(B) whose family is the derivative tower
@@ -614,7 +560,7 @@ def respects_differential(base, alpha: faa.FaaMap, degree_bound: int = 1,
 
 
 def full_fidelity(base: FiniteCdcBase, A: int, B: int, support_bound: int = 2,
-                  degree_bound: int = 1, size_limit: int = 1 << 22) -> Report:
+                  degree_bound: int = 1) -> Report:
     """Enumerate every Faa di Bruno presheaf map y(A) ~> y(B) and verify it
     is y(f) for exactly one base morphism f."""
     be = base.backend
@@ -626,9 +572,9 @@ def full_fidelity(base: FiniteCdcBase, A: int, B: int, support_bound: int = 2,
     candidates_by_level = []
     total = 1
     for n in range(support_bound + 1):
-        level = _level_candidates(base, A, B, n)
+        level = faa.multilinear_maps(be, A, B, n)
         total *= len(level)
-        if total > size_limit:
+        if total > MAX_CANDIDATES:
             raise SizeLimit(f"{total} candidate families exceed the limit")
         candidates_by_level.append(level)
 
@@ -653,8 +599,3 @@ def full_fidelity(base: FiniteCdcBase, A: int, B: int, support_bound: int = 2,
     report.add("candidate-count", True, tried)
     return report
 
-
-def _level_candidates(base, A, B, n):
-    be = base.backend
-    problem = faa.multilinearity_test(be, A, n, faa.hom_action(be))
-    return [f for f in be.all_maps((n + 1) * A, B) if problem(f) is None]

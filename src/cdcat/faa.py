@@ -11,7 +11,6 @@ so the two implementations can be compared as independent oracles.
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 
 from .algebra import (
@@ -99,9 +98,8 @@ class FaaMap:
 
 def hom_action(backend):
     """Base maps acting on a hom-set by precomposition, as the
-    (act, add, scale, eq) that multilinearity_problem takes."""
-    return (lambda h, f: backend.compose(f, h), backend.add, backend.scale,
-            operator.eq)
+    (act, add, scale) that multilinearity_problem takes."""
+    return (lambda h, f: backend.compose(f, h), backend.add, backend.scale)
 
 
 def multilinearity_test(backend, A, n: int, action):
@@ -109,7 +107,7 @@ def multilinearity_test(backend, A, n: int, action):
     by A x A^n, returning why x is not symmetric and k-linear in its last n
     slots, or None.  Its test maps (base maps into A x A^n) are built here,
     once, and shared by every x it is called on."""
-    act, add, scale, eq = action
+    act, add, scale = action
     blocks = [A] * (n + 1)
     projs = [backend.proj(blocks, j) for j in range(n + 1)]
     # symmetry: adjacent transpositions of the last n slots
@@ -132,13 +130,13 @@ def multilinearity_test(backend, A, n: int, action):
 
     def problem(x) -> str | None:
         for j, swap in swaps:
-            if not eq(act(swap, x), x):
+            if act(swap, x) != x:
                 return f"not symmetric in slots {j},{j + 1}"
         for j, both, other in sums:
-            if not eq(act(both, x), add(act(one, x), act(other, x))):
+            if act(both, x) != add(act(one, x), act(other, x)):
                 return f"not additive in slot {j}"
         for j, c, scaled in scalings:
-            if not eq(act(scaled, x), scale(c, x)):
+            if act(scaled, x) != scale(c, x):
                 return f"not homogeneous in slot {j} at {c}"
         return None
 
@@ -149,15 +147,23 @@ def multilinearity_problem(backend, A, n: int, x, action) -> str | None:
     """Why x, indexed by A x A^n, is not symmetric and k-linear in its last
     n slots, or None; checked by exact identities.
 
-    `action` = (act, add, scale, eq) is the structure of the module x lives
-    in, where act(h, x) reindexes x along a base map h: Z -> A x A^n; for a
-    hom-set see hom_action, for a presheaf X it is (X.act, X.add, X.scale,
-    X.eq).  Homogeneity is checked at every scalar of a finite rig and at a
+    `action` = (act, add, scale) is the structure of the module x lives in,
+    where act(h, x) reindexes x along a base map h: Z -> A x A^n; for a
+    hom-set see hom_action, for a presheaf X it is (X.act, X.add, X.scale).
+    Elements compare with ==.  Homogeneity is checked at every scalar of a finite rig and at a
     few of an infinite one.  The test maps depend only on (backend, A, n):
     a caller checking many x builds them once per (A, n) through
     multilinearity_test.
     """
     return multilinearity_test(backend, A, n, action)(x)
+
+
+def multilinear_maps(backend, A, B, n: int) -> list:
+    """Every base map A x A^n -> B that is symmetric and k-linear in its
+    last n slots, in the backend's all_maps order."""
+    problem = multilinearity_test(backend, A, n, hom_action(backend))
+    dom = backend.product([A] * (n + 1))
+    return [f for f in backend.all_maps(dom, B) if problem(f) is None]
 
 
 def validate_family(backend, A, B, family) -> str | None:

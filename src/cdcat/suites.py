@@ -462,12 +462,7 @@ def enumerate_families(backend: FinFnBackend, A: FinModule, B: FinModule,
                        support: int):
     """All finite-support families (f0..f_support) with each component
     symmetric and multilinear in its derivative slots."""
-    action = faa.hom_action(backend)
-    levels = []
-    for n in range(support + 1):
-        dom = FinModule(A.rig, A.dim * (n + 1))
-        problem = faa.multilinearity_test(backend, A, n, action)
-        levels.append([f for f in backend.all_maps(dom, B) if problem(f) is None])
+    levels = [faa.multilinear_maps(backend, A, B, n) for n in range(support + 1)]
     return [faa.FaaMap(backend, A, B, list(combo))
             for combo in itertools.product(*levels)]
 

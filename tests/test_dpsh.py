@@ -6,7 +6,7 @@ import random
 import pytest
 
 from cdcat import dpsh, faa
-from cdcat.errors import InvalidSequence, ObjectMismatch
+from cdcat.errors import InvalidSequence, ObjectMismatch, SizeLimit
 from cdcat.matcat import MatMap
 from cdcat.qmodality import q_gen_elem, q_inject
 
@@ -60,6 +60,33 @@ def test_q_presheaf_differential_of_a_point():
             QX._to_elem(2, y1.act(pi0, xi)), [QX._to_elem(2, y1.diff(1, xi))]
         )
         assert QX.diff(1, q) == expected
+
+
+def test_finite_presheaf_elements_over_z_mod_1_are_zero():
+    # 1 = 0 in Z/1, so every basis element is the zero element
+    base = small_base(1, (1, 2))
+    unit = dpsh.unit_presheaf(base)
+    y1 = dpsh.representable(base, 1)
+    tensor = dpsh.presheaf_tensor(y1, unit)
+    assert unit.basis(1) == unit.spanning(1) == [{}]
+    assert tensor.basis(2) == [{}, {}]
+    assert y1.basis(2) == [base.backend.zero(2, 1)] * 2
+
+
+def test_tensor_basis_images_read_the_factor_memos():
+    base = small_base(3, (1, 2))
+    y1, y2 = dpsh.representable(base, 1), dpsh.representable(base, 2)
+    tensor = dpsh.presheaf_tensor(y1, y2)
+    be = base.backend
+    f = MatMap(be.rig, 1, 2, ((1,), (2,)))
+    k = 1 * y2.dim(2) + 3  # b_1 (x) b_3 at stage 2
+    got = tensor.act(f, tensor.basis(2)[k])
+    xv, yv = y1.acted(f, 1), y2.acted(f, 3)
+    expected = {i * y2.dim(1) + j: a * b % 3
+                for i, a in enumerate(xv) for j, b in enumerate(yv) if a * b % 3}
+    assert got == expected
+    assert xv == y1.coords(1, y1.act(f, y1.basis(2)[1]))
+    assert y1.differed(2, 1) == y1.coords(4, y1.diff(2, y1.basis(2)[1]))
 
 
 def test_sabotaged_differential_fails_chain_axiom():
@@ -252,6 +279,16 @@ def test_full_fidelity_smallest_case():
     # 2 level-0 choices x 2 admissible level-1 entries x 1 level-2 entry
     assert by_name["candidate-count"].checked == 4
     assert by_name["yoneda-injective"].checked == 2
+
+
+def test_full_fidelity_refuses_more_candidates_than_max_candidates(monkeypatch):
+    # the smallest case has 2 x 2 x 1 candidate families
+    base = small_base(2, (1,))
+    monkeypatch.setattr(dpsh, "MAX_CANDIDATES", 4)
+    assert dpsh.full_fidelity(base, 1, 1, support_bound=2).passed
+    monkeypatch.setattr(dpsh, "MAX_CANDIDATES", 3)
+    with pytest.raises(SizeLimit):
+        dpsh.full_fidelity(base, 1, 1, support_bound=2)
 
 
 def test_full_fidelity_candidate_growth():

@@ -7,6 +7,7 @@ from cdcat import faa
 from cdcat.algebra import INT, zmod
 from cdcat.cdc import PolyBackend, PolySampler, check_axioms, iterated_D, nth_derivative
 from cdcat.errors import DegreeBoundExceeded, InvalidSequence, ObjectMismatch
+from cdcat.matcat import MatBackend
 from cdcat.poly import FinFnBackend, parse_poly_map, poly_D, substitute, table_from_poly
 
 BE = PolyBackend(INT)
@@ -67,6 +68,21 @@ def test_coalgebra_families_validate():
         assert faa.validate_family(BE, A, B, list(fam.family)) is None
 
 
+
+@pytest.mark.parametrize("backend, A", [
+    (MatBackend(2), 1), (MatBackend(3), 1), (FinFnBackend(2), None)])
+def test_multilinear_maps_filter_all_maps_in_order(backend, A):
+    A = backend.module(1) if A is None else A
+    for n in range(3):
+        dom = backend.product([A] * (n + 1))
+        action = faa.hom_action(backend)
+        expected = [f for f in backend.all_maps(dom, A)
+                    if faa.multilinearity_problem(backend, A, n, f, action) is None]
+        assert faa.multilinear_maps(backend, A, A, n) == expected
+    # over Mat(Z/m) at dim 1 the level-1 maps are (x, v) -> c v
+    if isinstance(backend, MatBackend):
+        assert [f.rows for f in faa.multilinear_maps(backend, 1, 1, 1)] == [
+            ((0, c),) for c in range(backend.modulus)]
 # ---------------------------------------------------------------------------
 # composition: the higher-order chain rule
 
