@@ -70,14 +70,14 @@ class FinitePresheaf:
         return [self.from_coords(A, vec)
                 for vec in itertools.product(scalars, repeat=self.dim(A))]
 
-    def acted(self, f: MatMap, k):
+    def act_image(self, f: MatMap, k):
         """coords(act(f, b)) for the k-th basis element b at stage f.cod."""
         key = (f.dom, f.cod, f.rows, k)
         if key not in self._images:
             self._images[key] = self.coords(f.dom, self.act(f, self._unit(f.cod, k)))
         return self._images[key]
 
-    def differed(self, A, k):
+    def diff_image(self, A, k):
         """coords(diff(A, b)) for the k-th basis element b at stage A."""
         key = (A, k)
         if key not in self._images:
@@ -175,14 +175,14 @@ class TensorPresheaf(FinitePresheaf):
     def act(self, f: MatMap, xi):
         X, Y = self.X, self.Y
         return self._expand(xi, f.cod, f.dom,
-                            lambda i, j: [(X.acted(f, i), Y.acted(f, j))])
+                            lambda i, j: [(X.act_image(f, i), Y.act_image(f, j))])
 
     def diff(self, A, xi):
         X, Y = self.X, self.Y
         pi0 = self.base.backend.proj([A, A], 0)
         return self._expand(xi, A, 2 * A, lambda i, j: [
-            (X.differed(A, i), Y.acted(pi0, j)),
-            (X.acted(pi0, i), Y.differed(A, j)),
+            (X.diff_image(A, i), Y.act_image(pi0, j)),
+            (X.act_image(pi0, i), Y.diff_image(A, j)),
         ])
 
     def _expand(self, xi, A, Z, images):
@@ -260,7 +260,7 @@ class QPresheaf:
             return self._act_results[memo_key]
         if key not in self._act_maps:
             self._act_maps[key] = self._linear(
-                f.cod, f.dom, lambda k: self.X.acted(f, k))
+                f.cod, f.dom, lambda k: self.X.act_image(f, k))
         out = q_map(self._act_maps[key], q)
         self._act_results[memo_key] = out
         return out
@@ -273,8 +273,8 @@ class QPresheaf:
         if A not in self._diff_maps:
             pi0 = self.base.backend.proj([A, A], 0)
             self._diff_maps[A] = (
-                self._linear(A, AA, lambda k: self.X.acted(pi0, k)),
-                self._linear(A, AA, lambda k: self.X.differed(A, k)),
+                self._linear(A, AA, lambda k: self.X.act_image(pi0, k)),
+                self._linear(A, AA, lambda k: self.X.diff_image(A, k)),
             )
         act0, dmap = self._diff_maps[A]
         src = self._space(A)
@@ -531,8 +531,11 @@ def canonical_generator(base, A: int, n: int) -> ModuleElement:
 # ---------------------------------------------------------------------------
 # Faa di Bruno presheaf maps and the Yoneda embedding
 
-# full_fidelity refuses to enumerate more candidate families than this
+# Most candidate families full_fidelity enumerates before it raises SizeLimit.
+# Each one costs a differential check of a few milliseconds over Mat(Z/2),
+# so the limit is hours of work.
 MAX_CANDIDATES = 1 << 22
+
 
 def yoneda_map(base: FiniteCdcBase, f: MatMap) -> faa.FaaMap:
     """y(f): the FaaMap y(A) ~> y(B) whose family is the derivative tower

@@ -81,12 +81,12 @@ def test_tensor_basis_images_read_the_factor_memos():
     f = MatMap(be.rig, 1, 2, ((1,), (2,)))
     k = 1 * y2.dim(2) + 3  # b_1 (x) b_3 at stage 2
     got = tensor.act(f, tensor.basis(2)[k])
-    xv, yv = y1.acted(f, 1), y2.acted(f, 3)
+    xv, yv = y1.act_image(f, 1), y2.act_image(f, 3)
     expected = {i * y2.dim(1) + j: a * b % 3
                 for i, a in enumerate(xv) for j, b in enumerate(yv) if a * b % 3}
     assert got == expected
     assert xv == y1.coords(1, y1.act(f, y1.basis(2)[1]))
-    assert y1.differed(2, 1) == y1.coords(4, y1.diff(2, y1.basis(2)[1]))
+    assert y1.diff_image(2, 1) == y1.coords(4, y1.diff(2, y1.basis(2)[1]))
 
 
 def test_sabotaged_differential_fails_chain_axiom():
