@@ -1,0 +1,66 @@
+"""The names the benchmark binds from outside stay where it looks for them.
+
+bench/tracing.py wraps cdcat's functions and some class attributes, and
+each workload in bench/workloads.py patches one named binding to plant a
+known defect.  Both are loaded here from their files, unedited.
+"""
+
+import importlib
+import importlib.util
+import types
+from pathlib import Path
+
+import pytest
+
+from cdcat import cdc
+from cdcat.algebra import INT
+from cdcat.poly import parse_poly_map
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+MODULES = ("algebra", "cdc", "combinat", "dpsh", "errors", "faa", "matcat",
+           "poly", "qmodality", "reports", "suites")
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def cd():
+    return types.SimpleNamespace(
+        **{name: importlib.import_module(f"cdcat.{name}") for name in MODULES})
+
+
+def test_tracer_installs_and_restores_every_binding(cd):
+    tracer = load("tracing").Tracer()
+    tracer.install(cd)
+    try:
+        be = cd.cdc.PolyBackend(INT)
+        f = parse_poly_map("[x1^2]", INT, 1)
+        be.compose(f, f)
+        fin = cd.poly.FinFnBackend(2)
+        A = fin.module(1)
+        fin.add(fin.identity(A), fin.zero(A, A))
+    finally:
+        unrestored = tracer.uninstall()
+    assert unrestored == []
+    calls = {name: n for name, (n, _) in tracer.self_times().items()}
+    assert calls["cdc.poly_compose"] == 1
+    # FinFn builds its identity, zero and sum tables through from_callable
+    assert calls["poly.table_from_callable"] == 3
+
+
+def test_every_sabotage_target_is_bound_on_its_owner(cd):
+    workloads = load("workloads")
+    for name, wl in workloads.WORKLOADS.items():
+        for owner, attr, _ in wl.sabotage(cd):
+            assert attr in vars(owner), f"{name}: {attr} is not bound on {owner}"
+
+
+def test_patching_cdc_poly_D_reaches_the_poly_backend(monkeypatch):
+    marker = object()
+    monkeypatch.setattr(cdc, "poly_D", lambda f: marker)
+    assert cdc.PolyBackend(INT).D(parse_poly_map("[x1]", INT, 1)) is marker
