@@ -1,10 +1,19 @@
 """Generic cartesian differential calculus over pluggable backends.
 
-A backend supplies identity, compose, product, proj, pairing, zero, add,
-scale and D: composition, finite products (flattened: objects form a
-monoid under product), hom-module structure and a differential.  Its
-morphisms carry dom, cod and is_zero, and compare with == and print with
-str.  On top of that this module derives partial and iterated derivatives,
+The backend contract: a backend supplies identity, compose, product, proj,
+pairing, zero, add, scale and D: composition, finite products (flattened:
+objects form a monoid under product), hom-module structure and a
+differential.  Its morphisms are data only: they carry dom, cod and
+is_zero, compare with == and print with str, and the backend class is the
+one place their structure is implemented.  The backends are PolyBackend
+(below), matcat.MatBackend, poly.FinFnBackend (no D: the base the Faa di
+Bruno and co-Kleisli constructions are built over) and faa.FaaBackend
+over any of them.  Optional: all_maps(dom, cod), every morphism of a
+finite hom-set (Mat, FinFn), and PolyBackend's syntactic refinements
+d_second_block_linear and is_linear_syntactic, which check_axioms and
+is_k_linear use when a backend has them.
+
+On top of that this module derives partial and iterated derivatives,
 the partition-sum decomposition of n-fold D and its inverse, linearity
 tests, and an executable check of the seven differential axioms.
 """
@@ -30,7 +39,7 @@ class PolyBackend:
         self.rig = rig
 
     def identity(self, n):
-        return PolyMap.identity(self.rig, n)
+        return PolyMap(self.rig, n, n, [Polynomial.var(self.rig, n, i) for i in range(n)])
 
     def compose(self, g, f):
         return substitute(g, f)
@@ -39,19 +48,32 @@ class PolyBackend:
         return sum(objs)
 
     def proj(self, objs, i):
-        return PolyMap.proj(self.rig, list(objs), i)
+        total = sum(objs)
+        offset = sum(objs[:i])
+        return PolyMap(self.rig, total, objs[i], [
+            Polynomial.var(self.rig, total, offset + j) for j in range(objs[i])])
 
     def pairing(self, maps):
-        return PolyMap.pairing(maps)
+        maps = list(maps)
+        first = maps[0]
+        comps = []
+        for f in maps:
+            if f.dom != first.dom:
+                raise ArityError("pairing needs a common domain")
+            comps.extend(f.components)
+        return PolyMap(first.rig, first.dom, len(comps), comps)
 
     def zero(self, dom, cod):
-        return PolyMap.zero(self.rig, dom, cod)
+        return PolyMap(self.rig, dom, cod, [Polynomial.zero(self.rig, dom)] * cod)
 
     def add(self, f, g):
-        return f + g
+        if (f.dom, f.cod) != (g.dom, g.cod):
+            raise ArityError("sum needs equal arities")
+        return PolyMap(f.rig, f.dom, f.cod,
+                       [a + b for a, b in zip(f.components, g.components)])
 
     def scale(self, c, f):
-        return f.scale(c)
+        return PolyMap(f.rig, f.dom, f.cod, [p.scale(c) for p in f.components])
 
     def D(self, f):
         return poly_D(f)

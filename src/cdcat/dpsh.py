@@ -256,19 +256,20 @@ class QPresheaf:
     def act(self, f: MatMap, q):
         key = (f.dom, f.cod, f.rows)
         memo_key = (key, q)
-        if memo_key in self._act_results:
-            return self._act_results[memo_key]
+        out = self._act_results.get(memo_key)
+        if out is not None:
+            return out
         if key not in self._act_maps:
             self._act_maps[key] = self._linear(
                 f.cod, f.dom, lambda k: self.X.act_image(f, k))
-        out = q_map(self._act_maps[key], q)
-        self._act_results[memo_key] = out
+        out = self._act_results[memo_key] = q_map(self._act_maps[key], q)
         return out
 
     def diff(self, A, q):
         memo_key = (A, q)
-        if memo_key in self._diff_results:
-            return self._diff_results[memo_key]
+        result = self._diff_results.get(memo_key)
+        if result is not None:
+            return result
         AA = 2 * A
         if A not in self._diff_maps:
             pi0 = self.base.backend.proj([A, A], 0)
@@ -322,8 +323,7 @@ def _sample_triples(maps, k: int, rng) -> list:
             for i in rng.sample(range(n ** 3), k)]
 
 
-def check_presheaf(X, objects=None, map_budget: int | None = None,
-                   seed: int = 0) -> Report:
+def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
     """Verify functoriality and the five differential-presheaf axioms.
 
     Exhaustive over the base's objects and hom-sets; `map_budget` caps the
@@ -332,7 +332,7 @@ def check_presheaf(X, objects=None, map_budget: int | None = None,
     """
     base = X.base
     be = base.backend
-    objects = list(objects if objects is not None else base.objects)
+    objects = list(base.objects)
     rng = random.Random(seed)
     bound = getattr(X, "bound", None)
     config = {"presheaf": X.name, "objects": objects, "modulus": base.modulus}
@@ -544,15 +544,14 @@ def yoneda_map(base: FiniteCdcBase, f: MatMap) -> faa.FaaMap:
     return faa.coalgebra(base.backend, f)
 
 
-def respects_differential(base, alpha: faa.FaaMap, degree_bound: int = 1,
-                          objects=None) -> str | None:
+def respects_differential(base, alpha: faa.FaaMap, degree_bound: int = 1) -> str | None:
     """Check alpha(D q) = D(alpha(q)) on Q(yA) generators up to a degree."""
     be = base.backend
     QyA = base.q_representable(alpha.dom, degree_bound)
     cm = ClassifiedMap(base, representable(base, alpha.cod), alpha.dom,
                        [alpha.component(n)
                         for n in range(len(alpha.family) + degree_bound + 2)])
-    for Z in (objects if objects is not None else base.objects):
+    for Z in base.objects:
         for q in QyA.spanning(Z):
             lhs = cm.eval(2 * Z, QyA.diff(Z, q))
             rhs = be.D(cm.eval(Z, q))

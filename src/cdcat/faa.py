@@ -26,7 +26,6 @@ from .algebra import (
 from .combinat import partial_isos, partitions, arrange
 from .errors import (
     DegreeBoundExceeded,
-    InvalidSequence,
     NoFiniteSupport,
     ObjectMismatch,
 )
@@ -51,7 +50,7 @@ class FaaMap:
 
     __slots__ = ("backend", "dom", "cod", "family")
 
-    def __init__(self, backend, dom, cod, family, validate=False):
+    def __init__(self, backend, dom, cod, family):
         family = list(family)
         while family and family[-1].is_zero:
             family.pop()
@@ -59,10 +58,6 @@ class FaaMap:
         self.dom = dom
         self.cod = cod
         self.family = tuple(family)
-        if validate:
-            problem = validate_family(backend, dom, cod, self.family)
-            if problem is not None:
-                raise InvalidSequence(problem)
 
     @property
     def support(self) -> int:
@@ -189,48 +184,6 @@ def _validation_scalars(rig):
 # ---------------------------------------------------------------------------
 # categorical structure
 
-def faa_zero(backend, A, B) -> FaaMap:
-    return FaaMap(backend, A, B, [])
-
-def faa_identity(backend, A) -> FaaMap:
-    pi1 = backend.proj([A, A], 1)
-    return FaaMap(backend, A, A, [backend.identity(A), pi1])
-
-
-def faa_projection(backend, objs, i: int) -> FaaMap:
-    """Projection out of a product object, as a Faa di Bruno map."""
-    P = backend.product(objs)
-    base = backend.proj(objs, i)
-    comp1 = backend.compose(base, backend.proj([P, P], 1))
-    return FaaMap(backend, P, objs[i], [base, comp1])
-
-
-def faa_pairing(maps) -> FaaMap:
-    maps = list(maps)
-    backend = maps[0].backend
-    A = maps[0].dom
-    if any(f.dom != A for f in maps):
-        raise ObjectMismatch("pairing needs a common domain")
-    top = max(len(f.family) for f in maps)
-    cod = backend.product([f.cod for f in maps])
-    family = [
-        backend.pairing([f.component(n) for f in maps]) for n in range(top)
-    ]
-    return FaaMap(backend, A, cod, family)
-
-
-def faa_add(f: FaaMap, g: FaaMap) -> FaaMap:
-    top = max(len(f.family), len(g.family))
-    fam = [f.backend.add(f.component(n), g.component(n)) for n in range(top)]
-    return FaaMap(f.backend, f.dom, f.cod, fam)
-
-
-def faa_scale(c, f: FaaMap) -> FaaMap:
-    return FaaMap(
-        f.backend, f.dom, f.cod, [f.backend.scale(c, x) for x in f.family]
-    )
-
-
 def component_on_subset(f: FaaMap, I, n: int):
     """f^(I): A x A^n -> B = f^(|I|) fed slots 0 and I (in increasing order)."""
     backend = f.backend
@@ -355,14 +308,17 @@ def coalgebra(backend, f, max_support: int = 16) -> FaaMap:
 # Faa(A) as a CDC backend in its own right
 
 class FaaBackend:
-    """Wrap a base so the axiom checker can run on the Faa construction."""
+    """The Faa construction over a base backend, as a backend in its own
+    right: the one home of its identities, projections, pairings and
+    hom-module structure."""
 
     def __init__(self, base):
         self.base = base
         self.rig = base.rig
 
     def identity(self, A):
-        return faa_identity(self.base, A)
+        base = self.base
+        return FaaMap(base, A, A, [base.identity(A), base.proj([A, A], 1)])
 
     def compose(self, g, f):
         return faa_compose(g, f)
@@ -371,19 +327,34 @@ class FaaBackend:
         return self.base.product(objs)
 
     def proj(self, objs, i):
-        return faa_projection(self.base, objs, i)
+        base = self.base
+        P = base.product(objs)
+        pi = base.proj(objs, i)
+        return FaaMap(base, P, objs[i], [pi, base.compose(pi, base.proj([P, P], 1))])
 
     def pairing(self, maps):
-        return faa_pairing(maps)
+        maps = list(maps)
+        A = maps[0].dom
+        if any(f.dom != A for f in maps):
+            raise ObjectMismatch("pairing needs a common domain")
+        base = self.base
+        top = max(len(f.family) for f in maps)
+        cod = base.product([f.cod for f in maps])
+        return FaaMap(base, A, cod, [base.pairing([f.component(n) for f in maps])
+                                     for n in range(top)])
 
     def zero(self, dom, cod):
-        return faa_zero(self.base, dom, cod)
+        return FaaMap(self.base, dom, cod, [])
 
     def add(self, f, g):
-        return faa_add(f, g)
+        if (f.dom, f.cod) != (g.dom, g.cod):
+            raise ObjectMismatch("sum needs equal objects")
+        top = max(len(f.family), len(g.family))
+        return FaaMap(self.base, f.dom, f.cod,
+                      [self.base.add(f.component(n), g.component(n)) for n in range(top)])
 
     def scale(self, c, f):
-        return faa_scale(c, f)
+        return FaaMap(self.base, f.dom, f.cod, [self.base.scale(c, x) for x in f.family])
 
     def D(self, f):
         return faa_D(f)
@@ -462,7 +433,7 @@ def kleisli_from_family(backend: FinFnBackend, f: FaaMap) -> KleisliMap:
 
 
 def kleisli_identity(backend: FinFnBackend, mod: FinModule) -> KleisliMap:
-    return kleisli_from_family(backend, faa_identity(backend, mod))
+    return kleisli_from_family(backend, FaaBackend(backend).identity(mod))
 
 
 def _family_from_values(backend, A: FinModule, cod: FinModule, value_at, top: int):

@@ -29,10 +29,6 @@ class MatMap:
         if len(self.rows) != self.cod or any(len(r) != self.dom for r in self.rows):
             raise ArityError("matrix shape mismatch")
 
-    def apply(self, vec):
-        m = self.rig.modulus
-        return tuple(sum(a * x for a, x in zip(row, vec)) % m for row in self.rows)
-
     @property
     def is_zero(self) -> bool:
         return all(all(a == 0 for a in row) for row in self.rows)

@@ -18,6 +18,7 @@ from .algebra import RigSpec, RigValue, add_into, rig_one, rig_value, rig_zero
 from .errors import (
     ArityError,
     NegationUnsupported,
+    ObjectMismatch,
     ParseError,
     SizeLimit,
     SpecMismatch,
@@ -234,44 +235,6 @@ class PolyMap:
         self.cod = cod
         self.components = components
 
-    @staticmethod
-    def identity(rig, n) -> "PolyMap":
-        return PolyMap(rig, n, n, [Polynomial.var(rig, n, i) for i in range(n)])
-
-    @staticmethod
-    def zero(rig, dom, cod) -> "PolyMap":
-        return PolyMap(rig, dom, cod, [Polynomial.zero(rig, dom)] * cod)
-
-    @staticmethod
-    def pairing(maps) -> "PolyMap":
-        maps = list(maps)
-        first = maps[0]
-        comps = []
-        for f in maps:
-            if f.dom != first.dom:
-                raise ArityError("pairing needs a common domain")
-            comps.extend(f.components)
-        return PolyMap(first.rig, first.dom, len(comps), comps)
-
-    @staticmethod
-    def proj(rig, arities, i) -> "PolyMap":
-        """Projection from the product of the given arities onto block i."""
-        total = sum(arities)
-        offset = sum(arities[:i])
-        comps = [Polynomial.var(rig, total, offset + j) for j in range(arities[i])]
-        return PolyMap(rig, total, arities[i], comps)
-
-    def __add__(self, other: "PolyMap") -> "PolyMap":
-        if (self.dom, self.cod) != (other.dom, other.cod):
-            raise ArityError("sum needs equal arities")
-        return PolyMap(
-            self.rig, self.dom, self.cod,
-            [a + b for a, b in zip(self.components, other.components)],
-        )
-
-    def scale(self, c) -> "PolyMap":
-        return PolyMap(self.rig, self.dom, self.cod, [p.scale(c) for p in self.components])
-
     def __eq__(self, other):
         return (
             isinstance(other, PolyMap)
@@ -281,9 +244,6 @@ class PolyMap:
 
     def __hash__(self):
         return hash((self.rig, self.dom, self.cod, self.components))
-
-    def max_degree(self) -> int:
-        return max((p.total_degree() for p in self.components), default=0)
 
     @property
     def is_zero(self) -> bool:
@@ -550,43 +510,6 @@ class TableMap:
     def from_callable(dom, cod, fn) -> "TableMap":
         return TableMap(dom, cod, {x: fn(x) for x in dom.elements()})
 
-    @staticmethod
-    def identity(mod: FinModule) -> "TableMap":
-        return TableMap.from_callable(mod, mod, lambda x: x)
-
-    @staticmethod
-    def zero(dom, cod) -> "TableMap":
-        return TableMap.from_callable(dom, cod, lambda x: cod.zero_vec)
-
-    @staticmethod
-    def pairing(maps) -> "TableMap":
-        maps = list(maps)
-        dom = maps[0].dom
-        cod = fin_product([f.cod for f in maps])
-        return TableMap.from_callable(
-            dom, cod, lambda x: sum((f.table[x] for f in maps), ())
-        )
-
-    @staticmethod
-    def proj(mods, i) -> "TableMap":
-        dom = fin_product(mods)
-        lo = sum(m.dim for m in mods[:i])
-        hi = lo + mods[i].dim
-        return TableMap.from_callable(dom, mods[i], lambda x: x[lo:hi])
-
-    def apply(self, x):
-        return self.table[x]
-
-    def __add__(self, other: "TableMap") -> "TableMap":
-        return TableMap.from_callable(
-            self.dom, self.cod, lambda x: self.cod.vadd(self.table[x], other.table[x])
-        )
-
-    def scale(self, c: int) -> "TableMap":
-        return TableMap.from_callable(
-            self.dom, self.cod, lambda x: self.cod.vscale(c, self.table[x])
-        )
-
     def __eq__(self, other):
         return (
             isinstance(other, TableMap)
@@ -603,12 +526,6 @@ class TableMap:
 
     def __repr__(self):
         return f"TableMap({self.dom.dim}->{self.cod.dim}: {self.table})"
-
-
-def table_compose(g: TableMap, f: TableMap) -> TableMap:
-    if g.dom != f.cod:
-        raise ArityError("tables not composable")
-    return TableMap(f.dom, g.cod, {x: g.table[y] for x, y in f.table.items()})
 
 
 class FinFnBackend:
@@ -628,28 +545,43 @@ class FinFnBackend:
         return FinModule(self.rig, dim)
 
     def identity(self, mod: FinModule) -> TableMap:
-        return TableMap.identity(mod)
+        return TableMap.from_callable(mod, mod, lambda x: x)
 
     def compose(self, g: TableMap, f: TableMap) -> TableMap:
-        return table_compose(g, f)
+        if g.dom != f.cod:
+            raise ObjectMismatch("tables not composable")
+        return TableMap(f.dom, g.cod, {x: g.table[y] for x, y in f.table.items()})
 
     def product(self, mods) -> FinModule:
         return fin_product(mods)
 
     def proj(self, mods, i) -> TableMap:
-        return TableMap.proj(list(mods), i)
+        lo = sum(m.dim for m in mods[:i])
+        hi = lo + mods[i].dim
+        return TableMap.from_callable(fin_product(mods), mods[i], lambda x: x[lo:hi])
 
     def pairing(self, maps) -> TableMap:
-        return TableMap.pairing(maps)
+        maps = list(maps)
+        dom = maps[0].dom
+        if any(f.dom != dom for f in maps):
+            raise ObjectMismatch("pairing needs a common domain")
+        return TableMap.from_callable(
+            dom, fin_product([f.cod for f in maps]),
+            lambda x: sum((f.table[x] for f in maps), ()),
+        )
 
     def zero(self, dom, cod) -> TableMap:
-        return TableMap.zero(dom, cod)
+        return TableMap.from_callable(dom, cod, lambda x: cod.zero_vec)
 
-    def add(self, f, g):
-        return f + g
+    def add(self, f: TableMap, g: TableMap) -> TableMap:
+        if (f.dom, f.cod) != (g.dom, g.cod):
+            raise ObjectMismatch(f"{f.dom.dim}->{f.cod.dim} vs {g.dom.dim}->{g.cod.dim}")
+        vadd = f.cod.vadd
+        return TableMap.from_callable(f.dom, f.cod, lambda x: vadd(f.table[x], g.table[x]))
 
-    def scale(self, c, f):
-        return f.scale(c)
+    def scale(self, c: int, f: TableMap) -> TableMap:
+        vscale = f.cod.vscale
+        return TableMap.from_callable(f.dom, f.cod, lambda x: vscale(c, f.table[x]))
 
     def all_maps(self, dom: FinModule, cod: FinModule):
         """Every set map dom -> cod (use with care: |cod|^|dom| tables)."""
@@ -659,15 +591,19 @@ class FinFnBackend:
             yield TableMap(dom, cod, dict(zip(xs, values)))
 
 
-def table_from_poly(f: PolyMap, limit: int = 200_000) -> TableMap:
+# Most domain points table_from_poly tabulates before it raises SizeLimit.
+MAX_TABLE_POINTS = 200_000
+
+
+def table_from_poly(f: PolyMap) -> TableMap:
     """Evaluate a Z/m polynomial map on every point of its domain."""
     rig = f.rig
     if rig.kind != "zmod":
         raise SpecMismatch("table_from_poly needs a zmod rig")
     dom = FinModule(rig, f.dom)
     cod = FinModule(rig, f.cod)
-    if dom.size > limit:
-        raise SizeLimit(f"domain has {dom.size} points, limit {limit}")
+    if dom.size > MAX_TABLE_POINTS:
+        raise SizeLimit(f"domain has {dom.size} points, limit {MAX_TABLE_POINTS}")
     table = {}
     for x in dom.elements():
         vals = f.eval(tuple(rig_value(rig, c) for c in x))

@@ -594,7 +594,7 @@ def yoneda_suite(modulus: int = 2, max_dim: int = 2, support_bound: int = 2,
         "yoneda-preserves-identity",
         lambda A: None
         if list(dpsh.yoneda_map(base, be.identity(A)).family)
-        == list(faa.faa_identity(be, A).family)
+        == list(faa.FaaBackend(be).identity(A).family)
         else f"y(id) is not the identity family at {A}"))
 
     # the higher-action dictionary: acting with <f> is reindexing, acting

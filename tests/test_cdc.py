@@ -252,7 +252,7 @@ def test_axiom_checker_catches_a_broken_differential():
     class Broken(PolyBackend):
         def D(self, f):
             df = super().D(f)
-            return df + df  # doubled derivative
+            return self.add(df, df)  # doubled derivative
 
     backend = Broken(INT)
     sampler = PolySampler(INT, seed=0, max_arity=2, max_degree=2)

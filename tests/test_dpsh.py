@@ -208,7 +208,7 @@ def test_classified_map_is_linear_in_q():
 def test_yoneda_preserves_identity_and_composition():
     base = small_base(2, (1,))
     be = base.backend
-    assert dpsh.yoneda_map(base, be.identity(1)) == faa.faa_identity(be, 1)
+    assert dpsh.yoneda_map(base, be.identity(1)) == faa.FaaBackend(be).identity(1)
     for f in base.all_maps(1, 1):
         for g in base.all_maps(1, 1):
             lhs = dpsh.yoneda_map(base, be.compose(g, f))

@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 from cdcat import faa
 from cdcat.algebra import INT, zmod
 from cdcat.cdc import PolyBackend, PolySampler, check_axioms, iterated_D, nth_derivative
-from cdcat.errors import DegreeBoundExceeded, InvalidSequence, ObjectMismatch
+from cdcat.errors import DegreeBoundExceeded, ObjectMismatch
 from cdcat.matcat import MatBackend
 from cdcat.poly import FinFnBackend, parse_poly_map, poly_D, substitute, table_from_poly
 
 BE = PolyBackend(INT)
+FAA = faa.FaaBackend(BE)
 
 
 def p(src, arity=1):
@@ -25,7 +26,7 @@ def tower(f):
 # families and validation
 
 def test_identity_family():
-    ident = faa.faa_identity(BE, 1)
+    ident = FAA.identity(1)
     assert ident.family == (p("[x1]"), p("[x2]", arity=2))
     assert ident.component(2).is_zero
     assert ident.support == 1
@@ -49,8 +50,6 @@ def test_validate_family_rejects_nonlinear_entries():
     bad = [p("[x1]"), p("[x2^2]", arity=2)]
     problem = faa.validate_family(BE, 1, 1, bad)
     assert problem is not None and "component 1" in problem
-    with pytest.raises(InvalidSequence):
-        faa.FaaMap(BE, 1, 1, bad, validate=True)
 
 
 def test_validate_family_rejects_asymmetry():
@@ -132,8 +131,8 @@ def test_compose_unital_and_associative():
         f = tower(sampler.random_morphism(A, B))
         g = tower(sampler.random_morphism(B, C))
         h = tower(sampler.random_morphism(C, D))
-        assert faa.faa_compose(f, faa.faa_identity(BE, A)) == f
-        assert faa.faa_compose(faa.faa_identity(BE, B), f) == f
+        assert faa.faa_compose(f, FAA.identity(A)) == f
+        assert faa.faa_compose(FAA.identity(B), f) == f
         assert faa.faa_compose(h, faa.faa_compose(g, f)) == faa.faa_compose(
             faa.faa_compose(h, g), f
         )
@@ -143,7 +142,7 @@ def test_compose_unital_and_associative():
 # the differential on families
 
 def test_faa_D_of_identity():
-    d = faa.faa_D(faa.faa_identity(BE, 1))
+    d = faa.faa_D(FAA.identity(1))
     assert d.component(0) == p("[x2]", arity=2)
 
 
@@ -240,6 +239,13 @@ def test_kleisli_refuses_to_truncate():
 
 
 def test_zero_family_support():
-    z = faa.faa_zero(BE, 1, 1)
+    z = FAA.zero(1, 1)
     assert z.support == -1
     assert z.component(3).is_zero
+
+
+def test_faa_backend_refuses_mismatched_objects():
+    with pytest.raises(ObjectMismatch):
+        FAA.add(FAA.zero(1, 1), FAA.zero(1, 2))
+    with pytest.raises(ObjectMismatch):
+        FAA.pairing([FAA.identity(1), FAA.identity(2)])

@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdcat import poly
 from cdcat.algebra import INT, NAT, RAT, rig_value, zmod
-from cdcat.cdc import PolySampler
+from cdcat.cdc import PolyBackend, PolySampler
 from cdcat.errors import (
     ArityError,
     NegationUnsupported,
+    ObjectMismatch,
     ParseError,
     SizeLimit,
     SpecMismatch,
@@ -27,7 +29,6 @@ from cdcat.poly import (
     parse_poly_map,
     poly_D,
     substitute,
-    table_compose,
     table_from_poly,
 )
 
@@ -65,9 +66,10 @@ def test_partial_multiplicity_lands_in_the_rig():
 
 
 def test_identity_and_projections():
-    assert PolyMap.identity(INT, 2) == p("[x1; x2]", arity=2)
-    assert PolyMap.proj(INT, [2, 1], 1) == p("[x3]", arity=3)
-    assert PolyMap.proj(INT, [2, 1], 0) == p("[x1; x2]", arity=3)
+    be = PolyBackend(INT)
+    assert be.identity(2) == p("[x1; x2]", arity=2)
+    assert be.proj([2, 1], 1) == p("[x3]", arity=3)
+    assert be.proj([2, 1], 0) == p("[x1; x2]", arity=3)
 
 
 def test_eval():
@@ -154,7 +156,7 @@ def test_negative_power_is_refused():
 
 def test_poly_D_of_arity_zero():
     f = PolyMap(INT, 0, 2, [Polynomial.const(INT, 0, 3), Polynomial.zero(INT, 0)])
-    assert poly_D(f) == PolyMap.zero(INT, 0, 2)
+    assert poly_D(f) == PolyBackend(INT).zero(0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +259,7 @@ def test_table_functoriality():
     rig = zmod(5)
     f = parse_poly_map("[x1^2 + 1; 2*x1]", rig, 1)
     g = parse_poly_map("[x1*x2; x1 + x2]", rig, 2)
-    assert table_from_poly(substitute(g, f)) == table_compose(
+    assert table_from_poly(substitute(g, f)) == FinFnBackend(5).compose(
         table_from_poly(g), table_from_poly(f)
     )
 
@@ -287,11 +289,12 @@ def test_arity_limit():
     with pytest.raises(SizeLimit):
         p("[x1]", arity=MAX_ARITY + 1)
 
-def test_table_from_poly_size_limit():
+def test_table_from_poly_size_limit(monkeypatch):
     f = parse_poly_map("[x1]", zmod(7), 1)
     big = PolyMap(zmod(7), 8, 1, [Polynomial.var(zmod(7), 8, 0)])
+    monkeypatch.setattr(poly, "MAX_TABLE_POINTS", 100)
     with pytest.raises(SizeLimit):
-        table_from_poly(big, limit=100)
+        table_from_poly(big)
     assert table_from_poly(f).table[(3,)] == (3,)
 
 
@@ -299,7 +302,7 @@ def test_table_pairing_and_proj():
     be = FinFnBackend(3)
     A = be.module(1)
     f = TableMap.from_callable(A, A, lambda x: ((x[0] * 2) % 3,))
-    g = TableMap.identity(A)
+    g = be.identity(A)
     paired = be.pairing([f, g])
     assert paired.table[(2,)] == (1, 2)
     assert be.compose(be.proj([A, A], 0), paired) == f
@@ -313,6 +316,17 @@ def test_fin_backend_module_structure():
     assert be.add(f, f).is_zero
     assert be.scale(0, f).is_zero
     assert len(list(be.all_maps(be.module(1), be.module(1)))) == 4
+
+
+def test_fin_backend_refuses_mismatched_objects():
+    be = FinFnBackend(2)
+    A, B = be.module(1), be.module(2)
+    with pytest.raises(ObjectMismatch):
+        be.pairing([be.identity(A), be.identity(B)])
+    with pytest.raises(ObjectMismatch):
+        be.add(be.zero(A, A), be.zero(A, B))
+    with pytest.raises(ObjectMismatch):
+        be.compose(be.identity(A), be.identity(B))
 
 
 def test_fin_module_needs_zmod():
