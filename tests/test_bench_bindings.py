@@ -64,3 +64,19 @@ def test_patching_cdc_poly_D_reaches_the_poly_backend(monkeypatch):
     marker = object()
     monkeypatch.setattr(cdc, "poly_D", lambda f: marker)
     assert cdc.PolyBackend(INT).D(parse_poly_map("[x1]", INT, 1)) is marker
+
+
+@pytest.mark.parametrize("name", ["modality", "kleisli", "poly", "presheaf"])
+def test_workload_meets_its_known_answer(cd, name):
+    # the benchmark's known answers, checked here so that a change in cdcat
+    # that breaks them fails this suite too
+    wl = load("workloads").WORKLOADS[name]
+    inputs = wl.build(cd, 7)
+    expected = wl.expected(7)
+    seen = {}
+    for report in wl.run(cd, inputs):
+        for c in report.checks:
+            seen[report.suite, c.name] = (c.passed, c.checked)
+    assert seen == {key: (True, count) for key, count in expected.items()}
+    for check, got, want in inputs.get("input_checks", ()):
+        assert got == want, check

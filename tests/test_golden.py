@@ -9,6 +9,7 @@ outputs are pinned the same way, as the sha256 of their rendered text.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from cdcat import cdc, dpsh, faa, qmodality, suites
 from cdcat.algebra import INT, ModuleElement, Monomial
 from cdcat.combinat import partitions
 from cdcat.matcat import MatBackend, MatMap
-from cdcat.poly import Polynomial, PolyMap, poly_D, substitute
+from cdcat.poly import FinFnBackend, Polynomial, PolyMap, poly_D, substitute
 
 
 def digest(report) -> str:
@@ -214,4 +215,44 @@ def poly_outputs(rig_name):
 ])
 def test_golden_poly_outputs(rig_name, expected):
     text = poly_outputs(rig_name)
+    assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+# seeded (g, f) pairs of dim-1 families of support <= 2, per modulus; zmod:3
+# reaches the degree-4 composites, zmod:2 draws mostly small supports
+KLEISLI_PAIRS = {2: 16, 3: 6}
+
+
+def kleisli_pairs(modulus):
+    backend = FinFnBackend(modulus)
+    A = backend.module(1)
+    rng = random.Random(5)
+    return [(suites._random_kleisli(backend, A, A, 2, rng),
+             suites._random_kleisli(backend, A, A, 2, rng))
+            for _ in range(KLEISLI_PAIRS[modulus])]
+
+
+def render_tables(fm):
+    return " | ".join(str(sorted(t.table.items())) for t in fm.family)
+
+
+def kleisli_outputs(modulus):
+    """Rendered kleisli_compose, faa_compose, kleisli_D and faa_D tables on
+    seeded pairs of families; one line per output."""
+    lines = []
+    for kg, kf in kleisli_pairs(modulus):
+        lines.append(f"{kg} o {kf}")
+        lines.append(f"kleisli_compose {render_tables(faa.kleisli_compose(kg, kf))}")
+        lines.append(f"faa_compose {render_tables(faa.faa_compose(kg, kf))}")
+        lines.append(f"kleisli_D {render_tables(faa.kleisli_D(kf))}")
+        lines.append(f"faa_D {render_tables(faa.faa_D(kf))}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("modulus, expected", [
+    (2, "1f532743b1a5bbabaca0d6af5f78d69517cd3d654202fe773615aeca90827a8a"),
+    (3, "b304d67777d263507016bd296c4af1d1b9fc8a62721f4e9c0ed726734fbddc35"),
+])
+def test_golden_kleisli_outputs(modulus, expected):
+    text = kleisli_outputs(modulus)
     assert hashlib.sha256(text.encode()).hexdigest() == expected
