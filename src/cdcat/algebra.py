@@ -348,20 +348,6 @@ def basis_elem(rig: RigSpec, space, key) -> ModuleElement:
     return ModuleElement(rig, space, {key: rig_one(rig)})
 
 
-def linear_combine(terms) -> ModuleElement:
-    """Scaled sum of (RigValue-ish, ModuleElement) pairs (nonempty list)."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("linear_combine needs at least one term to fix the space")
-    _, first = terms[0]
-    out = {}
-    for c, elem in terms:
-        first._check(elem)
-        c = rig_value(first.rig, c)
-        add_scaled(out, c, elem)
-    return ModuleElement(first.rig, first.space, out)
-
-
 def tensor_elem(a: ModuleElement, b: ModuleElement) -> ModuleElement:
     """Bilinear pairing into Tensor((A, B)) on pair basis keys."""
     if a.rig != b.rig:

@@ -1,4 +1,4 @@
-"""Indexing combinatorics: set partitions, subsets, partial isomorphisms.
+"""Indexing combinatorics: set partitions and partial isomorphisms.
 
 All enumeration orders are deterministic so that formula sums and test
 output are reproducible; the sums themselves are order-independent.
@@ -54,16 +54,6 @@ def partitions(n: int) -> list[SetPartition]:
             out = nxt
         _PARTITIONS[n] = [_canon(p, n) for p in out]
     return list(_PARTITIONS[n])
-
-
-def subsets(n: int) -> list[tuple[int, ...]]:
-    """All 2^n subsets of [n], ordered by bitmask (bit i-1 = element i)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    out = []
-    for mask in range(1 << n):
-        out.append(tuple(i for i in range(1, n + 1) if mask >> (i - 1) & 1))
-    return out
 
 
 @dataclass(frozen=True)

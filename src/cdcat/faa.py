@@ -18,8 +18,8 @@ from .algebra import (
     ModuleElement,
     Product,
     QSpace,
+    Tensor,
     add_scaled,
-    basis_elem,
     basis_keys,
     rig_value,
 )
@@ -28,6 +28,7 @@ from .errors import (
     DegreeBoundExceeded,
     NoFiniteSupport,
     ObjectMismatch,
+    SpaceMismatch,
 )
 from .poly import FinFnBackend, FinModule, TableMap, fin_product
 from .qmodality import (
@@ -202,8 +203,7 @@ def faa_compose(g: FaaMap, f: FaaMap) -> FaaMap:
     bound = nf * ng
     family = []
     for n in range(bound + 1):
-        dom_obj = backend.product([f.dom] * (n + 1))
-        total = backend.zero(dom_obj, g.cod)
+        total = None
         for part in _composition_partitions(n):
             k = part.block_count
             if k > ng or any(len(b) > nf for b in part.blocks):
@@ -211,7 +211,9 @@ def faa_compose(g: FaaMap, f: FaaMap) -> FaaMap:
             args = [component_on_subset(f, (), n)]
             args += [component_on_subset(f, block, n) for block in part.blocks]
             term = backend.compose(g.component(k), backend.pairing(args))
-            total = backend.add(total, term)
+            total = term if total is None else backend.add(total, term)
+        if total is None:  # no term survives, as when a partition is dropped
+            total = backend.zero(backend.product([f.dom] * (n + 1)), g.cod)
         family.append(total)
     return FaaMap(backend, f.dom, g.cod, family)
 
@@ -271,12 +273,11 @@ def faa_higher(f: FaaMap, m: int, n: int):
         return backend.compose(backend.proj(inner, i), backend.proj(blocks, j))
 
     grid = {(i, j): grid_at(i, j) for i in range(m + 1) for j in range(n + 1)}
-    dom_obj = backend.product(blocks)
-    total = backend.zero(dom_obj, f.cod)
+    total = None
     for theta in partial_isos(m, n):
         args = arrange(theta, grid)
         term = backend.compose(f.component(theta.size), backend.pairing(args))
-        total = backend.add(total, term)
+        total = term if total is None else backend.add(total, term)
     return total
 
 
@@ -379,53 +380,51 @@ class FaaSampler:
 
 # ---------------------------------------------------------------------------
 # co-Kleisli reading over FinFn: families as linear maps QA -> B
+#
+# One coordinate system: a vector of residues is read on the basis keys of
+# a space in basis_keys order, so Product((A, A)) carries the concatenated
+# coordinates of A x A.
 
 def fin_space(mod: FinModule) -> Free:
     return Free(tuple(f"e{i + 1}" for i in range(mod.dim)))
 
 
-def vec_to_elem(rig, space: Free, vec) -> ModuleElement:
-    return ModuleElement(
-        rig, space, {space.basis[i]: rig_value(rig, v) for i, v in enumerate(vec)}
-    )
+def vec_to_elem(rig, space, vec) -> ModuleElement:
+    keys = basis_keys(space)
+    if len(vec) != len(keys):
+        raise SpaceMismatch(f"{len(vec)} coordinates for the {len(keys)} basis keys of {space}")
+    return ModuleElement(rig, space, {k: rig_value(rig, v) for k, v in zip(keys, vec)})
 
 
-def elem_to_vec(elem: ModuleElement, space: Free):
+def elem_to_vec(elem: ModuleElement, space):
     coeffs = elem.coeffs
-    return tuple(coeffs[b].payload if b in coeffs else 0 for b in space.basis)
+    return tuple(coeffs[k].payload if k in coeffs else 0 for k in basis_keys(space))
 
 
 class KleisliMap(FaaMap):
     """A family read through the generator dictionary as a map QA -> B."""
 
     def eval_q(self, q: ModuleElement) -> ModuleElement:
-        """Evaluate the linear map QA -> B on a normal-form QElement."""
-        backend = self.backend
-        rig = backend.rig
-        A_space = q.space.inner
+        """Evaluate the linear map QA -> B on a normal-form QElement over a
+        space of dimension dim A; generators beyond the support give zero."""
+        rig = self.backend.rig
+        A_space = q.space.inner if isinstance(q.space, QSpace) else None
+        keys = basis_keys(A_space) if isinstance(A_space, (Free, Product, Tensor)) else None
+        if keys is None or len(keys) != self.dom.dim or q.rig != rig:
+            raise SpaceMismatch(
+                f"{q.space}/{q.rig} is not Q of a {self.dom.dim}-dim space over {rig}")
+        units = {k: tuple(1 if b == k else 0 for b in keys) for k in keys}
         cod_space = fin_space(self.cod)
+        family = self.family
         out = {}
         for gen, c in q.coeffs.items():
-            n = gen.degree
-            fn = self.component(n)
-            x0 = elem_to_vec(gen.point, A_space)
-            tail = ()
+            if gen.degree >= len(family):
+                continue
+            cell = elem_to_vec(gen.point, A_space)
             for key in gen.tail.keys:
-                unit = tuple(1 if b == key else 0 for b in A_space.basis)
-                tail += unit
-            val = fn.table[x0 + tail]
-            add_scaled(out, c, vec_to_elem(rig, cod_space, val))
+                cell += units[key]
+            add_scaled(out, c, vec_to_elem(rig, cod_space, family[gen.degree].table[cell]))
         return ModuleElement(rig, cod_space, out)
-
-    def as_linear_map(self) -> LinearMap:
-        rig = self.backend.rig
-        A_space = fin_space(self.dom)
-        return LinearMap(
-            rig,
-            QSpace(A_space),
-            fin_space(self.cod),
-            lambda gen: self.eval_q(q_gen_elem(rig, gen)),
-        )
 
 
 def kleisli_from_family(backend: FinFnBackend, f: FaaMap) -> KleisliMap:
@@ -436,21 +435,20 @@ def kleisli_identity(backend: FinFnBackend, mod: FinModule) -> KleisliMap:
     return kleisli_from_family(backend, FaaBackend(backend).identity(mod))
 
 
-def _family_from_values(backend, A: FinModule, cod: FinModule, value_at, top: int):
-    """Build TableMap components n = 0..top from a generator-evaluator."""
+def _family_from_values(backend, space, cod: FinModule, value_at, top: int):
+    """Build TableMap components n = 0..top over the coordinates of `space`:
+    the cell at (x0, x1..xn) is value_at(<x0; x1..xn>)."""
     rig = backend.rig
-    A_space = fin_space(A)
+    A = backend.module(len(basis_keys(space)))
+    elems = {x: vec_to_elem(rig, space, x) for x in A.elements()}
     cod_space = fin_space(cod)
     family = []
     for n in range(top + 1):
-        dom_mod = fin_product([A] * (n + 1))
         table = {}
-        for xs in itertools.product(A.elements(), repeat=n + 1):
-            point = vec_to_elem(rig, A_space, xs[0])
-            tails = [vec_to_elem(rig, A_space, x) for x in xs[1:]]
-            q = q_inject(point, tails)
+        for xs in itertools.product(elems, repeat=n + 1):
+            q = q_inject(elems[xs[0]], [elems[x] for x in xs[1:]])
             table[sum(xs, ())] = elem_to_vec(value_at(q), cod_space)
-        family.append(TableMap(dom_mod, cod, table))
+        family.append(TableMap(fin_product([A] * (n + 1)), cod, table))
     return family
 
 
@@ -459,49 +457,38 @@ def kleisli_compose(g: KleisliMap, f: KleisliMap, degree_bound: int = 8) -> Klei
     if g.dom != f.cod:
         raise ObjectMismatch(f"{g.dom} vs {f.cod}")
     backend = f.backend
+    rig = backend.rig
     nf, ng = max(f.support, 0), max(g.support, 0)
     top = nf * ng
     if top > degree_bound:
         raise DegreeBoundExceeded(f"composite support {top} > bound {degree_bound}")
-    f_hat = f.as_linear_map()
+    A_space = fin_space(f.dom)
+    f_hat = LinearMap(rig, QSpace(A_space), fin_space(f.cod),
+                      lambda gen: f.eval_q(q_gen_elem(rig, gen)))
 
     def value_at(q):
         return g.eval_q(q_map(f_hat, comult(q)))
 
-    family = _family_from_values(backend, f.dom, g.cod, value_at, top)
+    family = _family_from_values(backend, A_space, g.cod, value_at, top)
     return KleisliMap(backend, f.dom, g.cod, family)
 
 
 def kleisli_D(f: KleisliMap, degree_bound: int = 8) -> KleisliMap:
     """Co-Kleisli differential: storage, counit on the second factor,
-    deriving, then f — computed literally on generators."""
+    deriving, then f — computed literally on generators of Q(A x A)."""
     backend = f.backend
     rig = backend.rig
-    A = f.dom
-    AA = fin_product([A, A])
-    A_space = fin_space(A)
-    AA_space = fin_space(AA)
-    prod_space = Product((A_space, A_space))
     top = max(f.support, 0)
     if top + 1 > degree_bound:
         raise DegreeBoundExceeded(f"needs components up to {top + 1} > bound {degree_bound}")
-
-    # the k-th key of A x A is the k-th key of the product space
-    prod_key = dict(zip(AA_space.basis, basis_keys(prod_space)))
-    to_prod = LinearMap(
-        rig, AA_space, prod_space,
-        lambda key: basis_elem(rig, prod_space, prod_key[key]),
-    )
+    A_space = fin_space(f.dom)
 
     def value_at(q):
-        # q lives over QSpace(AA_space); transport to Q(A x A) first
-        qq = q_map(to_prod, q)
-        t = storage(qq)
         acc = {}
-        for (g1, g2), v in t.coeffs.items():
+        for (g1, g2), v in storage(q).coeffs.items():
             y = q_counit(q_gen_elem(rig, g2))
             add_scaled(acc, v, deriving(q_gen_elem(rig, g1), y))
         return f.eval_q(ModuleElement(rig, QSpace(A_space), acc))
 
-    family = _family_from_values(backend, AA, f.cod, value_at, top)
-    return KleisliMap(backend, AA, f.cod, family)
+    family = _family_from_values(backend, Product((A_space, A_space)), f.cod, value_at, top)
+    return KleisliMap(backend, fin_product([f.dom, f.dom]), f.cod, family)

@@ -94,14 +94,6 @@ def inject_elem(elem: ModuleElement, prod: Product, slot: int) -> ModuleElement:
     return ModuleElement(elem.rig, prod, {(slot, k): v for k, v in elem.coeffs.items()})
 
 
-def apply_tensor(f: LinearMap, g: LinearMap, t: ModuleElement) -> ModuleElement:
-    """Apply f (x) g to an element of Tensor((dom f, dom g))."""
-    out = {}
-    for (ka, kb), c in t.coeffs.items():
-        add_scaled(out, c, tensor_elem(f.on_basis(ka), g.on_basis(kb)))
-    return ModuleElement(f.rig, Tensor((f.codomain, g.codomain)), out)
-
-
 # ---------------------------------------------------------------------------
 # generators and injection
 
@@ -230,21 +222,11 @@ def monoidal_unit(rig: RigSpec) -> ModuleElement:
     return q_inject(one, [])
 
 
-class _TensorGrid:
-    """grid[i, j] = rows[i] (x) cols[j] as a coefficient dict, built lazily."""
-
-    def __init__(self, rows, cols):
-        self.rows = rows
-        self.cols = cols
-        self._memo = {}
-
-    def __getitem__(self, idx):
-        if idx not in self._memo:
-            i, j = idx
-            self._memo[idx] = {(ka, kb): va * vb
-                               for ka, va in self.rows[i].items()
-                               for kb, vb in self.cols[j].items()}
-        return self._memo[idx]
+def _tensor_grid(rows, cols) -> dict:
+    """grid[i, j] = rows[i] (x) cols[j] as a coefficient dict.  Every cell
+    is read by some partial isomorphism, so all of them are built."""
+    return {(i, j): {(ka, kb): va * vb for ka, va in x.items() for kb, vb in y.items()}
+            for i, x in enumerate(rows) for j, y in enumerate(cols)}
 
 
 def monoidal_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
@@ -263,7 +245,7 @@ def monoidal_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
             point = points.get((g.point, h.point))
             if point is None:
                 point = points[g.point, h.point] = tensor_elem(g.point, h.point)
-            grid = _TensorGrid(xs, ys)
+            grid = _tensor_grid(xs, ys)
             c = cg * ch
             for theta in partial_isos(g.degree, h.degree):
                 _inject_into(out, c, point, arrange(theta, grid)[1:])
@@ -308,7 +290,7 @@ def fusion(p: ModuleElement, q: ModuleElement) -> ModuleElement:
                     {QGenerator(h.point, _make_tail(tuple(keys[i - 1] for i in block))): one}
                     for block in part.blocks
                 ]
-                grid = _TensorGrid(xs, ys)
+                grid = _tensor_grid(xs, ys)
                 for theta in partial_isos(m, part.block_count):
                     _inject_into(out, c, point, arrange(theta, grid)[1:])
     return ModuleElement(rig, QSpace(Tensor((A, QB))), out)
@@ -323,10 +305,12 @@ def storage(q: ModuleElement) -> ModuleElement:
     prod = q.space.inner
     if not isinstance(prod, Product) or len(prod.factors) != 2:
         raise SpaceMismatch("storage expects Q of a binary product")
-    t = comonoid_comult(q)
-    return apply_tensor(
-        q_functor(proj_map(rig, prod, 0)), q_functor(proj_map(rig, prod, 1)), t
-    )
+    left, right = proj_map(rig, prod, 0), proj_map(rig, prod, 1)
+    out = {}
+    for (g1, g2), c in comonoid_comult(q).coeffs.items():
+        add_scaled(out, c, tensor_elem(q_map(left, q_gen_elem(rig, g1)),
+                                       q_map(right, q_gen_elem(rig, g2))))
+    return ModuleElement(rig, Tensor(tuple(QSpace(A) for A in prod.factors)), out)
 
 
 def storage_inv(t: ModuleElement) -> ModuleElement:

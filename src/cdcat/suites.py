@@ -559,19 +559,23 @@ def _random_kleisli(backend, A, B, support, rng):
 # ---------------------------------------------------------------------------
 # embedding and presheaf suites
 
-def yoneda_suite(modulus: int = 2, max_dim: int = 2, support_bound: int = 2,
-                 degree_bound: int = 1) -> Report:
+# the full-fidelity search bounds of yoneda_suite
+YONEDA_SUPPORT_BOUND = 2
+YONEDA_DEGREE_BOUND = 1
+
+
+def yoneda_suite(modulus: int = 2, max_dim: int = 2) -> Report:
     base = dpsh.FiniteCdcBase(modulus, list(range(1, max_dim + 1)))
     be = base.backend
     report = Report(
         "yoneda",
         {"modulus": modulus, "max_dim": max_dim,
-         "support_bound": support_bound, "degree_bound": degree_bound},
+         "support_bound": YONEDA_SUPPORT_BOUND, "degree_bound": YONEDA_DEGREE_BOUND},
     )
     for A in base.objects:
         for B in base.objects:
-            sub = dpsh.full_fidelity(base, A, B, support_bound=support_bound,
-                                     degree_bound=degree_bound)
+            sub = dpsh.full_fidelity(base, A, B, support_bound=YONEDA_SUPPORT_BOUND,
+                                     degree_bound=YONEDA_DEGREE_BOUND)
             for chk in sub.checks:
                 report.add(f"hom({A},{B})-{chk.name}", chk.passed,
                            chk.checked, chk.counterexample)

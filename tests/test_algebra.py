@@ -23,7 +23,6 @@ from cdcat.algebra import (
     basis_keys,
     enum_elements,
     key_token,
-    linear_combine,
     monomial_mul,
     rig_one,
     rig_op,
@@ -217,17 +216,6 @@ def test_basis_elem_rejects_foreign_keys():
         basis_elem(INT, A, "f1")
 
 
-def test_linear_combine():
-    e1, e2 = basis_elem(INT, A, "e1"), basis_elem(INT, A, "e2")
-    got = linear_combine([(2, e1), (3, e1 + e2)])
-    assert got == e1.scale(5) + e2.scale(3)
-
-
-def test_linear_combine_needs_terms():
-    with pytest.raises(ValueError):
-        linear_combine([])
-
-
 def test_zero_and_negation():
     e1 = basis_elem(INT, A, "e1")
     assert (e1 + (-e1)).is_zero
@@ -339,8 +327,7 @@ def test_cancelling_sums_leave_no_zero_coefficient(raw):
     z2 = zmod(2)
     x = ModuleElement(z2, A, {k: rig_value(z2, v) for k, v in raw.items()})
     y = ModuleElement(INT, A, {k: rig_value(INT, v) for k, v in raw.items()})
-    for total in (x + x, linear_combine([(1, x), (1, x)]),
-                  y + (-y), linear_combine([(1, y), (-1, y)])):
+    for total in (x + x, y + (-y)):
         assert total.is_zero and total.coeffs == {}
     out = {}
     for k, v in x.coeffs.items():

@@ -1,4 +1,4 @@
-"""Set partitions, subsets, and partial isomorphisms against closed forms."""
+"""Set partitions and partial isomorphisms against closed forms."""
 
 import itertools
 from math import comb, factorial
@@ -6,7 +6,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, strategies as st
 
-from cdcat.combinat import PartialIso, arrange, partial_isos, partitions, subsets
+from cdcat.combinat import PartialIso, arrange, partial_isos, partitions
 from cdcat.errors import IndexOutOfRange
 
 
@@ -50,11 +50,6 @@ def test_partitions_cover_the_ground_set(n):
     for p in partitions(n):
         elems = sorted(x for b in p.blocks for x in b)
         assert elems == list(range(1, n + 1))
-
-
-def test_subsets_bitmask_order():
-    assert subsets(2) == [(), (1,), (2,), (1, 2)]
-    assert len(subsets(5)) == 32
 
 
 def iso_count(m, n):
@@ -132,8 +127,6 @@ def test_arrange_reports_missing_grid_entries():
 def test_negative_arguments_rejected():
     with pytest.raises(ValueError):
         partitions(-1)
-    with pytest.raises(ValueError):
-        subsets(-1)
     with pytest.raises(ValueError):
         partial_isos(-1, 2)
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdcat import faa
-from cdcat.algebra import INT, zmod
+from cdcat.algebra import INT, Product, basis_elem, zmod
 from cdcat.cdc import PolyBackend, PolySampler, check_axioms, iterated_D, nth_derivative
-from cdcat.errors import DegreeBoundExceeded, ObjectMismatch
+from cdcat.errors import DegreeBoundExceeded, ObjectMismatch, SpaceMismatch
 from cdcat.matcat import MatBackend
 from cdcat.poly import FinFnBackend, parse_poly_map, poly_D, substitute, table_from_poly
 
@@ -210,6 +210,37 @@ def test_kleisli_eval_on_a_point_generator():
         q = q_inject(faa.vec_to_elem(backend.rig, space, (x,)), [])
         got = faa.elem_to_vec(comp.eval_q(q), space)
         assert got == ((x * x + 1) % 2,)
+
+
+def test_kleisli_reading_refuses_coordinates_of_another_space():
+    from cdcat.qmodality import q_inject
+
+    backend, kf, _ = finite_pair("[x1^2]", "[x1]")
+    rig = backend.rig
+    plane = faa.fin_space(backend.module(2))
+    with pytest.raises(SpaceMismatch):
+        kf.eval_q(q_inject(faa.vec_to_elem(rig, plane, (1, 0)), []))
+    for vec in ((1, 0, 1), (1,)):
+        with pytest.raises(SpaceMismatch):
+            faa.vec_to_elem(rig, plane, vec)
+
+
+def test_a_product_space_reads_the_coordinates_of_the_product():
+    from cdcat.qmodality import q_inject
+
+    backend, kf, _ = finite_pair("[x1^2 + x1]", "[x1]")
+    rig = backend.rig
+    line = faa.fin_space(backend.module(1))
+    prod = Product((line, line))
+    assert faa.vec_to_elem(rig, prod, (0, 1)) == basis_elem(rig, prod, (1, "e1"))
+    assert faa.elem_to_vec(basis_elem(rig, prod, (0, "e1")), prod) == (1, 0)
+    df = faa.kleisli_D(kf)
+    plane = faa.fin_space(backend.module(2))
+    for vec in ((1, 0), (1, 1)):
+        for space in (prod, plane):
+            x = faa.vec_to_elem(rig, space, vec)
+            got = faa.elem_to_vec(df.eval_q(q_inject(x, [x])), line)
+            assert got == df.family[1].table[vec + vec]
 
 
 def test_kleisli_compose_matches_faa():

@@ -10,6 +10,7 @@ outputs are pinned the same way, as the sha256 of their rendered text.
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -256,3 +257,27 @@ def kleisli_outputs(modulus):
 def test_golden_kleisli_outputs(modulus, expected):
     text = kleisli_outputs(modulus)
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+def test_kleisli_and_faa_sums_build_no_zero_table_on_nonzero_families(monkeypatch):
+    # the only zero table left is faa_D's f^(n+1) beyond the support, which
+    # FaaMap.component materializes once per call
+    pairs = [(kg, kf) for m in KLEISLI_PAIRS for kg, kf in kleisli_pairs(m)
+             if not (kg.is_zero or kf.is_zero)]
+    assert len(pairs) >= 6
+    zero = FinFnBackend.zero
+    callers = []
+
+    def counting_zero(self, dom, cod):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return zero(self, dom, cod)
+
+    monkeypatch.setattr(FinFnBackend, "zero", counting_zero)
+    for kg, kf in pairs:
+        faa.kleisli_compose(kg, kf)
+        faa.faa_compose(kg, kf)
+        faa.kleisli_D(kf)
+        assert callers == []
+        faa.faa_D(kf)
+        assert callers == ["component"]
+        callers.clear()
