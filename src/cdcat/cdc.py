@@ -37,6 +37,7 @@ class PolyBackend:
 
     def __init__(self, rig):
         self.rig = rig
+        self._projs = {}  # (objs, i) -> projection; PolyMaps are never mutated
 
     def identity(self, n):
         return PolyMap(self.rig, n, n, [Polynomial.var(self.rig, n, i) for i in range(n)])
@@ -48,10 +49,15 @@ class PolyBackend:
         return sum(objs)
 
     def proj(self, objs, i):
-        total = sum(objs)
-        offset = sum(objs[:i])
-        return PolyMap(self.rig, total, objs[i], [
-            Polynomial.var(self.rig, total, offset + j) for j in range(objs[i])])
+        key = (tuple(objs), i)
+        pi = self._projs.get(key)
+        if pi is None:
+            objs = key[0]
+            total = sum(objs)
+            offset = sum(objs[:i])
+            pi = self._projs[key] = PolyMap(self.rig, total, objs[i], [
+                Polynomial.var(self.rig, total, offset + j) for j in range(objs[i])])
+        return pi
 
     def pairing(self, maps):
         maps = list(maps)

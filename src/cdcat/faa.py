@@ -199,6 +199,8 @@ def faa_compose(g: FaaMap, f: FaaMap) -> FaaMap:
     if g.dom != f.cod:
         raise ObjectMismatch(f"{g.dom} vs {f.cod}")
     backend = f.backend
+    if g.is_zero:  # every term is a component of g after something
+        return FaaMap(backend, f.dom, g.cod, [])
     nf, ng = max(f.support, 0), max(g.support, 0)
     bound = nf * ng
     family = []

@@ -262,13 +262,55 @@ class PolyMap:
 
 
 def substitute(g: PolyMap, f: PolyMap) -> PolyMap:
-    """Composite g after f by polynomial substitution."""
+    """Composite g after f by polynomial substitution, or by renaming
+    exponents when every component of f is zero or a single variable."""
     if g.dom != f.cod or g.rig != f.rig:
         raise ArityError(f"cannot compose {g.dom}<-{f.cod}")
-    tables = _power_tables(f.components)  # shared by g's components
-    comps = [Polynomial(g.rig, f.dom, _substitute(p.terms, tables, f.dom))
-             for p in g.components]
+    targets = _selection(f.components)
+    if targets is not None:
+        comps = [Polynomial(g.rig, f.dom, _rename(p.terms, targets, f.dom))
+                 for p in g.components]
+    else:
+        tables = _power_tables(f.components)  # shared by g's components
+        comps = [Polynomial(g.rig, f.dom, _substitute(p.terms, tables, f.dom))
+                 for p in g.components]
     return PolyMap(g.rig, f.dom, g.cod, comps)
+
+
+def _selection(components):
+    """Per component, the index of the variable it is (coefficient 1), or
+    None where it is zero; None in place of the list if some component is
+    neither."""
+    targets = []
+    for p in components:
+        terms = p.terms
+        if not terms:
+            targets.append(None)
+            continue
+        if len(terms) != 1:
+            return None
+        (e, c), = terms.items()
+        if sum(e) != 1 or c.payload != 1:
+            return None
+        targets.append(e.index(1))
+    return targets
+
+
+def _rename(terms: dict, targets: list, inner: int) -> dict:
+    """The terms of sum c x^e with x_i replaced by the variable targets[i],
+    or by zero where that is None: exponents of variables sent to the same
+    target add, and a term with a positive power of a zero is dropped."""
+    out = {}
+    for e, c in terms.items():
+        renamed = [0] * inner
+        for t, n in zip(targets, e):
+            if n:
+                if t is None:
+                    break
+                renamed[t] += n
+        else:
+            add_into(out, tuple(renamed), c)
+    return out
 
 
 def poly_D(f: PolyMap) -> PolyMap:

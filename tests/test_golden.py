@@ -281,3 +281,27 @@ def test_kleisli_and_faa_sums_build_no_zero_table_on_nonzero_families(monkeypatc
         faa.faa_D(kf)
         assert callers == ["component"]
         callers.clear()
+
+
+def test_faa_compose_after_a_zero_family_builds_no_zero_table(monkeypatch):
+    # every term of the partition sum is a component of g after something,
+    # so g = 0 gives the zero family; a zero f does not: g^(0) after 0 is g(0)
+    zero = FinFnBackend.zero
+    callers = []
+
+    def counting_zero(self, dom, cod):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return zero(self, dom, cod)
+
+    for m in KLEISLI_PAIRS:
+        backend = FinFnBackend(m)
+        A = backend.module(1)
+        kg0 = faa.kleisli_from_family(backend, faa.FaaMap(backend, A, A, []))
+        for _, kf in kleisli_pairs(m):
+            expected = faa.kleisli_compose(kg0, kf)
+            assert expected.is_zero
+            with monkeypatch.context() as mp:
+                mp.setattr(FinFnBackend, "zero", counting_zero)
+                got = faa.faa_compose(kg0, kf)
+            assert got == expected and (got.dom, got.cod) == (A, A)
+            assert callers == []

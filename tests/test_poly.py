@@ -126,6 +126,93 @@ def test_cancelled_terms_leave_no_zero_coefficient():
     assert all(not c.is_zero for c in (a ** 5).terms.values())
 
 
+# ---------------------------------------------------------------------------
+# the rename path: every component of f is zero or a variable
+
+@pytest.fixture
+def general_path(monkeypatch):
+    """Counts the calls of the general substitution kernel."""
+    calls = []
+    kernel = poly._substitute
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(poly, "_substitute", counting)
+    return calls
+
+
+def by_general_path(g, f):
+    return PolyMap(g.rig, f.dom, g.cod, [q.substitute(list(f.components))
+                                         for q in g.components])
+
+
+@pytest.mark.parametrize("rig, g", [(INT, "[x1 - x2]"), (zmod(2), "[x1 + x2]")])
+def test_renaming_cancels_merged_terms(rig, g, general_path):
+    g = parse_poly_map(g, rig, 2)
+    f = parse_poly_map("[x1; x1]", rig, 1)
+    composite = substitute(g, f)
+    assert general_path == []
+    # equal term dicts: no zero coefficient is left behind
+    assert composite == PolyBackend(rig).zero(1, 1)
+
+
+def test_renaming_adds_exponents_of_merged_variables(general_path):
+    g = p("[x1^2*x2 + 3*x3*x1 + x3^2]", arity=3)
+    f = p("[x2; x1; x2]", arity=2)
+    composite = substitute(g, f)
+    assert general_path == []
+    assert composite == p("[x1*x2^2 + 3*x2^2 + x2^2]", arity=2)
+
+
+def test_renaming_over_zmod_1(general_path):
+    rig = zmod(1)
+    be = PolyBackend(rig)
+    g = parse_poly_map("[x1 + x2 + 1; 0]", rig, 2)
+    f = be.pairing([be.proj([1, 1, 1], 2), be.zero(3, 1)])
+    assert f.is_zero and g.is_zero
+    assert substitute(g, f) == be.zero(3, 2)
+    assert general_path == []
+
+
+def test_renaming_drops_positive_powers_of_a_zero_component(general_path):
+    g = p("[x1^2 + 2*x2*x1 + x2^3 + 5]", arity=2)
+    f = PolyBackend(INT).pairing([p("[x1]"), PolyBackend(INT).zero(1, 1)])
+    composite = substitute(g, f)
+    assert general_path == []
+    # power 0 of the zero component keeps x1^2 and 5
+    assert composite == p("[x1^2 + 5]")
+    assert composite == by_general_path(g, f)
+
+
+@pytest.mark.parametrize("f", ["[2*x1; x2]", "[x1 + x2; x1]", "[x1; x2 + 1]",
+                               "[x1*x2; x2]", "[x1; 0 - x2]"])
+def test_other_components_take_the_general_path(f, general_path):
+    g = p("[x1^2*x2 + x2]", arity=2)
+    f = p(f, arity=2)
+    composite = substitute(g, f)
+    assert len(general_path) == 1
+    assert composite == by_general_path(g, f)
+
+
+def test_renaming_refuses_mismatched_arity_and_rig():
+    g = p("[x1*x2]", arity=2)
+    with pytest.raises(ArityError):
+        substitute(g, PolyBackend(INT).proj([1, 1, 1], 0))
+    with pytest.raises(ArityError):
+        substitute(g, PolyBackend(RAT).identity(2))
+
+
+def test_projections_are_built_once_per_backend():
+    be = PolyBackend(INT)
+    pi = be.proj([2, 1], 1)
+    assert be.proj((2, 1), 1) is pi
+    assert pi == p("[x3]", arity=3)
+    assert be.proj([2, 1], 0) == p("[x1; x2]", arity=3)
+    assert PolyBackend(INT).proj([2, 1], 1) is not pi
+
+
 @settings(max_examples=60)
 @given(st.integers(min_value=0, max_value=10_000),
        st.sampled_from([INT, RAT, zmod(5), zmod(4)]))

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdcat import cdc, faa
+from cdcat import cdc, faa, poly
 from cdcat.algebra import INT, RAT, rig_value
 from cdcat.poly import Polynomial, PolyMap, poly_D, substitute
 
@@ -55,20 +55,60 @@ def poly_maps(draw, rig, dom, cod, max_exp=3):
 
 
 @st.composite
-def composable(draw, rig):
+def selections(draw, rig, dom, cod):
+    """Maps whose components are zero or a variable, repeated or not, so
+    that some variables may be dropped: the renaming path of substitute."""
+    picks = draw(st.lists(st.none() | st.integers(min_value=0, max_value=dom - 1),
+                          min_size=cod, max_size=cod))
+    return PolyMap(rig, dom, cod, [Polynomial.zero(rig, dom) if i is None
+                                   else Polynomial.var(rig, dom, i) for i in picks])
+
+
+@st.composite
+def composable(draw, rig, inner=poly_maps):
     a, b, c = (draw(st.integers(min_value=1, max_value=3)) for _ in range(3))
-    return draw(poly_maps(rig, b, c)), draw(poly_maps(rig, a, b))
+    return draw(poly_maps(rig, b, c)), draw(inner(rig, a, b))
+
+
+def to_sympy_poly(p: Polynomial):
+    """p as a sympy.Poly over QQ in x1..x<arity>, built from its term dict."""
+    return sympy.Poly.from_dict(
+        {e: sympy.Rational(c.payload.numerator, c.payload.denominator)
+         for e, c in p.terms.items()},
+        *symbols(p.arity), domain=sympy.QQ)
+
+
+def sympy_substitute(p: Polynomial, images):
+    """sum c x^e with x_i replaced by images[i], in sympy.Poly arithmetic."""
+    out = sympy.Poly(0, *images[0].gens, domain=sympy.QQ)
+    for e, c in p.terms.items():
+        term = sympy.Poly(sympy.Rational(c.payload.numerator, c.payload.denominator),
+                          *images[0].gens, domain=sympy.QQ)
+        for image, k in zip(images, e):
+            term = term * image ** k
+        out = out + term
+    return out
+
+
+def assert_substitute_matches_sympy(g, f):
+    images = [to_sympy_poly(p) for p in f.components]
+    composite = substitute(g, f)
+    for p, q in zip(g.components, composite.components):
+        assert to_sympy_poly(q) == sympy_substitute(p, images)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(RIGS)), st.data())
 def test_substitute_matches_sympy(rig_name, data):
-    g, f = data.draw(composable(RIGS[rig_name]))
-    xs = symbols(g.dom)
-    images = dict(zip(xs, (to_sympy(p) for p in f.components)))
-    composite = substitute(g, f)
-    for p, q in zip(g.components, composite.components):
-        assert same(q, to_sympy(p).subs(images, simultaneous=True))
+    assert_substitute_matches_sympy(*data.draw(composable(RIGS[rig_name])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(RIGS)), st.data())
+def test_renaming_substitute_matches_sympy(rig_name, data):
+    g, f = data.draw(composable(RIGS[rig_name], selections))
+    assert poly._selection(f.components) is not None
+    assert_substitute_matches_sympy(g, f)
 
 
 @settings(max_examples=40, deadline=None)
