@@ -21,11 +21,15 @@ def symbols(n):
     return sympy.symbols(f"x1:{n + 1}") if n else ()
 
 
+def rational(c):
+    return sympy.Rational(c.payload.numerator, c.payload.denominator)
+
+
 def to_sympy(p: Polynomial):
     xs = symbols(p.arity)
     out = sympy.Integer(0)
     for e, c in p.terms.items():
-        term = sympy.Rational(c.payload.numerator, c.payload.denominator)
+        term = rational(c)
         for x, k in zip(xs, e):
             term *= x ** k
         out += term
@@ -72,18 +76,15 @@ def composable(draw, rig, inner=poly_maps):
 
 def to_sympy_poly(p: Polynomial):
     """p as a sympy.Poly over QQ in x1..x<arity>, built from its term dict."""
-    return sympy.Poly.from_dict(
-        {e: sympy.Rational(c.payload.numerator, c.payload.denominator)
-         for e, c in p.terms.items()},
-        *symbols(p.arity), domain=sympy.QQ)
+    return sympy.Poly.from_dict({e: rational(c) for e, c in p.terms.items()},
+                                *symbols(p.arity), domain=sympy.QQ)
 
 
 def sympy_substitute(p: Polynomial, images):
     """sum c x^e with x_i replaced by images[i], in sympy.Poly arithmetic."""
     out = sympy.Poly(0, *images[0].gens, domain=sympy.QQ)
     for e, c in p.terms.items():
-        term = sympy.Poly(sympy.Rational(c.payload.numerator, c.payload.denominator),
-                          *images[0].gens, domain=sympy.QQ)
+        term = sympy.Poly(rational(c), *images[0].gens, domain=sympy.QQ)
         for image, k in zip(images, e):
             term = term * image ** k
         out = out + term
