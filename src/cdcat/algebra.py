@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NegationUnsupported, SpaceMismatch, SpecMismatch
+from .errors import InvalidArgument, NegationUnsupported, SpaceMismatch, SpecMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -32,12 +32,12 @@ class RigSpec:
 
     def __post_init__(self):
         if self.kind not in ("nat", "int", "rat", "zmod"):
-            raise ValueError(f"unknown rig kind {self.kind!r}")
+            raise InvalidArgument(f"unknown rig kind {self.kind!r}")
         if self.kind == "zmod":
             if not (isinstance(self.modulus, int) and self.modulus >= 1):
-                raise ValueError("zmod modulus must be a positive integer")
+                raise InvalidArgument("zmod modulus must be a positive integer")
         elif self.modulus is not None:
-            raise ValueError(f"rig {self.kind} takes no modulus")
+            raise InvalidArgument(f"rig {self.kind} takes no modulus")
 
     @property
     def has_negatives(self) -> bool:
@@ -140,13 +140,13 @@ def rig_op(spec: RigSpec, op: str, a: RigValue, b: RigValue | None = None) -> Ri
         return a + b
     if op == "mul":
         return a * b
-    raise ValueError(f"unknown rig op {op!r}")
+    raise InvalidArgument(f"unknown rig op {op!r}")
 
 
 def all_rig_values(spec: RigSpec):
     """All scalars of a finite rig (zmod only)."""
     if spec.kind != "zmod":
-        raise ValueError(f"rig {spec} is not finite")
+        raise InvalidArgument(f"rig {spec} is not finite")
     return [rig_value(spec, i) for i in range(spec.modulus)]
 
 
@@ -159,7 +159,7 @@ class Free:
 
     def __post_init__(self):
         if len(set(self.basis)) != len(self.basis):
-            raise ValueError("basis names must be unique")
+            raise InvalidArgument("basis names must be unique")
 
     def __str__(self):
         return f"Free({','.join(self.basis)})"
@@ -201,7 +201,7 @@ def basis_keys(space):
     if isinstance(space, Tensor):
         parts = [basis_keys(f) for f in space.factors]
         return [tuple(combo) for combo in itertools.product(*parts)]
-    raise ValueError(f"space {space} has no enumerable basis")
+    raise InvalidArgument(f"space {space} has no enumerable basis")
 
 
 def valid_key(space, key) -> bool:
@@ -258,7 +258,7 @@ def _key_token(key):
         return ("t", tuple(key_token(k) for k in key))
     if isinstance(key, QGenerator):
         return ("q", key.point._token(), tuple(key_token(k) for k in key.tail.keys))
-    raise TypeError(f"unsupported basis key {key!r}")
+    raise InvalidArgument(f"unsupported basis key {key!r}")
 
 
 def add_into(out: dict, key, val: RigValue) -> None:

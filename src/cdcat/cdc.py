@@ -20,6 +20,7 @@ tests, and an executable check of the seven differential axioms.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .algebra import add_into
@@ -168,25 +169,38 @@ def partial_derivative(backend, f, blocks, i: int):
     return backend.compose(backend.D(f), backend.pairing(first + second))
 
 
+def derivative_tower(backend, f, A):
+    """f^(0), f^(1), ... with f^(n) = (D_1)^n f : A x A^n -> B, each computed
+    from the one before, and only when asked for."""
+    blocks = [A]
+    while True:
+        yield f
+        f = partial_derivative(backend, f, blocks, 1)
+        blocks.append(A)
+
+
 def nth_derivative(backend, f, A, n: int):
     """f^(n) = (D_1)^n f : A x A^n -> B, always in the first block."""
-    blocks = [A]
-    g = f
+    tower = derivative_tower(backend, f, A)
     for _ in range(n):
-        g = partial_derivative(backend, g, blocks, 1)
-        blocks.append(A)
-    return g
+        next(tower)
+    return next(tower)
+
+
+def subset_pairing(backend, A, I, n: int):
+    """The pairing A x A^n -> A x A^|I| of slot 0, then the slots in I in
+    increasing order."""
+    blocks = [A] * (n + 1)
+    return backend.pairing([backend.proj(blocks, 0)]
+                           + [backend.proj(blocks, i) for i in sorted(I)])
 
 
 def derivative_on_subset(backend, f, A, I, n: int):
     """f^(I): A x A^n -> B, the |I|-th derivative fed slots 0 and I."""
-    I = sorted(I)
     if any(not 1 <= i <= n for i in I):
-        raise ArityError(f"subset {I} outside 1..{n}")
-    g = nth_derivative(backend, f, A, len(I))
-    blocks = [A] * (n + 1)
-    sel = [backend.proj(blocks, 0)] + [backend.proj(blocks, i) for i in I]
-    return backend.compose(g, backend.pairing(sel))
+        raise ArityError(f"subset {sorted(I)} outside 1..{n}")
+    return backend.compose(nth_derivative(backend, f, A, len(I)),
+                           subset_pairing(backend, A, I, n))
 
 
 def iterated_D(backend, f, n: int):
@@ -202,13 +216,7 @@ def decompose_iterated(backend, f, A, n: int):
     matching how literal iterated D doubles the argument list.
     """
     blocks = [A] * (1 << n)
-    derivs = {}
-
-    def f_k(k):
-        if k not in derivs:
-            derivs[k] = nth_derivative(backend, f, A, k)
-        return derivs[k]
-
+    derivs = list(itertools.islice(derivative_tower(backend, f, A), n + 1))
     total = None
     for part in partitions(n):
         args = [backend.proj(blocks, 0)]
@@ -217,7 +225,7 @@ def decompose_iterated(backend, f, A, n: int):
             for i in block:
                 mask |= 1 << (i - 1)
             args.append(backend.proj(blocks, mask))
-        term = backend.compose(f_k(part.block_count), backend.pairing(args))
+        term = backend.compose(derivs[part.block_count], backend.pairing(args))
         total = term if total is None else backend.add(total, term)
     return total
 

@@ -10,7 +10,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange
+from .errors import IndexOutOfRange, InvalidArgument
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ _PARTITIONS: dict[int, list[SetPartition]] = {}
 def partitions(n: int) -> list[SetPartition]:
     """All unordered partitions of [n]; n = 0 gives the empty partition."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise InvalidArgument("n must be nonnegative")
     if n not in _PARTITIONS:
         out = [[]]
         for k in range(1, n + 1):
@@ -97,7 +97,7 @@ _PARTIAL_ISOS: dict[tuple[int, int], list[PartialIso]] = {}
 def partial_isos(m: int, n: int) -> list[PartialIso]:
     """Every partial bijection [m] =~ [n], each exactly once."""
     if m < 0 or n < 0:
-        raise ValueError("arities must be nonnegative")
+        raise InvalidArgument("arities must be nonnegative")
     if (m, n) not in _PARTIAL_ISOS:
         out = []
         for k in range(min(m, n) + 1):

@@ -13,7 +13,7 @@ import random
 
 from . import faa
 from .algebra import Free, ModuleElement, QSpace, add_scaled, basis_elem
-from .errors import InvalidSequence, SizeLimit
+from .errors import InvalidSequence
 from .matcat import MatBackend, MatMap, trusted_matmap
 from .qmodality import LinearMap, enum_generators, q_gen_elem, q_inject, q_map
 from .reports import Report
@@ -499,20 +499,10 @@ class ClassifiedMap:
         return memo[key]
 
 
-def validate_sequence(base, X, A, sequence) -> str | None:
-    """Symmetry and slotwise linearity of a candidate sequence, via actions."""
-    action = (X.act, X.add, X.scale)
-    for n, x in enumerate(sequence):
-        problem = faa.multilinearity_problem(base.backend, A, n, x, action)
-        if problem is not None:
-            return f"entry {n} {problem}"
-    return None
-
-
 def classify(base, X, A: int, sequence) -> ClassifiedMap:
     """Lemma-style classification: a symmetric multilinear derivative
     sequence of X at stage A induces a linear presheaf map Q(yA) -> X."""
-    problem = validate_sequence(base, X, A, sequence)
+    problem = faa.validate_family(base.backend, A, sequence, (X.act, X.add, X.scale))
     if problem is not None:
         raise InvalidSequence(problem)
     return ClassifiedMap(base, X, A, sequence)
@@ -531,12 +521,6 @@ def canonical_generator(base, A: int, n: int) -> ModuleElement:
 # ---------------------------------------------------------------------------
 # Faa di Bruno presheaf maps and the Yoneda embedding
 
-# Most candidate families full_fidelity enumerates before it raises SizeLimit.
-# Each one costs a differential check of a few milliseconds over Mat(Z/2),
-# so the limit is hours of work.
-MAX_CANDIDATES = 1 << 22
-
-
 def yoneda_map(base: FiniteCdcBase, f: MatMap) -> faa.FaaMap:
     """y(f): the FaaMap y(A) ~> y(B) whose family is the derivative tower
     of f: A -> B.  At a stage Z its n-th component sends g0..gn in hom(Z, A)
@@ -548,9 +532,7 @@ def respects_differential(base, alpha: faa.FaaMap, degree_bound: int = 1) -> str
     """Check alpha(D q) = D(alpha(q)) on Q(yA) generators up to a degree."""
     be = base.backend
     QyA = base.q_representable(alpha.dom, degree_bound)
-    cm = ClassifiedMap(base, representable(base, alpha.cod), alpha.dom,
-                       [alpha.component(n)
-                        for n in range(len(alpha.family) + degree_bound + 2)])
+    cm = ClassifiedMap(base, representable(base, alpha.cod), alpha.dom, alpha.family)
     for Z in base.objects:
         for q in QyA.spanning(Z):
             lhs = cm.eval(2 * Z, QyA.diff(Z, q))
@@ -571,20 +553,10 @@ def full_fidelity(base: FiniteCdcBase, A: int, B: int, support_bound: int = 2,
         {"A": A, "B": B, "modulus": base.modulus,
          "support_bound": support_bound, "degree_bound": degree_bound},
     )
-    candidates_by_level = []
-    total = 1
-    for n in range(support_bound + 1):
-        level = faa.multilinear_maps(be, A, B, n)
-        total *= len(level)
-        if total > MAX_CANDIDATES:
-            raise SizeLimit(f"{total} candidate families exceed the limit")
-        candidates_by_level.append(level)
-
     survivors = []
     tried = 0
-    for combo in itertools.product(*candidates_by_level):
+    for alpha in faa.all_families(be, A, B, support_bound):
         tried += 1
-        alpha = faa.FaaMap(be, A, B, combo)
         if respects_differential(base, alpha, degree_bound=degree_bound) is None:
             survivors.append(alpha)
 

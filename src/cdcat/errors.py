@@ -5,6 +5,12 @@ class CdcatError(Exception):
     pass
 
 
+class InvalidArgument(CdcatError, ValueError):
+    """An argument no call accepts: an unknown rig or rig operation, a
+    negative size or exponent, a repeated basis name.  It is a ValueError
+    too, so callers that catch ValueError keep working."""
+
+
 class NegationUnsupported(CdcatError):
     """Raised when negation is requested in a rig without negatives."""
 

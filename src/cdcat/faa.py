@@ -23,11 +23,13 @@ from .algebra import (
     basis_keys,
     rig_value,
 )
+from .cdc import derivative_tower, subset_pairing
 from .combinat import partial_isos, partitions, arrange
 from .errors import (
     DegreeBoundExceeded,
     NoFiniteSupport,
     ObjectMismatch,
+    SizeLimit,
     SpaceMismatch,
 )
 from .poly import FinFnBackend, FinModule, TableMap, fin_product
@@ -94,15 +96,21 @@ class FaaMap:
 
 def hom_action(backend):
     """Base maps acting on a hom-set by precomposition, as the
-    (act, add, scale) that multilinearity_problem takes."""
+    (act, add, scale) that multilinearity_test takes."""
     return (lambda h, f: backend.compose(f, h), backend.add, backend.scale)
 
 
 def multilinearity_test(backend, A, n: int, action):
-    """The checker behind multilinearity_problem: a function of x, indexed
-    by A x A^n, returning why x is not symmetric and k-linear in its last n
-    slots, or None.  Its test maps (base maps into A x A^n) are built here,
-    once, and shared by every x it is called on."""
+    """A function of x, indexed by A x A^n, returning why x is not symmetric
+    and k-linear in its last n slots, or None; checked by exact identities.
+
+    `action` = (act, add, scale) is the structure of the module x lives in,
+    where act(h, x) reindexes x along a base map h: Z -> A x A^n; for a
+    hom-set see hom_action, for a presheaf X it is (X.act, X.add, X.scale).
+    Elements compare with ==.  Homogeneity is checked at every scalar of a
+    finite rig and at a few of an infinite one.  The test maps are built
+    here, once, and shared by every x the function is called on.
+    """
     act, add, scale = action
     blocks = [A] * (n + 1)
     projs = [backend.proj(blocks, j) for j in range(n + 1)]
@@ -139,21 +147,6 @@ def multilinearity_test(backend, A, n: int, action):
     return problem
 
 
-def multilinearity_problem(backend, A, n: int, x, action) -> str | None:
-    """Why x, indexed by A x A^n, is not symmetric and k-linear in its last
-    n slots, or None; checked by exact identities.
-
-    `action` = (act, add, scale) is the structure of the module x lives in,
-    where act(h, x) reindexes x along a base map h: Z -> A x A^n; for a
-    hom-set see hom_action, for a presheaf X it is (X.act, X.add, X.scale).
-    Elements compare with ==.  Homogeneity is checked at every scalar of a finite rig and at a
-    few of an infinite one.  The test maps depend only on (backend, A, n):
-    a caller checking many x builds them once per (A, n) through
-    multilinearity_test.
-    """
-    return multilinearity_test(backend, A, n, action)(x)
-
-
 def multilinear_maps(backend, A, B, n: int) -> list:
     """Every base map A x A^n -> B that is symmetric and k-linear in its
     last n slots, in the backend's all_maps order."""
@@ -162,12 +155,32 @@ def multilinear_maps(backend, A, B, n: int) -> list:
     return [f for f in backend.all_maps(dom, B) if problem(f) is None]
 
 
-def validate_family(backend, A, B, family) -> str | None:
-    """Symmetry and slotwise k-linearity of each component; returns a
-    description of the first failure."""
-    action = hom_action(backend)
-    for n, f in enumerate(family):
-        problem = multilinearity_problem(backend, A, n, f, action)
+# Most candidate families all_families yields before it raises SizeLimit.
+# Each one costs full_fidelity a differential check of a few milliseconds
+# over Mat(Z/2), so the limit is hours of work.
+MAX_CANDIDATES = 1 << 22
+
+
+def all_families(backend, A, B, support: int):
+    """Every family (f0..f_support) A ~> B of multilinear_maps, lazily, in
+    product order; the first step raises SizeLimit past MAX_CANDIDATES."""
+    levels = []
+    total = 1
+    for n in range(support + 1):
+        level = multilinear_maps(backend, A, B, n)
+        total *= len(level)
+        if total > MAX_CANDIDATES:
+            raise SizeLimit(f"{total} candidate families exceed the limit")
+        levels.append(level)
+    for combo in itertools.product(*levels):
+        yield FaaMap(backend, A, B, combo)
+
+
+def validate_family(backend, A, family, action) -> str | None:
+    """Why the first component of a family (base maps, or presheaf elements
+    at the stages A x A^n) to fail multilinearity_test fails, or None."""
+    for n, x in enumerate(family):
+        problem = multilinearity_test(backend, A, n, action)(x)
         if problem is not None:
             return f"component {n} {problem}"
     return None
@@ -187,11 +200,7 @@ def _validation_scalars(rig):
 
 def component_on_subset(f: FaaMap, I, n: int):
     """f^(I): A x A^n -> B = f^(|I|) fed slots 0 and I (in increasing order)."""
-    backend = f.backend
-    I = sorted(I)
-    blocks = [f.dom] * (n + 1)
-    sel = [backend.proj(blocks, 0)] + [backend.proj(blocks, i) for i in I]
-    return backend.compose(f.component(len(I)), backend.pairing(sel))
+    return f.backend.compose(f.component(len(I)), subset_pairing(f.backend, f.dom, I, n))
 
 
 def faa_compose(g: FaaMap, f: FaaMap) -> FaaMap:
@@ -289,18 +298,14 @@ def faa_counit(f: FaaMap):
 
 
 def coalgebra(backend, f, max_support: int = 16) -> FaaMap:
-    """Lift a base CDC morphism to its family of iterated first partials."""
-    from .cdc import partial_derivative
-
-    A = f.dom
-    family = [f]
-    blocks = [A]
-    g = f
+    """Lift a base CDC morphism to its family of iterated first partials;
+    support s needs max_support >= s + 1, to compute f^(s+1) = 0."""
+    tower = derivative_tower(backend, f, f.dom)
+    family = [next(tower)]
     for _ in range(max_support):
-        g = partial_derivative(backend, g, blocks, 1)
-        blocks.append(A)
+        g = next(tower)
         if g.is_zero:
-            return FaaMap(backend, A, f.cod, family)
+            return FaaMap(backend, f.dom, f.cod, family)
         family.append(g)
     raise NoFiniteSupport(
         f"derivatives of {f} do not vanish within {max_support} steps"

@@ -17,6 +17,7 @@ from fractions import Fraction
 from .algebra import RigSpec, RigValue, add_into, rig_one, rig_value, rig_zero
 from .errors import (
     ArityError,
+    InvalidArgument,
     NegationUnsupported,
     ObjectMismatch,
     ParseError,
@@ -85,7 +86,7 @@ class Polynomial:
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
-            raise ValueError("exponent must be nonnegative")
+            raise InvalidArgument("exponent must be nonnegative")
         return _power(self, n, Polynomial.__mul__)
 
     @property

@@ -27,6 +27,7 @@ from .algebra import (
     zero_elem,
     zmod,
 )
+from .errors import InvalidArgument
 from .poly import FinFnBackend, FinModule
 from .qmodality import UNIT_SPACE, LinearMap
 from .reports import Report
@@ -42,8 +43,12 @@ def parse_rig(name: str) -> RigSpec:
     if name == "rat":
         return RAT
     if name.startswith("zmod:"):
-        return zmod(int(name.split(":", 1)[1]))
-    raise ValueError(f"unknown rig {name!r}")
+        try:
+            modulus = int(name.split(":", 1)[1])
+        except ValueError:
+            raise InvalidArgument(f"unknown rig {name!r}") from None
+        return zmod(modulus)
+    raise InvalidArgument(f"unknown rig {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +467,7 @@ def enumerate_families(backend: FinFnBackend, A: FinModule, B: FinModule,
                        support: int):
     """All finite-support families (f0..f_support) with each component
     symmetric and multilinear in its derivative slots."""
-    levels = [faa.multilinear_maps(backend, A, B, n) for n in range(support + 1)]
-    return [faa.FaaMap(backend, A, B, list(combo))
-            for combo in itertools.product(*levels)]
+    return list(faa.all_families(backend, A, B, support))
 
 
 def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,

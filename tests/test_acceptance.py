@@ -15,6 +15,8 @@ from cdcat.algebra import INT, Monomial, rig_value, zero_elem
 from cdcat.combinat import PartialIso, arrange, partial_isos, partitions
 from cdcat.poly import Polynomial, parse_poly_map, poly_D, substitute
 
+pytestmark = pytest.mark.slow
+
 
 def verdict(num, ok, desc):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {desc}")

@@ -65,11 +65,11 @@ def test_derivative_on_subset():
 
 
 def test_nth_derivative_is_symmetric_and_additive_in_directions():
-    from cdcat.faa import validate_family
+    from cdcat.faa import hom_action, validate_family
 
     f = p("[x1^3 + 2*x1^2]")
     family = [nth_derivative(BE, f, 1, n) for n in range(4)]
-    assert validate_family(BE, 1, 1, family) is None
+    assert validate_family(BE, 1, family, hom_action(BE)) is None
 
 
 # ---------------------------------------------------------------------------

@@ -284,9 +284,9 @@ def test_full_fidelity_smallest_case():
 def test_full_fidelity_refuses_more_candidates_than_max_candidates(monkeypatch):
     # the smallest case has 2 x 2 x 1 candidate families
     base = small_base(2, (1,))
-    monkeypatch.setattr(dpsh, "MAX_CANDIDATES", 4)
+    monkeypatch.setattr(faa, "MAX_CANDIDATES", 4)
     assert dpsh.full_fidelity(base, 1, 1, support_bound=2).passed
-    monkeypatch.setattr(dpsh, "MAX_CANDIDATES", 3)
+    monkeypatch.setattr(faa, "MAX_CANDIDATES", 3)
     with pytest.raises(SizeLimit):
         dpsh.full_fidelity(base, 1, 1, support_bound=2)
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdcat import faa
-from cdcat.algebra import INT, Product, basis_elem, zmod
+from cdcat.algebra import INT, RAT, Product, basis_elem, zmod
 from cdcat.cdc import PolyBackend, PolySampler, check_axioms, iterated_D, nth_derivative
-from cdcat.errors import DegreeBoundExceeded, ObjectMismatch, SpaceMismatch
+from cdcat.errors import DegreeBoundExceeded, NoFiniteSupport, ObjectMismatch, SpaceMismatch
 from cdcat.matcat import MatBackend
 from cdcat.poly import FinFnBackend, parse_poly_map, poly_D, substitute, table_from_poly
 
@@ -41,6 +41,18 @@ def test_coalgebra_of_square():
     )
 
 
+@pytest.mark.parametrize("max_support", range(-1, 5))
+@pytest.mark.parametrize("src, support", [
+    ("[x1^2]", 2), ("[x1^3]", 3), ("[0]", -1), ("[5]", 0)])
+def test_coalgebra_support_bound(src, support, max_support):
+    # support s needs max_support >= s + 1; max_support <= 0 refuses even the zero map
+    if max_support > max(support, 0):
+        assert faa.coalgebra(BE, p(src), max_support=max_support).support == support
+    else:
+        with pytest.raises(NoFiniteSupport):
+            faa.coalgebra(BE, p(src), max_support=max_support)
+
+
 def test_counit_splits_coalgebra():
     f = p("[x1^3 + x1]")
     assert faa.faa_counit(tower(f)) == f
@@ -48,14 +60,14 @@ def test_counit_splits_coalgebra():
 
 def test_validate_family_rejects_nonlinear_entries():
     bad = [p("[x1]"), p("[x2^2]", arity=2)]
-    problem = faa.validate_family(BE, 1, 1, bad)
+    problem = faa.validate_family(BE, 1, bad, faa.hom_action(BE))
     assert problem is not None and "component 1" in problem
 
 
 def test_validate_family_rejects_asymmetry():
     # f^(2)(x, r, s) = r s^2 is not symmetric in (r, s)
     bad = [p("[0]"), p("[0]", arity=2), p("[x2*x3^2]", arity=3)]
-    problem = faa.validate_family(BE, 1, 1, bad)
+    problem = faa.validate_family(BE, 1, bad, faa.hom_action(BE))
     assert problem is not None and "not symmetric" in problem
 
 
@@ -64,8 +76,17 @@ def test_coalgebra_families_validate():
     for _ in range(5):
         A, B = sampler.random_object(), sampler.random_object()
         fam = faa.coalgebra(BE, sampler.random_morphism(A, B))
-        assert faa.validate_family(BE, A, B, list(fam.family)) is None
+        assert faa.validate_family(BE, A, fam.family, faa.hom_action(BE)) is None
 
+
+def test_validate_family_over_rat():
+    be = PolyBackend(RAT)
+    f = parse_poly_map("[1/2*x1^3 + x1*x2; 3*x2]", RAT, 2)
+    action = faa.hom_action(be)
+    assert faa.validate_family(be, 2, faa.coalgebra(be, f).family, action) is None
+    bad = [f, parse_poly_map("[x1*x3^2; 0]", RAT, 4)]
+    problem = faa.validate_family(be, 2, bad, action)
+    assert problem is not None and problem.startswith("component 1 not additive")
 
 
 @pytest.mark.parametrize("backend, A", [
@@ -74,14 +95,15 @@ def test_multilinear_maps_filter_all_maps_in_order(backend, A):
     A = backend.module(1) if A is None else A
     for n in range(3):
         dom = backend.product([A] * (n + 1))
-        action = faa.hom_action(backend)
-        expected = [f for f in backend.all_maps(dom, A)
-                    if faa.multilinearity_problem(backend, A, n, f, action) is None]
+        problem = faa.multilinearity_test(backend, A, n, faa.hom_action(backend))
+        expected = [f for f in backend.all_maps(dom, A) if problem(f) is None]
         assert faa.multilinear_maps(backend, A, A, n) == expected
     # over Mat(Z/m) at dim 1 the level-1 maps are (x, v) -> c v
     if isinstance(backend, MatBackend):
         assert [f.rows for f in faa.multilinear_maps(backend, 1, 1, 1)] == [
             ((0, c),) for c in range(backend.modulus)]
+
+
 # ---------------------------------------------------------------------------
 # composition: the higher-order chain rule
 
