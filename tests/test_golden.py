@@ -72,6 +72,16 @@ GOLDEN = {
     "presheaf-q2": (lambda: suites.presheaf_suite(2, max_dim=2, q_bound=2, map_budget=4,
                                                   seed=0),
                     "67e8d80a635e51e92af1981620dce22a0dfa7086f400450a1e701af1b3f73f06"),
+    # the benchmark's presheaf config; 210343963 is bench/workloads.py's
+    # _sub_seed(7, 5), the suite seed of its default --seed 7
+    "presheaf-bench": (lambda: suites.presheaf_suite(2, max_dim=2, q_bound=2,
+                                                     map_budget=4, seed=210343963),
+                       "c43a4dcb1817fd786f6f70e49aafcd4daae25e3da73ee2e508eb9d105f3c276f"),
+    "yoneda-zmod3": (lambda: suites.yoneda_suite(3, max_dim=1),
+                     "718f24c671669000dabaaaf914c22f9e6b908cfc920d978afbb0fded84414d05"),
+    "presheaf-zmod3": (lambda: suites.presheaf_suite(3, max_dim=1, q_bound=1,
+                                                     map_budget=4),
+                       "4cdd3da068a538a2dc39e9da1e02f45ca73031134e38f884cfea7469194ca9de"),
     "faa-axioms": (faa_axioms,
                    "6ea896c9b1aedf63c51a7e7383d9e21ae4283251b73b3d1a854ae0312b47ce4a"),
 }
