@@ -25,7 +25,7 @@ import random
 
 from .algebra import add_into
 from .combinat import partitions
-from .errors import ArityError
+from .errors import ArityError, InvalidArgument
 from .poly import PolyMap, Polynomial, is_linear_syntactic, poly_D, substitute
 from .reports import Report
 
@@ -179,10 +179,17 @@ def derivative_tower(backend, f, A):
         blocks.append(A)
 
 
+def _order(n: int) -> int:
+    """n, refused when it is no derivative order."""
+    if n < 0:
+        raise InvalidArgument(f"derivative order must be nonnegative, got {n}")
+    return n
+
+
 def nth_derivative(backend, f, A, n: int):
     """f^(n) = (D_1)^n f : A x A^n -> B, always in the first block."""
     tower = derivative_tower(backend, f, A)
-    for _ in range(n):
+    for _ in range(_order(n)):
         next(tower)
     return next(tower)
 
@@ -204,7 +211,7 @@ def derivative_on_subset(backend, f, A, I, n: int):
 
 
 def iterated_D(backend, f, n: int):
-    for _ in range(n):
+    for _ in range(_order(n)):
         f = backend.D(f)
     return f
 
@@ -215,7 +222,7 @@ def decompose_iterated(backend, f, A, n: int):
     Slots are indexed by subsets of [n] via bitmasks (bit i-1 = element i),
     matching how literal iterated D doubles the argument list.
     """
-    blocks = [A] * (1 << n)
+    blocks = [A] * (1 << _order(n))
     derivs = list(itertools.islice(derivative_tower(backend, f, A), n + 1))
     total = None
     for part in partitions(n):
@@ -232,7 +239,7 @@ def decompose_iterated(backend, f, A, n: int):
 
 def reconstruct_from_iterated(backend, Dnf, A, n: int):
     """Recover f^(n) from D^n f: zero out every slot of subset size >= 2."""
-    blocks = [A] * (n + 1)
+    blocks = [A] * (_order(n) + 1)
     dom_obj = backend.product(blocks)
     args = []
     for mask in range(1 << n):

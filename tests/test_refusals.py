@@ -2,7 +2,7 @@
 
 import pytest
 
-from cdcat import faa, suites
+from cdcat import cdc, faa, suites
 from cdcat.algebra import (
     INT,
     Free,
@@ -33,6 +33,7 @@ from cdcat.qmodality import bialg_mult, identity_map, inject_elem, q_inject
 
 A = Free(("a",))
 B = Free(("b",))
+SQUARE = parse_poly_map("[x1^2]", INT, 1)
 
 
 @pytest.mark.parametrize("call", [
@@ -51,9 +52,16 @@ B = Free(("b",))
     lambda: basis_keys(QSpace(A)),
     lambda: rig_op(INT, "div", 1, 2),
     lambda: key_token(1.5),
+    lambda: cdc.nth_derivative(cdc.PolyBackend(INT), SQUARE, 1, -1),
+    lambda: cdc.iterated_D(cdc.PolyBackend(INT), SQUARE, -1),
+    lambda: cdc.decompose_iterated(cdc.PolyBackend(INT), SQUARE, 1, -1),
+    lambda: cdc.decompose_iterated(cdc.PolyBackend(INT), SQUARE, 1, -2),
+    lambda: cdc.reconstruct_from_iterated(cdc.PolyBackend(INT), SQUARE, 1, -1),
 ], ids=["rig-kind", "rig-modulus", "zmod-0", "finfn-0", "modality-0", "parse-rig",
         "parse-zmod", "free-repeat", "partitions", "partial-isos", "power",
-        "all-values", "basis-keys", "rig-op", "key-token"])
+        "all-values", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
+        "iterated-D-order", "decompose-order", "decompose-order-2",
+        "reconstruct-order"])
 def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
     with pytest.raises(InvalidArgument) as info:
         call()
