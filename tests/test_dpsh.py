@@ -1,11 +1,12 @@
 """Differential presheaves over Mat(Z/m) and the embedding machinery."""
 
+import collections
 import itertools
 import random
 
 import pytest
 
-from cdcat import dpsh, faa
+from cdcat import dpsh, faa, suites
 from cdcat.errors import InvalidSequence, ObjectMismatch, SizeLimit
 from cdcat.matcat import MatMap
 from cdcat.qmodality import q_gen_elem, q_inject
@@ -141,6 +142,47 @@ def test_a_failing_second_order_axiom_stops_at_its_first_failing_tuple():
 def test_each_presheaf_defines_act_and_diff_itself(cls):
     # the benchmark's tracer wraps vars(cls)["act"] and vars(cls)["diff"]
     assert "act" in vars(cls) and "diff" in vars(cls)
+
+
+def test_check_presheaf_acts_once_per_distinct_input_within_one_call():
+    base = small_base(2, (1, 2))
+    calls = collections.Counter()
+
+    class Counting(dpsh.ReprPresheaf):
+        def act(self, f, xi):
+            calls[f, xi] += 1
+            return super().act(f, xi)
+
+    X = Counting(base, 1)
+
+    def state():
+        return {k: dict(v) if isinstance(v, dict) else v for k, v in vars(X).items()}
+
+    before = state()
+    first = dpsh.check_presheaf(X, map_budget=4, seed=3)
+    assert first.passed
+    assert calls and set(calls.values()) == {1}
+    assert state() == before  # the memo died with the call
+    distinct = len(calls)
+    second = dpsh.check_presheaf(X, map_budget=4, seed=3)
+    assert len(calls) == distinct and set(calls.values()) == {2}
+    assert second.to_dict() == first.to_dict()
+
+
+def test_yoneda_suite_builds_each_tower_once_for_its_own_laws(monkeypatch):
+    built = collections.Counter()
+    yoneda_map = dpsh.yoneda_map
+
+    def counting(base, f):
+        built[f] += 1
+        return yoneda_map(base, f)
+
+    monkeypatch.setattr(dpsh, "yoneda_map", counting)
+    assert suites.yoneda_suite(3, max_dim=1).passed
+    # full fidelity builds each of the 3 towers once, and the suite's own
+    # laws once more between them
+    homs = small_base(3, (1,)).all_maps(1, 1)
+    assert built == {f: 2 for f in homs}
 
 
 @pytest.mark.parametrize("n, k", [(2, 1), (4, 4), (9, 4), (9, 729), (27, 10)])

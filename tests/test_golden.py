@@ -166,6 +166,18 @@ def test_modality_suite_keeps_no_q_result_across_calls(monkeypatch):
     assert not run().passed
 
 
+def test_presheaf_suite_keeps_no_result_across_calls(monkeypatch):
+    # the act and pairing memos live for one call, so a run after a passing
+    # one still sees a sabotaged differential, with the pinned report
+    run = lambda: suites.presheaf_suite(2, max_dim=2, q_bound=1,  # noqa: E731
+                                        map_budget=4)
+    assert run().passed
+    monkeypatch.setattr(MatBackend, "D", mat_D_with_the_zero_block_first)
+    report = run()
+    assert not report.passed
+    assert digest(report) == "4d909d38b446268c122bd7f0b5bccd1e2b68de47c96716547b0bdaa1b30e911b"
+
+
 class ZeroFixesTwo(dpsh.ReprPresheaf):
     """y(1) whose action lets the zero map fix the element 2: identities
     still act trivially, composition does not."""
