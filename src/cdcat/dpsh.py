@@ -315,21 +315,6 @@ def presheaf_Q(X, bound: int = 2) -> QPresheaf:
 # ---------------------------------------------------------------------------
 # the presheaf axioms
 
-def call_memo(fn):
-    """fn memoised on its (hashable) positional arguments.  The memo lives
-    as long as the returned function, which a check keeps only for the call
-    that made it: a result kept longer would outlive a patched seam."""
-    results = {}
-
-    def call(*args):
-        out = results.get(args)
-        if out is None:
-            out = results[args] = fn(*args)
-        return out
-
-    return call
-
-
 def _sample_triples(maps, k: int, rng) -> list:
     """rng.sample(list(itertools.product(maps, repeat=3)), k) without the
     list: the same indices are drawn from a range and decoded."""
@@ -355,11 +340,29 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
         config["degree_bound"] = bound
     report = Report("presheaf-axioms", config)
     scalars = list(range(base.modulus))
-    # y(B) acts by composing in the base, so each (f, xi) is composed once
-    # per call; the other presheaves memoise their basis images themselves
-    act = call_memo(X.act) if isinstance(X, ReprPresheaf) else X.act
-    # the pairings of axioms (ii), (iv) and (v), shared by every xi
-    pair = call_memo(lambda *maps: be.pairing(maps))
+    # Memos that live for this call only, so that a result never outlives a
+    # seam patched between two checks.  y(B) acts by composing in the base,
+    # and each (f, xi) is composed once; the other presheaves memoise their
+    # basis images themselves.  The composites are keyed on the maps'
+    # fields: MatMap's dataclass __hash__ and __eq__ run in Python and cost
+    # more than many of the compositions they would save.
+    composites = {}
+
+    def composed(f, xi):
+        key = f.dom, f.cod, f.rows, xi.dom, xi.cod, xi.rows
+        out = composites.get(key)
+        if out is None:
+            out = composites[key] = X.act(f, xi)
+        return out
+
+    act = composed if isinstance(X, ReprPresheaf) else X.act
+    pairings = {}  # the pairings of axioms (ii), (iv) and (v), for every xi
+
+    def pair(*maps):
+        out = pairings.get(maps)
+        if out is None:
+            out = pairings[maps] = be.pairing(maps)
+        return out
 
     def tuples_of(maps):
         if map_budget is not None and len(maps) ** 3 > map_budget:
@@ -417,12 +420,12 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
     report.check(pairs(), ("axiom-i-D-linear", linear))
 
     # the derivative axioms act with maps drawn from hom(Z, A) on D xi (and
-    # DD xi), computed once per xi; pi0 and zero are computed once per stage
+    # DD xi), computed once per xi; zero is computed once per stage
     def derivatives(draw, second=False):
         for A in objects:
             for Z in objects:
                 maps = base.all_maps(Z, A)
-                stage = (A, Z, be.proj([Z, Z], 0), be.zero(Z, A))
+                stage = (A, Z, be.zero(Z, A))
                 for xi in X.spanning(A):
                     dxi = X.diff(A, xi)
                     ddxi = X.diff(2 * A, dxi) if second else None
@@ -431,7 +434,7 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
 
     # (ii) D xi linear in the direction argument
     def direction_linear(item):
-        n, ((A, Z, _, _), _, dxi, _, (x, v, w)) = item
+        n, ((A, Z, _), _, dxi, _, (x, v, w)) = item
         lhs = act(pair(x, be.add(v, w)), dxi)
         rhs = X.add(act(pair(x, v), dxi), act(pair(x, w), dxi))
         if lhs != rhs:
@@ -446,11 +449,15 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
     report.check(enumerate(derivatives(tuples_of), 1),
                  ("axiom-ii-direction-linear", direction_linear))
 
-    # (iii) D(xi . f) = D(xi) . (f pi0, Df)
+    # (iii) D(xi . f) = D(xi) . (f pi0, Df), the pairing built once per f
+    lifts = {}
+
     def chain(item):
-        (A, Z, pi0, _), xi, dxi, _, f = item
+        (A, Z, _), xi, dxi, _, f = item
+        if f not in lifts:
+            lifts[f] = be.pairing([be.compose(f, be.proj([Z, Z], 0)), be.D(f)])
         lhs = X.diff(Z, act(f, xi))
-        rhs = act(be.pairing([be.compose(f, pi0), be.D(f)]), dxi)
+        rhs = act(lifts[f], dxi)
         if lhs != rhs:
             return f"axiom (iii) fails at A={A}, Z={Z}"
         return None
@@ -459,13 +466,13 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
 
     # (iv)/(v): second-order identities, on one sampled stream
     def first_order_slice(item):
-        (A, Z, _, zero), _, dxi, ddxi, (x, r, s) = item
+        (A, Z, zero), _, dxi, ddxi, (x, r, s) = item
         if act(pair(x, r, zero, s), ddxi) != act(pair(x, s), dxi):
             return f"axiom (iv) fails at A={A}, Z={Z}"
         return None
 
     def mixed_symmetry(item):
-        (A, Z, _, zero), _, _, ddxi, (x, r, s) = item
+        (A, Z, zero), _, _, ddxi, (x, r, s) = item
         if act(pair(x, r, s, zero), ddxi) != act(pair(x, s, r, zero), ddxi):
             return f"axiom (v) fails at A={A}, Z={Z}"
         return None

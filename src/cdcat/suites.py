@@ -584,7 +584,12 @@ def yoneda_suite(modulus: int = 2, max_dim: int = 2) -> Report:
                            chk.checked, chk.counterexample)
 
     # each tower y(f) is built once in this call, for every law that reads it
-    y = dpsh.call_memo(lambda f: dpsh.yoneda_map(base, f))
+    towers = {}
+
+    def y(f):
+        if f not in towers:
+            towers[f] = dpsh.yoneda_map(base, f)
+        return towers[f]
 
     # functoriality of the embedding
     def functorial(item):
