@@ -25,7 +25,7 @@ import random
 
 from .algebra import add_into
 from .combinat import partitions
-from .errors import ArityError, InvalidArgument
+from .errors import ArityError, InvalidArgument, nonnegative
 from .poly import PolyMap, Polynomial, is_linear_syntactic, poly_D, substitute
 from .reports import Report
 
@@ -104,6 +104,8 @@ class PolySampler:
     """Seeded random polynomial maps with bounded arity and degree."""
 
     def __init__(self, rig, seed=0, max_arity=3, max_degree=3, max_terms=4):
+        if min(max_arity, max_terms) < 1 or max_degree < 0:
+            raise InvalidArgument("sampler needs max_arity, max_terms >= 1, max_degree >= 0")
         self.rig = rig
         self.rng = random.Random(seed)
         self.max_arity = max_arity
@@ -179,17 +181,10 @@ def derivative_tower(backend, f, A):
         blocks.append(A)
 
 
-def _order(n: int) -> int:
-    """n, refused when it is no derivative order."""
-    if n < 0:
-        raise InvalidArgument(f"derivative order must be nonnegative, got {n}")
-    return n
-
-
 def nth_derivative(backend, f, A, n: int):
     """f^(n) = (D_1)^n f : A x A^n -> B, always in the first block."""
     tower = derivative_tower(backend, f, A)
-    for _ in range(_order(n)):
+    for _ in range(nonnegative(n, "derivative order")):
         next(tower)
     return next(tower)
 
@@ -211,7 +206,7 @@ def derivative_on_subset(backend, f, A, I, n: int):
 
 
 def iterated_D(backend, f, n: int):
-    for _ in range(_order(n)):
+    for _ in range(nonnegative(n, "derivative order")):
         f = backend.D(f)
     return f
 
@@ -222,7 +217,7 @@ def decompose_iterated(backend, f, A, n: int):
     Slots are indexed by subsets of [n] via bitmasks (bit i-1 = element i),
     matching how literal iterated D doubles the argument list.
     """
-    blocks = [A] * (1 << _order(n))
+    blocks = [A] * (1 << nonnegative(n, "derivative order"))
     derivs = list(itertools.islice(derivative_tower(backend, f, A), n + 1))
     total = None
     for part in partitions(n):
@@ -239,7 +234,7 @@ def decompose_iterated(backend, f, A, n: int):
 
 def reconstruct_from_iterated(backend, Dnf, A, n: int):
     """Recover f^(n) from D^n f: zero out every slot of subset size >= 2."""
-    blocks = [A] * (_order(n) + 1)
+    blocks = [A] * (nonnegative(n, "derivative order") + 1)
     dom_obj = backend.product(blocks)
     args = []
     for mask in range(1 << n):

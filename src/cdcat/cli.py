@@ -214,12 +214,9 @@ def _run_check(args) -> int:
              "max_degree": args.maxdeg, "max_arity": args.arity},
         )
         for rig_name in rigs:
-            rep = suites.cdc_suite(rig_name, seed=args.seed, samples=samples,
-                                   max_degree=args.maxdeg,
-                                   max_arity=args.arity)
-            for chk in rep.checks:
-                merged.add(f"{rig_name}:{chk.name}", chk.passed, chk.checked,
-                           chk.counterexample)
+            merged.extend(f"{rig_name}:", suites.cdc_suite(
+                rig_name, seed=args.seed, samples=samples,
+                max_degree=args.maxdeg, max_arity=args.arity))
         return _print_report(merged, args.json)
 
     if suite == "modality":

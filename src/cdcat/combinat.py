@@ -10,7 +10,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .errors import IndexOutOfRange, InvalidArgument
+from .errors import IndexOutOfRange, nonnegative
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,8 @@ _PARTITIONS: dict[int, list[SetPartition]] = {}
 
 def partitions(n: int) -> list[SetPartition]:
     """All unordered partitions of [n]; n = 0 gives the empty partition."""
-    if n < 0:
-        raise InvalidArgument("n must be nonnegative")
     if n not in _PARTITIONS:
+        nonnegative(n, "n")
         out = [[]]
         for k in range(1, n + 1):
             nxt = []
@@ -96,9 +95,8 @@ _PARTIAL_ISOS: dict[tuple[int, int], list[PartialIso]] = {}
 
 def partial_isos(m: int, n: int) -> list[PartialIso]:
     """Every partial bijection [m] =~ [n], each exactly once."""
-    if m < 0 or n < 0:
-        raise InvalidArgument("arities must be nonnegative")
     if (m, n) not in _PARTIAL_ISOS:
+        nonnegative(min(m, n), "arity")
         out = []
         for k in range(min(m, n) + 1):
             for dom in itertools.combinations(range(1, m + 1), k):

@@ -4,6 +4,12 @@ The base is Mat(Z/m) with the trivial differential, small enough that the
 presheaf axioms, the classification of derivative sequences by Q of a
 representable, and the full fidelity of the Yoneda embedding are all
 decided by exhaustive enumeration.
+
+One memo policy holds: an object keeps only tables of its own definition
+(a presheaf's basis images, Q's spaces, spanning sets and linear maps), fixed
+at first use, and a result on an element lives only in the call that reuses
+it.  The base keeps nothing, so a seam patched between two checks is never
+served an earlier result; build a fresh presheaf after patching one.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ import random
 
 from . import faa
 from .algebra import Free, ModuleElement, QSpace, add_scaled, basis_elem
-from .errors import InvalidSequence
+from .errors import InvalidSequence, nonnegative
 from .matcat import MatBackend, MatMap, trusted_matmap
 from .qmodality import LinearMap, enum_generators, q_gen_elem, q_inject, q_map
 from .reports import Report
@@ -26,19 +32,9 @@ class FiniteCdcBase:
         self.backend = MatBackend(modulus)
         self.modulus = modulus
         self.objects = list(objects)
-        self._q_representables = {}
-        self._generator_pairings = {}  # (A, Z, QGenerator) -> MatMap
 
     def all_maps(self, dom, cod):
         return list(self.backend.all_maps(dom, cod))
-
-    def q_representable(self, A: int, bound: int) -> "QPresheaf":
-        """Q(yA) with generator degree bound `bound`, built once per base so
-        every check shares its spanning sets and differentials."""
-        key = (A, bound)
-        if key not in self._q_representables:
-            self._q_representables[key] = presheaf_Q(representable(self, A), bound)
-        return self._q_representables[key]
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +44,10 @@ class FinitePresheaf:
     """A presheaf that is a finite free Z/m-module at each stage A, given by
     dim(A), coords and from_coords.  Elements are dicts from basis index to
     nonzero residue unless a subclass says otherwise; every element compares
-    with ==.  Each instance memoises the coordinates of its basis images
-    under the action and the differential, which the tensor and Q
-    presheaves read their factors through."""
+    with ==, and `key` names it in the memos of check_presheaf.  Each
+    instance memoises the coordinates of its basis images under the action
+    and the differential, which the tensor and Q presheaves read their
+    factors through."""
 
     def __init__(self, base: FiniteCdcBase):
         self.base = base
@@ -87,6 +84,9 @@ class FinitePresheaf:
     def coords(self, A, xi):
         return tuple(xi.get(k, 0) for k in range(self.dim(A)))
 
+    def key(self, xi):
+        return frozenset(xi.items())
+
     def from_coords(self, A, vec):
         return {k: v for k, v in enumerate(vec) if v}
 
@@ -120,6 +120,9 @@ class ReprPresheaf(FinitePresheaf):
 
     def coords(self, A, xi: MatMap):
         return sum(xi.rows, ())
+
+    def key(self, xi: MatMap):
+        return xi.rows  # MatMap's dataclass hash and == run in Python
 
     def from_coords(self, A, vec) -> MatMap:
         rows = tuple(tuple(vec[i * A:(i + 1) * A]) for i in range(self.target))
@@ -211,15 +214,13 @@ class QPresheaf:
     def __init__(self, X: FinitePresheaf, bound: int = 2):
         self.base = X.base
         self.X = X
-        self.bound = bound
+        self.bound = nonnegative(bound, "degree bound")
         self.rig = X.base.backend.rig
         self.name = f"Q{X.name}"
         self._spaces = {}
         self._spannings = {}
         self._act_maps = {}
         self._diff_maps = {}
-        self._act_results = {}
-        self._diff_results = {}
 
     def _space(self, A) -> Free:
         if A not in self._spaces:
@@ -253,23 +254,17 @@ class QPresheaf:
     def scale(self, c, x):
         return x.scale(c)
 
+    def key(self, q):
+        return q
+
     def act(self, f: MatMap, q):
         key = (f.dom, f.cod, f.rows)
-        memo_key = (key, q)
-        out = self._act_results.get(memo_key)
-        if out is not None:
-            return out
         if key not in self._act_maps:
             self._act_maps[key] = self._linear(
                 f.cod, f.dom, lambda k: self.X.act_image(f, k))
-        out = self._act_results[memo_key] = q_map(self._act_maps[key], q)
-        return out
+        return q_map(self._act_maps[key], q)
 
     def diff(self, A, q):
-        memo_key = (A, q)
-        result = self._diff_results.get(memo_key)
-        if result is not None:
-            return result
         AA = 2 * A
         if A not in self._diff_maps:
             pi0 = self.base.backend.proj([A, A], 0)
@@ -291,9 +286,7 @@ class QPresheaf:
                 else:
                     tails = shifted[1:i] + [dmap.apply(e)] + shifted[i + 1:]
                 add_scaled(out, c, q_inject(shifted[0], tails))
-        result = ModuleElement(self.rig, QSpace(self._space(AA)), out)
-        self._diff_results[memo_key] = result
-        return result
+        return ModuleElement(self.rig, QSpace(self._space(AA)), out)
 
 
 def representable(base: FiniteCdcBase, target: int) -> ReprPresheaf:
@@ -330,6 +323,8 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
     number of (x, r, s, v) tuples per element for the two second-order
     axioms (None = exhaustive).
     """
+    if map_budget is not None:
+        nonnegative(map_budget, "map budget")
     base = X.base
     be = base.backend
     objects = list(base.objects)
@@ -340,29 +335,25 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
         config["degree_bound"] = bound
     report = Report("presheaf-axioms", config)
     scalars = list(range(base.modulus))
-    # Memos that live for this call only, so that a result never outlives a
-    # seam patched between two checks.  y(B) acts by composing in the base,
-    # and each (f, xi) is composed once; the other presheaves memoise their
-    # basis images themselves.  The composites are keyed on the maps'
-    # fields: MatMap's dataclass __hash__ and __eq__ run in Python and cost
-    # more than many of the compositions they would save.
-    composites = {}
+    # Memos of this call only, so that no result outlives a seam patched
+    # between two checks: fn runs once per distinct key(*args).
+    def call_memo(fn, key):
+        results = {}
 
-    def composed(f, xi):
-        key = f.dom, f.cod, f.rows, xi.dom, xi.cod, xi.rows
-        out = composites.get(key)
-        if out is None:
-            out = composites[key] = X.act(f, xi)
-        return out
+        def memoised(*args):
+            k = key(*args)
+            out = results.get(k)
+            if out is None:
+                out = results[k] = fn(*args)
+            return out
 
-    act = composed if isinstance(X, ReprPresheaf) else X.act
-    pairings = {}  # the pairings of axioms (ii), (iv) and (v), for every xi
+        return memoised
 
-    def pair(*maps):
-        out = pairings.get(maps)
-        if out is None:
-            out = pairings[maps] = be.pairing(maps)
-        return out
+    # a map is named by its fields, an element by X.key
+    act = call_memo(X.act, lambda f, xi: (f.dom, f.cod, f.rows, X.key(xi)))
+    diff = call_memo(X.diff, lambda A, xi: (A, X.key(xi)))
+    # the pairings of axioms (ii), (iv) and (v), shared by every xi
+    pair = call_memo(lambda *maps: be.pairing(maps), lambda *maps: maps)
 
     def tuples_of(maps):
         if map_budget is not None and len(maps) ** 3 > map_budget:
@@ -375,21 +366,19 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
         lambda item: None if act(be.identity(item[0]), item[1]) == item[1]
         else f"xi.id != xi at A={item[0]}"))
 
-    # each composite fg is computed once per (A, B, C) and each xi.f once
-    # per (A, B), shared by every C; the instance order is (A, B, C, xi, f, g)
+    # each composite fg is computed once per (A, B, C); the instance order
+    # is (A, B, C, xi, f, g)
     def compositions():
         for A, B in itertools.product(objects, repeat=2):
             fs = base.all_maps(B, A)
-            acted = {}  # (index of xi, index of f) -> xi.f
             for C in objects:
                 gs = base.all_maps(C, B)
                 fgs = [[be.compose(f, g) for g in gs] for f in fs]
-                for k, xi in enumerate(X.spanning(A)):
-                    for i, f in enumerate(fs):
-                        if (k, i) not in acted:
-                            acted[k, i] = act(f, xi)
-                        for g, fg in zip(gs, fgs[i]):
-                            yield A, B, C, xi, acted[k, i], g, fg
+                for xi in X.spanning(A):
+                    for f, row in zip(fs, fgs):
+                        xf = act(f, xi)
+                        for g, fg in zip(gs, row):
+                            yield A, B, C, xi, xf, g, fg
 
     def composition(item):
         A, B, C, xi, xf, g, fg = item
@@ -410,10 +399,10 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
 
     def linear(item):
         A, xi, eta, cs = item
-        if X.diff(A, X.add(xi, eta)) != X.add(X.diff(A, xi), X.diff(A, eta)):
+        if diff(A, X.add(xi, eta)) != X.add(diff(A, xi), diff(A, eta)):
             return f"D not additive at A={A}"
         for c in cs:
-            if X.diff(A, X.scale(c, xi)) != X.scale(c, X.diff(A, xi)):
+            if diff(A, X.scale(c, xi)) != X.scale(c, diff(A, xi)):
                 return f"D not homogeneous at A={A}, c={c}"
         return None
 
@@ -427,8 +416,8 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
                 maps = base.all_maps(Z, A)
                 stage = (A, Z, be.zero(Z, A))
                 for xi in X.spanning(A):
-                    dxi = X.diff(A, xi)
-                    ddxi = X.diff(2 * A, dxi) if second else None
+                    dxi = diff(A, xi)
+                    ddxi = diff(2 * A, dxi) if second else None
                     for args in draw(maps):
                         yield stage, xi, dxi, ddxi, args
 
@@ -450,14 +439,14 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
                  ("axiom-ii-direction-linear", direction_linear))
 
     # (iii) D(xi . f) = D(xi) . (f pi0, Df), the pairing built once per f
-    lifts = {}
+    lift = call_memo(
+        lambda f: be.pairing([be.compose(f, be.proj([f.dom, f.dom], 0)), be.D(f)]),
+        lambda f: f)
 
     def chain(item):
         (A, Z, _), xi, dxi, _, f = item
-        if f not in lifts:
-            lifts[f] = be.pairing([be.compose(f, be.proj([Z, Z], 0)), be.D(f)])
-        lhs = X.diff(Z, act(f, xi))
-        rhs = act(lifts[f], dxi)
+        lhs = diff(Z, act(f, xi))
+        rhs = act(lift(f), dxi)
         if lhs != rhs:
             return f"axiom (iii) fails at A={A}, Z={Z}"
         return None
@@ -491,37 +480,35 @@ class ClassifiedMap:
     a generator of maps evaluates by acting the matching sequence entry."""
 
     def __init__(self, base, X, A, sequence):
-        self.base = base
         self.X = X
         self.sequence = list(sequence)
         self.yA = representable(base, A)
-        self._units = {}
 
     def eval(self, Z: int, q: ModuleElement):
-        """q is an element of Q(yA)(Z): its k-th basis key names the k-th
-        matrix unit of yA.basis(Z)."""
-        out = self.X.zero(Z)
-        for gen, c in q.coeffs.items():
-            n = gen.degree
-            if n >= len(self.sequence):
-                continue  # zero beyond the sequence's support
-            val = self.X.act(self._pairing(Z, q.space.inner, gen), self.sequence[n])
-            out = self.X.add(out, self.X.scale(c.payload, val))
-        return out
+        """q is an element of Q(yA)(Z)."""
+        return _evaluate(self.X, Z, _generator_maps(self.yA, Z, q), self.sequence)
 
-    def _pairing(self, Z, space, gen) -> MatMap:
-        """<point; tail units> of a generator, built once per base for every
-        classified map out of the same A."""
-        memo = self.base._generator_pairings
-        key = (self.yA.target, Z, gen)
-        if key not in memo:
-            if Z not in self._units:
-                self._units[Z] = dict(zip(space.basis, self.yA.basis(Z)))
-            units = self._units[Z]
-            mats = [self.yA.from_coords(Z, faa.elem_to_vec(gen.point, space))]
-            mats += [units[k] for k in gen.tail.keys]
-            memo[key] = self.base.backend.pairing(mats)
-        return memo[key]
+
+def _generator_maps(yA, Z, q) -> list:
+    """The terms (degree, coefficient, <point; tail units>) of q in Q(yA)(Z),
+    where the k-th basis key names the k-th matrix unit of yA.basis(Z)."""
+    space = q.space.inner
+    units = dict(zip(space.basis, yA.basis(Z)))
+    pairing = yA.base.backend.pairing
+    return [(gen.degree, c.payload,
+             pairing([yA.from_coords(Z, faa.elem_to_vec(gen.point, space))]
+                     + [units[k] for k in gen.tail.keys]))
+            for gen, c in q.coeffs.items()]
+
+
+def _evaluate(X, Z, terms, sequence):
+    """The sum of c * (sequence[n] . m) over the terms (n, c, m) of a
+    decoded generator, at stage Z of X; entries past the end are zero."""
+    out = X.zero(Z)
+    for n, c, m in terms:
+        if n < len(sequence):
+            out = X.add(out, X.scale(c, X.act(m, sequence[n])))
+    return out
 
 
 def classify(base, X, A: int, sequence) -> ClassifiedMap:
@@ -553,19 +540,29 @@ def yoneda_map(base: FiniteCdcBase, f: MatMap) -> faa.FaaMap:
     return faa.coalgebra(base.backend, f)
 
 
-def respects_differential(base, alpha: faa.FaaMap, degree_bound: int = 1) -> str | None:
-    """Check alpha(D q) = D(alpha(q)) on Q(yA) generators up to a degree."""
+def differential_test(base: FiniteCdcBase, A: int, B: int, degree_bound: int = 1):
+    """A function of a Faa di Bruno map alpha: y(A) ~> y(B) returning why
+    alpha(D q) != D(alpha(q)) on a generator q of Q(yA) of degree at most
+    `degree_bound`, or None.  Q(yA), each generator's differential and the
+    base maps both decode to are built here, once, and shared by every
+    alpha the function is called on."""
     be = base.backend
-    QyA = base.q_representable(alpha.dom, degree_bound)
-    cm = ClassifiedMap(base, representable(base, alpha.cod), alpha.dom, alpha.family)
-    for Z in base.objects:
-        for q in QyA.spanning(Z):
-            lhs = cm.eval(2 * Z, QyA.diff(Z, q))
-            rhs = be.D(cm.eval(Z, q))
-            if lhs != rhs:
+    yA, yB = representable(base, A), representable(base, B)
+    QyA = presheaf_Q(yA, degree_bound)
+    cases = [(Z, q, _generator_maps(yA, Z, q),
+              _generator_maps(yA, 2 * Z, QyA.diff(Z, q)))
+             for Z in base.objects for q in QyA.spanning(Z)]
+
+    def problem(alpha) -> str | None:
+        family = list(alpha.family)
+        for Z, q, terms, dterms in cases:
+            lhs = _evaluate(yB, 2 * Z, dterms, family)
+            if lhs != be.D(_evaluate(yB, Z, terms, family)):
                 gen = next(iter(q.coeffs))
                 return f"differential-respect fails at Z={Z}, generator {gen}"
-    return None
+        return None
+
+    return problem
 
 
 def full_fidelity(base: FiniteCdcBase, A: int, B: int, support_bound: int = 2,
@@ -578,11 +575,12 @@ def full_fidelity(base: FiniteCdcBase, A: int, B: int, support_bound: int = 2,
         {"A": A, "B": B, "modulus": base.modulus,
          "support_bound": support_bound, "degree_bound": degree_bound},
     )
+    respects = differential_test(base, A, B, degree_bound)
     survivors = []
     tried = 0
     for alpha in faa.all_families(be, A, B, support_bound):
         tried += 1
-        if respects_differential(base, alpha, degree_bound=degree_bound) is None:
+        if respects(alpha) is None:
             survivors.append(alpha)
 
     homs = base.all_maps(A, B)

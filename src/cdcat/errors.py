@@ -11,6 +11,13 @@ class InvalidArgument(CdcatError, ValueError):
     too, so callers that catch ValueError keep working."""
 
 
+def nonnegative(n, what: str):
+    """n, refused with InvalidArgument when it is negative."""
+    if n < 0:
+        raise InvalidArgument(f"{what} must be nonnegative, got {n}")
+    return n
+
+
 class NegationUnsupported(CdcatError):
     """Raised when negation is requested in a rig without negatives."""
 

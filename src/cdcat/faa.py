@@ -31,6 +31,7 @@ from .errors import (
     ObjectMismatch,
     SizeLimit,
     SpaceMismatch,
+    nonnegative,
 )
 from .poly import FinFnBackend, FinModule, TableMap, fin_product
 from .qmodality import (
@@ -166,7 +167,7 @@ def all_families(backend, A, B, support: int):
     product order; the first step raises SizeLimit past MAX_CANDIDATES."""
     levels = []
     total = 1
-    for n in range(support + 1):
+    for n in range(nonnegative(support, "support bound") + 1):
         level = multilinear_maps(backend, A, B, n)
         total *= len(level)
         if total > MAX_CANDIDATES:

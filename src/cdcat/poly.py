@@ -17,13 +17,13 @@ from fractions import Fraction
 from .algebra import RigSpec, RigValue, add_into, rig_one, rig_value, rig_zero
 from .errors import (
     ArityError,
-    InvalidArgument,
     NegationUnsupported,
     ObjectMismatch,
     ParseError,
     SizeLimit,
     SpecMismatch,
     UnknownVariable,
+    nonnegative,
 )
 
 
@@ -85,8 +85,7 @@ class Polynomial:
         return Polynomial(self.rig, self.arity, {e: -v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise InvalidArgument("exponent must be nonnegative")
+        nonnegative(n, "exponent")
         return _power(self, n, Polynomial.__mul__)
 
     @property

@@ -34,6 +34,11 @@ class Report:
     def add(self, name, passed, checked=0, counterexample=None):
         self.checks.append(CheckResult(name, passed, checked, counterexample))
 
+    def extend(self, prefix, sub):
+        """Add a copy of each of sub's checks, its name behind `prefix`."""
+        for c in sub.checks:
+            self.add(prefix + c.name, c.passed, c.checked, c.counterexample)
+
     def check(self, items, *laws):
         """Decide every law on one lazy stream of instances.
 

@@ -577,11 +577,9 @@ def yoneda_suite(modulus: int = 2, max_dim: int = 2) -> Report:
     )
     for A in base.objects:
         for B in base.objects:
-            sub = dpsh.full_fidelity(base, A, B, support_bound=YONEDA_SUPPORT_BOUND,
-                                     degree_bound=YONEDA_DEGREE_BOUND)
-            for chk in sub.checks:
-                report.add(f"hom({A},{B})-{chk.name}", chk.passed,
-                           chk.checked, chk.counterexample)
+            report.extend(f"hom({A},{B})-", dpsh.full_fidelity(
+                base, A, B, support_bound=YONEDA_SUPPORT_BOUND,
+                degree_bound=YONEDA_DEGREE_BOUND))
 
     # each tower y(f) is built once in this call, for every law that reads it
     towers = {}
@@ -653,8 +651,5 @@ def presheaf_suite(modulus: int = 2, max_dim: int = 2, q_bound: int = 2,
     presheaves.append(dpsh.presheaf_tensor(presheaves[0], presheaves[-2]))
     presheaves.append(dpsh.presheaf_Q(presheaves[0], bound=q_bound))
     for X in presheaves:
-        sub = dpsh.check_presheaf(X, map_budget=map_budget, seed=seed)
-        for chk in sub.checks:
-            report.add(f"{X.name}:{chk.name}", chk.passed, chk.checked,
-                       chk.counterexample)
+        report.extend(f"{X.name}:", dpsh.check_presheaf(X, map_budget=map_budget, seed=seed))
     return report

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from cdcat import dpsh, faa, suites
+from cdcat import dpsh, faa, qmodality, suites
+from cdcat.algebra import Monomial
 from cdcat.errors import InvalidSequence, ObjectMismatch, SizeLimit
 from cdcat.matcat import MatMap
 from cdcat.qmodality import q_gen_elem, q_inject
@@ -144,25 +145,39 @@ def test_each_presheaf_defines_act_and_diff_itself(cls):
     assert "act" in vars(cls) and "diff" in vars(cls)
 
 
-def test_check_presheaf_acts_once_per_distinct_input_within_one_call():
+def _state(obj, skip=()):
+    """vars(obj) with each dict copied, less the attributes named in skip."""
+    return {k: dict(v) if isinstance(v, dict) else v
+            for k, v in vars(obj).items() if k not in skip}
+
+
+@pytest.mark.parametrize("kind", ["y(1)", "unit", "y(1)(x)y(2)", "Qy(1)"])
+def test_check_presheaf_acts_once_per_distinct_input_within_one_call(kind):
     base = small_base(2, (1, 2))
+    y1, y2 = dpsh.representable(base, 1), dpsh.representable(base, 2)
+    cls, args = {
+        "y(1)": (dpsh.ReprPresheaf, (base, 1)),
+        "unit": (dpsh.UnitPresheaf, (base,)),
+        "y(1)(x)y(2)": (dpsh.TensorPresheaf, (y1, y2)),
+        "Qy(1)": (dpsh.QPresheaf, (y1, 2)),
+    }[kind]
     calls = collections.Counter()
 
-    class Counting(dpsh.ReprPresheaf):
+    class Counting(cls):
         def act(self, f, xi):
-            calls[f, xi] += 1
+            # a dict element counts by its items; MatMaps and Q elements hash
+            calls[f, frozenset(xi.items()) if isinstance(xi, dict) else xi] += 1
             return super().act(f, xi)
 
-    X = Counting(base, 1)
-
-    def state():
-        return {k: dict(v) if isinstance(v, dict) else v for k, v in vars(X).items()}
-
-    before = state()
+    X = Counting(*args)
+    assert X.name == kind
+    # the tables of X's own definition may fill at first use; nothing else
+    tables = {"_images", "_spaces", "_spannings", "_act_maps", "_diff_maps"}
+    before = _state(X, tables)
     first = dpsh.check_presheaf(X, map_budget=4, seed=3)
     assert first.passed
     assert calls and set(calls.values()) == {1}
-    assert state() == before  # the memo died with the call
+    assert _state(X, tables) == before  # the memos died with the call
     distinct = len(calls)
     second = dpsh.check_presheaf(X, map_budget=4, seed=3)
     assert len(calls) == distinct and set(calls.values()) == {2}
@@ -270,8 +285,9 @@ def test_presheaf_map_compose_checks_objects():
 
 def test_yoneda_maps_respect_the_differential():
     base = small_base(2, (1, 2))
+    respects = dpsh.differential_test(base, 1, 2)
     for f in base.all_maps(1, 2):
-        assert dpsh.respects_differential(base, dpsh.yoneda_map(base, f)) is None
+        assert respects(dpsh.yoneda_map(base, f)) is None
 
 
 def test_corrupted_family_fails_differential_respect():
@@ -279,23 +295,22 @@ def test_corrupted_family_fails_differential_respect():
     be = base.backend
     f = be.identity(1)
     alpha = faa.FaaMap(be, 1, 1, [f, be.proj([1, 1], 0)])
-    assert dpsh.respects_differential(base, alpha) is not None
+    assert dpsh.differential_test(base, 1, 1)(alpha) is not None
 
 
-def test_q_representable_memo_is_keyed_on_the_degree_bound():
-    # alpha passes on degree-1 generators and fails on degree-2 ones; a Q(yA)
-    # shared across bounds would hand the second check the first's generators
+def test_differential_test_reads_generators_up_to_its_degree_bound():
+    # alpha passes on degree-1 generators and fails on degree-2 ones
     base = small_base(2, (1, 2))
     be = base.backend
     alpha = faa.FaaMap(be, 1, 1, [
         be.identity(1), be.proj([1, 1], 1), be.zero(3, 1),
         MatMap(be.rig, 4, 1, ((0, 1, 1, 1),)),
     ])
-    assert dpsh.respects_differential(base, alpha, degree_bound=1) is None
-    assert dpsh.respects_differential(base, alpha, degree_bound=2) is not None
+    assert dpsh.differential_test(base, 1, 1, degree_bound=1)(alpha) is None
+    assert dpsh.differential_test(base, 1, 1, degree_bound=2)(alpha) is not None
+    respects = dpsh.differential_test(base, 1, 2, degree_bound=2)
     for f in base.all_maps(1, 2):
-        yf = dpsh.yoneda_map(base, f)
-        assert dpsh.respects_differential(base, yf, degree_bound=2) is None
+        assert respects(dpsh.yoneda_map(base, f)) is None
 
 
 def test_full_fidelity_builds_q_of_the_representable_once(monkeypatch):
@@ -311,6 +326,43 @@ def test_full_fidelity_builds_q_of_the_representable_once(monkeypatch):
     report = dpsh.full_fidelity(base, 1, 2, support_bound=2, degree_bound=1)
     assert report.passed, report.render()
     assert built == [("y(1)", 1)]
+
+
+def _dropping_tail(keys):
+    # the mutant drops the last key of every tail with two or more keys
+    keys = tuple(keys)
+    return Monomial.of(keys[:-1] if len(keys) >= 2 else keys)
+
+
+def test_full_fidelity_on_a_reused_base_sees_a_seam_patched_between_runs(monkeypatch):
+    # with degree bound 1 the mutant reaches only the degree-2 tails of the
+    # generators' differentials, so a differential kept from the clean run
+    # would let every candidate through again
+    base = small_base(2, (1, 2))
+    before = _state(base)
+    pairs = list(itertools.product(base.objects, repeat=2))
+    for A, B in pairs:
+        assert dpsh.full_fidelity(base, A, B).passed
+    assert _state(base) == before
+    monkeypatch.setattr(qmodality, "_make_tail", _dropping_tail)
+    for A, B in pairs:
+        assert not dpsh.full_fidelity(base, A, B).passed
+        assert not dpsh.full_fidelity(small_base(2, (1, 2)), A, B).passed
+
+
+def test_yoneda_suite_leaves_its_base_as_it_found_it(monkeypatch):
+    made = []
+
+    class Recording(dpsh.FiniteCdcBase):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append((self, _state(self)))
+
+    monkeypatch.setattr(dpsh, "FiniteCdcBase", Recording)
+    assert suites.yoneda_suite(2, max_dim=2).passed
+    assert len(made) == 1
+    base, before = made[0]
+    assert _state(base) == before
 
 
 def test_full_fidelity_smallest_case():

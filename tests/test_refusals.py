@@ -2,7 +2,7 @@
 
 import pytest
 
-from cdcat import cdc, faa, suites
+from cdcat import cdc, dpsh, faa, suites
 from cdcat.algebra import (
     INT,
     Free,
@@ -34,6 +34,7 @@ from cdcat.qmodality import bialg_mult, identity_map, inject_elem, q_inject
 A = Free(("a",))
 B = Free(("b",))
 SQUARE = parse_poly_map("[x1^2]", INT, 1)
+BASE = dpsh.FiniteCdcBase(2, (1,))
 
 
 @pytest.mark.parametrize("call", [
@@ -57,11 +58,18 @@ SQUARE = parse_poly_map("[x1^2]", INT, 1)
     lambda: cdc.decompose_iterated(cdc.PolyBackend(INT), SQUARE, 1, -1),
     lambda: cdc.decompose_iterated(cdc.PolyBackend(INT), SQUARE, 1, -2),
     lambda: cdc.reconstruct_from_iterated(cdc.PolyBackend(INT), SQUARE, 1, -1),
+    lambda: dpsh.full_fidelity(BASE, 1, 1, degree_bound=-1),
+    lambda: dpsh.full_fidelity(BASE, 1, 1, support_bound=-1),
+    lambda: suites.presheaf_suite(max_dim=1, q_bound=-1),
+    lambda: dpsh.check_presheaf(dpsh.representable(BASE, 1), map_budget=-1),
+    lambda: suites.presheaf_suite(max_dim=1, map_budget=-1),
+    lambda: suites.cdc_suite(max_arity=0),
 ], ids=["rig-kind", "rig-modulus", "zmod-0", "finfn-0", "modality-0", "parse-rig",
         "parse-zmod", "free-repeat", "partitions", "partial-isos", "power",
         "all-values", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
         "iterated-D-order", "decompose-order", "decompose-order-2",
-        "reconstruct-order"])
+        "reconstruct-order", "fidelity-degree", "fidelity-support", "presheaf-q-bound",
+        "presheaf-budget", "presheaf-suite-budget", "cdc-arity"])
 def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
     with pytest.raises(InvalidArgument) as info:
         call()
