@@ -4,7 +4,9 @@ Each test prints a single "criterion N: PASS/FAIL" line before asserting, so
 a full run documents the verdict for every criterion at stated tolerances.
 """
 
+import hashlib
 import itertools
+import json
 import time
 from math import comb, factorial
 
@@ -62,6 +64,10 @@ def test_criterion_3_kleisli_faa_oracle():
         "co-Kleisli compose/D through Q equal the direct Faa formulas, "
         "exhaustive dim 1 and sampled dim 2, no pairs skipped at bound 4",
     ), report.render()
+    # the report is pinned too: sha256 of its sorted-key JSON
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "08152cf7b1649df1c139e460207d790152a5326c629394e3061c42a77e7f744b")
 
 
 def test_criterion_4_faa_composition_correctness():

@@ -157,6 +157,19 @@ def test_golden_zmod3_modality_report_with_dropped_subset_terms(monkeypatch):
     assert digest(report) == "f9cb2f7eaad7e1a70a4c0bcd953ba8b2402d0f9614d60491bcf86e70fee9c7bb"
 
 
+def test_kleisli_suite_keeps_no_q_result_across_calls(monkeypatch):
+    # a run after a passing one must still see a sabotaged comonoid_comult,
+    # which storage reads, with the pinned failing report
+    run = lambda: suites.kleisli_suite(2, max_dim=2, support=1,  # noqa: E731
+                                       samples=3)
+    assert run().passed
+    monkeypatch.setattr(qmodality, "comonoid_comult",
+                        comonoid_comult_without_the_empty_left_terms)
+    report = run()
+    assert not report.passed
+    assert digest(report) == "c9ced809c9a1960bcb00eeab0a729846e7161412bf269b2f942fb9ad315c31ca"
+
+
 def test_modality_suite_keeps_no_q_result_across_calls(monkeypatch):
     # a run after a passing one must still see a sabotaged seam
     run = lambda: suites.modality_suite(3, dim=1, maxdeg=3,  # noqa: E731
