@@ -18,6 +18,13 @@ def nonnegative(n, what: str):
     return n
 
 
+def positive(n, what: str):
+    """n, refused with InvalidArgument when it is less than 1."""
+    if n < 1:
+        raise InvalidArgument(f"{what} must be positive, got {n}")
+    return n
+
+
 class NegationUnsupported(CdcatError):
     """Raised when negation is requested in a rig without negatives."""
 

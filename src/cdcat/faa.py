@@ -391,7 +391,13 @@ class FaaSampler:
 #
 # One coordinate system: a vector of residues is read on the basis keys of
 # a space in basis_keys order, so Product((A, A)) carries the concatenated
-# coordinates of A x A.
+# coordinates of A x A.  A generator <x0; x1..xn> is read at the table cell
+# (x0, x1..xn) of component n, by the one decoder _table_terms.
+#
+# kleisli_D and kleisli_compose are build-then-apply.  Their Q side reads no
+# family, so a builder computes it once per table cell and returns a
+# function of the families.  What it holds lives as long as its caller keeps
+# the function: one call of kleisli_D, or one kleisli_suite.
 
 def fin_space(mod: FinModule) -> Free:
     return Free(tuple(f"e{i + 1}" for i in range(mod.dim)))
@@ -409,6 +415,32 @@ def elem_to_vec(elem: ModuleElement, space):
     return tuple(coeffs[k].payload if k in coeffs else 0 for k in basis_keys(space))
 
 
+def _table_terms(q: ModuleElement, space) -> list:
+    """The terms (c, n, cell) of a normal-form Q element over `space`: the
+    residue c times the generator read at the table cell `cell` of
+    component n."""
+    keys = basis_keys(space)
+    units = {k: tuple(1 if b == k else 0 for b in keys) for k in keys}
+    terms = []
+    for gen, c in q.coeffs.items():
+        cell = elem_to_vec(gen.point, space)
+        for key in gen.tail.keys:
+            cell += units[key]
+        terms.append((c.payload, gen.degree, cell))
+    return terms
+
+
+def _read_terms(family, terms, cod: FinModule):
+    """The sum of c * family[n](cell) over the terms, as a vector of cod;
+    components beyond the family are zero."""
+    acc = [0] * cod.dim
+    for c, n, cell in terms:
+        if n < len(family):
+            for i, v in enumerate(family[n].table[cell]):
+                acc[i] += c * v
+    return tuple(v % cod.modulus for v in acc)
+
+
 class KleisliMap(FaaMap):
     """A family read through the generator dictionary as a map QA -> B."""
 
@@ -421,18 +453,8 @@ class KleisliMap(FaaMap):
         if keys is None or len(keys) != self.dom.dim or q.rig != rig:
             raise SpaceMismatch(
                 f"{q.space}/{q.rig} is not Q of a {self.dom.dim}-dim space over {rig}")
-        units = {k: tuple(1 if b == k else 0 for b in keys) for k in keys}
-        cod_space = fin_space(self.cod)
-        family = self.family
-        out = {}
-        for gen, c in q.coeffs.items():
-            if gen.degree >= len(family):
-                continue
-            cell = elem_to_vec(gen.point, A_space)
-            for key in gen.tail.keys:
-                cell += units[key]
-            add_scaled(out, c, vec_to_elem(rig, cod_space, family[gen.degree].table[cell]))
-        return ModuleElement(rig, cod_space, out)
+        vec = _read_terms(self.family, _table_terms(q, A_space), self.cod)
+        return vec_to_elem(rig, fin_space(self.cod), vec)
 
 
 def kleisli_from_family(backend: FinFnBackend, f: FaaMap) -> KleisliMap:
@@ -443,60 +465,116 @@ def kleisli_identity(backend: FinFnBackend, mod: FinModule) -> KleisliMap:
     return kleisli_from_family(backend, FaaBackend(backend).identity(mod))
 
 
-def _family_from_values(backend, space, cod: FinModule, value_at, top: int):
-    """Build TableMap components n = 0..top over the coordinates of `space`:
-    the cell at (x0, x1..xn) is value_at(<x0; x1..xn>)."""
+def composite_support(g: FaaMap, f: FaaMap) -> int:
+    """The highest component of g after f that can be nonzero."""
+    return max(f.support, 0) * max(g.support, 0)
+
+
+def _generator_cells(backend, space, top: int):
+    """The table cells (x0, x1..xn) of components n = 0..top over the
+    coordinates of `space`, and the distinct elements <x0; x1..xn> of Q of
+    `space` they name, as (levels, counts, qs): level n lists (cell, i),
+    where qs[i] is the cell's element, and levels 0..n name qs[:counts[n]].
+    Cells whose tails are permuted, or hold a zero, name one element."""
     rig = backend.rig
-    A = backend.module(len(basis_keys(space)))
-    elems = {x: vec_to_elem(rig, space, x) for x in A.elements()}
-    cod_space = fin_space(cod)
-    family = []
-    for n in range(top + 1):
-        table = {}
-        for xs in itertools.product(elems, repeat=n + 1):
-            q = q_inject(elems[xs[0]], [elems[x] for x in xs[1:]])
-            table[sum(xs, ())] = elem_to_vec(value_at(q), cod_space)
-        family.append(TableMap(fin_product([A] * (n + 1)), cod, table))
-    return family
+    mod = backend.module(len(basis_keys(space)))
+    elems = {x: vec_to_elem(rig, space, x) for x in mod.elements()}
+    index = {}
+    levels, counts = [], []
+    for n in range(nonnegative(top, "top degree") + 1):
+        levels.append([
+            (sum(xs, ()), index.setdefault(
+                q_inject(elems[xs[0]], [elems[x] for x in xs[1:]]), len(index)))
+            for xs in itertools.product(elems, repeat=n + 1)])
+        counts.append(len(index))
+    return levels, counts, list(index)
+
+
+def _tables(dom: FinModule, cod: FinModule, levels, values) -> list:
+    """One TableMap dom^(n+1) -> cod per level n, whose cell (x0, x1..xn)
+    holds values[i] of its element i."""
+    return [TableMap(fin_product([dom] * (n + 1)), cod,
+                     {cell: values[i] for cell, i in level})
+            for n, level in enumerate(levels)]
+
+
+def build_kleisli_D(backend: FinFnBackend, A: FinModule, top: int):
+    """kleisli_D as a function of a family f: A ~> B of support <= top.
+
+    The build reads no family: each cell <x0; x1..xn>, n <= top, of Q(A x A)
+    goes once through storage, the counit on the second factor and
+    deriving, and the resulting element of QA is decoded once into table
+    terms.  The function reads those terms from f's tables, for the levels
+    up to f's own support."""
+    rig = backend.rig
+    A_space = fin_space(A)
+    levels, counts, qs = _generator_cells(backend, Product((A_space, A_space)), top)
+
+    def derived(q):
+        acc = {}
+        for (g1, g2), v in storage(q).coeffs.items():
+            y = q_counit(q_gen_elem(rig, g2))
+            add_scaled(acc, v, deriving(q_gen_elem(rig, g1), y))
+        return _table_terms(ModuleElement(rig, QSpace(A_space), acc), A_space)
+
+    terms = [derived(q) for q in qs]
+    P = fin_product([A, A])
+
+    def apply(f: KleisliMap) -> KleisliMap:
+        if f.dom != A:
+            raise ObjectMismatch(f"{f.dom} vs {A}")
+        support = max(f.support, 0)
+        if support > top:
+            raise DegreeBoundExceeded(f"support {support} > built top {top}")
+        values = [_read_terms(f.family, t, f.cod) for t in terms[:counts[support]]]
+        return KleisliMap(backend, P, f.cod, _tables(P, f.cod, levels[:support + 1], values))
+
+    return apply
+
+
+def build_kleisli_compose(backend: FinFnBackend, A: FinModule, top: int):
+    """kleisli_compose as a function of (g, f), for f: A ~> B and g: B ~> C
+    whose composite support is <= top.
+
+    The build reads no family: it takes comult of each cell <x0; x1..xn>,
+    n <= top, of QA once.  The function maps each of them through Q of f,
+    read as a linear map QA -> B, then reads g on the result, for the levels
+    up to the composite's support."""
+    rig = backend.rig
+    A_space = fin_space(A)
+    levels, counts, qs = _generator_cells(backend, A_space, top)
+    comults = [comult(q) for q in qs]
+
+    def apply(g: KleisliMap, f: KleisliMap) -> KleisliMap:
+        if g.dom != f.cod or f.dom != A:
+            raise ObjectMismatch(f"{g.dom} vs {f.cod}, or {f.dom} vs {A}")
+        support = composite_support(g, f)
+        if support > top:
+            raise DegreeBoundExceeded(f"composite support {support} > built top {top}")
+        B_space = fin_space(f.cod)
+        f_hat = LinearMap(rig, QSpace(A_space), B_space,
+                          lambda gen: f.eval_q(q_gen_elem(rig, gen)))
+        values = [_read_terms(g.family, _table_terms(q_map(f_hat, d), B_space), g.cod)
+                  for d in comults[:counts[support]]]
+        return KleisliMap(backend, A, g.cod, _tables(A, g.cod, levels[:support + 1], values))
+
+    return apply
 
 
 def kleisli_compose(g: KleisliMap, f: KleisliMap, degree_bound: int = 8) -> KleisliMap:
     """Co-Kleisli composition computed through comult and the Q functor."""
     if g.dom != f.cod:
         raise ObjectMismatch(f"{g.dom} vs {f.cod}")
-    backend = f.backend
-    rig = backend.rig
-    nf, ng = max(f.support, 0), max(g.support, 0)
-    top = nf * ng
+    top = composite_support(g, f)
     if top > degree_bound:
         raise DegreeBoundExceeded(f"composite support {top} > bound {degree_bound}")
-    A_space = fin_space(f.dom)
-    f_hat = LinearMap(rig, QSpace(A_space), fin_space(f.cod),
-                      lambda gen: f.eval_q(q_gen_elem(rig, gen)))
-
-    def value_at(q):
-        return g.eval_q(q_map(f_hat, comult(q)))
-
-    family = _family_from_values(backend, A_space, g.cod, value_at, top)
-    return KleisliMap(backend, f.dom, g.cod, family)
+    return build_kleisli_compose(f.backend, f.dom, top)(g, f)
 
 
 def kleisli_D(f: KleisliMap, degree_bound: int = 8) -> KleisliMap:
     """Co-Kleisli differential: storage, counit on the second factor,
     deriving, then f — computed literally on generators of Q(A x A)."""
-    backend = f.backend
-    rig = backend.rig
     top = max(f.support, 0)
     if top + 1 > degree_bound:
         raise DegreeBoundExceeded(f"needs components up to {top + 1} > bound {degree_bound}")
-    A_space = fin_space(f.dom)
-
-    def value_at(q):
-        acc = {}
-        for (g1, g2), v in storage(q).coeffs.items():
-            y = q_counit(q_gen_elem(rig, g2))
-            add_scaled(acc, v, deriving(q_gen_elem(rig, g1), y))
-        return f.eval_q(ModuleElement(rig, QSpace(A_space), acc))
-
-    family = _family_from_values(backend, Product((A_space, A_space)), f.cod, value_at, top)
-    return KleisliMap(backend, fin_product([f.dom, f.dom]), f.cod, family)
+    return build_kleisli_D(f.backend, f.dom, top)(f)

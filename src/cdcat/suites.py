@@ -27,7 +27,7 @@ from .algebra import (
     zero_elem,
     zmod,
 )
-from .errors import InvalidArgument
+from .errors import InvalidArgument, nonnegative, positive
 from .poly import FinFnBackend, FinModule
 from .qmodality import UNIT_SPACE, LinearMap
 from .reports import Report
@@ -56,6 +56,9 @@ def parse_rig(name: str) -> RigSpec:
 
 def cdc_suite(rig_name: str = "int", seed: int = 0, samples: int = 200,
               max_degree: int = 3, max_arity: int = 3) -> Report:
+    """The CDC axioms over Poly on sampled maps.  samples is at least 1;
+    the sampler refuses max_arity below 1 and max_degree below 0."""
+    positive(samples, "samples")
     rig = parse_rig(rig_name)
     backend = cdc.PolyBackend(rig)
     sampler = cdc.PolySampler(rig, seed=seed, max_arity=max_arity,
@@ -118,6 +121,11 @@ def _random_linear(rig, dom: Free, cod: Free, rng) -> LinearMap:
 
 def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
                    pair_total_degree: int = 3, seed: int = 0) -> Report:
+    """The modality laws, exhaustive on generators over Z/modulus.  dim is
+    at least 1; maxdeg and pair_total_degree are at least 0."""
+    positive(dim, "dim")
+    nonnegative(maxdeg, "maxdeg")
+    nonnegative(pair_total_degree, "pair total degree")
     rig = zmod(modulus)
     A = Free(tuple(f"a{i + 1}" for i in range(dim)))
     B = Free(tuple(f"b{i + 1}" for i in range(dim)))
@@ -477,7 +485,16 @@ def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,
     maps, against the direct Faa di Bruno formulas: exhaustive over all
     family pairs at dimension 1, sampled pairs at dimensions 2..max_dim.
     Pairs whose composite support exceeds the degree bound are skipped
-    (the library would refuse to truncate them silently)."""
+    (the library would refuse to truncate them silently).
+
+    Bounds: max_dim, degree_bound and samples are at least 1 (every
+    derivative reads component 1, so bound 0 would check none), and the
+    family enumerator refuses a support below 0.  The Q side of compose and
+    D is built once per dimension for this call, at the largest support its
+    instances need."""
+    positive(max_dim, "max_dim")
+    positive(degree_bound, "degree bound")
+    positive(samples, "samples")
     backend = FinFnBackend(modulus)
     A = backend.module(1)
     report = Report(
@@ -489,36 +506,41 @@ def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,
     kls = [faa.kleisli_from_family(backend, fm) for fm in fams]
 
     def within_bound(kf, kg):
-        return max(kf.support, 0) * max(kg.support, 0) <= degree_bound
+        return faa.composite_support(kg, kf) <= degree_bound
 
     def derivable(kf):
         return max(kf.support, 0) + 1 <= degree_bound
 
-    def compose_law(what):
+    def compose_law(what, dom, pairs):
+        compose = faa.build_kleisli_compose(backend, dom, max(
+            (faa.composite_support(kg, kf) for kf, kg in pairs), default=0))
+
         def law(item):
             n, (kf, kg) = item
-            via_q = faa.kleisli_compose(kg, kf, degree_bound=degree_bound)
-            if list(via_q.family) != list(faa.faa_compose(kg, kf).family):
+            if list(compose(kg, kf).family) != list(faa.faa_compose(kg, kf).family):
                 return f"composition mismatch at {what} #{n}"
             return None
         return law
 
-    def derivative_law(what):
+    def derivative_law(what, dom, families):
+        derive = faa.build_kleisli_D(backend, dom, max(
+            (max(kf.support, 0) for kf in families), default=0))
+
         def law(item):
             n, kf = item
-            via_q = faa.kleisli_D(kf, degree_bound=degree_bound)
-            if list(via_q.family) != list(faa.faa_D(kf).family):
+            if list(derive(kf).family) != list(faa.faa_D(kf).family):
                 return f"derivative mismatch at {what} #{n}"
             return None
         return law
 
     pairs = list(itertools.product(kls, repeat=2))
     in_bound = [pair for pair in pairs if within_bound(*pair)]
-    report.check(enumerate(in_bound, 1),
-                 ("compose-matches-faa-exhaustive-dim1", compose_law("pair")))
+    report.check(enumerate(in_bound, 1), ("compose-matches-faa-exhaustive-dim1",
+                                          compose_law("pair", A, in_bound)))
     report.add("pairs-skipped-by-degree-bound", True, len(pairs) - len(in_bound))
-    report.check(enumerate((kf for kf in kls if derivable(kf)), 1),
-                 ("derivative-matches-faa-exhaustive-dim1", derivative_law("family")))
+    derivs = [kf for kf in kls if derivable(kf)]
+    report.check(enumerate(derivs, 1), ("derivative-matches-faa-exhaustive-dim1",
+                                         derivative_law("family", A, derivs)))
 
     # sampled pairs at the higher dimensions, all drawn before any is decided
     rng = random.Random(seed)
@@ -527,11 +549,12 @@ def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,
         drawn = [(_random_kleisli(backend, A2, A2, support, rng),
                   _random_kleisli(backend, A2, A2, support, rng))
                  for _ in range(samples)]
-        report.check(enumerate((pair for pair in drawn if within_bound(*pair)), 1),
-                     (f"compose-matches-faa-sampled-dim{dim}", compose_law("sample")))
-        report.check(enumerate((kf for kf, _ in drawn if derivable(kf)), 1),
-                     (f"derivative-matches-faa-sampled-dim{dim}",
-                      derivative_law("sample")))
+        in_bound = [pair for pair in drawn if within_bound(*pair)]
+        report.check(enumerate(in_bound, 1), (f"compose-matches-faa-sampled-dim{dim}",
+                                              compose_law("sample", A2, in_bound)))
+        derivs = [kf for kf, _ in drawn if derivable(kf)]
+        report.check(enumerate(derivs, 1), (f"derivative-matches-faa-sampled-dim{dim}",
+                                            derivative_law("sample", A2, derivs)))
     return report
 
 
@@ -568,6 +591,9 @@ YONEDA_DEGREE_BOUND = 1
 
 
 def yoneda_suite(modulus: int = 2, max_dim: int = 2) -> Report:
+    """Full fidelity and functoriality of the Yoneda embedding over
+    Mat(Z/modulus) with objects 1..max_dim; max_dim is at least 1."""
+    positive(max_dim, "max_dim")
     base = dpsh.FiniteCdcBase(modulus, list(range(1, max_dim + 1)))
     be = base.backend
     report = Report(
@@ -640,6 +666,10 @@ def yoneda_suite(modulus: int = 2, max_dim: int = 2) -> Report:
 
 def presheaf_suite(modulus: int = 2, max_dim: int = 2, q_bound: int = 2,
                    map_budget: int | None = None, seed: int = 0) -> Report:
+    """The presheaf axioms on y(1)..y(max_dim), the unit, a tensor and a Q
+    presheaf over Mat(Z/modulus).  max_dim is at least 1; the presheaves
+    refuse a negative q_bound or map_budget."""
+    positive(max_dim, "max_dim")
     base = dpsh.FiniteCdcBase(modulus, list(range(1, max_dim + 1)))
     report = Report(
         "presheaf",

@@ -291,6 +291,30 @@ def test_kleisli_refuses_to_truncate():
         faa.kleisli_D(kf, degree_bound=2)
 
 
+def test_a_builder_serves_every_family_up_to_its_top_and_refuses_the_rest():
+    # one build at the largest support; each family reads its own levels
+    backend, kf, kg = finite_pair("[x1^2]", "[x1^2 + x1]", modulus=3)
+    A = backend.module(1)
+    ident = faa.kleisli_identity(backend, A)
+    derive = faa.build_kleisli_D(backend, A, 2)
+    compose = faa.build_kleisli_compose(backend, A, 4)
+    for f in (kf, kg, ident):
+        assert derive(f) == faa.kleisli_D(f)
+        for g in (kf, kg, ident):
+            assert compose(g, f) == faa.kleisli_compose(g, f)
+    with pytest.raises(DegreeBoundExceeded):
+        faa.build_kleisli_D(backend, A, 1)(kf)
+    with pytest.raises(DegreeBoundExceeded):
+        faa.build_kleisli_compose(backend, A, 3)(kg, kf)
+    plane = faa.kleisli_identity(backend, backend.module(2))
+    with pytest.raises(ObjectMismatch):
+        derive(plane)
+    with pytest.raises(ObjectMismatch):
+        compose(plane, plane)
+    with pytest.raises(ObjectMismatch):
+        compose(kf, plane)
+
+
 def test_zero_family_support():
     z = FAA.zero(1, 1)
     assert z.support == -1

@@ -64,12 +64,30 @@ BASE = dpsh.FiniteCdcBase(2, (1,))
     lambda: dpsh.check_presheaf(dpsh.representable(BASE, 1), map_budget=-1),
     lambda: suites.presheaf_suite(max_dim=1, map_budget=-1),
     lambda: suites.cdc_suite(max_arity=0),
+    lambda: suites.cdc_suite(samples=-1),
+    lambda: suites.cdc_suite(samples=0),
+    lambda: suites.modality_suite(2, dim=-1),
+    lambda: suites.modality_suite(2, dim=0),
+    lambda: suites.modality_suite(2, dim=1, maxdeg=-1),
+    lambda: suites.modality_suite(2, dim=1, pair_total_degree=-1),
+    lambda: suites.kleisli_suite(2, max_dim=1, samples=-1),
+    lambda: suites.kleisli_suite(2, max_dim=1, samples=0),
+    lambda: suites.kleisli_suite(2, max_dim=1, degree_bound=-1),
+    lambda: suites.kleisli_suite(2, max_dim=1, degree_bound=0),
+    lambda: suites.kleisli_suite(2, max_dim=0),
+    lambda: suites.yoneda_suite(max_dim=0),
+    lambda: suites.presheaf_suite(max_dim=0),
+    lambda: faa.build_kleisli_D(FinFnBackend(2), FinFnBackend(2).module(1), -1),
 ], ids=["rig-kind", "rig-modulus", "zmod-0", "finfn-0", "modality-0", "parse-rig",
         "parse-zmod", "free-repeat", "partitions", "partial-isos", "power",
         "all-values", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
         "iterated-D-order", "decompose-order", "decompose-order-2",
         "reconstruct-order", "fidelity-degree", "fidelity-support", "presheaf-q-bound",
-        "presheaf-budget", "presheaf-suite-budget", "cdc-arity"])
+        "presheaf-budget", "presheaf-suite-budget", "cdc-arity", "cdc-samples",
+        "cdc-samples-0", "modality-dim", "modality-dim-0", "modality-maxdeg",
+        "modality-pair-degree", "kleisli-samples", "kleisli-samples-0",
+        "kleisli-degree", "kleisli-degree-0", "kleisli-max-dim", "yoneda-max-dim",
+        "presheaf-max-dim", "kleisli-build-top"])
 def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
     with pytest.raises(InvalidArgument) as info:
         call()

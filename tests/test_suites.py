@@ -1,5 +1,6 @@
 """Suite plumbing: rig parsing, family enumeration, report shape."""
 
+import collections
 import json
 import random
 
@@ -101,3 +102,27 @@ def test_kleisli_derivative_failure_leaves_the_compose_check_whole(monkeypatch):
     assert not derivative.passed
     assert derivative.checked == 1
     assert derivative.counterexample == "derivative mismatch at sample #1"
+
+
+def test_kleisli_suite_runs_its_q_side_once_per_distinct_input_within_one_call(
+        monkeypatch):
+    calls = collections.Counter()
+
+    def counting(name, structure_map):
+        def wrapped(q):
+            calls[name, q] += 1
+            return structure_map(q)
+        return wrapped
+
+    monkeypatch.setattr(faa, "storage", counting("storage", faa.storage))
+    monkeypatch.setattr(faa, "comult", counting("comult", faa.comult))
+    run = lambda: suites.kleisli_suite(2, max_dim=2, support=1,  # noqa: E731
+                                       samples=3)
+    first = run()
+    assert first.passed
+    assert {name for name, _ in calls} == {"storage", "comult"}
+    assert set(calls.values()) == {1}
+    distinct = len(calls)
+    second = run()  # nothing of the first call is kept
+    assert len(calls) == distinct and set(calls.values()) == {2}
+    assert second.to_dict() == first.to_dict()
