@@ -54,6 +54,19 @@ GOLDEN = {
                 "e8fba99268486e648d4a89dc584b2791f8118e82fa92c79bf2216b495afb862b"),
     "cdc-zmod5": (lambda: suites.cdc_suite("zmod:5", samples=20),
                   "16703ff3e5c757ba2a7db366465784f017f45f62b6b6d9a909344c23d3ef1066"),
+    # the benchmark's poly config: 40 samples at seed 0, degree and arity 3
+    "cdc-nat-bench": (lambda: suites.cdc_suite("nat", samples=40, seed=0,
+                                               max_degree=3, max_arity=3),
+                      "cc37e9fa6f3328aabc2a5334705a06a0b9e721872742af16623de99470f52825"),
+    "cdc-int-bench": (lambda: suites.cdc_suite("int", samples=40, seed=0,
+                                               max_degree=3, max_arity=3),
+                      "ab8a5689502d74e40ad9dcefbf0f0b5e20b1df34bae7b22f0a73645e28d7c45d"),
+    "cdc-rat-bench": (lambda: suites.cdc_suite("rat", samples=40, seed=0,
+                                               max_degree=3, max_arity=3),
+                      "d1c1be641e2eae2a1f835f857eb1957125ec7f0fb8d1662db097e902346b78ec"),
+    "cdc-zmod5-bench": (lambda: suites.cdc_suite("zmod:5", samples=40, seed=0,
+                                                 max_degree=3, max_arity=3),
+                        "203416025d397f4d74b4686d4e1bf3fefe585c7414eb70125d1e95f29e6b98af"),
     "modality": (lambda: suites.modality_suite(2, dim=1, maxdeg=2),
                  "605c94a185b19edb547fc4e43e26b11442dcbc43f2456baf3daaacd8a1d12e50"),
     "modality-dim2": (lambda: suites.modality_suite(2, dim=2, maxdeg=2,
