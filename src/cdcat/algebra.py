@@ -6,9 +6,19 @@ key conventions once: Free spaces use their basis names, Product keys are
 (slot, inner key), Tensor keys are tuples of inner keys, and QSpace keys are
 normal-form QGenerators.
 
+Scalars: a coefficient is a raw payload, `int` for nat, int and zmod (in
+range(m) for zmod) and `Fraction` for rat, so every kernel adds and
+multiplies with native + and *.  Sums and products of payloads may leave
+range(m) or cancel to zero inside a kernel; `normal(rig)`, built once per
+RigSpec, reduces and drops zeros when a result is wrapped as a
+ModuleElement or Polynomial, and sends any other coefficient through
+`rig_value`, which accepts an int or a RigValue of the rig and refuses a
+float, a bool or another rig's RigValue.  `RigValue` boxes one payload with
+its spec, for callers that want checked scalar arithmetic.
+
 Accumulation rule: a linear sum adds its (key, coefficient) terms into one
 dict with `add_into` / `add_scaled` and builds one ModuleElement at the end,
-which drops zeros once; adding ModuleElements term by term would copy the
+which normalises once; adding ModuleElements term by term would copy the
 partial sum at every step.  Hashes are order-free, so no dict probe sorts.
 """
 
@@ -78,8 +88,7 @@ class RigValue:
         return RigValue(spec, value % spec.modulus if spec.kind == "zmod" else value)
 
     def __neg__(self) -> "RigValue":
-        if not self.spec.has_negatives:
-            raise NegationUnsupported("the rig of naturals has no negatives")
+        _negatable(self.spec)
         return rig_value(self.spec, -self.payload)
 
     @property
@@ -120,6 +129,65 @@ def rig_value(spec: RigSpec, raw) -> RigValue:
     return RigValue(spec, raw)
 
 
+def scalar(spec: RigSpec, raw):
+    """The normalised payload of a scalar that rig_value accepts."""
+    return rig_value(spec, raw).payload
+
+
+def normal(spec: RigSpec):
+    """The normaliser of coefficient dicts over `spec`, built once per spec:
+    a function from a dict of sums and products of payloads to a new dict
+    of normalised, nonzero payloads.  A coefficient whose type is not the
+    payload type (or a negative int, for nat) goes through rig_value."""
+    norm = spec.__dict__.get("_normal")
+    if norm is None:
+        norm = _normaliser(spec)
+        spec.__dict__["_normal"] = norm  # not a field: == and hash ignore it
+    return norm
+
+
+def _normaliser(spec: RigSpec):
+    kind = spec.kind
+    if kind == "zmod":
+        m = spec.modulus
+
+        def norm(coeffs: dict) -> dict:
+            out = {}
+            for k, v in coeffs.items():
+                v = v % m if type(v) is int else scalar(spec, v)
+                if v:
+                    out[k] = v
+            return out
+    elif kind == "rat":
+        def norm(coeffs: dict) -> dict:
+            out = {}
+            for k, v in coeffs.items():
+                if type(v) is not Fraction:
+                    v = scalar(spec, v)
+                if v:
+                    out[k] = v
+            return out
+    elif kind == "nat":
+        def norm(coeffs: dict) -> dict:
+            out = {}
+            for k, v in coeffs.items():
+                if type(v) is not int or v < 0:
+                    v = scalar(spec, v)  # refuses a negative
+                if v:
+                    out[k] = v
+            return out
+    else:
+        def norm(coeffs: dict) -> dict:
+            out = {}
+            for k, v in coeffs.items():
+                if type(v) is not int:
+                    v = scalar(spec, v)
+                if v:
+                    out[k] = v
+            return out
+    return norm
+
+
 def rig_zero(spec: RigSpec) -> RigValue:
     return rig_value(spec, 0)
 
@@ -128,6 +196,11 @@ def rig_zero(spec: RigSpec) -> RigValue:
 def rig_one(spec: RigSpec) -> RigValue:
     """The unit of `spec`, built once per spec (that of zmod:1 is 0)."""
     return rig_value(spec, 1)
+
+
+def _negatable(spec: RigSpec) -> None:
+    if not spec.has_negatives:
+        raise NegationUnsupported("the rig of naturals has no negatives")
 
 
 def rig_op(spec: RigSpec, op: str, a: RigValue, b: RigValue | None = None) -> RigValue:
@@ -226,8 +299,7 @@ def valid_key(space, key) -> bool:
     return False
 
 
-def _value_token(v: RigValue):
-    p = v.payload
+def _value_token(p):
     if isinstance(p, Fraction):
         return ("f", p.numerator, p.denominator)
     return ("i", p)
@@ -261,13 +333,14 @@ def _key_token(key):
     raise InvalidArgument(f"unsupported basis key {key!r}")
 
 
-def add_into(out: dict, key, val: RigValue) -> None:
-    """out[key] += val; zeros stay until a ModuleElement is built from out."""
+def add_into(out: dict, key, val) -> None:
+    """out[key] += val on payloads; the sum is normalised (reduced, and
+    dropped if zero) when a ModuleElement or Polynomial is built from out."""
     old = out.get(key)
     out[key] = val if old is None else old + val
 
 
-def add_scaled(out: dict, c: RigValue, elem: "ModuleElement") -> None:
+def add_scaled(out: dict, c, elem: "ModuleElement") -> None:
     """out += c * elem, term by term."""
     for k, v in elem.coeffs.items():
         add_into(out, k, c * v)
@@ -277,14 +350,15 @@ def add_scaled(out: dict, c: RigValue, elem: "ModuleElement") -> None:
 # module elements
 
 class ModuleElement:
-    """Finitely supported coefficient vector over the basis keys of a space."""
+    """Finitely supported coefficient vector over the basis keys of a space:
+    basis key -> nonzero normalised payload."""
 
     __slots__ = ("rig", "space", "coeffs", "_hash")
 
     def __init__(self, rig: RigSpec, space, coeffs: dict):
         self.rig = rig
         self.space = space
-        self.coeffs = {k: v for k, v in coeffs.items() if not v.is_zero}
+        self.coeffs = normal(rig)(coeffs)
         self._hash = None
 
     def _check(self, other: "ModuleElement"):
@@ -299,12 +373,14 @@ class ModuleElement:
         return ModuleElement(self.rig, self.space, out)
 
     def scale(self, c) -> "ModuleElement":
-        c = rig_value(self.rig, c)
+        c = scalar(self.rig, c)
         return ModuleElement(
             self.rig, self.space, {k: c * v for k, v in self.coeffs.items()}
         )
 
     def __neg__(self) -> "ModuleElement":
+        if self.coeffs:
+            _negatable(self.rig)
         return ModuleElement(self.rig, self.space, {k: -v for k, v in self.coeffs.items()})
 
     @property
@@ -345,7 +421,7 @@ def zero_elem(rig: RigSpec, space) -> ModuleElement:
 def basis_elem(rig: RigSpec, space, key) -> ModuleElement:
     if not valid_key(space, key):
         raise SpaceMismatch(f"key {key!r} is not a basis key of {space}")
-    return ModuleElement(rig, space, {key: rig_one(rig)})
+    return ModuleElement(rig, space, {key: rig_one(rig).payload})
 
 
 def tensor_elem(a: ModuleElement, b: ModuleElement) -> ModuleElement:
@@ -361,7 +437,7 @@ def tensor_elem(a: ModuleElement, b: ModuleElement) -> ModuleElement:
 def enum_elements(rig: RigSpec, space):
     """All elements of a finite free-ish module (zmod rig, enumerable basis)."""
     keys = basis_keys(space)
-    scalars = all_rig_values(rig)
+    scalars = [v.payload for v in all_rig_values(rig)]
     for combo in itertools.product(scalars, repeat=len(keys)):
         yield ModuleElement(rig, space, dict(zip(keys, combo)))
 

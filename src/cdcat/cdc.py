@@ -22,11 +22,19 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from .algebra import add_into
 from .combinat import partitions
 from .errors import ArityError, InvalidArgument, nonnegative
-from .poly import PolyMap, Polynomial, is_linear_syntactic, poly_D, substitute
+from .poly import (
+    PolyMap,
+    Polynomial,
+    is_linear_syntactic,
+    poly_D,
+    substitute,
+    trusted_polymap,
+)
 from .reports import Report
 
 
@@ -34,14 +42,17 @@ from .reports import Report
 # the polynomial backend
 
 class PolyBackend:
-    """Objects are arities, morphisms PolyMaps, D the total derivative."""
+    """Objects are arities, morphisms PolyMaps, D the total derivative.
+    Its results are built with trusted_polymap: each component has the
+    arity and rig of the result by construction."""
 
     def __init__(self, rig):
         self.rig = rig
         self._projs = {}  # (objs, i) -> projection; PolyMaps are never mutated
 
     def identity(self, n):
-        return PolyMap(self.rig, n, n, [Polynomial.var(self.rig, n, i) for i in range(n)])
+        return trusted_polymap(self.rig, n, n,
+                               tuple(Polynomial.var(self.rig, n, i) for i in range(n)))
 
     def compose(self, g, f):
         return substitute(g, f)
@@ -56,8 +67,8 @@ class PolyBackend:
             objs = key[0]
             total = sum(objs)
             offset = sum(objs[:i])
-            pi = self._projs[key] = PolyMap(self.rig, total, objs[i], [
-                Polynomial.var(self.rig, total, offset + j) for j in range(objs[i])])
+            pi = self._projs[key] = trusted_polymap(self.rig, total, objs[i], tuple(
+                Polynomial.var(self.rig, total, offset + j) for j in range(objs[i])))
         return pi
 
     def pairing(self, maps):
@@ -65,22 +76,22 @@ class PolyBackend:
         first = maps[0]
         comps = []
         for f in maps:
-            if f.dom != first.dom:
-                raise ArityError("pairing needs a common domain")
+            if f.dom != first.dom or f.rig != first.rig:
+                raise ArityError("pairing needs a common domain and rig")
             comps.extend(f.components)
-        return PolyMap(first.rig, first.dom, len(comps), comps)
+        return trusted_polymap(first.rig, first.dom, len(comps), tuple(comps))
 
     def zero(self, dom, cod):
-        return PolyMap(self.rig, dom, cod, [Polynomial.zero(self.rig, dom)] * cod)
+        return trusted_polymap(self.rig, dom, cod, (Polynomial.zero(self.rig, dom),) * cod)
 
     def add(self, f, g):
         if (f.dom, f.cod) != (g.dom, g.cod):
             raise ArityError("sum needs equal arities")
-        return PolyMap(f.rig, f.dom, f.cod,
-                       [a + b for a, b in zip(f.components, g.components)])
+        return trusted_polymap(f.rig, f.dom, f.cod,
+                               tuple(a + b for a, b in zip(f.components, g.components)))
 
     def scale(self, c, f):
-        return PolyMap(f.rig, f.dom, f.cod, [p.scale(c) for p in f.components])
+        return trusted_polymap(f.rig, f.dom, f.cod, tuple(p.scale(c) for p in f.components))
 
     def D(self, f):
         return poly_D(f)
@@ -116,20 +127,15 @@ class PolySampler:
         return self.rng.randint(1, self.max_arity)
 
     def _coeff(self):
-        from fractions import Fraction
-
-        from .algebra import rig_value
-
+        """A random payload of the rig."""
         kind = self.rig.kind
         if kind == "nat":
-            return rig_value(self.rig, self.rng.randint(0, 4))
+            return self.rng.randint(0, 4)
         if kind == "int":
-            return rig_value(self.rig, self.rng.randint(-4, 4))
+            return self.rng.randint(-4, 4)
         if kind == "rat":
-            return rig_value(
-                self.rig, Fraction(self.rng.randint(-4, 4), self.rng.randint(1, 4))
-            )
-        return rig_value(self.rig, self.rng.randrange(self.rig.modulus))
+            return Fraction(self.rng.randint(-4, 4), self.rng.randint(1, 4))
+        return self.rng.randrange(self.rig.modulus)
 
     def random_scalar(self):
         return self._coeff()

@@ -495,7 +495,7 @@ def _generator_maps(yA, Z, q) -> list:
     space = q.space.inner
     units = dict(zip(space.basis, yA.basis(Z)))
     pairing = yA.base.backend.pairing
-    return [(gen.degree, c.payload,
+    return [(gen.degree, c,
              pairing([yA.from_coords(Z, faa.elem_to_vec(gen.point, space))]
                      + [units[k] for k in gen.tail.keys]))
             for gen, c in q.coeffs.items()]

@@ -21,7 +21,6 @@ from .algebra import (
     Tensor,
     add_scaled,
     basis_keys,
-    rig_value,
 )
 from .cdc import derivative_tower, subset_pairing
 from .combinat import partial_isos, partitions, arrange
@@ -150,21 +149,31 @@ def multilinearity_test(backend, A, n: int, action):
 
 def multilinear_maps(backend, A, B, n: int) -> list:
     """Every base map A x A^n -> B that is symmetric and k-linear in its
-    last n slots, in the backend's all_maps order."""
+    last n slots, in the backend's all_maps order.  Raises SizeLimit once
+    it has examined more than MAX_CANDIDATES tables per slot of A x A^n."""
     problem = multilinearity_test(backend, A, n, hom_action(backend))
     dom = backend.product([A] * (n + 1))
-    return [f for f in backend.all_maps(dom, B) if problem(f) is None]
+    limit = MAX_CANDIDATES * (n + 1)
+    out = []
+    for examined, f in enumerate(backend.all_maps(dom, B), 1):
+        if examined > limit:
+            raise SizeLimit(f"more than {limit} candidate maps at level {n}")
+        if problem(f) is None:
+            out.append(f)
+    return out
 
 
 # Most candidate families all_families yields before it raises SizeLimit.
 # Each one costs full_fidelity a differential check of a few milliseconds
-# over Mat(Z/2), so the limit is hours of work.
+# over Mat(Z/2), so the limit is hours of work.  multilinear_maps examines
+# at most this many tables per slot of a level, each a cheaper check.
 MAX_CANDIDATES = 1 << 22
 
 
 def all_families(backend, A, B, support: int):
     """Every family (f0..f_support) A ~> B of multilinear_maps, lazily, in
-    product order; the first step raises SizeLimit past MAX_CANDIDATES."""
+    product order; the first step raises SizeLimit past MAX_CANDIDATES
+    families, or past the tables multilinear_maps may examine."""
     levels = []
     total = 1
     for n in range(nonnegative(support, "support bound") + 1):
@@ -213,6 +222,14 @@ def faa_compose(g: FaaMap, f: FaaMap) -> FaaMap:
         return FaaMap(backend, f.dom, g.cod, [])
     nf, ng = max(f.support, 0), max(g.support, 0)
     bound = nf * ng
+    subsets = {}  # f^(I) per (I, n), shared by the partitions of this call
+
+    def on_subset(I, n):
+        h = subsets.get((I, n))
+        if h is None:
+            h = subsets[I, n] = component_on_subset(f, I, n)
+        return h
+
     family = []
     for n in range(bound + 1):
         total = None
@@ -220,8 +237,7 @@ def faa_compose(g: FaaMap, f: FaaMap) -> FaaMap:
             k = part.block_count
             if k > ng or any(len(b) > nf for b in part.blocks):
                 continue  # the term vanishes by multilinearity
-            args = [component_on_subset(f, (), n)]
-            args += [component_on_subset(f, block, n) for block in part.blocks]
+            args = [on_subset((), n)] + [on_subset(block, n) for block in part.blocks]
             term = backend.compose(g.component(k), backend.pairing(args))
             total = term if total is None else backend.add(total, term)
         if total is None:  # no term survives, as when a partition is dropped
@@ -407,12 +423,12 @@ def vec_to_elem(rig, space, vec) -> ModuleElement:
     keys = basis_keys(space)
     if len(vec) != len(keys):
         raise SpaceMismatch(f"{len(vec)} coordinates for the {len(keys)} basis keys of {space}")
-    return ModuleElement(rig, space, {k: rig_value(rig, v) for k, v in zip(keys, vec)})
+    return ModuleElement(rig, space, dict(zip(keys, vec)))
 
 
 def elem_to_vec(elem: ModuleElement, space):
     coeffs = elem.coeffs
-    return tuple(coeffs[k].payload if k in coeffs else 0 for k in basis_keys(space))
+    return tuple(coeffs.get(k, 0) for k in basis_keys(space))
 
 
 def _table_terms(q: ModuleElement, space) -> list:
@@ -426,7 +442,7 @@ def _table_terms(q: ModuleElement, space) -> list:
         cell = elem_to_vec(gen.point, space)
         for key in gen.tail.keys:
             cell += units[key]
-        terms.append((c.payload, gen.degree, cell))
+        terms.append((c, gen.degree, cell))
     return terms
 
 

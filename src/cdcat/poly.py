@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RigSpec, RigValue, add_into, rig_one, rig_value, rig_zero
+from .algebra import RigSpec, RigValue, add_into, normal, rig_one, rig_value, scalar
 from .errors import (
     ArityError,
     NegationUnsupported,
@@ -31,14 +31,15 @@ from .errors import (
 # polynomials
 
 class Polynomial:
-    """Sparse multivariate polynomial: exponent vectors -> RigValue."""
+    """Sparse multivariate polynomial: exponent vectors -> nonzero
+    normalised payloads (see the algebra module), normalised here."""
 
     __slots__ = ("rig", "arity", "terms")
 
     def __init__(self, rig: RigSpec, arity: int, terms: dict):
         self.rig = rig
         self.arity = arity
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero}
+        self.terms = normal(rig)(terms)
 
     # -- constructors
 
@@ -48,7 +49,7 @@ class Polynomial:
 
     @staticmethod
     def const(rig, arity, c) -> "Polynomial":
-        return Polynomial(rig, arity, {(0,) * arity: rig_value(rig, c)})
+        return Polynomial(rig, arity, {(0,) * arity: c})
 
     @staticmethod
     def var(rig, arity, i) -> "Polynomial":
@@ -56,7 +57,7 @@ class Polynomial:
         if not 0 <= i < arity:
             raise ArityError(f"variable index {i} out of range for arity {arity}")
         e = (0,) * i + (1,) + (0,) * (arity - i - 1)
-        return Polynomial(rig, arity, {e: rig_one(rig)})
+        return Polynomial(rig, arity, {e: rig_one(rig).payload})
 
     # -- arithmetic
 
@@ -78,10 +79,12 @@ class Polynomial:
         return Polynomial(self.rig, self.arity, _times(self.terms, other.terms, {}))
 
     def scale(self, c) -> "Polynomial":
-        c = rig_value(self.rig, c)
+        c = scalar(self.rig, c)
         return Polynomial(self.rig, self.arity, {e: c * v for e, v in self.terms.items()})
 
     def __neg__(self) -> "Polynomial":
+        if self.terms and not self.rig.has_negatives:
+            raise NegationUnsupported("the rig of naturals has no negatives")
         return Polynomial(self.rig, self.arity, {e: -v for e, v in self.terms.items()})
 
     def __pow__(self, n: int) -> "Polynomial":
@@ -96,9 +99,10 @@ class Polynomial:
         return max((sum(e) for e in self.terms), default=0)
 
     def partial(self, i: int) -> "Polynomial":
-        """Formal partial derivative in x_i (0-based); multiplicity cast into k."""
+        """Formal partial derivative in x_i (0-based); the multiplicity is
+        cast into k when the result is normalised."""
         return Polynomial(self.rig, self.arity, {
-            e[:i] + (e[i] - 1,) + e[i + 1:]: c * rig_value(self.rig, e[i])
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
             for e, c in self.terms.items() if e[i]})
 
     def substitute(self, args) -> "Polynomial":
@@ -111,13 +115,11 @@ class Polynomial:
                 raise SpecMismatch(f"{a.rig} vs {self.rig}")
             if a.arity != inner:
                 raise ArityError(f"argument arity {a.arity} vs {inner}")
-        terms = _substitute(self.terms, _power_tables(args), inner)
+        terms = _substitute(self.terms, _power_tables(args), inner, normal(self.rig))
         return Polynomial(self.rig, inner, terms)
 
     def eval(self, point) -> RigValue:
-        consts = [Polynomial.const(self.rig, 0, v) for v in point]
-        result = self.substitute(consts)
-        return result.terms.get((), rig_zero(self.rig))
+        return rig_value(self.rig, _value_at(self, point))
 
     def __eq__(self, other):
         return (
@@ -145,9 +147,8 @@ class Polynomial:
                     factors.append(namer(i))
                 elif exp > 1:
                     factors.append(f"{namer(i)}^{exp}")
-            payload = c.payload
-            neg = payload < 0
-            mag = -payload if neg else payload
+            neg = c < 0
+            mag = -c if neg else c
             if not factors or mag != 1:
                 factors.insert(0, str(mag))
             pieces.append((neg, "*".join(factors)))
@@ -166,8 +167,15 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# the term-dict kernel: exponent tuple -> RigValue, no Polynomial built for
-# intermediate products; zeros left by cancellation stay until one is
+# the term-dict kernel: exponent tuple -> payload, no Polynomial built for
+# intermediate products; payloads are normalised (reduced, zeros dropped)
+# only when a Polynomial is built, and in the power tables
+
+def _value_at(p: Polynomial, point):
+    """The payload of p at a point of scalars that rig_value accepts."""
+    consts = [Polynomial.const(p.rig, 0, v) for v in point]
+    return p.substitute(consts).terms.get((), 0)
+
 
 def _times(t1: dict, t2: dict, out: dict) -> dict:
     """Add the product of term dicts t1 and t2 into out, and return out."""
@@ -195,8 +203,9 @@ def _power_tables(args) -> list:
     return [[None, a.terms] for a in args]
 
 
-def _substitute(terms: dict, tables: list, inner: int) -> dict:
-    """The terms of sum c x^e with x_i replaced by the base of tables[i]."""
+def _substitute(terms: dict, tables: list, inner: int, norm) -> dict:
+    """The terms of sum c x^e with x_i replaced by the base of tables[i];
+    each power is normalised with norm as it joins its table."""
     out = {}
     for e, c in terms.items():
         product = None  # of the powers, scaled by c once at the end
@@ -204,8 +213,7 @@ def _substitute(terms: dict, tables: list, inner: int) -> dict:
             if n:
                 powers = tables[i]
                 while len(powers) <= n:
-                    nxt = _times(powers[-1], powers[1], {})
-                    powers.append({k: v for k, v in nxt.items() if not v.is_zero})
+                    powers.append(norm(_times(powers[-1], powers[1], {})))
                 product = powers[n] if product is None else _times(product, powers[n], {})
         if product is None:
             add_into(out, (0,) * inner, c)
@@ -261,6 +269,15 @@ class PolyMap:
     __repr__ = __str__
 
 
+def trusted_polymap(rig: RigSpec, dom: int, cod: int, components: tuple) -> PolyMap:
+    """A PolyMap built without PolyMap's arity and rig checks, for results
+    whose components the caller already guarantees (substitute, poly_D and
+    the backend's own structure maps)."""
+    f = object.__new__(PolyMap)
+    f.rig, f.dom, f.cod, f.components = rig, dom, cod, components
+    return f
+
+
 def substitute(g: PolyMap, f: PolyMap) -> PolyMap:
     """Composite g after f by polynomial substitution, or by renaming
     exponents when every component of f is zero or a single variable."""
@@ -268,13 +285,14 @@ def substitute(g: PolyMap, f: PolyMap) -> PolyMap:
         raise ArityError(f"cannot compose {g.dom}<-{f.cod}")
     targets = _selection(f.components)
     if targets is not None:
-        comps = [Polynomial(g.rig, f.dom, _rename(p.terms, targets, f.dom))
-                 for p in g.components]
+        comps = tuple(Polynomial(g.rig, f.dom, _rename(p.terms, targets, f.dom))
+                      for p in g.components)
     else:
         tables = _power_tables(f.components)  # shared by g's components
-        comps = [Polynomial(g.rig, f.dom, _substitute(p.terms, tables, f.dom))
-                 for p in g.components]
-    return PolyMap(g.rig, f.dom, g.cod, comps)
+        norm = normal(g.rig)
+        comps = tuple(Polynomial(g.rig, f.dom, _substitute(p.terms, tables, f.dom, norm))
+                      for p in g.components)
+    return trusted_polymap(g.rig, f.dom, g.cod, comps)
 
 
 def _selection(components):
@@ -290,7 +308,7 @@ def _selection(components):
         if len(terms) != 1:
             return None
         (e, c), = terms.items()
-        if sum(e) != 1 or c.payload != 1:
+        if sum(e) != 1 or c != 1:
             return None
         targets.append(e.index(1))
     return targets
@@ -326,7 +344,7 @@ def poly_D(f: PolyMap) -> PolyMap:
             for e, c in p.partial(j).terms.items():
                 terms[e + shift] = c
         comps.append(Polynomial(f.rig, 2 * n, terms))
-    return PolyMap(f.rig, 2 * n, f.cod, comps)
+    return trusted_polymap(f.rig, 2 * n, f.cod, tuple(comps))
 
 
 def is_linear_syntactic(f: PolyMap) -> bool:
@@ -362,11 +380,10 @@ def _coefficient_bits(p: Polynomial) -> int:
     """Bit length of p's largest coefficient (numerator or denominator)."""
     best = 0
     for c in p.terms.values():
-        v = c.payload
-        if isinstance(v, Fraction):
-            best = max(best, v.numerator.bit_length(), v.denominator.bit_length())
+        if isinstance(c, Fraction):
+            best = max(best, c.numerator.bit_length(), c.denominator.bit_length())
         else:
-            best = max(best, v.bit_length())
+            best = max(best, c.bit_length())
     return best
 
 
@@ -648,6 +665,5 @@ def table_from_poly(f: PolyMap) -> TableMap:
         raise SizeLimit(f"domain has {dom.size} points, limit {MAX_TABLE_POINTS}")
     table = {}
     for x in dom.elements():
-        vals = f.eval(tuple(rig_value(rig, c) for c in x))
-        table[x] = tuple(v.payload for v in vals)
+        table[x] = tuple(_value_at(p, x) for p in f.components)
     return TableMap(dom, cod, table)

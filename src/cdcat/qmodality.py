@@ -17,7 +17,6 @@ from .algebra import (
     QGenerator,
     QSpace,
     RigSpec,
-    RigValue,
     Tensor,
     add_into,
     add_scaled,
@@ -26,7 +25,7 @@ from .algebra import (
     enum_elements,
     monomial_mul,
     rig_one,
-    rig_zero,
+    scalar,
     tensor_elem,
     zero_elem,
 )
@@ -98,14 +97,14 @@ def inject_elem(elem: ModuleElement, prod: Product, slot: int) -> ModuleElement:
 # generators and injection
 
 def q_gen_elem(rig: RigSpec, gen: QGenerator) -> ModuleElement:
-    return ModuleElement(rig, QSpace(gen.point.space), {gen: rig_one(rig)})
+    return ModuleElement(rig, QSpace(gen.point.space), {gen: rig_one(rig).payload})
 
 
 def _make_tail(keys) -> Monomial:
     return Monomial.of(keys)
 
 
-def _inject_into(out: dict, c: RigValue, point: ModuleElement, tails) -> None:
+def _inject_into(out: dict, c, point: ModuleElement, tails) -> None:
     """out += c * <point; tails>, each tail a coefficient dict on the point's
     basis.  A structure map adds every term of its result into one dict and
     builds one ModuleElement at the end: wrapping each <point; tails> on its
@@ -126,7 +125,7 @@ def q_inject(point: ModuleElement, tails) -> ModuleElement:
         if t.space != point.space or t.rig != rig:
             raise SpaceMismatch("tail entry not in the point's space")
     out = {}
-    _inject_into(out, rig_one(rig), point, [t.coeffs for t in tails])
+    _inject_into(out, rig_one(rig).payload, point, [t.coeffs for t in tails])
     return ModuleElement(rig, QSpace(point.space), out)
 
 
@@ -190,13 +189,10 @@ def comult(q: ModuleElement) -> ModuleElement:
 # ---------------------------------------------------------------------------
 # comonoid structure
 
-def comonoid_counit(q: ModuleElement) -> RigValue:
-    """e: QA -> k, keeping only degree-0 coefficients."""
-    total = rig_zero(q.rig)
-    for gen, c in q.coeffs.items():
-        if gen.degree == 0:
-            total = total + c
-    return total
+def comonoid_counit(q: ModuleElement):
+    """e: QA -> k, keeping only degree-0 coefficients; returns a payload."""
+    total = sum(c for gen, c in q.coeffs.items() if gen.degree == 0)
+    return scalar(q.rig, total)
 
 
 def comonoid_comult(q: ModuleElement) -> ModuleElement:
@@ -232,7 +228,7 @@ def _tensor_grid(rows, cols) -> dict:
 def monoidal_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     """m_tensor: partial-isomorphism sum of pairwise-tensored arranged lists."""
     rig = p.rig
-    one = rig_one(rig)
+    one = rig_one(rig).payload
     A = p.space.inner
     B = q.space.inner
     out = {}
@@ -271,7 +267,7 @@ def deriving(q: ModuleElement, y: ModuleElement) -> ModuleElement:
 def fusion(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     """H: QA (x) QB -> Q(A (x) QB), the partition/partial-iso double sum."""
     rig = p.rig
-    one = rig_one(rig)
+    one = rig_one(rig).payload
     A = p.space.inner
     B = q.space.inner
     QB = QSpace(B)

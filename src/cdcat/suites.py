@@ -22,7 +22,6 @@ from .algebra import (
     add_into,
     add_scaled,
     basis_elem,
-    rig_value,
     tensor_elem,
     zero_elem,
     zmod,
@@ -112,8 +111,7 @@ def _swap_tensor(t, space):
 
 def _random_linear(rig, dom: Free, cod: Free, rng) -> LinearMap:
     table = {
-        k: ModuleElement(rig, cod, {kk: rig_value(rig, rng.randrange(rig.modulus))
-                                    for kk in cod.basis})
+        k: ModuleElement(rig, cod, {kk: rng.randrange(rig.modulus) for kk in cod.basis})
         for k in dom.basis
     }
     return LinearMap(rig, dom, cod, lambda k: table[k])
@@ -571,7 +569,7 @@ def _random_kleisli(backend, A, B, support, rng):
             exps = [0] * A.dim
             for _ in range(rng.randrange(support + 1)):
                 exps[rng.randrange(A.dim)] += 1
-            coeff = rig_value(rig, rng.randrange(backend.modulus))
+            coeff = rng.randrange(backend.modulus)
             p = p + Polynomial(rig, A.dim, {tuple(exps): coeff})
         comps.append(p)
     pm = PolyMap(rig, A.dim, B.dim, comps)

@@ -1,12 +1,20 @@
 """Faa di Bruno families: chain rule, differential, and the co-Kleisli view."""
 
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdcat import faa
 from cdcat.algebra import INT, RAT, Product, basis_elem, zmod
 from cdcat.cdc import PolyBackend, PolySampler, check_axioms, iterated_D, nth_derivative
-from cdcat.errors import DegreeBoundExceeded, NoFiniteSupport, ObjectMismatch, SpaceMismatch
+from cdcat.errors import (
+    DegreeBoundExceeded,
+    NoFiniteSupport,
+    ObjectMismatch,
+    SizeLimit,
+    SpaceMismatch,
+)
 from cdcat.matcat import MatBackend
 from cdcat.poly import FinFnBackend, parse_poly_map, poly_D, substitute, table_from_poly
 
@@ -102,6 +110,29 @@ def test_multilinear_maps_filter_all_maps_in_order(backend, A):
     if isinstance(backend, MatBackend):
         assert [f.rows for f in faa.multilinear_maps(backend, 1, 1, 1)] == [
             ((0, c),) for c in range(backend.modulus)]
+
+
+def test_multilinear_maps_refuse_past_max_candidates_tables_per_slot(monkeypatch):
+    be = FinFnBackend(2)
+    A = be.module(1)
+    # level 1 has 2^4 = 16 tables on its 2 slots
+    monkeypatch.setattr(faa, "MAX_CANDIDATES", 8)
+    assert len(faa.multilinear_maps(be, A, A, 1)) == 4
+    monkeypatch.setattr(faa, "MAX_CANDIDATES", 7)
+    with pytest.raises(SizeLimit):
+        faa.multilinear_maps(be, A, A, 1)
+
+
+def test_all_families_refuses_a_huge_level_while_filtering(monkeypatch):
+    # over Z/3 at dim 1, level 2 has 3^27 tables: filtering them all would
+    # take years; the filter now stops after 3 * MAX_CANDIDATES of them
+    be = FinFnBackend(3)
+    A = be.module(1)
+    monkeypatch.setattr(faa, "MAX_CANDIDATES", 10_000)  # level 1: 3^9 tables
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit):
+        list(faa.all_families(be, A, A, 2))
+    assert time.perf_counter() - start < 30
 
 
 # ---------------------------------------------------------------------------

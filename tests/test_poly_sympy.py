@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdcat import cdc, faa, poly
-from cdcat.algebra import INT, RAT, rig_value
+from cdcat.algebra import INT, RAT
 from cdcat.poly import Polynomial, PolyMap, poly_D, substitute
 
 sympy = pytest.importorskip("sympy")
@@ -22,7 +22,7 @@ def symbols(n):
 
 
 def rational(c):
-    return sympy.Rational(c.payload.numerator, c.payload.denominator)
+    return sympy.Rational(c.numerator, c.denominator)
 
 
 def to_sympy(p: Polynomial):
@@ -54,7 +54,7 @@ def poly_maps(draw, rig, dom, cod, max_exp=3):
         terms = draw(st.dictionaries(
             st.tuples(*[st.integers(min_value=0, max_value=max_exp)] * dom),
             coefficients(rig), max_size=4))
-        comps.append(Polynomial(rig, dom, {e: rig_value(rig, c) for e, c in terms.items()}))
+        comps.append(Polynomial(rig, dom, terms))
     return PolyMap(rig, dom, cod, comps)
 
 
