@@ -88,7 +88,8 @@ class RigValue:
         return RigValue(spec, value % spec.modulus if spec.kind == "zmod" else value)
 
     def __neg__(self) -> "RigValue":
-        _negatable(self.spec)
+        if not self.spec.has_negatives:
+            raise NegationUnsupported("the rig of naturals has no negatives")
         return rig_value(self.spec, -self.payload)
 
     @property
@@ -147,8 +148,7 @@ def normal(spec: RigSpec):
 
 
 def _normaliser(spec: RigSpec):
-    kind = spec.kind
-    if kind == "zmod":
+    if spec.kind == "zmod":
         m = spec.modulus
 
         def norm(coeffs: dict) -> dict:
@@ -158,33 +158,19 @@ def _normaliser(spec: RigSpec):
                 if v:
                     out[k] = v
             return out
-    elif kind == "rat":
-        def norm(coeffs: dict) -> dict:
-            out = {}
-            for k, v in coeffs.items():
-                if type(v) is not Fraction:
-                    v = scalar(spec, v)
-                if v:
-                    out[k] = v
-            return out
-    elif kind == "nat":
-        def norm(coeffs: dict) -> dict:
-            out = {}
-            for k, v in coeffs.items():
-                if type(v) is not int or v < 0:
-                    v = scalar(spec, v)  # refuses a negative
-                if v:
-                    out[k] = v
-            return out
-    else:
-        def norm(coeffs: dict) -> dict:
-            out = {}
-            for k, v in coeffs.items():
-                if type(v) is not int:
-                    v = scalar(spec, v)
-                if v:
-                    out[k] = v
-            return out
+        return norm
+
+    payload_type = Fraction if spec.kind == "rat" else int
+    signed = spec.has_negatives
+
+    def norm(coeffs: dict) -> dict:
+        out = {}
+        for k, v in coeffs.items():
+            if type(v) is not payload_type or not signed and v < 0:
+                v = scalar(spec, v)  # refuses a non-scalar and a negative nat
+            if v:
+                out[k] = v
+        return out
     return norm
 
 
@@ -196,11 +182,6 @@ def rig_zero(spec: RigSpec) -> RigValue:
 def rig_one(spec: RigSpec) -> RigValue:
     """The unit of `spec`, built once per spec (that of zmod:1 is 0)."""
     return rig_value(spec, 1)
-
-
-def _negatable(spec: RigSpec) -> None:
-    if not spec.has_negatives:
-        raise NegationUnsupported("the rig of naturals has no negatives")
 
 
 def rig_op(spec: RigSpec, op: str, a: RigValue, b: RigValue | None = None) -> RigValue:
@@ -379,8 +360,7 @@ class ModuleElement:
         )
 
     def __neg__(self) -> "ModuleElement":
-        if self.coeffs:
-            _negatable(self.rig)
+        # over nat the normaliser refuses the negated payloads
         return ModuleElement(self.rig, self.space, {k: -v for k, v in self.coeffs.items()})
 
     @property

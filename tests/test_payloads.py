@@ -126,3 +126,14 @@ def test_constructors_refuse_non_scalars(rig, bad):
         Polynomial(rig, 1, {(1,): bad})
     with pytest.raises(CdcatError):
         ModuleElement(rig, A, {"e1": 1}).scale(bad)
+
+
+def test_constructors_accept_other_scalars_as_payloads():
+    assert ModuleElement(zmod(5), A, {"e1": -1, "e2": rig_value(zmod(5), 10)}).coeffs == {
+        "e1": 4}
+    assert Polynomial(RAT, 1, {(1,): 2, (0,): rig_value(RAT, "1/2")}).terms == {
+        (1,): Fraction(2), (0,): Fraction(1, 2)}
+    with pytest.raises(CdcatError):
+        ModuleElement(NAT, A, {"e1": -1})
+    with pytest.raises(CdcatError):
+        Polynomial(NAT, 1, {(1,): -1})
