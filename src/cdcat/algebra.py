@@ -9,7 +9,7 @@ normal-form QGenerators.
 Scalars: a coefficient is a raw payload, `int` for nat, int and zmod (in
 range(m) for zmod) and `Fraction` for rat, so every kernel adds and
 multiplies with native + and *.  Sums and products of payloads may leave
-range(m) or cancel to zero inside a kernel; `normal(rig)`, built once per
+range(m) or cancel to zero inside a kernel; `rig.normal`, built once per
 RigSpec, reduces and drops zeros when a result is wrapped as a
 ModuleElement or Polynomial, and sends any other coefficient through
 `rig_value`, which accepts an int or a RigValue of the rig and refuses a
@@ -52,6 +52,15 @@ class RigSpec:
     @property
     def has_negatives(self) -> bool:
         return self.kind != "nat"
+
+    @functools.cached_property
+    def normal(self):
+        """The normaliser of coefficient dicts over this rig, built once:
+        a function from a dict of sums and products of payloads to a new
+        dict of normalised, nonzero payloads.  A coefficient whose type is
+        not the payload type (or a negative int, for nat) goes through
+        rig_value."""
+        return _normaliser(self)
 
     def __str__(self):
         return f"zmod:{self.modulus}" if self.kind == "zmod" else self.kind
@@ -133,18 +142,6 @@ def rig_value(spec: RigSpec, raw) -> RigValue:
 def scalar(spec: RigSpec, raw):
     """The normalised payload of a scalar that rig_value accepts."""
     return rig_value(spec, raw).payload
-
-
-def normal(spec: RigSpec):
-    """The normaliser of coefficient dicts over `spec`, built once per spec:
-    a function from a dict of sums and products of payloads to a new dict
-    of normalised, nonzero payloads.  A coefficient whose type is not the
-    payload type (or a negative int, for nat) goes through rig_value."""
-    norm = spec.__dict__.get("_normal")
-    if norm is None:
-        norm = _normaliser(spec)
-        spec.__dict__["_normal"] = norm  # not a field: == and hash ignore it
-    return norm
 
 
 def _normaliser(spec: RigSpec):
@@ -339,7 +336,7 @@ class ModuleElement:
     def __init__(self, rig: RigSpec, space, coeffs: dict):
         self.rig = rig
         self.space = space
-        self.coeffs = normal(rig)(coeffs)
+        self.coeffs = rig.normal(coeffs)
         self._hash = None
 
     def _check(self, other: "ModuleElement"):

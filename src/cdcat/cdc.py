@@ -33,7 +33,7 @@ from .poly import (
     is_linear_syntactic,
     poly_D,
     substitute,
-    trusted_polymap,
+    _trusted_polymap,
 )
 from .reports import Report
 
@@ -43,7 +43,7 @@ from .reports import Report
 
 class PolyBackend:
     """Objects are arities, morphisms PolyMaps, D the total derivative.
-    Its results are built with trusted_polymap: each component has the
+    Its results are built with _trusted_polymap: each component has the
     arity and rig of the result by construction."""
 
     def __init__(self, rig):
@@ -51,7 +51,7 @@ class PolyBackend:
         self._projs = {}  # (objs, i) -> projection; PolyMaps are never mutated
 
     def identity(self, n):
-        return trusted_polymap(self.rig, n, n,
+        return _trusted_polymap(self.rig, n, n,
                                tuple(Polynomial.var(self.rig, n, i) for i in range(n)))
 
     def compose(self, g, f):
@@ -67,7 +67,7 @@ class PolyBackend:
             objs = key[0]
             total = sum(objs)
             offset = sum(objs[:i])
-            pi = self._projs[key] = trusted_polymap(self.rig, total, objs[i], tuple(
+            pi = self._projs[key] = _trusted_polymap(self.rig, total, objs[i], tuple(
                 Polynomial.var(self.rig, total, offset + j) for j in range(objs[i])))
         return pi
 
@@ -79,19 +79,19 @@ class PolyBackend:
             if f.dom != first.dom or f.rig != first.rig:
                 raise ArityError("pairing needs a common domain and rig")
             comps.extend(f.components)
-        return trusted_polymap(first.rig, first.dom, len(comps), tuple(comps))
+        return _trusted_polymap(first.rig, first.dom, len(comps), tuple(comps))
 
     def zero(self, dom, cod):
-        return trusted_polymap(self.rig, dom, cod, (Polynomial.zero(self.rig, dom),) * cod)
+        return _trusted_polymap(self.rig, dom, cod, (Polynomial.zero(self.rig, dom),) * cod)
 
     def add(self, f, g):
         if (f.dom, f.cod) != (g.dom, g.cod):
             raise ArityError("sum needs equal arities")
-        return trusted_polymap(f.rig, f.dom, f.cod,
+        return _trusted_polymap(f.rig, f.dom, f.cod,
                                tuple(a + b for a, b in zip(f.components, g.components)))
 
     def scale(self, c, f):
-        return trusted_polymap(f.rig, f.dom, f.cod, tuple(p.scale(c) for p in f.components))
+        return _trusted_polymap(f.rig, f.dom, f.cod, tuple(p.scale(c) for p in f.components))
 
     def D(self, f):
         return poly_D(f)

@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RigSpec, RigValue, add_into, normal, rig_one, rig_value, scalar
+from .algebra import RigSpec, RigValue, add_into, rig_one, rig_value, scalar
 from .errors import (
     ArityError,
     NegationUnsupported,
@@ -39,7 +39,7 @@ class Polynomial:
     def __init__(self, rig: RigSpec, arity: int, terms: dict):
         self.rig = rig
         self.arity = arity
-        self.terms = normal(rig)(terms)
+        self.terms = rig.normal(terms)
 
     # -- constructors
 
@@ -114,7 +114,7 @@ class Polynomial:
                 raise SpecMismatch(f"{a.rig} vs {self.rig}")
             if a.arity != inner:
                 raise ArityError(f"argument arity {a.arity} vs {inner}")
-        terms = _substitute(self.terms, _power_tables(args), inner, normal(self.rig))
+        terms = _substitute(self.terms, _power_tables(args), inner, self.rig.normal)
         return Polynomial(self.rig, inner, terms)
 
     def eval(self, point) -> RigValue:
@@ -268,7 +268,7 @@ class PolyMap:
     __repr__ = __str__
 
 
-def trusted_polymap(rig: RigSpec, dom: int, cod: int, components: tuple) -> PolyMap:
+def _trusted_polymap(rig: RigSpec, dom: int, cod: int, components: tuple) -> PolyMap:
     """A PolyMap built without PolyMap's arity and rig checks, for results
     whose components the caller already guarantees (substitute, poly_D and
     the backend's own structure maps)."""
@@ -288,10 +288,10 @@ def substitute(g: PolyMap, f: PolyMap) -> PolyMap:
                       for p in g.components)
     else:
         tables = _power_tables(f.components)  # shared by g's components
-        norm = normal(g.rig)
+        norm = g.rig.normal
         comps = tuple(Polynomial(g.rig, f.dom, _substitute(p.terms, tables, f.dom, norm))
                       for p in g.components)
-    return trusted_polymap(g.rig, f.dom, g.cod, comps)
+    return _trusted_polymap(g.rig, f.dom, g.cod, comps)
 
 
 def _selection(components):
@@ -343,7 +343,7 @@ def poly_D(f: PolyMap) -> PolyMap:
             for e, c in p.partial(j).terms.items():
                 terms[e + shift] = c
         comps.append(Polynomial(f.rig, 2 * n, terms))
-    return trusted_polymap(f.rig, 2 * n, f.cod, tuple(comps))
+    return _trusted_polymap(f.rig, 2 * n, f.cod, tuple(comps))
 
 
 def is_linear_syntactic(f: PolyMap) -> bool:

@@ -30,10 +30,16 @@ from .algebra import (
     zero_elem,
 )
 from .combinat import arrange, partial_isos, partitions
-from .errors import SpaceMismatch
+from .errors import SpaceMismatch, SpecMismatch
 
 # the rig k viewed as the one-dimensional free module
 UNIT_SPACE = Free(("1",))
+
+
+def _same_rig(a: RigSpec, b: RigSpec) -> None:
+    # coefficients are raw payloads, so no scalar product checks the rigs
+    if a is not b and a != b:
+        raise SpecMismatch(f"{a} vs {b}")
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +67,7 @@ class LinearMap:
     def apply(self, elem: ModuleElement) -> ModuleElement:
         if elem.space != self.domain:
             raise SpaceMismatch(f"{elem.space} vs {self.domain}")
+        _same_rig(elem.rig, self.rig)
         out = {}
         for k, c in elem.coeffs.items():
             add_scaled(out, c, self.on_basis(k))
@@ -131,6 +138,7 @@ def q_inject(point: ModuleElement, tails) -> ModuleElement:
 
 def q_map(f: LinearMap, q: ModuleElement) -> ModuleElement:
     """Functorial action Qf: <x0,...,xn> -> <f(x0),...,f(xn)>."""
+    _same_rig(q.rig, f.rig)
     out = {}
     images = {}  # f(point) per point: the generators of a sum often share one
     for gen, c in q.coeffs.items():
@@ -256,6 +264,7 @@ def deriving(q: ModuleElement, y: ModuleElement) -> ModuleElement:
     rig = q.rig
     if y.space != q.space.inner:
         raise SpaceMismatch(f"{y.space} vs {q.space.inner}")
+    _same_rig(y.rig, rig)
     out = {}
     for gen, c in q.coeffs.items():
         for k, v in y.coeffs.items():
@@ -267,6 +276,7 @@ def deriving(q: ModuleElement, y: ModuleElement) -> ModuleElement:
 def fusion(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     """H: QA (x) QB -> Q(A (x) QB), the partition/partial-iso double sum."""
     rig = p.rig
+    _same_rig(q.rig, rig)
     one = rig_one(rig).payload
     A = p.space.inner
     B = q.space.inner

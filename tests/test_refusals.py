@@ -29,11 +29,20 @@ from cdcat.errors import (
     SpecMismatch,
 )
 from cdcat.poly import FinFnBackend, Polynomial, parse_poly_map, table_from_poly
-from cdcat.qmodality import bialg_mult, identity_map, inject_elem, q_inject
+from cdcat.qmodality import (
+    bialg_mult,
+    deriving,
+    fusion,
+    identity_map,
+    inject_elem,
+    q_inject,
+    q_map,
+)
 
 A = Free(("a",))
 B = Free(("b",))
 SQUARE = parse_poly_map("[x1^2]", INT, 1)
+Z2, Z3 = zmod(2), zmod(3)
 BASE = dpsh.FiniteCdcBase(2, (1,))
 
 
@@ -106,6 +115,13 @@ def _kleisli_mismatch():
     (lambda: tensor_elem(basis_elem(INT, A, "a"), basis_elem(zmod(2), B, "b")),
      SpecMismatch),
     (lambda: identity_map(INT, A).apply(basis_elem(INT, B, "b")), SpaceMismatch),
+    (lambda: identity_map(Z3, A).apply(basis_elem(Z2, A, "a")), SpecMismatch),
+    (lambda: q_map(identity_map(Z3, A), q_inject(basis_elem(Z2, A, "a"), [])),
+     SpecMismatch),
+    (lambda: deriving(q_inject(basis_elem(Z2, A, "a"), []), basis_elem(Z3, A, "a")),
+     SpecMismatch),
+    (lambda: fusion(q_inject(basis_elem(Z2, A, "a"), []),
+                    q_inject(basis_elem(Z3, B, "b"), [])), SpecMismatch),
     (lambda: inject_elem(basis_elem(INT, A, "a"), Product((A, B)), 1), SpaceMismatch),
     (lambda: bialg_mult(q_inject(basis_elem(INT, A, "a"), []),
                         q_inject(basis_elem(INT, B, "b"), [])), SpaceMismatch),
@@ -113,7 +129,8 @@ def _kleisli_mismatch():
     (lambda: Polynomial.var(INT, 1, 1), ArityError),
     (lambda: parse_poly_map("[1/0]", RigSpec("rat"), 1), ParseError),
     (lambda: table_from_poly(parse_poly_map("[x1]", INT, 1)), SpecMismatch),
-], ids=["rig-value", "tensor-elem", "linear-apply", "inject-elem", "bialg-mult",
+], ids=["rig-value", "tensor-elem", "linear-apply", "linear-apply-rig", "q-map-rig",
+        "deriving-rig", "fusion-rig", "inject-elem", "bialg-mult",
         "kleisli-compose", "poly-var", "zero-denominator", "table-over-int"])
 def test_mismatched_inputs_are_refused(call, error):
     with pytest.raises(error):
