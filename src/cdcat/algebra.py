@@ -6,15 +6,18 @@ key conventions once: Free spaces use their basis names, Product keys are
 (slot, inner key), Tensor keys are tuples of inner keys, and QSpace keys are
 normal-form QGenerators.
 
-Scalars: a coefficient is a raw payload, `int` for nat, int and zmod (in
+Scalars: a scalar is a raw payload, `int` for nat, int and zmod (in
 range(m) for zmod) and `Fraction` for rat, so every kernel adds and
-multiplies with native + and *.  Sums and products of payloads may leave
-range(m) or cancel to zero inside a kernel; `rig.normal`, built once per
-RigSpec, reduces and drops zeros when a result is wrapped as a
-ModuleElement or Polynomial, and sends any other coefficient through
-`rig_value`, which accepts an int or a RigValue of the rig and refuses a
-float, a bool or another rig's RigValue.  `RigValue` boxes one payload with
-its spec, for callers that want checked scalar arithmetic.
+multiplies with native + and *.  `rig_value(spec, raw)` is the one
+coercion: every scalar that enters a public function goes through it (a
+`scale`, a constructor's coefficient, a matrix entry), and it returns the
+normalised payload, refusing a float, a bool, a non-integer off rat and
+another rig's scalar.  Every scalar a public function returns is such a
+payload.  Sums and products of payloads may leave range(m) or cancel to
+zero inside a kernel; `rig.normal`, built once per RigSpec, reduces and
+drops zeros when a result is wrapped as a ModuleElement or Polynomial.
+`RigValue` is a bare (spec, payload) box whose + and * check the specs;
+nothing here builds one.
 
 Accumulation rule: a linear sum adds its (key, coefficient) terms into one
 dict with `add_into` / `add_scaled` and builds one ModuleElement at the end,
@@ -62,6 +65,11 @@ class RigSpec:
         rig_value."""
         return _normaliser(self)
 
+    @functools.cached_property
+    def one(self):
+        """The payload of the unit, built once per spec (that of zmod:1 is 0)."""
+        return rig_value(self, 1)
+
     def __str__(self):
         return f"zmod:{self.modulus}" if self.kind == "zmod" else self.kind
 
@@ -77,6 +85,9 @@ def zmod(m: int) -> RigSpec:
 
 @dataclass(frozen=True)
 class RigValue:
+    """A payload boxed with its spec; + and * refuse another rig's box and
+    return the normalised payload."""
+
     spec: RigSpec
     payload: object  # int, or Fraction for rat
 
@@ -84,64 +95,41 @@ class RigValue:
         if other.spec is not self.spec and other.spec != self.spec:
             raise SpecMismatch(f"{self.spec} vs {other.spec}")
 
-    # sums and products of normalized values stay normalized (nat stays
-    # non-negative), so only zmod reduces
-    def __add__(self, other: "RigValue") -> "RigValue":
+    def __add__(self, other: "RigValue"):
         self._check(other)
-        spec, value = self.spec, self.payload + other.payload
-        return RigValue(spec, value % spec.modulus if spec.kind == "zmod" else value)
+        return rig_value(self.spec, self.payload + other.payload)
 
-    def __mul__(self, other: "RigValue") -> "RigValue":
+    def __mul__(self, other: "RigValue"):
         self._check(other)
-        spec, value = self.spec, self.payload * other.payload
-        return RigValue(spec, value % spec.modulus if spec.kind == "zmod" else value)
-
-    def __neg__(self) -> "RigValue":
-        if not self.spec.has_negatives:
-            raise NegationUnsupported("the rig of naturals has no negatives")
-        return rig_value(self.spec, -self.payload)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.payload == 0
-
-    def __hash__(self):
-        return hash(self.payload)
-
-    def __str__(self):
-        return str(self.payload)
+        return rig_value(self.spec, self.payload * other.payload)
 
 
-def rig_value(spec: RigSpec, raw) -> RigValue:
-    """Build a normalized RigValue from an int, Fraction, or RigValue; rat
-    also parses a literal such as "1/2" or "0.1", exactly.
+def rig_value(spec: RigSpec, raw):
+    """The normalised payload of a scalar of `spec`: an int, a Fraction or
+    a RigValue of the same rig; rat also parses a literal such as "1/2" or
+    "0.1", exactly.
 
-    Anything else, float and bool included, raises SpecMismatch.
+    Anything else, float and bool included, raises SpecMismatch, and a
+    negative int over nat raises NegationUnsupported.
     """
     if isinstance(raw, RigValue):
         if raw.spec != spec:
             raise SpecMismatch(f"{raw.spec} vs {spec}")
-        return raw
+        raw = raw.payload
     if spec.kind == "rat":
         if isinstance(raw, bool) or not isinstance(raw, (int, Fraction, str)):
             raise SpecMismatch(f"{raw!r} is not an exact scalar of rig {spec}")
         try:
-            value = Fraction(raw)
+            return Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise SpecMismatch(f"{raw!r} is not a rational literal") from None
-        return RigValue(spec, value)
     if type(raw) is not int:  # refuses bool too
         raise SpecMismatch(f"non-integer scalar {raw!r} in rig {spec}")
     if spec.kind == "zmod":
-        return RigValue(spec, raw % spec.modulus)
+        return raw % spec.modulus
     if spec.kind == "nat" and raw < 0:
         raise NegationUnsupported(f"{raw} is not a natural number")
-    return RigValue(spec, raw)
-
-
-def scalar(spec: RigSpec, raw):
-    """The normalised payload of a scalar that rig_value accepts."""
-    return rig_value(spec, raw).payload
+    return raw
 
 
 def _normaliser(spec: RigSpec):
@@ -151,7 +139,7 @@ def _normaliser(spec: RigSpec):
         def norm(coeffs: dict) -> dict:
             out = {}
             for k, v in coeffs.items():
-                v = v % m if type(v) is int else scalar(spec, v)
+                v = v % m if type(v) is int else rig_value(spec, v)
                 if v:
                     out[k] = v
             return out
@@ -164,41 +152,25 @@ def _normaliser(spec: RigSpec):
         out = {}
         for k, v in coeffs.items():
             if type(v) is not payload_type or not signed and v < 0:
-                v = scalar(spec, v)  # refuses a non-scalar and a negative nat
+                v = rig_value(spec, v)  # refuses a non-scalar and a negative nat
             if v:
                 out[k] = v
         return out
     return norm
 
 
-def rig_zero(spec: RigSpec) -> RigValue:
-    return rig_value(spec, 0)
-
-
-@functools.cache
-def rig_one(spec: RigSpec) -> RigValue:
-    """The unit of `spec`, built once per spec (that of zmod:1 is 0)."""
-    return rig_value(spec, 1)
-
-
-def rig_op(spec: RigSpec, op: str, a: RigValue, b: RigValue | None = None) -> RigValue:
-    """Dispatch rig arithmetic: op in {"add", "mul", "neg"}."""
+def rig_op(spec: RigSpec, op: str, a, b=None):
+    """Rig arithmetic on scalars that rig_value accepts, op in {"add",
+    "mul", "neg"}; returns the normalised payload."""
     a = rig_value(spec, a)
     if op == "neg":
-        return -a
+        return rig_value(spec, -a)  # over nat only 0 has a negative
     b = rig_value(spec, b)
     if op == "add":
-        return a + b
+        return rig_value(spec, a + b)
     if op == "mul":
-        return a * b
+        return rig_value(spec, a * b)
     raise InvalidArgument(f"unknown rig op {op!r}")
-
-
-def all_rig_values(spec: RigSpec):
-    """All scalars of a finite rig (zmod only)."""
-    if spec.kind != "zmod":
-        raise InvalidArgument(f"rig {spec} is not finite")
-    return [rig_value(spec, i) for i in range(spec.modulus)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +323,7 @@ class ModuleElement:
         return ModuleElement(self.rig, self.space, out)
 
     def scale(self, c) -> "ModuleElement":
-        c = scalar(self.rig, c)
+        c = rig_value(self.rig, c)
         return ModuleElement(
             self.rig, self.space, {k: c * v for k, v in self.coeffs.items()}
         )
@@ -398,7 +370,7 @@ def zero_elem(rig: RigSpec, space) -> ModuleElement:
 def basis_elem(rig: RigSpec, space, key) -> ModuleElement:
     if not valid_key(space, key):
         raise SpaceMismatch(f"key {key!r} is not a basis key of {space}")
-    return ModuleElement(rig, space, {key: rig_one(rig).payload})
+    return ModuleElement(rig, space, {key: rig.one})
 
 
 def tensor_elem(a: ModuleElement, b: ModuleElement) -> ModuleElement:
@@ -413,9 +385,10 @@ def tensor_elem(a: ModuleElement, b: ModuleElement) -> ModuleElement:
 
 def enum_elements(rig: RigSpec, space):
     """All elements of a finite free-ish module (zmod rig, enumerable basis)."""
+    if rig.kind != "zmod":
+        raise InvalidArgument(f"rig {rig} is not finite")
     keys = basis_keys(space)
-    scalars = [v.payload for v in all_rig_values(rig)]
-    for combo in itertools.product(scalars, repeat=len(keys)):
+    for combo in itertools.product(range(rig.modulus), repeat=len(keys)):
         yield ModuleElement(rig, space, dict(zip(keys, combo)))
 
 

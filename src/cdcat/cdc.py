@@ -24,7 +24,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .algebra import add_into
+from .algebra import add_into, rig_value
 from .combinat import partitions
 from .errors import ArityError, InvalidArgument, nonnegative
 from .poly import (
@@ -91,6 +91,7 @@ class PolyBackend:
                                tuple(a + b for a, b in zip(f.components, g.components)))
 
     def scale(self, c, f):
+        c = rig_value(f.rig, c)
         return _trusted_polymap(f.rig, f.dom, f.cod, tuple(p.scale(c) for p in f.components))
 
     def D(self, f):
@@ -126,7 +127,7 @@ class PolySampler:
     def random_object(self):
         return self.rng.randint(1, self.max_arity)
 
-    def _coeff(self):
+    def random_scalar(self):
         """A random payload of the rig."""
         kind = self.rig.kind
         if kind == "nat":
@@ -137,9 +138,6 @@ class PolySampler:
             return Fraction(self.rng.randint(-4, 4), self.rng.randint(1, 4))
         return self.rng.randrange(self.rig.modulus)
 
-    def random_scalar(self):
-        return self._coeff()
-
     def random_poly(self, arity) -> Polynomial:
         terms = {}
         for _ in range(self.rng.randint(1, self.max_terms)):
@@ -148,7 +146,7 @@ class PolySampler:
             for _ in range(budget):
                 if arity:
                     expo[self.rng.randrange(arity)] += 1
-            add_into(terms, tuple(expo), self._coeff())
+            add_into(terms, tuple(expo), self.random_scalar())
         return Polynomial(self.rig, arity, terms)
 
     def random_morphism(self, dom, cod) -> PolyMap:

@@ -18,7 +18,7 @@ import itertools
 import random
 
 from . import faa
-from .algebra import Free, ModuleElement, QSpace, add_scaled, basis_elem
+from .algebra import Free, ModuleElement, QSpace, add_scaled, basis_elem, rig_value
 from .errors import InvalidSequence, nonnegative
 from .matcat import MatBackend, MatMap, trusted_matmap
 from .qmodality import LinearMap, enum_generators, q_gen_elem, q_inject, q_map
@@ -31,7 +31,7 @@ class FiniteCdcBase:
     def __init__(self, modulus: int, objects=(1, 2)):
         self.backend = MatBackend(modulus)
         self.modulus = modulus
-        self.objects = list(objects)
+        self.objects = [nonnegative(A, "object") for A in objects]
 
     def all_maps(self, dom, cod):
         return list(self.backend.all_maps(dom, cod))
@@ -101,7 +101,7 @@ class FinitePresheaf:
         return {k: v for k, v in out.items() if v}
 
     def scale(self, c, x):
-        m = self.base.modulus
+        c, m = rig_value(self.base.backend.rig, c), self.base.modulus
         return {k: c * v % m for k, v in x.items() if c * v % m}
 
 

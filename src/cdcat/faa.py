@@ -21,6 +21,7 @@ from .algebra import (
     Tensor,
     add_scaled,
     basis_keys,
+    rig_value,
 )
 from .cdc import derivative_tower, subset_pairing
 from .combinat import partial_isos, partitions, arrange
@@ -379,6 +380,7 @@ class FaaBackend:
                       [self.base.add(f.component(n), g.component(n)) for n in range(top)])
 
     def scale(self, c, f):
+        c = rig_value(self.rig, c)
         return FaaMap(self.base, f.dom, f.cod, [self.base.scale(c, x) for x in f.family])
 
     def D(self, f):

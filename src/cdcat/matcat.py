@@ -10,13 +10,14 @@ import itertools
 import operator
 from dataclasses import dataclass
 
-from .algebra import RigSpec
+from .algebra import RigSpec, rig_value
 from .errors import ArityError, ObjectMismatch, SpecMismatch
 
 
 @dataclass(frozen=True)
 class MatMap:
-    """cod x dom matrix of residues; objects are dimensions."""
+    """cod x dom matrix of residues; objects are dimensions.  Each entry is
+    reduced through rig_value, which refuses a non-integer."""
 
     rig: RigSpec
     dom: int
@@ -28,6 +29,8 @@ class MatMap:
             raise SpecMismatch("MatMap needs a zmod rig")
         if len(self.rows) != self.cod or any(len(r) != self.dom for r in self.rows):
             raise ArityError("matrix shape mismatch")
+        object.__setattr__(self, "rows", tuple(
+            tuple(rig_value(self.rig, a) for a in r) for r in self.rows))
 
     @property
     def is_zero(self) -> bool:
@@ -112,8 +115,8 @@ class MatBackend:
         )
         return trusted_matmap(self.rig, f.dom, f.cod, rows)
 
-    def scale(self, c: int, f: MatMap) -> MatMap:
-        m = self.modulus
+    def scale(self, c, f: MatMap) -> MatMap:
+        c, m = rig_value(self.rig, c), self.modulus
         rows = tuple(tuple((c * a) % m for a in r) for r in f.rows)
         return trusted_matmap(self.rig, f.dom, f.cod, rows)
 

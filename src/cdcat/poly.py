@@ -14,7 +14,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RigSpec, RigValue, add_into, rig_one, rig_value, scalar
+from .algebra import RigSpec, add_into, rig_value
 from .errors import (
     ArityError,
     NegationUnsupported,
@@ -57,7 +57,7 @@ class Polynomial:
         if not 0 <= i < arity:
             raise ArityError(f"variable index {i} out of range for arity {arity}")
         e = (0,) * i + (1,) + (0,) * (arity - i - 1)
-        return Polynomial(rig, arity, {e: rig_one(rig).payload})
+        return Polynomial(rig, arity, {e: rig.one})
 
     # -- arithmetic
 
@@ -79,7 +79,7 @@ class Polynomial:
         return Polynomial(self.rig, self.arity, _times(self.terms, other.terms, {}))
 
     def scale(self, c) -> "Polynomial":
-        c = scalar(self.rig, c)
+        c = rig_value(self.rig, c)
         return Polynomial(self.rig, self.arity, {e: c * v for e, v in self.terms.items()})
 
     def __neg__(self) -> "Polynomial":
@@ -117,8 +117,11 @@ class Polynomial:
         terms = _substitute(self.terms, _power_tables(args), inner, self.rig.normal)
         return Polynomial(self.rig, inner, terms)
 
-    def eval(self, point) -> RigValue:
-        return rig_value(self.rig, _value_at(self, point))
+    def eval(self, point):
+        """The payload of self at a point of scalars that rig_value accepts."""
+        consts = [Polynomial.const(self.rig, 0, v) for v in point]
+        terms = self.substitute(consts).terms
+        return terms[()] if terms else rig_value(self.rig, 0)
 
     def __eq__(self, other):
         return (
@@ -169,12 +172,6 @@ class Polynomial:
 # the term-dict kernel: exponent tuple -> payload, no Polynomial built for
 # intermediate products; payloads are normalised (reduced, zeros dropped)
 # only when a Polynomial is built, and in the power tables
-
-def _value_at(p: Polynomial, point):
-    """The payload of p at a point of scalars that rig_value accepts."""
-    consts = [Polynomial.const(p.rig, 0, v) for v in point]
-    return p.substitute(consts).terms.get((), 0)
-
 
 def _times(t1: dict, t2: dict, out: dict) -> dict:
     """Add the product of term dicts t1 and t2 into out, and return out."""
@@ -231,6 +228,7 @@ class PolyMap:
     __slots__ = ("rig", "dom", "cod", "components")
 
     def __init__(self, rig, dom, cod, components):
+        nonnegative(dom, "domain arity")
         components = tuple(components)
         if len(components) != cod:
             raise ArityError(f"expected {cod} components, got {len(components)}")
@@ -507,6 +505,7 @@ class _Parser:
 
 def parse_poly_map(src: str, rig: RigSpec, arity: int) -> PolyMap:
     """Parse '[poly; poly; ...]' in variables x1..x<arity>."""
+    nonnegative(arity, "arity")
     if arity > MAX_ARITY:
         raise SizeLimit(f"arity {arity} exceeds the limit of {MAX_ARITY} variables")
     return _Parser(src, rig, arity).map_()
@@ -525,6 +524,7 @@ class FinModule:
     def __post_init__(self):
         if self.rig.kind != "zmod":
             raise SpecMismatch("FinModule needs a zmod rig")
+        nonnegative(self.dim, "dimension")
 
     @property
     def modulus(self) -> int:
@@ -536,12 +536,6 @@ class FinModule:
     @property
     def size(self) -> int:
         return self.modulus ** self.dim
-
-    def vadd(self, a, b):
-        return tuple((x + y) % self.modulus for x, y in zip(a, b))
-
-    def vscale(self, c, a):
-        return tuple((c * x) % self.modulus for x in a)
 
     @property
     def zero_vec(self):
@@ -634,12 +628,14 @@ class FinFnBackend:
     def add(self, f: TableMap, g: TableMap) -> TableMap:
         if (f.dom, f.cod) != (g.dom, g.cod):
             raise ObjectMismatch(f"{f.dom.dim}->{f.cod.dim} vs {g.dom.dim}->{g.cod.dim}")
-        vadd = f.cod.vadd
-        return TableMap.from_callable(f.dom, f.cod, lambda x: vadd(f.table[x], g.table[x]))
+        m = f.cod.modulus
+        return TableMap.from_callable(f.dom, f.cod, lambda x: tuple(
+            (a + b) % m for a, b in zip(f.table[x], g.table[x])))
 
-    def scale(self, c: int, f: TableMap) -> TableMap:
-        vscale = f.cod.vscale
-        return TableMap.from_callable(f.dom, f.cod, lambda x: vscale(c, f.table[x]))
+    def scale(self, c, f: TableMap) -> TableMap:
+        c, m = rig_value(f.cod.rig, c), f.cod.modulus
+        return TableMap.from_callable(f.dom, f.cod, lambda x: tuple(
+            c * a % m for a in f.table[x]))
 
     def all_maps(self, dom: FinModule, cod: FinModule):
         """Every set map dom -> cod (use with care: |cod|^|dom| tables)."""
@@ -664,5 +660,5 @@ def table_from_poly(f: PolyMap) -> TableMap:
         raise SizeLimit(f"domain has {dom.size} points, limit {MAX_TABLE_POINTS}")
     table = {}
     for x in dom.elements():
-        table[x] = tuple(_value_at(p, x) for p in f.components)
+        table[x] = tuple(p.eval(x) for p in f.components)
     return TableMap(dom, cod, table)

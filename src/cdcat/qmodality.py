@@ -24,8 +24,7 @@ from .algebra import (
     basis_keys,
     enum_elements,
     monomial_mul,
-    rig_one,
-    scalar,
+    rig_value,
     tensor_elem,
     zero_elem,
 )
@@ -104,7 +103,7 @@ def inject_elem(elem: ModuleElement, prod: Product, slot: int) -> ModuleElement:
 # generators and injection
 
 def q_gen_elem(rig: RigSpec, gen: QGenerator) -> ModuleElement:
-    return ModuleElement(rig, QSpace(gen.point.space), {gen: rig_one(rig).payload})
+    return ModuleElement(rig, QSpace(gen.point.space), {gen: rig.one})
 
 
 def _make_tail(keys) -> Monomial:
@@ -132,7 +131,7 @@ def q_inject(point: ModuleElement, tails) -> ModuleElement:
         if t.space != point.space or t.rig != rig:
             raise SpaceMismatch("tail entry not in the point's space")
     out = {}
-    _inject_into(out, rig_one(rig).payload, point, [t.coeffs for t in tails])
+    _inject_into(out, rig.one, point, [t.coeffs for t in tails])
     return ModuleElement(rig, QSpace(point.space), out)
 
 
@@ -200,7 +199,7 @@ def comult(q: ModuleElement) -> ModuleElement:
 def comonoid_counit(q: ModuleElement):
     """e: QA -> k, keeping only degree-0 coefficients; returns a payload."""
     total = sum(c for gen, c in q.coeffs.items() if gen.degree == 0)
-    return scalar(q.rig, total)
+    return rig_value(q.rig, total)
 
 
 def comonoid_comult(q: ModuleElement) -> ModuleElement:
@@ -236,7 +235,7 @@ def _tensor_grid(rows, cols) -> dict:
 def monoidal_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     """m_tensor: partial-isomorphism sum of pairwise-tensored arranged lists."""
     rig = p.rig
-    one = rig_one(rig).payload
+    one = rig.one
     A = p.space.inner
     B = q.space.inner
     out = {}
@@ -277,7 +276,7 @@ def fusion(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     """H: QA (x) QB -> Q(A (x) QB), the partition/partial-iso double sum."""
     rig = p.rig
     _same_rig(q.rig, rig)
-    one = rig_one(rig).payload
+    one = rig.one
     A = p.space.inner
     B = q.space.inner
     QB = QSpace(B)

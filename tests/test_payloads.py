@@ -19,7 +19,7 @@ from cdcat.algebra import (
     Free,
     ModuleElement,
     QGenerator,
-    rig_value,
+    RigValue,
     tensor_elem,
     zmod,
 )
@@ -40,7 +40,7 @@ def raw_scalars(rig):
         plain = ints | fractions
     else:
         plain = ints
-    return plain | plain.map(lambda v: rig_value(rig, v))
+    return plain | plain.map(lambda v: RigValue(rig, v))
 
 
 def payload_ok(rig, v) -> bool:
@@ -112,7 +112,7 @@ def test_poly_operations_hold_only_payloads(case):
 
 
 def foreign(rig):
-    return rig_value(zmod(3) if rig == INT else INT, 1)
+    return RigValue(zmod(3) if rig == INT else INT, 1)
 
 
 @pytest.mark.parametrize("rig", RIGS, ids=str)
@@ -129,9 +129,9 @@ def test_constructors_refuse_non_scalars(rig, bad):
 
 
 def test_constructors_accept_other_scalars_as_payloads():
-    assert ModuleElement(zmod(5), A, {"e1": -1, "e2": rig_value(zmod(5), 10)}).coeffs == {
+    assert ModuleElement(zmod(5), A, {"e1": -1, "e2": RigValue(zmod(5), 10)}).coeffs == {
         "e1": 4}
-    assert Polynomial(RAT, 1, {(1,): 2, (0,): rig_value(RAT, "1/2")}).terms == {
+    assert Polynomial(RAT, 1, {(1,): 2, (0,): RigValue(RAT, Fraction(1, 2))}).terms == {
         (1,): Fraction(2), (0,): Fraction(1, 2)}
     with pytest.raises(CdcatError):
         ModuleElement(NAT, A, {"e1": -1})

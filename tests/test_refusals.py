@@ -9,9 +9,10 @@ from cdcat.algebra import (
     Product,
     QSpace,
     RigSpec,
-    all_rig_values,
+    RigValue,
     basis_elem,
     basis_keys,
+    enum_elements,
     key_token,
     rig_op,
     rig_value,
@@ -28,7 +29,7 @@ from cdcat.errors import (
     SpaceMismatch,
     SpecMismatch,
 )
-from cdcat.poly import FinFnBackend, Polynomial, parse_poly_map, table_from_poly
+from cdcat.poly import FinFnBackend, Polynomial, PolyMap, parse_poly_map, table_from_poly
 from cdcat.qmodality import (
     bialg_mult,
     deriving,
@@ -58,7 +59,7 @@ BASE = dpsh.FiniteCdcBase(2, (1,))
     lambda: partitions(-1),
     lambda: partial_isos(-1, 0),
     lambda: Polynomial.var(INT, 1, 0) ** -1,
-    lambda: all_rig_values(INT),
+    lambda: list(enum_elements(INT, A)),
     lambda: basis_keys(QSpace(A)),
     lambda: rig_op(INT, "div", 1, 2),
     lambda: key_token(1.5),
@@ -87,16 +88,21 @@ BASE = dpsh.FiniteCdcBase(2, (1,))
     lambda: suites.yoneda_suite(max_dim=0),
     lambda: suites.presheaf_suite(max_dim=0),
     lambda: faa.build_kleisli_D(FinFnBackend(2), FinFnBackend(2).module(1), -1),
+    lambda: parse_poly_map("[1]", INT, -1),
+    lambda: PolyMap(INT, -1, 1, [Polynomial.zero(INT, -1)]),
+    lambda: FinFnBackend(2).module(-1).elements(),
+    lambda: dpsh.check_presheaf(dpsh.representable(dpsh.FiniteCdcBase(2, [-1]), 1)),
 ], ids=["rig-kind", "rig-modulus", "zmod-0", "finfn-0", "modality-0", "parse-rig",
         "parse-zmod", "free-repeat", "partitions", "partial-isos", "power",
-        "all-values", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
+        "enum-elements", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
         "iterated-D-order", "decompose-order", "decompose-order-2",
         "reconstruct-order", "fidelity-degree", "fidelity-support", "presheaf-q-bound",
         "presheaf-budget", "presheaf-suite-budget", "cdc-arity", "cdc-samples",
         "cdc-samples-0", "modality-dim", "modality-dim-0", "modality-maxdeg",
         "modality-pair-degree", "kleisli-samples", "kleisli-samples-0",
         "kleisli-degree", "kleisli-degree-0", "kleisli-max-dim", "yoneda-max-dim",
-        "presheaf-max-dim", "kleisli-build-top"])
+        "presheaf-max-dim", "kleisli-build-top", "parse-arity", "polymap-dom",
+        "finfn-dim", "presheaf-base-object"])
 def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
     with pytest.raises(InvalidArgument) as info:
         call()
@@ -111,7 +117,7 @@ def _kleisli_mismatch():
 
 
 @pytest.mark.parametrize("call, error", [
-    (lambda: rig_value(INT, rig_value(zmod(2), 1)), SpecMismatch),
+    (lambda: rig_value(INT, RigValue(zmod(2), 1)), SpecMismatch),
     (lambda: tensor_elem(basis_elem(INT, A, "a"), basis_elem(zmod(2), B, "b")),
      SpecMismatch),
     (lambda: identity_map(INT, A).apply(basis_elem(INT, B, "b")), SpaceMismatch),
