@@ -255,19 +255,33 @@ def _value_token(p):
     return ("i", p)
 
 
-# key_token per key: a token depends only on the key's value.  The memo is
-# emptied when it reaches _TOKENS_MAX entries, which bounds its memory.
+# Value tables: a key token, a monomial, a Q generator and a generator point
+# depend only on their value, so each table maps a value to one canonical
+# object.  A table is emptied when it reaches _TOKENS_MAX entries, which
+# bounds its memory.  Interning is only a fast path (a dict probe or a tuple
+# comparison meets the same object and skips __eq__): equality and hashing
+# stay by value, so a value built outside a table, or before one was
+# emptied, still compares correctly.  The tables hold values, never a
+# structure map's result.
 _TOKENS: dict = {}
+_MONOMIALS: dict = {}
+_GENERATORS: dict = {}
+_POINTS: dict = {}
 _TOKENS_MAX = 1 << 16
+
+
+def _remember(table: dict, key, value):
+    if len(table) >= _TOKENS_MAX:
+        table.clear()
+    table[key] = value
+    return value
 
 
 def key_token(key):
     """Canonical, totally ordered token for any basis key (possibly nested)."""
     token = _TOKENS.get(key)
     if token is None:
-        if len(_TOKENS) >= _TOKENS_MAX:
-            _TOKENS.clear()
-        token = _TOKENS[key] = _key_token(key)
+        token = _remember(_TOKENS, key, _key_token(key))
     return token
 
 
@@ -343,11 +357,13 @@ class ModuleElement:
         return tuple((key_token(k), _value_token(v)) for k, v in self.items())
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (
             isinstance(other, ModuleElement)
-            and self.rig == other.rig
-            and self.space == other.space
             and self.coeffs == other.coeffs
+            # a tuple comparison tries identity before __eq__
+            and (self.rig, self.space) == (other.rig, other.space)
         )
 
     def __hash__(self):
@@ -395,16 +411,32 @@ def enum_elements(rig: RigSpec, space):
 # ---------------------------------------------------------------------------
 # monomials and Q generators
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """Sorted multiset of basis keys; the degree-n part of a symmetric algebra."""
 
     keys: tuple
+    _hash: int = field(init=False, repr=False, compare=False)  # set once, at build
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.keys,)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def of(keys) -> "Monomial":
-        keys = tuple(keys)  # fewer than two keys need no sort tokens
-        return Monomial(tuple(sorted(keys, key=key_token)) if len(keys) > 1 else keys)
+        """The interned monomial of `keys`, in any order."""
+        keys = tuple(keys)
+        mono = _MONOMIALS.get(keys)
+        if mono is None:
+            # fewer than two keys need no sort tokens
+            normal = tuple(sorted(keys, key=key_token)) if len(keys) > 1 else keys
+            mono = _MONOMIALS.get(normal)
+            if mono is None:
+                mono = _remember(_MONOMIALS, normal, Monomial(normal))
+            _remember(_MONOMIALS, keys, mono)
+        return mono
 
     @property
     def degree(self) -> int:
@@ -420,7 +452,9 @@ def monomial_mul(mu: Monomial, nu: Monomial) -> Monomial:
 
 @dataclass(frozen=True, slots=True)
 class QGenerator:
-    """Normal-form generator <x0; b1...bn>: opaque point, basis-key tail."""
+    """Normal-form generator <x0; b1...bn>: opaque point, basis-key tail.
+    _generator builds the interned one; a generator built here directly is
+    an equal value, not the same object."""
 
     point: ModuleElement
     tail: Monomial
@@ -443,3 +477,23 @@ class QGenerator:
         return f"<{inner}>"
 
     __repr__ = __str__
+
+
+def _generator(point: ModuleElement, tail: Monomial) -> QGenerator:
+    """The interned <point; tail>, the one way the package builds a
+    QGenerator.  A structure map passes a point it made canonical with
+    _point, once where it made the point, so a hit meets the same point and
+    tail objects."""
+    key = (point, tail)
+    gen = _GENERATORS.get(key)
+    if gen is None:
+        gen = _remember(_GENERATORS, key, QGenerator(point, tail))
+    return gen
+
+
+def _point(elem: ModuleElement) -> ModuleElement:
+    """The canonical object of a generator point's value."""
+    point = _POINTS.get(elem)
+    if point is None:
+        point = _remember(_POINTS, elem, elem)
+    return point

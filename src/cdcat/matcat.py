@@ -11,7 +11,7 @@ import operator
 from dataclasses import dataclass
 
 from .algebra import RigSpec, rig_value
-from .errors import ArityError, ObjectMismatch, SpecMismatch
+from .errors import ArityError, ObjectMismatch, SpecMismatch, nonnegative
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,10 @@ def trusted_matmap(rig: RigSpec, dom: int, cod: int, rows: tuple) -> MatMap:
 
 
 class MatBackend:
-    """CDC backend: objects are dimensions, morphisms MatMaps, Df = f pi1."""
+    """CDC backend: objects are dimensions, morphisms MatMaps, Df = f pi1.
+    identity, proj, zero and all_maps refuse a negative size (through a
+    plain comparison first: zero and identity run thousands of times in one
+    presheaf check)."""
 
     def __init__(self, modulus: int):
         from .algebra import zmod
@@ -60,6 +63,8 @@ class MatBackend:
     # -- category structure
 
     def identity(self, n: int) -> MatMap:
+        if n < 0:
+            nonnegative(n, "matrix size")
         one = 1 % self.modulus  # Z/1 has 1 = 0
         return trusted_matmap(
             self.rig, n, n,
@@ -83,6 +88,8 @@ class MatBackend:
         return sum(objs)
 
     def proj(self, objs, i: int) -> MatMap:
+        if min(objs, default=0) < 0:
+            nonnegative(min(objs), "matrix size")
         total = sum(objs)
         lo = sum(objs[:i])
         one = 1 % self.modulus
@@ -103,6 +110,8 @@ class MatBackend:
     # -- hom module structure
 
     def zero(self, dom: int, cod: int) -> MatMap:
+        if dom < 0 or cod < 0:
+            nonnegative(min(dom, cod), "matrix size")
         return trusted_matmap(self.rig, dom, cod, tuple((0,) * dom for _ in range(cod)))
 
     def add(self, f: MatMap, g: MatMap) -> MatMap:
@@ -129,6 +138,8 @@ class MatBackend:
     # -- finite enumeration
 
     def all_maps(self, dom: int, cod: int):
+        if dom < 0 or cod < 0:
+            nonnegative(min(dom, cod), "matrix size")
         entries = itertools.product(range(self.modulus), repeat=dom * cod)
         for flat in entries:
             rows = tuple(flat[i * dom:(i + 1) * dom] for i in range(cod))

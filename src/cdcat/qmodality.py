@@ -5,6 +5,11 @@ A.  Elements are kept in normal form: tails fully expanded over the basis
 with coefficients pulled out, points left opaque (the generator bracket is
 multilinear in the tail entries but not in the point).  Every structure map
 below acts on generators and extends linearly.
+
+Generators are interned (algebra._generator): a structure map makes each
+point it creates canonical once, with algebra._point, and every generator
+it builds on that point is the one object of its value, so dict probes and
+comparisons of Q keys meet identical objects.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from .algebra import (
     QSpace,
     RigSpec,
     Tensor,
+    _generator,
+    _point,
     add_into,
     add_scaled,
     basis_elem,
@@ -120,12 +127,13 @@ def _inject_into(out: dict, c, point: ModuleElement, tails) -> None:
         choices = {keys + (k,): d * v
                    for keys, d in choices.items() for k, v in t.items()}
     for keys, d in choices.items():
-        add_into(out, QGenerator(point, _make_tail(keys)), d)
+        add_into(out, _generator(point, _make_tail(keys)), d)
 
 
 def q_inject(point: ModuleElement, tails) -> ModuleElement:
     """Normal-form generator sum <point; tails>, multilinear in the tails."""
     rig = point.rig
+    point = _point(point)
     tails = list(tails)
     for t in tails:
         if t.space != point.space or t.rig != rig:
@@ -143,7 +151,7 @@ def q_map(f: LinearMap, q: ModuleElement) -> ModuleElement:
     for gen, c in q.coeffs.items():
         image = images.get(gen.point)
         if image is None:
-            image = images[gen.point] = f.apply(gen.point)
+            image = images[gen.point] = _point(f.apply(gen.point))
         _inject_into(out, c, image, [f.on_basis(k).coeffs for k in gen.tail.keys])
     return ModuleElement(q.rig, QSpace(f.codomain), out)
 
@@ -179,17 +187,15 @@ def comult(q: ModuleElement) -> ModuleElement:
     A = q.space.inner
     out = {}
     for gen, c in q.coeffs.items():
-        point_outer = QGenerator(gen.point, _make_tail(()))
+        inner = _generator(gen.point, _make_tail(()))
+        point_outer = _point(basis_elem(rig, QSpace(A), inner))
         keys = gen.tail.keys
         for part in partitions(gen.degree):
             tail_gens = [
-                QGenerator(gen.point, _make_tail(tuple(keys[i - 1] for i in block)))
+                _generator(gen.point, _make_tail(tuple(keys[i - 1] for i in block)))
                 for block in part.blocks
             ]
-            outer = QGenerator(
-                basis_elem(rig, QSpace(A), point_outer), _make_tail(tail_gens)
-            )
-            add_into(out, outer, c)
+            add_into(out, _generator(point_outer, _make_tail(tail_gens)), c)
     return ModuleElement(rig, QSpace(QSpace(A)), out)
 
 
@@ -210,8 +216,8 @@ def comonoid_comult(q: ModuleElement) -> ModuleElement:
         keys = gen.tail.keys
         n = gen.degree
         for mask in range(1 << n):
-            left = QGenerator(gen.point, _make_tail(tuple(keys[i] for i in range(n) if mask >> i & 1)))
-            right = QGenerator(gen.point, _make_tail(tuple(keys[i] for i in range(n) if not mask >> i & 1)))
+            left = _generator(gen.point, _make_tail(tuple(keys[i] for i in range(n) if mask >> i & 1)))
+            right = _generator(gen.point, _make_tail(tuple(keys[i] for i in range(n) if not mask >> i & 1)))
             add_into(out, (left, right), c)
     return ModuleElement(q.rig, Tensor((QA, QA)), out)
 
@@ -247,7 +253,7 @@ def monoidal_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
         for h, ch, ys in q_rows:
             point = points.get((g.point, h.point))
             if point is None:
-                point = points[g.point, h.point] = tensor_elem(g.point, h.point)
+                point = points[g.point, h.point] = _point(tensor_elem(g.point, h.point))
             grid = _tensor_grid(xs, ys)
             c = cg * ch
             for theta in partial_isos(g.degree, h.degree):
@@ -267,7 +273,7 @@ def deriving(q: ModuleElement, y: ModuleElement) -> ModuleElement:
     out = {}
     for gen, c in q.coeffs.items():
         for k, v in y.coeffs.items():
-            new = QGenerator(gen.point, monomial_mul(gen.tail, _make_tail((k,))))
+            new = _generator(gen.point, monomial_mul(gen.tail, _make_tail((k,))))
             add_into(out, new, c * v)
     return ModuleElement(rig, q.space, out)
 
@@ -288,11 +294,11 @@ def fusion(p: ModuleElement, q: ModuleElement) -> ModuleElement:
             keys = h.tail.keys
             c = cg * ch
             # block 0 is empty: <y_{A_0}> = <y0>
-            y0 = {QGenerator(h.point, _make_tail(())): one}
-            point = tensor_elem(g.point, ModuleElement(rig, QB, y0))
+            y0 = {_generator(h.point, _make_tail(())): one}
+            point = _point(tensor_elem(g.point, ModuleElement(rig, QB, y0)))
             for part in partitions(h.degree):
                 ys = [y0] + [
-                    {QGenerator(h.point, _make_tail(tuple(keys[i - 1] for i in block))): one}
+                    {_generator(h.point, _make_tail(tuple(keys[i - 1] for i in block))): one}
                     for block in part.blocks
                 ]
                 grid = _tensor_grid(xs, ys)
@@ -325,9 +331,9 @@ def storage_inv(t: ModuleElement) -> ModuleElement:
     prod = Product((QA.inner, QB.inner))
     out = {}
     for (g1, g2), v in t.coeffs.items():
-        point = inject_elem(g1.point, prod, 0) + inject_elem(g2.point, prod, 1)
+        point = _point(inject_elem(g1.point, prod, 0) + inject_elem(g2.point, prod, 1))
         tail = tuple((0, k) for k in g1.tail.keys) + tuple((1, k) for k in g2.tail.keys)
-        add_into(out, QGenerator(point, _make_tail(tail)), v)
+        add_into(out, _generator(point, _make_tail(tail)), v)
     return ModuleElement(rig, QSpace(prod), out)
 
 
@@ -353,7 +359,7 @@ def bialg_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     out = {}
     for g, cg in p.coeffs.items():
         for h, ch in q.coeffs.items():
-            gen = QGenerator(g.point + h.point, monomial_mul(g.tail, h.tail))
+            gen = _generator(_point(g.point + h.point), monomial_mul(g.tail, h.tail))
             add_into(out, gen, cg * ch)
     return ModuleElement(rig, p.space, out)
 
@@ -371,10 +377,9 @@ def enum_generators(rig: RigSpec, space, maxdeg: int):
     import itertools
 
     keys = basis_keys(space)
-    points = list(enum_elements(rig, space))
     out = []
-    for point in points:
+    for point in map(_point, enum_elements(rig, space)):
         for deg in range(maxdeg + 1):
             for combo in itertools.combinations_with_replacement(keys, deg):
-                out.append(QGenerator(point, _make_tail(combo)))
+                out.append(_generator(point, _make_tail(combo)))
     return out

@@ -1,0 +1,146 @@
+"""Hash-consed Q values: one object per distinct monomial, generator and point.
+
+Interning is a fast path only.  Equality and hashing stay by value, so a
+value built outside the tables, or after they were emptied, still compares
+correctly, and no report changes with the state of the tables.
+"""
+
+import json
+
+import pytest
+from hypothesis import given, strategies as st
+
+from cdcat import algebra, qmodality as qm, suites
+from cdcat.algebra import Free, ModuleElement, Monomial, QGenerator, basis_elem, zmod
+
+Z2 = zmod(2)
+A = Free(("a1", "a2"))
+TABLES = ("_TOKENS", "_MONOMIALS", "_GENERATORS", "_POINTS")
+
+
+def empty_tables():
+    for name in TABLES:
+        getattr(algebra, name).clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_tables():
+    # each test starts from empty tables and leaves none behind it
+    empty_tables()
+    yield
+    empty_tables()
+
+
+def inject(keys):
+    point = basis_elem(Z2, A, "a1") + basis_elem(Z2, A, "a2")
+    return qm.q_inject(point, [basis_elem(Z2, A, k) for k in keys])
+
+
+def report_json(report) -> str:
+    return json.dumps(report.to_dict(), sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# one object per value
+
+def test_equal_generators_built_separately_are_one_object():
+    (g,) = inject(("a2", "a1")).coeffs
+    (h,) = inject(("a1", "a2")).coeffs
+    assert g is h and g.point is h.point and g.tail is h.tail
+    for x, y in zip(qm.enum_generators(Z2, A, 2), qm.enum_generators(Z2, A, 2)):
+        assert x is y
+
+
+@given(st.lists(st.sampled_from(["a1", "a2", "a3"]), max_size=4), st.randoms())
+def test_a_monomial_is_interned_whatever_the_order_of_its_keys(keys, rnd):
+    shuffled = keys[:]
+    rnd.shuffle(shuffled)
+    mono = Monomial.of(keys)
+    assert Monomial.of(shuffled) is mono
+    assert mono == Monomial(tuple(sorted(keys))) and hash(mono) == hash(Monomial(mono.keys))
+
+
+def test_structure_maps_share_their_generators():
+    q = inject(("a1",))
+    (outer,) = [g for g in qm.comult(q).coeffs if g.degree == 1]
+    (inner,) = outer.tail.keys
+    (g,) = q.coeffs
+    assert inner is g
+    # the outer point <<x0>> is one object across calls
+    (again,) = [g for g in qm.comult(q).coeffs if g.degree == 1]
+    assert again is outer and again.point is outer.point
+
+
+# ---------------------------------------------------------------------------
+# equality stays by value
+
+def test_values_built_after_the_tables_are_emptied_compare_by_value():
+    q = qm.comult(inject(("a1", "a2")))
+    gens = list(q.coeffs)
+    empty_tables()
+    r = qm.comult(inject(("a1", "a2")))
+    assert not set(map(id, gens)) & set(map(id, r.coeffs))
+    assert r == q and hash(r) == hash(q)
+    for g, h in zip(gens, r.coeffs):
+        assert g is not h and g == h and hash(g) == hash(h)
+    assert {g: 1 for g in gens}.keys() == {h: 1 for h in r.coeffs}.keys()
+
+
+def test_values_never_interned_compare_by_value():
+    point = ModuleElement(Z2, A, {"a1": 1})
+    raw = QGenerator(point, Monomial(("a1", "a2")))
+    (g,) = qm.q_inject(point, [basis_elem(Z2, A, "a2"), basis_elem(Z2, A, "a1")]).coeffs
+    assert raw is not g and raw == g and hash(raw) == hash(g)
+    # an unsorted raw tail is another value
+    assert QGenerator(point, Monomial(("a2", "a1"))) != g
+
+
+def test_a_small_bound_keeps_every_table_within_it(monkeypatch):
+    monkeypatch.setattr(algebra, "_TOKENS_MAX", 4)
+
+    def comults():
+        return [qm.comult(qm.q_gen_elem(Z2, g)) for g in qm.enum_generators(Z2, A, 2)]
+
+    first = comults()
+    for name in TABLES:
+        assert len(getattr(algebra, name)) <= 4, name
+    again = comults()
+    assert again == first
+    assert [hash(x) for x in again] == [hash(x) for x in first]
+    for x, y in zip(first, again):
+        for g, h in zip(x.coeffs, y.coeffs):
+            assert g == h and hash(g) == hash(h)
+
+
+# ---------------------------------------------------------------------------
+# reports do not see the tables
+
+def test_warm_and_emptied_tables_give_the_same_report(monkeypatch):
+    warm = report_json(suites.modality_suite(2, dim=1, maxdeg=2))
+    assert json.loads(warm)["passed"]
+    assert report_json(suites.modality_suite(2, dim=1, maxdeg=2)) == warm
+    empty_tables()
+    assert report_json(suites.modality_suite(2, dim=1, maxdeg=2)) == warm
+    monkeypatch.setattr(algebra, "_TOKENS_MAX", 4)
+    assert report_json(suites.modality_suite(2, dim=1, maxdeg=2)) == warm
+
+
+def test_unsorted_tails_still_fail_after_a_clean_run(monkeypatch):
+    assert suites.modality_suite(2, dim=2, maxdeg=2, pair_total_degree=2).passed
+    monkeypatch.setattr(qm, "_make_tail", lambda keys: Monomial(tuple(keys)))
+    assert not suites.modality_suite(2, dim=2, maxdeg=2, pair_total_degree=2).passed
+
+
+def test_tails_go_through_the_module_seam(monkeypatch):
+    seen = []
+
+    def tail(keys):
+        seen.append(tuple(keys))
+        return Monomial.of(keys)
+
+    monkeypatch.setattr(qm, "_make_tail", tail)
+    q = inject(("a1", "a2"))
+    qm.comult(q)
+    # one tail per generator built: <x0; a1, a2>, then comult's <x0> and,
+    # for the partitions {12} and {1}{2}, one tail per block and the outer one
+    assert seen[0] == ("a1", "a2") and len(seen) == 1 + 1 + (1 + 1) + (2 + 1)

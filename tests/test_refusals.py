@@ -29,6 +29,7 @@ from cdcat.errors import (
     SpaceMismatch,
     SpecMismatch,
 )
+from cdcat.matcat import MatBackend
 from cdcat.poly import FinFnBackend, Polynomial, PolyMap, parse_poly_map, table_from_poly
 from cdcat.qmodality import (
     bialg_mult,
@@ -92,6 +93,11 @@ BASE = dpsh.FiniteCdcBase(2, (1,))
     lambda: PolyMap(INT, -1, 1, [Polynomial.zero(INT, -1)]),
     lambda: FinFnBackend(2).module(-1).elements(),
     lambda: dpsh.check_presheaf(dpsh.representable(dpsh.FiniteCdcBase(2, [-1]), 1)),
+    lambda: MatBackend(2).identity(-1),
+    lambda: MatBackend(2).zero(-1, 2),
+    lambda: MatBackend(2).zero(2, -1),
+    lambda: MatBackend(2).proj([1, -1], 0),
+    lambda: next(MatBackend(2).all_maps(1, -1)),
 ], ids=["rig-kind", "rig-modulus", "zmod-0", "finfn-0", "modality-0", "parse-rig",
         "parse-zmod", "free-repeat", "partitions", "partial-isos", "power",
         "enum-elements", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
@@ -102,7 +108,8 @@ BASE = dpsh.FiniteCdcBase(2, (1,))
         "modality-pair-degree", "kleisli-samples", "kleisli-samples-0",
         "kleisli-degree", "kleisli-degree-0", "kleisli-max-dim", "yoneda-max-dim",
         "presheaf-max-dim", "kleisli-build-top", "parse-arity", "polymap-dom",
-        "finfn-dim", "presheaf-base-object"])
+        "finfn-dim", "presheaf-base-object", "mat-identity", "mat-zero-dom",
+        "mat-zero-cod", "mat-proj", "mat-all-maps"])
 def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
     with pytest.raises(InvalidArgument) as info:
         call()

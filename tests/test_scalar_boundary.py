@@ -179,15 +179,32 @@ def test_every_scalar_parameter_is_in_the_table():
 # ---------------------------------------------------------------------------
 # the boxed RigValue stays in algebra
 
-def test_only_algebra_names_rig_value_and_nothing_builds_one():
+def _sources():
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+        yield path, ast.parse(path.read_text(), str(path))
+
+
+def _calls(tree, name):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None)) == name]
+
+
+def test_only_algebra_names_rig_value_and_nothing_builds_one():
+    for path, tree in _sources():
         names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         names |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
         names |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
                   for a in n.names}
         if path.name != "algebra.py":
             assert "RigValue" not in names, path.name
-        calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
-                 and getattr(n.func, "id", getattr(n.func, "attr", None)) == "RigValue"]
-        assert not calls, path.name
+        assert not _calls(tree, "RigValue"), path.name
+
+
+# Q generators and monomials are built in algebra only, through its
+# interning constructors (Monomial.of, _generator)
+
+def test_only_algebra_calls_the_q_value_constructors():
+    for path, tree in _sources():
+        if path.name != "algebra.py":
+            for name in ("QGenerator", "Monomial"):
+                assert not _calls(tree, name), f"{path.name} calls {name}(...)"
