@@ -326,7 +326,8 @@ class ModuleElement:
         self._hash = None
 
     def _check(self, other: "ModuleElement"):
-        if self.space != other.space or self.rig != other.rig:
+        # a tuple comparison tries identity before __eq__
+        if (self.space, self.rig) != (other.space, other.rig):
             raise SpaceMismatch(f"{self.space}/{self.rig} vs {other.space}/{other.rig}")
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":

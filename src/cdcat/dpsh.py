@@ -316,6 +316,22 @@ def _sample_triples(maps, k: int, rng) -> list:
             for i in rng.sample(range(n ** 3), k)]
 
 
+def _call_memo(fn, key):
+    """fn memoised for one call of the check that builds it, so that no
+    result outlives a seam patched between two checks: fn runs once per
+    distinct key(*args)."""
+    results = {}
+
+    def memoised(*args):
+        k = key(*args)
+        out = results.get(k)
+        if out is None:
+            out = results[k] = fn(*args)
+        return out
+
+    return memoised
+
+
 def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
     """Verify functoriality and the five differential-presheaf axioms.
 
@@ -335,25 +351,11 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
         config["degree_bound"] = bound
     report = Report("presheaf-axioms", config)
     scalars = list(range(base.modulus))
-    # Memos of this call only, so that no result outlives a seam patched
-    # between two checks: fn runs once per distinct key(*args).
-    def call_memo(fn, key):
-        results = {}
-
-        def memoised(*args):
-            k = key(*args)
-            out = results.get(k)
-            if out is None:
-                out = results[k] = fn(*args)
-            return out
-
-        return memoised
-
     # a map is named by its fields, an element by X.key
-    act = call_memo(X.act, lambda f, xi: (f.dom, f.cod, f.rows, X.key(xi)))
-    diff = call_memo(X.diff, lambda A, xi: (A, X.key(xi)))
+    act = _call_memo(X.act, lambda f, xi: (f.dom, f.cod, f.rows, X.key(xi)))
+    diff = _call_memo(X.diff, lambda A, xi: (A, X.key(xi)))
     # the pairings of axioms (ii), (iv) and (v), shared by every xi
-    pair = call_memo(lambda *maps: be.pairing(maps), lambda *maps: maps)
+    pair = _call_memo(lambda *maps: be.pairing(maps), lambda *maps: maps)
 
     def tuples_of(maps):
         if map_budget is not None and len(maps) ** 3 > map_budget:
@@ -439,7 +441,7 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
                  ("axiom-ii-direction-linear", direction_linear))
 
     # (iii) D(xi . f) = D(xi) . (f pi0, Df), the pairing built once per f
-    lift = call_memo(
+    lift = _call_memo(
         lambda f: be.pairing([be.compose(f, be.proj([f.dom, f.dom], 0)), be.D(f)]),
         lambda f: f)
 

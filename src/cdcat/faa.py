@@ -33,7 +33,7 @@ from .errors import (
     SpaceMismatch,
     nonnegative,
 )
-from .poly import FinFnBackend, FinModule, TableMap, fin_product
+from .poly import FinFnBackend, FinModule, _trusted_tablemap, fin_product
 from .qmodality import (
     LinearMap,
     comult,
@@ -511,8 +511,8 @@ def _generator_cells(backend, space, top: int):
 def _tables(dom: FinModule, cod: FinModule, levels, values) -> list:
     """One TableMap dom^(n+1) -> cod per level n, whose cell (x0, x1..xn)
     holds values[i] of its element i."""
-    return [TableMap(fin_product([dom] * (n + 1)), cod,
-                     {cell: values[i] for cell, i in level})
+    return [_trusted_tablemap(fin_product([dom] * (n + 1)), cod,
+                              {cell: values[i] for cell, i in level})
             for n, level in enumerate(levels)]
 
 

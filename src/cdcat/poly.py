@@ -17,6 +17,7 @@ from fractions import Fraction
 from .algebra import RigSpec, add_into, rig_value
 from .errors import (
     ArityError,
+    InvalidArgument,
     NegationUnsupported,
     ObjectMismatch,
     ParseError,
@@ -548,19 +549,41 @@ def fin_product(mods) -> FinModule:
     return FinModule(rig, sum(m.dim for m in mods))
 
 
+def _is_point(v, mod: FinModule) -> bool:
+    return (type(v) is tuple and len(v) == mod.dim
+            and all(type(a) is int and 0 <= a < mod.modulus for a in v))
+
+
 class TableMap:
-    """Arbitrary set map between finite modules, stored as a full table."""
+    """Arbitrary set map between finite modules, stored as a full table.
+
+    The constructor refuses a table whose keys are not exactly the points
+    of dom or whose values are not points of cod (tuples of cod.dim
+    residues).  The backend's results and from_callable, whose tables are
+    right by construction, are built by _trusted_tablemap."""
 
     __slots__ = ("dom", "cod", "table")
 
     def __init__(self, dom: FinModule, cod: FinModule, table: dict):
+        if not (isinstance(dom, FinModule) and isinstance(cod, FinModule)):
+            raise InvalidArgument("a TableMap goes between FinModules")
+        if dom.rig != cod.rig:
+            raise SpecMismatch(f"{dom.rig} vs {cod.rig}")
+        if len(table) != dom.size or not all(_is_point(x, dom) for x in table):
+            raise InvalidArgument(
+                f"the table must hold exactly the {dom.size} points of its domain")
+        for y in table.values():
+            if not _is_point(y, cod):
+                raise InvalidArgument(f"{y!r} is not a point of (Z/{cod.modulus})^{cod.dim}")
         self.dom = dom
         self.cod = cod
-        self.table = table
+        self.table = dict(table)
 
     @staticmethod
     def from_callable(dom, cod, fn) -> "TableMap":
-        return TableMap(dom, cod, {x: fn(x) for x in dom.elements()})
+        """The table of fn, which must send each point of dom to a point of
+        cod; the backend's structure maps build their results here."""
+        return _trusted_tablemap(dom, cod, {x: fn(x) for x in dom.elements()})
 
     def __eq__(self, other):
         return (
@@ -578,6 +601,14 @@ class TableMap:
 
     def __repr__(self):
         return f"TableMap({self.dom.dim}->{self.cod.dim}: {self.table})"
+
+
+def _trusted_tablemap(dom: FinModule, cod: FinModule, table: dict) -> TableMap:
+    """A TableMap built without the constructor's checks, for tables the
+    caller builds right by construction (the backend's own results)."""
+    f = object.__new__(TableMap)
+    f.dom, f.cod, f.table = dom, cod, table
+    return f
 
 
 class FinFnBackend:
@@ -602,7 +633,7 @@ class FinFnBackend:
     def compose(self, g: TableMap, f: TableMap) -> TableMap:
         if g.dom != f.cod:
             raise ObjectMismatch("tables not composable")
-        return TableMap(f.dom, g.cod, {x: g.table[y] for x, y in f.table.items()})
+        return _trusted_tablemap(f.dom, g.cod, {x: g.table[y] for x, y in f.table.items()})
 
     def product(self, mods) -> FinModule:
         return fin_product(mods)
@@ -642,7 +673,7 @@ class FinFnBackend:
         xs = dom.elements()
         ys = cod.elements()
         for values in itertools.product(ys, repeat=len(xs)):
-            yield TableMap(dom, cod, dict(zip(xs, values)))
+            yield _trusted_tablemap(dom, cod, dict(zip(xs, values)))
 
 
 # Most domain points table_from_poly tabulates before it raises SizeLimit.
@@ -661,4 +692,4 @@ def table_from_poly(f: PolyMap) -> TableMap:
     table = {}
     for x in dom.elements():
         table[x] = tuple(p.eval(x) for p in f.components)
-    return TableMap(dom, cod, table)
+    return _trusted_tablemap(dom, cod, table)

@@ -10,6 +10,13 @@ Generators are interned (algebra._generator): a structure map makes each
 point it creates canonical once, with algebra._point, and every generator
 it builds on that point is the one object of its value, so dict probes and
 comparisons of Q keys meet identical objects.
+
+Memo policy: a LinearMap keeps two tables of values fixed by its own
+definition, the image of each basis key (on_basis) and the canonical image
+of each generator point that q_map has sent through it.  A structure map
+keeps nothing beyond its call (storage maps each distinct generator once
+per call), and a suite keeps its _call_memo tables of structure-map
+results for one call only, so a seam patched between two calls is seen.
 """
 
 from __future__ import annotations
@@ -52,7 +59,10 @@ def _same_rig(a: RigSpec, b: RigSpec) -> None:
 # linear maps between spaces, given on basis keys
 
 class LinearMap:
-    """A k-linear map determined by its values on basis keys."""
+    """A k-linear map determined by its values on basis keys.  It keeps the
+    image of each basis key it has mapped and the canonical image of each
+    generator point q_map has sent through it: both are fixed by the map's
+    own definition."""
 
     def __init__(self, rig: RigSpec, domain, codomain, on_basis):
         self.rig = rig
@@ -60,18 +70,28 @@ class LinearMap:
         self.codomain = codomain
         self._on_basis = on_basis
         self._memo = {}
+        self._points = {}
 
     def on_basis(self, key) -> ModuleElement:
-        if key not in self._memo:
+        image = self._memo.get(key)
+        if image is None:
             image = self._on_basis(key)
-            if image.space != self.codomain or image.rig != self.rig:
+            # a tuple comparison tries identity before __eq__
+            if (image.space, image.rig) != (self.codomain, self.rig):
                 raise SpaceMismatch(
                     f"{image.space}/{image.rig} vs {self.codomain}/{self.rig}")
             self._memo[key] = image
-        return self._memo[key]
+        return image
+
+    def _point_image(self, point: ModuleElement) -> ModuleElement:
+        """The canonical image of a generator point, computed once per map."""
+        image = self._points.get(point)
+        if image is None:
+            image = self._points[point] = _point(self.apply(point))
+        return image
 
     def apply(self, elem: ModuleElement) -> ModuleElement:
-        if elem.space != self.domain:
+        if elem.space is not self.domain and elem.space != self.domain:
             raise SpaceMismatch(f"{elem.space} vs {self.domain}")
         _same_rig(elem.rig, self.rig)
         out = {}
@@ -136,7 +156,7 @@ def q_inject(point: ModuleElement, tails) -> ModuleElement:
     point = _point(point)
     tails = list(tails)
     for t in tails:
-        if t.space != point.space or t.rig != rig:
+        if (t.space, t.rig) != (point.space, rig):
             raise SpaceMismatch("tail entry not in the point's space")
     out = {}
     _inject_into(out, rig.one, point, [t.coeffs for t in tails])
@@ -147,12 +167,9 @@ def q_map(f: LinearMap, q: ModuleElement) -> ModuleElement:
     """Functorial action Qf: <x0,...,xn> -> <f(x0),...,f(xn)>."""
     _same_rig(q.rig, f.rig)
     out = {}
-    images = {}  # f(point) per point: the generators of a sum often share one
     for gen, c in q.coeffs.items():
-        image = images.get(gen.point)
-        if image is None:
-            image = images[gen.point] = _point(f.apply(gen.point))
-        _inject_into(out, c, image, [f.on_basis(k).coeffs for k in gen.tail.keys])
+        _inject_into(out, c, f._point_image(gen.point),
+                     [f.on_basis(k).coeffs for k in gen.tail.keys])
     return ModuleElement(q.rig, QSpace(f.codomain), out)
 
 
@@ -317,10 +334,19 @@ def storage(q: ModuleElement) -> ModuleElement:
     if not isinstance(prod, Product) or len(prod.factors) != 2:
         raise SpaceMismatch("storage expects Q of a binary product")
     left, right = proj_map(rig, prod, 0), proj_map(rig, prod, 1)
+    lefts, rights = {}, {}  # Q(pi0)<g1> and Q(pi1)<g2> per distinct generator
     out = {}
     for (g1, g2), c in comonoid_comult(q).coeffs.items():
-        add_scaled(out, c, tensor_elem(q_map(left, q_gen_elem(rig, g1)),
-                                       q_map(right, q_gen_elem(rig, g2))))
+        xs = lefts.get(g1)
+        if xs is None:
+            xs = lefts[g1] = q_map(left, q_gen_elem(rig, g1)).coeffs
+        ys = rights.get(g2)
+        if ys is None:
+            ys = rights[g2] = q_map(right, q_gen_elem(rig, g2)).coeffs
+        for ka, va in xs.items():
+            cv = c * va
+            for kb, vb in ys.items():
+                add_into(out, (ka, kb), cv * vb)
     return ModuleElement(rig, Tensor(tuple(QSpace(A) for A in prod.factors)), out)
 
 

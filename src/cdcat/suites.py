@@ -228,13 +228,7 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
 
     # m(p, q) per pair of generator elements, computed once in this call;
     # products of sums are always computed afresh
-    products = {}
-
-    def mult(p, q):
-        key = (p, q)
-        if key not in products:
-            products[key] = qm.monoidal_mult(p, q)
-        return products[key]
+    mult = dpsh._call_memo(qm.monoidal_mult, lambda p, q: (p, q))
 
     total = pair_total_degree
     deg_a, deg_b, deg_c = (
@@ -374,9 +368,16 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
                         lambda q: None if _rebuild_unit(rig) == q
                         else "m_I rebuild mismatch"))
 
+    # chi per generator element and chi^{-1} per pair (p, q) of generator
+    # elements, computed once in this call: the rebuild and the two inverse
+    # laws map the same generators and pairs.  The left inverse's chi^{-1}
+    # inputs are distinct (chi is injective), so it calls qm.storage_inv.
+    storage = dpsh._call_memo(qm.storage, lambda q: q)
+    storage_inv = dpsh._call_memo(
+        lambda p, q: qm.storage_inv(tensor_elem(p, q)), lambda p, q: (p, q))
     chi_lin = LinearMap(
         rig, QSpace(Product((A, B))), Tensor((QA, QB)),
-        lambda gen: qm.storage(qm.q_gen_elem(rig, gen)),
+        lambda gen: storage(qm.q_gen_elem(rig, gen)),
     )
     epseps = LinearMap(
         rig, Tensor((QA, QB)), Tensor((A, B)),
@@ -388,7 +389,7 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
 
     def rebuild_mult(item):
         p, q = item
-        x = qm.storage_inv(tensor_elem(p, q))
+        x = storage_inv(p, q)
         got = qm.q_map(epseps, qm.q_map(chi_lin, qm.comult(x)))
         if got != mult(p, q):
             return f"m-tensor rebuild mismatch at {p}, {q}"
@@ -399,11 +400,11 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
     # storage is a two-sided inverse
     prod_gens = _gen_elems(rig, Product((A, B)), maxdeg)
     report.check(prod_gens, ("storage-left-inverse",
-                             lambda q: None if qm.storage_inv(qm.storage(q)) == q
+                             lambda q: None if qm.storage_inv(storage(q)) == q
                              else f"chi-inv.chi != id at {q}"))
     report.check(ab_pairs, ("storage-right-inverse",
                             lambda item: None
-                            if qm.storage(qm.storage_inv(tensor_elem(item[0], item[1])))
+                            if storage(storage_inv(*item))
                             == tensor_elem(item[0], item[1])
                             else f"chi.chi-inv != id at {item[0]}, {item[1]}"))
 
@@ -606,12 +607,7 @@ def yoneda_suite(modulus: int = 2, max_dim: int = 2) -> Report:
                 degree_bound=YONEDA_DEGREE_BOUND))
 
     # each tower y(f) is built once in this call, for every law that reads it
-    towers = {}
-
-    def y(f):
-        if f not in towers:
-            towers[f] = dpsh.yoneda_map(base, f)
-        return towers[f]
+    y = dpsh._call_memo(lambda f: dpsh.yoneda_map(base, f), lambda f: f)
 
     # functoriality of the embedding
     def functorial(item):

@@ -15,7 +15,7 @@ import sys
 import pytest
 
 from cdcat import cdc, dpsh, faa, qmodality, suites
-from cdcat.algebra import INT, ModuleElement, Monomial
+from cdcat.algebra import INT, ModuleElement, Monomial, add_scaled
 from cdcat.combinat import partitions
 from cdcat.matcat import MatBackend, MatMap
 from cdcat.poly import FinFnBackend, Polynomial, PolyMap, poly_D, substitute
@@ -183,13 +183,32 @@ def test_kleisli_suite_keeps_no_q_result_across_calls(monkeypatch):
     assert digest(report) == "c9ced809c9a1960bcb00eeab0a729846e7161412bf269b2f942fb9ad315c31ca"
 
 
-def test_modality_suite_keeps_no_q_result_across_calls(monkeypatch):
-    # a run after a passing one must still see a sabotaged seam
+def counit_with_the_degree_cases_swapped(q):
+    out = {}
+    for gen, c in q.coeffs.items():
+        if gen.degree == 1:  # degree-0 and degree-1 cases swapped
+            add_scaled(out, c, gen.point)
+    return ModuleElement(q.rig, q.space.inner, out)
+
+
+@pytest.mark.parametrize("attr, value, expected", [
+    ("_make_tail", lambda keys: Monomial(tuple(keys)), None),
+    ("counit", counit_with_the_degree_cases_swapped, None),
+    ("comonoid_comult", comonoid_comult_without_the_empty_left_terms,
+     "f9cb2f7eaad7e1a70a4c0bcd953ba8b2402d0f9614d60491bcf86e70fee9c7bb"),
+], ids=["_make_tail", "counit", "comonoid_comult"])
+def test_modality_suite_keeps_no_q_result_across_calls(monkeypatch, attr, value,
+                                                       expected):
+    # a run after a passing one must still see a sabotaged seam: the suite's
+    # memos live for one call and its linear maps are built per call
     run = lambda: suites.modality_suite(3, dim=1, maxdeg=3,  # noqa: E731
                                         pair_total_degree=3, seed=7)
     assert run().passed
-    monkeypatch.setattr(qmodality, "_make_tail", lambda keys: Monomial(tuple(keys)))
-    assert not run().passed
+    monkeypatch.setattr(qmodality, attr, value)
+    report = run()
+    assert not report.passed
+    if expected is not None:
+        assert digest(report) == expected
 
 
 def test_presheaf_suite_keeps_no_result_across_calls(monkeypatch):

@@ -65,6 +65,17 @@ def test_q_map_acts_on_point_and_tail():
     assert got == one_gen(F1.scale(2), "f1").scale(2)
 
 
+def test_point_images_belong_to_their_map():
+    # each LinearMap keeps the images of the points it has mapped, so two
+    # maps with different on_basis send the same point to different images
+    double = qm.LinearMap(INT, A, B, lambda k: F1.scale(2))
+    triple = qm.LinearMap(INT, A, B, lambda k: F1.scale(3))
+    q = one_gen(E1 + E2, "e1")
+    for _ in range(2):
+        assert qm.q_map(double, q) == one_gen(F1.scale(4), "f1").scale(2)
+        assert qm.q_map(triple, q) == one_gen(F1.scale(6), "f1").scale(3)
+
+
 def test_linear_map_rejects_images_outside_its_codomain():
     f = qm.LinearMap(INT, A, B, lambda k: E1)
     with pytest.raises(SpaceMismatch):
@@ -211,6 +222,31 @@ def test_storage_round_trips():
     for g in qm.enum_generators(rig, prod, 2):
         q = qm.q_gen_elem(rig, g)
         assert qm.storage_inv(qm.storage(q)) == q
+
+
+def test_storage_maps_each_distinct_generator_once(monkeypatch):
+    # a sum whose subset terms share generators on both sides
+    q = (prod_gen(E1, F1, (0, "e2")) + prod_gen(E1, F1, (1, "f1"))
+         + prod_gen(E1, F1, (0, "e2"), (1, "f1")))
+    terms = qm.comonoid_comult(q).coeffs
+    lefts, rights = {g1 for g1, _ in terms}, {g2 for _, g2 in terms}
+    calls = {"comonoid_comult": 0, "q_map": 0}
+    real_comult, real_map = qm.comonoid_comult, qm.q_map
+
+    def comonoid_comult(q):
+        calls["comonoid_comult"] += 1
+        return real_comult(q)
+
+    def q_map(f, q):
+        calls["q_map"] += 1
+        return real_map(f, q)
+
+    monkeypatch.setattr(qm, "comonoid_comult", comonoid_comult)
+    monkeypatch.setattr(qm, "q_map", q_map)
+    got = qm.storage(q)
+    assert calls == {"comonoid_comult": 1, "q_map": len(lefts) + len(rights)}
+    assert len(lefts) + len(rights) < 2 * len(terms)
+    assert qm.storage_inv(got) == q
 
 
 def test_storage_needs_a_binary_product():

@@ -30,7 +30,14 @@ from cdcat.errors import (
     SpecMismatch,
 )
 from cdcat.matcat import MatBackend
-from cdcat.poly import FinFnBackend, Polynomial, PolyMap, parse_poly_map, table_from_poly
+from cdcat.poly import (
+    FinFnBackend,
+    Polynomial,
+    PolyMap,
+    TableMap,
+    parse_poly_map,
+    table_from_poly,
+)
 from cdcat.qmodality import (
     bialg_mult,
     deriving,
@@ -46,6 +53,7 @@ B = Free(("b",))
 SQUARE = parse_poly_map("[x1^2]", INT, 1)
 Z2, Z3 = zmod(2), zmod(3)
 BASE = dpsh.FiniteCdcBase(2, (1,))
+M1 = FinFnBackend(2).module(1)
 
 
 @pytest.mark.parametrize("call", [
@@ -98,6 +106,14 @@ BASE = dpsh.FiniteCdcBase(2, (1,))
     lambda: MatBackend(2).zero(2, -1),
     lambda: MatBackend(2).proj([1, -1], 0),
     lambda: next(MatBackend(2).all_maps(1, -1)),
+    lambda: TableMap(M1, M1, {(0,): (0,)}),
+    lambda: TableMap(M1, M1, {(0,): (0,), (2,): (1,)}),
+    lambda: TableMap(M1, M1, {(0,): (0.5,), (1,): ("x",)}),
+    lambda: TableMap(M1, M1, {(0,): (0,), (1,): (2,)}),
+    lambda: TableMap(M1, M1, {(0,): (0,), (1,): (True,)}),
+    lambda: TableMap(M1, M1, {(0,): (0, 1), (1,): (1,)}),
+    lambda: TableMap(M1, M1, {(0,): 0, (1,): 1}),
+    lambda: TableMap(1, 1, {(0,): (0,), (1,): (1,)}),
 ], ids=["rig-kind", "rig-modulus", "zmod-0", "finfn-0", "modality-0", "parse-rig",
         "parse-zmod", "free-repeat", "partitions", "partial-isos", "power",
         "enum-elements", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
@@ -109,7 +125,9 @@ BASE = dpsh.FiniteCdcBase(2, (1,))
         "kleisli-degree", "kleisli-degree-0", "kleisli-max-dim", "yoneda-max-dim",
         "presheaf-max-dim", "kleisli-build-top", "parse-arity", "polymap-dom",
         "finfn-dim", "presheaf-base-object", "mat-identity", "mat-zero-dom",
-        "mat-zero-cod", "mat-proj", "mat-all-maps"])
+        "mat-zero-cod", "mat-proj", "mat-all-maps", "table-missing-point",
+        "table-stray-point", "table-non-residue", "table-out-of-range",
+        "table-bool", "table-wrong-length", "table-bare-value", "table-not-modules"])
 def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
     with pytest.raises(InvalidArgument) as info:
         call()
@@ -142,9 +160,21 @@ def _kleisli_mismatch():
     (lambda: Polynomial.var(INT, 1, 1), ArityError),
     (lambda: parse_poly_map("[1/0]", RigSpec("rat"), 1), ParseError),
     (lambda: table_from_poly(parse_poly_map("[x1]", INT, 1)), SpecMismatch),
+    (lambda: TableMap(M1, FinFnBackend(3).module(1), {(0,): (0,), (1,): (1,)}),
+     SpecMismatch),
 ], ids=["rig-value", "tensor-elem", "linear-apply", "linear-apply-rig", "q-map-rig",
         "deriving-rig", "fusion-rig", "inject-elem", "bialg-mult",
-        "kleisli-compose", "poly-var", "zero-denominator", "table-over-int"])
+        "kleisli-compose", "poly-var", "zero-denominator", "table-over-int",
+        "table-rigs"])
 def test_mismatched_inputs_are_refused(call, error):
     with pytest.raises(error):
         call()
+
+
+def test_a_full_table_of_residues_is_accepted():
+    backend = FinFnBackend(3)
+    A = backend.module(1)
+    table = {(0,): (0,), (1,): (2,), (2,): (1,)}
+    f = TableMap(A, A, table)
+    table[(0,)] = (1,)  # the map keeps its own copy
+    assert f == backend.scale(2, backend.identity(A))
