@@ -9,9 +9,10 @@ one place their structure is implemented.  The backends are PolyBackend
 (below), matcat.MatBackend, poly.FinFnBackend (no D: the base the Faa di
 Bruno and co-Kleisli constructions are built over) and faa.FaaBackend
 over any of them.  Optional: all_maps(dom, cod), every morphism of a
-finite hom-set (Mat, FinFn), and PolyBackend's syntactic refinements
-d_second_block_linear and is_linear_syntactic, which check_axioms and
-is_k_linear use when a backend has them.
+finite hom-set (Mat); multilinear_count and multilinear_maps, the levels
+faa.all_families enumerates (Mat, FinFn); and PolyBackend's syntactic
+refinements d_second_block_linear and is_linear_syntactic, which
+check_axioms and is_k_linear use when a backend has them.
 
 On top of that this module derives partial and iterated derivatives,
 the partition-sum decomposition of n-fold D and its inverse, linearity
@@ -277,7 +278,7 @@ def is_k_linear(backend, f, sampler, samples: int = 20):
     return True, None
 
 
-def is_D_linear(backend, f, sampler=None):
+def is_D_linear(backend, f):
     """Exact comparison of Df against f pi1."""
     A = f.dom
     fpi1 = backend.compose(f, backend.proj([A, A], 1))

@@ -492,15 +492,11 @@ class ClassifiedMap:
 
 
 def _generator_maps(yA, Z, q) -> list:
-    """The terms (degree, coefficient, <point; tail units>) of q in Q(yA)(Z),
-    where the k-th basis key names the k-th matrix unit of yA.basis(Z)."""
-    space = q.space.inner
-    units = dict(zip(space.basis, yA.basis(Z)))
-    pairing = yA.base.backend.pairing
-    return [(gen.degree, c,
-             pairing([yA.from_coords(Z, faa.elem_to_vec(gen.point, space))]
-                     + [units[k] for k in gen.tail.keys]))
-            for gen, c in q.coeffs.items()]
+    """The terms (degree n, coefficient, <point; tail units>: Z -> (n+1)A)
+    of q in Q(yA)(Z), read by the one Q decoder faa._table_terms: a cell's
+    coordinates are those of the map in y((n+1)A)(Z)."""
+    return [(n, c, representable(yA.base, (n + 1) * yA.target).from_coords(Z, cell))
+            for c, n, cell in faa._table_terms(q, q.space.inner)]
 
 
 def _evaluate(X, Z, terms, sequence):

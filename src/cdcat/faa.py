@@ -97,103 +97,64 @@ class FaaMap:
 
 def hom_action(backend):
     """Base maps acting on a hom-set by precomposition, as the
-    (act, add, scale) that multilinearity_test takes."""
+    (act, add, scale) that validate_family takes."""
     return (lambda h, f: backend.compose(f, h), backend.add, backend.scale)
-
-
-def multilinearity_test(backend, A, n: int, action):
-    """A function of x, indexed by A x A^n, returning why x is not symmetric
-    and k-linear in its last n slots, or None; checked by exact identities.
-
-    `action` = (act, add, scale) is the structure of the module x lives in,
-    where act(h, x) reindexes x along a base map h: Z -> A x A^n; for a
-    hom-set see hom_action, for a presheaf X it is (X.act, X.add, X.scale).
-    Elements compare with ==.  Homogeneity is checked at every scalar of a
-    finite rig and at a few of an infinite one.  The test maps are built
-    here, once, and shared by every x the function is called on.
-    """
-    act, add, scale = action
-    blocks = [A] * (n + 1)
-    projs = [backend.proj(blocks, j) for j in range(n + 1)]
-    # symmetry: adjacent transpositions of the last n slots
-    swaps = [(j, backend.pairing(projs[:j] + [projs[j + 1], projs[j]] + projs[j + 2:]))
-             for j in range(1, n)]
-    # additivity in each of the last n slots, on an extended domain
-    ext = [A] * (n + 2)
-    eprojs = [backend.proj(ext, j) for j in range(n + 2)]
-    one = backend.pairing(eprojs[:n + 1])
-    sums = []
-    for j in range(1, n + 1):
-        both = eprojs[:j] + [backend.add(eprojs[j], eprojs[n + 1])] + eprojs[j + 1:n + 1]
-        other = eprojs[:j] + [eprojs[n + 1]] + eprojs[j + 1:n + 1]
-        sums.append((j, backend.pairing(both), backend.pairing(other)))
-    # homogeneity in each slot
-    scalings = [
-        (j, c, backend.pairing(projs[:j] + [backend.scale(c, projs[j])] + projs[j + 1:]))
-        for j in range(1, n + 1) for c in _validation_scalars(backend.rig)
-    ]
-
-    def problem(x) -> str | None:
-        for j, swap in swaps:
-            if act(swap, x) != x:
-                return f"not symmetric in slots {j},{j + 1}"
-        for j, both, other in sums:
-            if act(both, x) != add(act(one, x), act(other, x)):
-                return f"not additive in slot {j}"
-        for j, c, scaled in scalings:
-            if act(scaled, x) != scale(c, x):
-                return f"not homogeneous in slot {j} at {c}"
-        return None
-
-    return problem
-
-
-def multilinear_maps(backend, A, B, n: int) -> list:
-    """Every base map A x A^n -> B that is symmetric and k-linear in its
-    last n slots, in the backend's all_maps order.  Raises SizeLimit once
-    it has examined more than MAX_CANDIDATES tables per slot of A x A^n."""
-    problem = multilinearity_test(backend, A, n, hom_action(backend))
-    dom = backend.product([A] * (n + 1))
-    limit = MAX_CANDIDATES * (n + 1)
-    out = []
-    for examined, f in enumerate(backend.all_maps(dom, B), 1):
-        if examined > limit:
-            raise SizeLimit(f"more than {limit} candidate maps at level {n}")
-        if problem(f) is None:
-            out.append(f)
-    return out
 
 
 # Most candidate families all_families yields before it raises SizeLimit.
 # Each one costs full_fidelity a differential check of a few milliseconds
-# over Mat(Z/2), so the limit is hours of work.  multilinear_maps examines
-# at most this many tables per slot of a level, each a cheaper check.
+# over Mat(Z/2), so the limit is hours of work.
 MAX_CANDIDATES = 1 << 22
 
 
 def all_families(backend, A, B, support: int):
-    """Every family (f0..f_support) A ~> B of multilinear_maps, lazily, in
-    product order; the first step raises SizeLimit past MAX_CANDIDATES
-    families, or past the tables multilinear_maps may examine."""
-    levels = []
+    """Every family (f0..f_support) A ~> B of the backend's multilinear_maps,
+    lazily, in product order; the first step raises SizeLimit, before any
+    level is built, once their sizes multiply past MAX_CANDIDATES."""
+    levels = range(nonnegative(support, "support bound") + 1)
     total = 1
-    for n in range(nonnegative(support, "support bound") + 1):
-        level = multilinear_maps(backend, A, B, n)
-        total *= len(level)
+    for n in levels:
+        total *= backend.multilinear_count(A, B, n)
         if total > MAX_CANDIDATES:
             raise SizeLimit(f"{total} candidate families exceed the limit")
-        levels.append(level)
-    for combo in itertools.product(*levels):
+    for combo in itertools.product(*[backend.multilinear_maps(A, B, n) for n in levels]):
         yield FaaMap(backend, A, B, combo)
 
 
 def validate_family(backend, A, family, action) -> str | None:
-    """Why the first component of a family (base maps, or presheaf elements
-    at the stages A x A^n) to fail multilinearity_test fails, or None."""
+    """Why the first component x_n of a family (base maps, or presheaf
+    elements at the stages A x A^n) that is not symmetric and k-linear in
+    its last n slots is not, by exact identities, or None.  `action` is the
+    (act, add, scale) of the module x_n lives in, act(h, x) reindexing x
+    along a base map h: Z -> A x A^n: hom_action for a hom-set, (X.act,
+    X.add, X.scale) for a presheaf X.  Elements compare with ==; homogeneity
+    is checked at every scalar of a finite rig and a few of an infinite one."""
+    act, add, scale = action
     for n, x in enumerate(family):
-        problem = multilinearity_test(backend, A, n, action)(x)
-        if problem is not None:
-            return f"component {n} {problem}"
+        blocks = [A] * (n + 1)
+        projs = [backend.proj(blocks, j) for j in range(n + 1)]
+        # symmetry: adjacent transpositions of the last n slots
+        for j in range(1, n):
+            swap = backend.pairing(projs[:j] + [projs[j + 1], projs[j]] + projs[j + 2:])
+            if act(swap, x) != x:
+                return f"component {n} not symmetric in slots {j},{j + 1}"
+        # additivity in each of the last n slots, on an extended domain
+        ext = [A] * (n + 2)
+        eprojs = [backend.proj(ext, j) for j in range(n + 2)]
+        one = backend.pairing(eprojs[:n + 1])
+        for j in range(1, n + 1):
+            both = eprojs[:j] + [backend.add(eprojs[j], eprojs[n + 1])] + eprojs[j + 1:n + 1]
+            other = eprojs[:j] + [eprojs[n + 1]] + eprojs[j + 1:n + 1]
+            lhs = act(backend.pairing(both), x)
+            if lhs != add(act(one, x), act(backend.pairing(other), x)):
+                return f"component {n} not additive in slot {j}"
+        # homogeneity in each slot
+        for j in range(1, n + 1):
+            for c in _validation_scalars(backend.rig):
+                scaled = backend.pairing(
+                    projs[:j] + [backend.scale(c, projs[j])] + projs[j + 1:])
+                if act(scaled, x) != scale(c, x):
+                    return f"component {n} not homogeneous in slot {j} at {c}"
     return None
 
 
@@ -438,7 +399,8 @@ def _table_terms(q: ModuleElement, space) -> list:
     residue c times the generator read at the table cell `cell` of
     component n."""
     keys = basis_keys(space)
-    units = {k: tuple(1 if b == k else 0 for b in keys) for k in keys}
+    one = q.rig.one  # Z/1 has 1 = 0
+    units = {k: tuple(one if b == k else 0 for b in keys) for k in keys}
     terms = []
     for gen, c in q.coeffs.items():
         cell = elem_to_vec(gen.point, space)

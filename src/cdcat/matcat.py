@@ -50,9 +50,9 @@ def trusted_matmap(rig: RigSpec, dom: int, cod: int, rows: tuple) -> MatMap:
 
 class MatBackend:
     """CDC backend: objects are dimensions, morphisms MatMaps, Df = f pi1.
-    identity, proj, zero and all_maps refuse a negative size (through a
-    plain comparison first: zero and identity run thousands of times in one
-    presheaf check)."""
+    identity, proj, zero, all_maps and multilinear_count refuse a negative
+    size (through a plain comparison first: zero and identity run thousands
+    of times in one presheaf check)."""
 
     def __init__(self, modulus: int):
         from .algebra import zmod
@@ -144,6 +144,22 @@ class MatBackend:
         for flat in entries:
             rows = tuple(flat[i * dom:(i + 1) * dom] for i in range(cod))
             yield trusted_matmap(self.rig, dom, cod, rows)
+
+    def multilinear_count(self, A: int, B: int, n: int) -> int:
+        """How many maps multilinear_maps(A, B, n) returns."""
+        nonnegative(min(A, B), "matrix size")
+        return self.modulus ** (A * B) if n < 2 else 1
+
+    def multilinear_maps(self, A: int, B: int, n: int) -> list:
+        """Every map A x A^n -> B symmetric and k-linear in its last n
+        slots, in all_maps order.  Additivity in slot j kills every other
+        block, so level 0 is every map, level 1 the maps reading only the
+        direction block, and each level from 2 only zero."""
+        if n >= 2:
+            return [self.zero((n + 1) * A, B)]
+        return [trusted_matmap(self.rig, (n + 1) * A, B,
+                               tuple((0,) * (n * A) + r for r in f.rows))
+                for f in self.all_maps(A, B)]
 
 
 class MatSampler:

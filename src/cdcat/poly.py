@@ -10,6 +10,7 @@ oracle world for the co-Kleisli checks.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -557,10 +558,10 @@ def _is_point(v, mod: FinModule) -> bool:
 class TableMap:
     """Arbitrary set map between finite modules, stored as a full table.
 
-    The constructor refuses a table whose keys are not exactly the points
-    of dom or whose values are not points of cod (tuples of cod.dim
-    residues).  The backend's results and from_callable, whose tables are
-    right by construction, are built by _trusted_tablemap."""
+    The constructor and from_callable refuse a table whose keys are not
+    exactly the points of dom or whose values are not points of cod (tuples
+    of cod.dim residues).  The backend's results, whose tables are right by
+    construction, are built by _trusted_tablemap."""
 
     __slots__ = ("dom", "cod", "table")
 
@@ -581,9 +582,11 @@ class TableMap:
 
     @staticmethod
     def from_callable(dom, cod, fn) -> "TableMap":
-        """The table of fn, which must send each point of dom to a point of
-        cod; the backend's structure maps build their results here."""
-        return _trusted_tablemap(dom, cod, {x: fn(x) for x in dom.elements()})
+        """The table of fn, refused as the constructor refuses a table
+        unless fn sends each point of dom to a point of cod."""
+        if not isinstance(dom, FinModule):
+            raise InvalidArgument("a TableMap goes between FinModules")
+        return TableMap(dom, cod, {x: fn(x) for x in dom.elements()})
 
     def __eq__(self, other):
         return (
@@ -628,7 +631,7 @@ class FinFnBackend:
         return FinModule(self.rig, dim)
 
     def identity(self, mod: FinModule) -> TableMap:
-        return TableMap.from_callable(mod, mod, lambda x: x)
+        return _trusted_tablemap(mod, mod, {x: x for x in mod.elements()})
 
     def compose(self, g: TableMap, f: TableMap) -> TableMap:
         if g.dom != f.cod:
@@ -639,41 +642,59 @@ class FinFnBackend:
         return fin_product(mods)
 
     def proj(self, mods, i) -> TableMap:
-        lo = sum(m.dim for m in mods[:i])
+        lo, dom = sum(m.dim for m in mods[:i]), fin_product(mods)
         hi = lo + mods[i].dim
-        return TableMap.from_callable(fin_product(mods), mods[i], lambda x: x[lo:hi])
+        return _trusted_tablemap(dom, mods[i], {x: x[lo:hi] for x in dom.elements()})
 
     def pairing(self, maps) -> TableMap:
         maps = list(maps)
         dom = maps[0].dom
         if any(f.dom != dom for f in maps):
             raise ObjectMismatch("pairing needs a common domain")
-        return TableMap.from_callable(
-            dom, fin_product([f.cod for f in maps]),
-            lambda x: sum((f.table[x] for f in maps), ()),
-        )
+        return _trusted_tablemap(dom, fin_product([f.cod for f in maps]), {
+            x: sum((f.table[x] for f in maps), ()) for x in dom.elements()})
 
     def zero(self, dom, cod) -> TableMap:
-        return TableMap.from_callable(dom, cod, lambda x: cod.zero_vec)
+        return _trusted_tablemap(dom, cod, dict.fromkeys(dom.elements(), cod.zero_vec))
 
     def add(self, f: TableMap, g: TableMap) -> TableMap:
         if (f.dom, f.cod) != (g.dom, g.cod):
             raise ObjectMismatch(f"{f.dom.dim}->{f.cod.dim} vs {g.dom.dim}->{g.cod.dim}")
         m = f.cod.modulus
-        return TableMap.from_callable(f.dom, f.cod, lambda x: tuple(
-            (a + b) % m for a, b in zip(f.table[x], g.table[x])))
+        return _trusted_tablemap(f.dom, f.cod, {x: tuple(
+            (a + b) % m for a, b in zip(y, g.table[x])) for x, y in f.table.items()})
 
     def scale(self, c, f: TableMap) -> TableMap:
         c, m = rig_value(f.cod.rig, c), f.cod.modulus
-        return TableMap.from_callable(f.dom, f.cod, lambda x: tuple(
-            c * a % m for a in f.table[x]))
+        return _trusted_tablemap(f.dom, f.cod, {
+            x: tuple(c * a % m for a in y) for x, y in f.table.items()})
 
-    def all_maps(self, dom: FinModule, cod: FinModule):
-        """Every set map dom -> cod (use with care: |cod|^|dom| tables)."""
-        xs = dom.elements()
-        ys = cod.elements()
-        for values in itertools.product(ys, repeat=len(xs)):
-            yield _trusted_tablemap(dom, cod, dict(zip(xs, values)))
+    def multilinear_count(self, A: FinModule, B: FinModule, n: int) -> int:
+        """How many maps multilinear_maps(A, B, n) returns: a value in B
+        for each point of A and each multiset of n of A's dim basis indices."""
+        multisets = math.comb(A.dim + n - 1, n) if A.dim else int(n == 0)
+        return B.size ** (A.size * multisets)
+
+    def multilinear_maps(self, A: FinModule, B: FinModule, n: int) -> list:
+        """Every map A x A^n -> B symmetric and k-linear in its last n
+        slots, in the order of their value sequences on the points of
+        A x A^n: any g(x, S) on points x of A and multisets S of n basis
+        indices, as f(x, v1..vn) = sum_w v1[w1]...vn[wn] * g(x, sorted w)."""
+        m, d = self.modulus, A.dim
+        keys = list(itertools.product(
+            A.elements(), itertools.combinations_with_replacement(range(d), n)))
+        dom = fin_product([A] * (n + 1))
+        cells = dom.elements()
+        # the cell (x, v1..vn) reads g(x, S) times v1[w1]...vn[wn], summed
+        # over the orderings w of S
+        reads = [[(k, sum(math.prod(cell[d * (i + 1) + j] for i, j in enumerate(w))
+                          for w in set(itertools.permutations(S))) % m)
+                  for k, (x, S) in enumerate(keys) if x == cell[:d]] for cell in cells]
+        tables = sorted(
+            tuple(tuple(sum(c * g[k][i] for k, c in read) % m for i in range(B.dim))
+                  for read in reads)
+            for g in itertools.product(B.elements(), repeat=len(keys)))
+        return [_trusted_tablemap(dom, B, dict(zip(cells, values))) for values in tables]
 
 
 # Most domain points table_from_poly tabulates before it raises SizeLimit.

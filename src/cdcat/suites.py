@@ -26,7 +26,7 @@ from .algebra import (
     zero_elem,
     zmod,
 )
-from .errors import InvalidArgument, nonnegative, positive
+from .errors import InvalidArgument, SizeLimit, nonnegative, positive
 from .poly import FinFnBackend, FinModule
 from .qmodality import UNIT_SPACE, LinearMap
 from .reports import Report
@@ -487,10 +487,11 @@ def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,
     (the library would refuse to truncate them silently).
 
     Bounds: max_dim, degree_bound and samples are at least 1 (every
-    derivative reads component 1, so bound 0 would check none), and the
-    family enumerator refuses a support below 0.  The Q side of compose and
-    D is built once per dimension for this call, at the largest support its
-    instances need."""
+    derivative reads component 1, so bound 0 would check none), the family
+    enumerator refuses a support below 0, and more than faa.MAX_CANDIDATES
+    exhaustive pairs are refused before any is built.  The Q side of
+    compose and D is built once per dimension for this call, at the largest
+    support its instances need."""
     positive(max_dim, "max_dim")
     positive(degree_bound, "degree bound")
     positive(samples, "samples")
@@ -532,6 +533,8 @@ def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,
             return None
         return law
 
+    if len(kls) ** 2 > faa.MAX_CANDIDATES:
+        raise SizeLimit(f"{len(kls) ** 2} family pairs exceed the limit")
     pairs = list(itertools.product(kls, repeat=2))
     in_bound = [pair for pair in pairs if within_bound(*pair)]
     report.check(enumerate(in_bound, 1), ("compose-matches-faa-exhaustive-dim1",

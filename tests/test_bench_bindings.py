@@ -41,15 +41,15 @@ def test_tracer_installs_and_restores_every_binding(cd):
         be = cd.cdc.PolyBackend(INT)
         f = parse_poly_map("[x1^2]", INT, 1)
         be.compose(f, f)
-        fin = cd.poly.FinFnBackend(2)
-        A = fin.module(1)
-        fin.add(fin.identity(A), fin.zero(A, A))
+        A = cd.poly.FinFnBackend(2).module(1)
+        for value in ((0,), (1,)):
+            cd.poly.TableMap.from_callable(A, A, lambda x: value)
+        cd.poly.TableMap.from_callable(A, A, lambda x: x)
     finally:
         unrestored = tracer.uninstall()
     assert unrestored == []
     calls = {name: n for name, (n, _) in tracer.self_times().items()}
     assert calls["cdc.poly_compose"] == 1
-    # FinFn builds its identity, zero and sum tables through from_callable
     assert calls["poly.table_from_callable"] == 3
 
 

@@ -249,6 +249,34 @@ def test_classify_rejects_asymmetric_sequences():
     assert "not symmetric" in str(info.value) or "not additive" in str(info.value)
 
 
+def pairings_of_point_and_units(yA, Z, q):
+    """The terms (degree, coefficient, <point; tail units>) of q in Q(yA)(Z),
+    the tail's k-th basis key read as the k-th unit of yA.basis(Z) and the
+    entries paired in the base: the unit-vector decoder the one Q decoder
+    replaced."""
+    space = q.space.inner
+    units = dict(zip(space.basis, yA.basis(Z)))
+    pairing = yA.base.backend.pairing
+    return [(gen.degree, c,
+             pairing([yA.from_coords(Z, faa.elem_to_vec(gen.point, space))]
+                     + [units[k] for k in gen.tail.keys]))
+            for gen, c in q.coeffs.items()]
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 3])
+def test_generator_maps_read_q_of_a_representable_as_pairings(modulus):
+    # on every spanning element of Q(y1) and Q(y2) and on its differential
+    base = small_base(modulus, (1, 2))
+    for A in (1, 2):
+        yA = dpsh.representable(base, A)
+        QyA = dpsh.presheaf_Q(yA, 2)
+        for Z in base.objects:
+            for q in QyA.spanning(Z):
+                for stage, elem in ((Z, q), (2 * Z, QyA.diff(Z, q))):
+                    assert (dpsh._generator_maps(yA, stage, elem)
+                            == pairings_of_point_and_units(yA, stage, elem))
+
+
 def test_classified_map_is_linear_in_q():
     base = small_base(2, (1,))
     y1 = dpsh.representable(base, 1)

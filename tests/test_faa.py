@@ -1,11 +1,12 @@
 """Faa di Bruno families: chain rule, differential, and the co-Kleisli view."""
 
+import itertools
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdcat import faa
+from cdcat import faa, suites
 from cdcat.algebra import INT, RAT, Product, basis_elem, zmod
 from cdcat.cdc import PolyBackend, PolySampler, check_axioms, iterated_D, nth_derivative
 from cdcat.errors import (
@@ -16,7 +17,14 @@ from cdcat.errors import (
     SpaceMismatch,
 )
 from cdcat.matcat import MatBackend
-from cdcat.poly import FinFnBackend, parse_poly_map, poly_D, substitute, table_from_poly
+from cdcat.poly import (
+    FinFnBackend,
+    _trusted_tablemap,
+    parse_poly_map,
+    poly_D,
+    substitute,
+    table_from_poly,
+)
 
 BE = PolyBackend(INT)
 FAA = faa.FaaBackend(BE)
@@ -97,38 +105,122 @@ def test_validate_family_over_rat():
     assert problem is not None and problem.startswith("component 1 not additive")
 
 
+# ---------------------------------------------------------------------------
+# the levels by coordinates, against the table filter they replaced
+
+def all_tables(backend, dom, cod):
+    """Every map dom -> cod, in the order of the value sequences on dom's
+    points (Mat's all_maps order)."""
+    if isinstance(backend, MatBackend):
+        return list(backend.all_maps(dom, cod))
+    xs = dom.elements()
+    return [_trusted_tablemap(dom, cod, dict(zip(xs, values)))
+            for values in itertools.product(cod.elements(), repeat=len(xs))]
+
+
+def filtered_level(backend, A, B, n):
+    """The maps A x A^n -> B symmetric and k-linear in their last n slots,
+    found by filtering every table through exact identities, with the test
+    maps built once: the generic search the backends' levels replace."""
+    act, add, scale = faa.hom_action(backend)
+    blocks = [A] * (n + 1)
+    projs = [backend.proj(blocks, j) for j in range(n + 1)]
+    swaps = [backend.pairing(projs[:j] + [projs[j + 1], projs[j]] + projs[j + 2:])
+             for j in range(1, n)]
+    ext = [A] * (n + 2)
+    eprojs = [backend.proj(ext, j) for j in range(n + 2)]
+    one = backend.pairing(eprojs[:n + 1])
+    sums = [(backend.pairing(eprojs[:j] + [backend.add(eprojs[j], eprojs[n + 1])]
+                             + eprojs[j + 1:n + 1]),
+             backend.pairing(eprojs[:j] + [eprojs[n + 1]] + eprojs[j + 1:n + 1]))
+            for j in range(1, n + 1)]
+    scalings = [(c, backend.pairing(projs[:j] + [backend.scale(c, projs[j])] + projs[j + 1:]))
+                for j in range(1, n + 1) for c in range(backend.modulus)]
+
+    def passes(x):
+        return (all(act(swap, x) == x for swap in swaps)
+                and all(act(both, x) == add(act(one, x), act(other, x))
+                        for both, other in sums)
+                and all(act(scaled, x) == scale(c, x) for c, scaled in scalings))
+
+    return [f for f in all_tables(backend, backend.product(blocks), B) if passes(f)]
+
+
+def assert_level_is_the_filtered_one(backend, A, B, n):
+    level = backend.multilinear_maps(A, B, n)
+    assert level == filtered_level(backend, A, B, n)
+    assert len(level) == backend.multilinear_count(A, B, n)
+
+
 @pytest.mark.parametrize("backend, A", [
     (MatBackend(2), 1), (MatBackend(3), 1), (FinFnBackend(2), None)])
 def test_multilinear_maps_filter_all_maps_in_order(backend, A):
     A = backend.module(1) if A is None else A
     for n in range(3):
-        dom = backend.product([A] * (n + 1))
-        problem = faa.multilinearity_test(backend, A, n, faa.hom_action(backend))
-        expected = [f for f in backend.all_maps(dom, A) if problem(f) is None]
-        assert faa.multilinear_maps(backend, A, A, n) == expected
+        assert_level_is_the_filtered_one(backend, A, A, n)
     # over Mat(Z/m) at dim 1 the level-1 maps are (x, v) -> c v
     if isinstance(backend, MatBackend):
-        assert [f.rows for f in faa.multilinear_maps(backend, 1, 1, 1)] == [
+        assert [f.rows for f in backend.multilinear_maps(1, 1, 1)] == [
             ((0, c),) for c in range(backend.modulus)]
 
 
-def test_multilinear_maps_refuse_past_max_candidates_tables_per_slot(monkeypatch):
-    be = FinFnBackend(2)
+# every (modulus, A, B, n) whose filter reads at most 3^8 tables
+MAT_LEVELS = [(m, A, B, n) for m in (1, 2, 3) for A in range(3) for B in range(3)
+              for n in range(3) if m ** ((n + 1) * A * B) <= 3 ** 8]
+
+
+@pytest.mark.parametrize("m, A, B, n", MAT_LEVELS)
+def test_mat_level_is_the_filtered_one(m, A, B, n):
+    assert_level_is_the_filtered_one(MatBackend(m), A, B, n)
+
+
+@pytest.mark.parametrize("m, dim_A, dim_B, n", [
+    (2, 1, 1, 0), (2, 1, 1, 1), (2, 1, 1, 2), (2, 1, 1, 3),
+    (2, 2, 1, 0), pytest.param(2, 2, 1, 1, marks=pytest.mark.slow),
+    (2, 1, 2, 1), (3, 1, 1, 0), (3, 1, 1, 1),
+    (2, 0, 1, 0), (2, 0, 1, 1), (2, 0, 1, 2), (2, 1, 0, 1), (3, 0, 0, 2)])
+def test_finfn_level_is_the_filtered_one(m, dim_A, dim_B, n):
+    be = FinFnBackend(m)
+    assert_level_is_the_filtered_one(be, be.module(dim_A), be.module(dim_B), n)
+
+
+def test_finfn_levels_by_coordinates_reach_zmod3():
+    # 27 maps per level: a value of Z/3 at each point x and at the one
+    # multiset of n indices; the filter would read 3^27 tables at level 2
+    be = FinFnBackend(3)
     A = be.module(1)
-    # level 1 has 2^4 = 16 tables on its 2 slots
-    monkeypatch.setattr(faa, "MAX_CANDIDATES", 8)
-    assert len(faa.multilinear_maps(be, A, A, 1)) == 4
-    monkeypatch.setattr(faa, "MAX_CANDIDATES", 7)
+    start = time.perf_counter()
+    fams = suites.enumerate_families(be, A, A, 2)
+    assert time.perf_counter() - start < 1
+    assert len(fams) == 27 ** 3
+    for n in range(3):
+        assert len({fm.component(n) for fm in fams}) == 27
+    # the level-2 map of g(x) = (x + 1) % 3 is (x, v, w) -> (x + 1) v w
+    level = be.multilinear_maps(A, A, 2)
+    cubic = next(f for f in level if f.table[(0, 1, 1)] == (1,) and f.table[(1, 1, 1)] == (2,)
+                 and f.table[(2, 1, 1)] == (0,))
+    assert all(cubic.table[x, v, w] == ((x + 1) * v * w % 3,)
+               for x, v, w in itertools.product(range(3), repeat=3))
+
+
+def test_all_families_refuses_a_huge_level_before_building_it():
+    # over Z/3 at dim 2, level 2 has 3^27 maps: its size is read from
+    # closed form, so the refusal builds no table
+    be = FinFnBackend(3)
+    A = be.module(2)
+    assert be.multilinear_count(A, be.module(1), 2) == 3 ** 27
+    start = time.perf_counter()
     with pytest.raises(SizeLimit):
-        faa.multilinear_maps(be, A, A, 1)
+        next(faa.all_families(be, A, be.module(1), 2))
+    assert time.perf_counter() - start < 1
 
 
 def test_all_families_refuses_a_huge_level_while_filtering(monkeypatch):
-    # over Z/3 at dim 1, level 2 has 3^27 tables: filtering them all would
-    # take years; the filter now stops after 3 * MAX_CANDIDATES of them
+    # over Z/3 at dim 1 the levels have 27 maps each, so 27^3 families
+    # pass 10,000 only at level 2
     be = FinFnBackend(3)
     A = be.module(1)
-    monkeypatch.setattr(faa, "MAX_CANDIDATES", 10_000)  # level 1: 3^9 tables
+    monkeypatch.setattr(faa, "MAX_CANDIDATES", 10_000)
     start = time.perf_counter()
     with pytest.raises(SizeLimit):
         list(faa.all_families(be, A, A, 2))

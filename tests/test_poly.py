@@ -424,7 +424,7 @@ def test_fin_backend_module_structure():
     f = TableMap.from_callable(A, A, lambda x: (x[1], x[0]))
     assert be.add(f, f).is_zero
     assert be.scale(0, f).is_zero
-    assert len(list(be.all_maps(be.module(1), be.module(1)))) == 4
+    assert len(be.multilinear_maps(be.module(1), be.module(1), 0)) == 4
 
 
 def test_fin_backend_refuses_mismatched_objects():

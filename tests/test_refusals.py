@@ -114,6 +114,10 @@ M1 = FinFnBackend(2).module(1)
     lambda: TableMap(M1, M1, {(0,): (0, 1), (1,): (1,)}),
     lambda: TableMap(M1, M1, {(0,): 0, (1,): 1}),
     lambda: TableMap(1, 1, {(0,): (0,), (1,): (1,)}),
+    lambda: TableMap.from_callable(M1, M1, lambda x: (0.5,)),
+    lambda: TableMap.from_callable(M1, M1, lambda x: (x[0] + 1,)),
+    lambda: TableMap.from_callable(1, 1, lambda x: x),
+    lambda: next(faa.all_families(MatBackend(2), -1, 1, 1)),
 ], ids=["rig-kind", "rig-modulus", "zmod-0", "finfn-0", "modality-0", "parse-rig",
         "parse-zmod", "free-repeat", "partitions", "partial-isos", "power",
         "enum-elements", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
@@ -127,7 +131,9 @@ M1 = FinFnBackend(2).module(1)
         "finfn-dim", "presheaf-base-object", "mat-identity", "mat-zero-dom",
         "mat-zero-cod", "mat-proj", "mat-all-maps", "table-missing-point",
         "table-stray-point", "table-non-residue", "table-out-of-range",
-        "table-bool", "table-wrong-length", "table-bare-value", "table-not-modules"])
+        "table-bool", "table-wrong-length", "table-bare-value", "table-not-modules",
+        "from-callable-float", "from-callable-out-of-range", "from-callable-not-modules",
+        "families-negative-size"])
 def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
     with pytest.raises(InvalidArgument) as info:
         call()

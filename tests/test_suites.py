@@ -3,11 +3,13 @@
 import collections
 import json
 import random
+import time
 
 import pytest
 
 from cdcat import faa, suites
 from cdcat.algebra import INT, NAT, RAT, zmod
+from cdcat.errors import SizeLimit
 from cdcat.poly import FinFnBackend
 from cdcat.reports import Report
 
@@ -33,6 +35,15 @@ def enumerate_cached(backend, A, _cache={}):
     if "fams" not in _cache:
         _cache["fams"] = suites.enumerate_families(backend, A, A, 2)
     return _cache["fams"]
+
+
+def test_kleisli_suite_refuses_more_exhaustive_pairs_than_max_candidates():
+    # Z/3 at dim 1 has 27^3 families, so 3.9e8 pairs: refused before any
+    # pair is built, where the pair list alone would exhaust memory
+    start = time.perf_counter()
+    with pytest.raises(SizeLimit):
+        suites.kleisli_suite(3, max_dim=1)
+    assert time.perf_counter() - start < 5
 
 
 def test_enumerated_families_are_valid():
