@@ -54,7 +54,7 @@ class FinitePresheaf:
         self._images = {}  # (f.dom, f.cod, f.rows, k) or (A, k) -> coords
 
     def _unit(self, A, k):
-        one = 1 % self.base.modulus  # Z/1 has 1 = 0
+        one = self.base.backend.rig.one  # Z/1 has 1 = 0
         return self.from_coords(A, tuple(one if i == k else 0
                                          for i in range(self.dim(A))))
 

@@ -19,7 +19,6 @@ from .algebra import (
     Product,
     QSpace,
     Tensor,
-    add_scaled,
     basis_keys,
     rig_value,
 )
@@ -27,6 +26,7 @@ from .cdc import derivative_tower, subset_pairing
 from .combinat import partial_isos, partitions, arrange
 from .errors import (
     DegreeBoundExceeded,
+    InvalidArgument,
     NoFiniteSupport,
     ObjectMismatch,
     SizeLimit,
@@ -35,14 +35,15 @@ from .errors import (
 )
 from .poly import FinFnBackend, FinModule, _trusted_tablemap, fin_product
 from .qmodality import (
-    LinearMap,
     comult,
     counit as q_counit,
     deriving,
+    on_generators,
     q_gen_elem,
     q_inject,
     q_map,
     storage,
+    sum_terms,
 )
 
 
@@ -110,7 +111,10 @@ MAX_CANDIDATES = 1 << 22
 def all_families(backend, A, B, support: int):
     """Every family (f0..f_support) A ~> B of the backend's multilinear_maps,
     lazily, in product order; the first step raises SizeLimit, before any
-    level is built, once their sizes multiply past MAX_CANDIDATES."""
+    level is built, once their sizes multiply past MAX_CANDIDATES.  A
+    backend without levels (Poly, Faa) is refused."""
+    if not hasattr(backend, "multilinear_maps"):
+        raise InvalidArgument(f"{type(backend).__name__} does not enumerate its maps")
     levels = range(nonnegative(support, "support bound") + 1)
     total = 1
     for n in levels:
@@ -490,14 +494,12 @@ def build_kleisli_D(backend: FinFnBackend, A: FinModule, top: int):
     A_space = fin_space(A)
     levels, counts, qs = _generator_cells(backend, Product((A_space, A_space)), top)
 
-    def derived(q):
-        acc = {}
-        for (g1, g2), v in storage(q).coeffs.items():
-            y = q_counit(q_gen_elem(rig, g2))
-            add_scaled(acc, v, deriving(q_gen_elem(rig, g1), y))
-        return _table_terms(ModuleElement(rig, QSpace(A_space), acc), A_space)
+    QA = QSpace(A_space)
 
-    terms = [derived(q) for q in qs]
+    def derived(g1, g2):
+        return deriving(q_gen_elem(rig, g1), q_counit(q_gen_elem(rig, g2)))
+
+    terms = [_table_terms(sum_terms(storage(q), QA, derived), A_space) for q in qs]
     P = fin_product([A, A])
 
     def apply(f: KleisliMap) -> KleisliMap:
@@ -532,8 +534,7 @@ def build_kleisli_compose(backend: FinFnBackend, A: FinModule, top: int):
         if support > top:
             raise DegreeBoundExceeded(f"composite support {support} > built top {top}")
         B_space = fin_space(f.cod)
-        f_hat = LinearMap(rig, QSpace(A_space), B_space,
-                          lambda gen: f.eval_q(q_gen_elem(rig, gen)))
+        f_hat = on_generators(rig, A_space, B_space, f.eval_q)
         values = [_read_terms(g.family, _table_terms(q_map(f_hat, d), B_space), g.cod)
                   for d in comults[:counts[support]]]
         return KleisliMap(backend, A, g.cod, _tables(A, g.cod, levels[:support + 1], values))

@@ -65,7 +65,7 @@ class MatBackend:
     def identity(self, n: int) -> MatMap:
         if n < 0:
             nonnegative(n, "matrix size")
-        one = 1 % self.modulus  # Z/1 has 1 = 0
+        one = self.rig.one  # Z/1 has 1 = 0
         return trusted_matmap(
             self.rig, n, n,
             tuple(tuple(one if i == j else 0 for j in range(n)) for i in range(n)),
@@ -92,7 +92,7 @@ class MatBackend:
             nonnegative(min(objs), "matrix size")
         total = sum(objs)
         lo = sum(objs[:i])
-        one = 1 % self.modulus
+        one = self.rig.one
         rows = tuple(
             tuple(one if j == lo + r else 0 for j in range(total))
             for r in range(objs[i])

@@ -4,7 +4,10 @@ QA is the direct sum, over points x0 of A, of the free symmetric algebra on
 A.  Elements are kept in normal form: tails fully expanded over the basis
 with coefficients pulled out, points left opaque (the generator bracket is
 multilinear in the tail entries but not in the point).  Every structure map
-below acts on generators and extends linearly.
+below acts on generators and extends linearly; a law or builder that
+needs such a map as a LinearMap gets it from on_generators (or
+on_generator_pairs on QA (x) QB), and one applied factorwise after Delta
+or chi is a sum_terms.
 
 Generators are interned (algebra._generator): a structure map makes each
 point it creates canonical once, with algebra._point, and every generator
@@ -173,15 +176,35 @@ def q_map(f: LinearMap, q: ModuleElement) -> ModuleElement:
     return ModuleElement(q.rig, QSpace(f.codomain), out)
 
 
+def on_generators(rig: RigSpec, A, cod, fn) -> LinearMap:
+    """The linear map QA -> cod that extends fn, given on generator
+    elements <x0; x1..xn> of QA."""
+    return LinearMap(rig, QSpace(A), cod, lambda gen: fn(q_gen_elem(rig, gen)))
+
+
+def on_generator_pairs(rig: RigSpec, A, B, cod, fn) -> LinearMap:
+    """The linear map QA (x) QB -> cod that extends fn(p, q), given on
+    pairs of generator elements."""
+    return LinearMap(
+        rig, Tensor((QSpace(A), QSpace(B))), cod,
+        lambda key: fn(q_gen_elem(rig, key[0]), q_gen_elem(rig, key[1])),
+    )
+
+
+def sum_terms(t: ModuleElement, space, term) -> ModuleElement:
+    """The sum in `space` of c * term(k1, k2) over the terms c * (k1, k2)
+    of t, an element of a binary tensor such as Delta q or chi(q)."""
+    if not isinstance(t.space, Tensor) or len(t.space.factors) != 2:
+        raise SpaceMismatch(f"{t.space} is not a binary tensor")
+    out = {}
+    for (k1, k2), c in t.coeffs.items():
+        add_scaled(out, c, term(k1, k2))
+    return ModuleElement(t.rig, space, out)
+
+
 def q_functor(f: LinearMap) -> LinearMap:
     """Q applied to a linear map, itself as a linear map QA -> QB."""
-    rig = f.rig
-    return LinearMap(
-        rig,
-        QSpace(f.domain),
-        QSpace(f.codomain),
-        lambda gen: q_map(f, q_gen_elem(rig, gen)),
-    )
+    return on_generators(f.rig, f.domain, QSpace(f.codomain), lambda q: q_map(f, q))
 
 
 # ---------------------------------------------------------------------------

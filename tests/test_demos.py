@@ -9,11 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# presheaves.py is left out: its exhaustive presheaf and full-fidelity checks
-# take about 55 s on a 2-core machine, near this test's 60 s timeout; the
-# same code paths run in test_dpsh and the criterion-7 acceptance test.
 DEMOS = ["chain_rule_families.py", "derivatives.py", "kleisli.py",
-         "law_checking.py", "modality.py"]
+         "law_checking.py", "modality.py", "presheaves.py"]
 
 
 @pytest.mark.parametrize("name", DEMOS)

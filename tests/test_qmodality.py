@@ -97,6 +97,89 @@ def test_q_functor_preserves_identity_and_composition():
         )
 
 
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_q_functor_is_a_functor(modulus):
+    rig = zmod(modulus)
+    a = Free(("e1", "e2"))
+    f = qm.LinearMap(rig, a, a, lambda k: basis_elem(rig, a, "e1").scale(2))
+    g = qm.LinearMap(rig, a, a, lambda k: basis_elem(rig, a, "e2") + basis_elem(rig, a, k))
+    fg = qm.LinearMap(rig, a, a, lambda k: f.apply(g.on_basis(k)))
+    ident, qf, qg = (qm.q_functor(h) for h in (qm.identity_map(rig, a), f, g))
+    qfg = qm.q_functor(fg)
+    for gen_key in qm.enum_generators(rig, a, 2):
+        q = qm.q_gen_elem(rig, gen_key)
+        assert ident.apply(q) == q
+        assert qfg.apply(q) == qf.apply(qg.apply(q))
+
+
+# ---------------------------------------------------------------------------
+# linear extension from generators
+
+def _explicit_sum(t, space, term):
+    total = zero_elem(t.rig, space)
+    for (k1, k2), c in t.coeffs.items():
+        total = total + term(k1, k2).scale(c)
+    return total
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_sum_terms_is_the_explicit_sum_over_delta(modulus):
+    rig = zmod(modulus)
+    a = Free(("e1",))
+    QA = QSpace(a)
+
+    def term(g1, g2):
+        p, q = qm.q_gen_elem(rig, g1), qm.q_gen_elem(rig, g2)
+        return tensor_elem(qm.comult(p), q).scale(2) + tensor_elem(qm.comult(q), p)
+
+    space = Tensor((QSpace(QA), QA))
+    gens = [qm.q_gen_elem(rig, g) for g in qm.enum_generators(rig, a, 3)]
+    for q in gens + [gens[1].scale(2) + gens[-1]]:
+        delta = qm.comonoid_comult(q)
+        assert qm.sum_terms(delta, space, term) == _explicit_sum(delta, space, term)
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_sum_terms_is_the_explicit_sum_over_storage(modulus):
+    rig = zmod(modulus)
+    a, b = Free(("e1",)), Free(("f1",))
+
+    def term(g1, g2):
+        return tensor_elem(qm.counit(qm.q_gen_elem(rig, g2)),
+                           qm.counit(qm.q_gen_elem(rig, g1)))
+
+    space = Tensor((b, a))
+    for g in qm.enum_generators(rig, Product((a, b)), 2):
+        chi = qm.storage(qm.q_gen_elem(rig, g).scale(modulus - 1))
+        assert qm.sum_terms(chi, space, term) == _explicit_sum(chi, space, term)
+
+
+def test_sum_terms_needs_a_binary_tensor():
+    with pytest.raises(SpaceMismatch):
+        qm.sum_terms(one_gen(E1, "e2"), A, lambda k1, k2: E1)
+    triple = Tensor((A, A, A))
+    with pytest.raises(SpaceMismatch):
+        qm.sum_terms(basis_elem(INT, triple, ("e1", "e1", "e2")), A, lambda k1, k2: E1)
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_on_generators_extends_fn_from_generator_elements(modulus):
+    rig = zmod(modulus)
+    a, b = Free(("e1", "e2")), Free(("f1",))
+    eps = qm.on_generators(rig, a, a, qm.counit)
+    delta = qm.on_generators(rig, a, QSpace(QSpace(a)), qm.comult)
+    mult = qm.on_generator_pairs(rig, a, b, QSpace(Tensor((a, b))), qm.monoidal_mult)
+    gens = qm.enum_generators(rig, a, 2)
+    for g in gens:
+        q = qm.q_gen_elem(rig, g)
+        assert eps.on_basis(g) == qm.counit(q)
+        assert delta.on_basis(g) == qm.comult(q)
+    for g, h in zip(gens, qm.enum_generators(rig, b, 2)):
+        p, q = qm.q_gen_elem(rig, g), qm.q_gen_elem(rig, h)
+        assert mult.on_basis((g, h)) == qm.monoidal_mult(p, q)
+        assert mult.apply(tensor_elem(p.scale(2), q)) == qm.monoidal_mult(p, q).scale(2)
+
+
 # ---------------------------------------------------------------------------
 # comonad structure
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from cdcat import cdc, dpsh, faa, suites
+from cdcat import cdc, dpsh, faa, qmodality, suites
 from cdcat.algebra import (
     INT,
     Free,
@@ -118,6 +118,8 @@ M1 = FinFnBackend(2).module(1)
     lambda: TableMap.from_callable(M1, M1, lambda x: (x[0] + 1,)),
     lambda: TableMap.from_callable(1, 1, lambda x: x),
     lambda: next(faa.all_families(MatBackend(2), -1, 1, 1)),
+    lambda: next(faa.all_families(cdc.PolyBackend(INT), 1, 1, 1)),
+    lambda: suites.enumerate_families(cdc.PolyBackend(INT), 1, 1, 1),
 ], ids=["rig-kind", "rig-modulus", "zmod-0", "finfn-0", "modality-0", "parse-rig",
         "parse-zmod", "free-repeat", "partitions", "partial-isos", "power",
         "enum-elements", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
@@ -133,7 +135,8 @@ M1 = FinFnBackend(2).module(1)
         "table-stray-point", "table-non-residue", "table-out-of-range",
         "table-bool", "table-wrong-length", "table-bare-value", "table-not-modules",
         "from-callable-float", "from-callable-out-of-range", "from-callable-not-modules",
-        "families-negative-size"])
+        "families-negative-size", "families-without-levels",
+        "enumerate-without-levels"])
 def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
     with pytest.raises(InvalidArgument) as info:
         call()
@@ -168,10 +171,12 @@ def _kleisli_mismatch():
     (lambda: table_from_poly(parse_poly_map("[x1]", INT, 1)), SpecMismatch),
     (lambda: TableMap(M1, FinFnBackend(3).module(1), {(0,): (0,), (1,): (1,)}),
      SpecMismatch),
+    (lambda: qmodality.sum_terms(q_inject(basis_elem(INT, A, "a"), []), A, tensor_elem),
+     SpaceMismatch),
 ], ids=["rig-value", "tensor-elem", "linear-apply", "linear-apply-rig", "q-map-rig",
         "deriving-rig", "fusion-rig", "inject-elem", "bialg-mult",
         "kleisli-compose", "poly-var", "zero-denominator", "table-over-int",
-        "table-rigs"])
+        "table-rigs", "sum-terms-not-a-tensor"])
 def test_mismatched_inputs_are_refused(call, error):
     with pytest.raises(error):
         call()

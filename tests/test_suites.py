@@ -4,11 +4,13 @@ import collections
 import json
 import random
 import time
+import tracemalloc
 
 import pytest
 
 from cdcat import faa, suites
 from cdcat.algebra import INT, NAT, RAT, zmod
+from cdcat.combinat import partitions
 from cdcat.errors import SizeLimit
 from cdcat.poly import FinFnBackend
 from cdcat.reports import Report
@@ -44,6 +46,39 @@ def test_kleisli_suite_refuses_more_exhaustive_pairs_than_max_candidates():
     with pytest.raises(SizeLimit):
         suites.kleisli_suite(3, max_dim=1)
     assert time.perf_counter() - start < 5
+
+
+def test_kleisli_suite_decides_its_exhaustive_pairs_from_a_stream(monkeypatch):
+    # Z/3 at dim 1 and support 1 has 729 families, so 531,441 pairs; with
+    # the Q and Faa sides made trivial, listing the pairs would take tens
+    # of MB where the stream takes a fraction of one
+    monkeypatch.setattr(faa, "build_kleisli_compose", lambda be, dom, top: lambda g, f: f)
+    monkeypatch.setattr(faa, "faa_compose", lambda g, f: f)
+    monkeypatch.setattr(faa, "build_kleisli_D", lambda be, dom, top: lambda f: f)
+    monkeypatch.setattr(faa, "faa_D", lambda f: f)
+    tracemalloc.start()
+    try:
+        report = suites.kleisli_suite(3, max_dim=1, support=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    by_name = {c.name: c.checked for c in report.checks}
+    assert by_name["compose-matches-faa-exhaustive-dim1"] == 729 ** 2
+    assert peak < 4 * 2 ** 20
+
+
+def test_kleisli_skipped_pairs_are_counted_in_full_when_compose_fails_early(
+        monkeypatch):
+    monkeypatch.setattr(faa, "_composition_partitions", lambda n: partitions(n)[:-1])
+    report = suites.kleisli_suite(2, max_dim=1, support=2, degree_bound=2)
+    backend = FinFnBackend(2)
+    kls = enumerate_cached(backend, backend.module(1))
+    skipped = sum(faa.composite_support(kg, kf) > 2 for kf in kls for kg in kls)
+    by_name = {c.name: c for c in report.checks}
+    assert not by_name["compose-matches-faa-exhaustive-dim1"].passed
+    assert 0 < skipped < len(kls) ** 2
+    assert by_name["pairs-skipped-by-degree-bound"].checked == skipped
 
 
 def test_enumerated_families_are_valid():
