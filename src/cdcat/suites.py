@@ -456,7 +456,7 @@ def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,
     Bounds: max_dim, degree_bound and samples are at least 1 (every
     derivative reads component 1, so bound 0 would check none), the family
     enumerator refuses a support below 0, and more than faa.MAX_CANDIDATES
-    exhaustive pairs are refused before any is built.  The Q side of
+    exhaustive pairs are refused before any family is listed.  The Q side of
     compose and D is built once per dimension for this call, at the largest
     support its instances need."""
     positive(max_dim, "max_dim")
@@ -469,6 +469,14 @@ def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,
         {"modulus": modulus, "max_dim": max_dim, "support": support,
          "degree_bound": degree_bound, "samples": samples, "seed": seed},
     )
+    # the family count is known before any family is listed; the product
+    # stops once its pairs are past the limit, as a huge support would
+    # otherwise build a huge integer
+    families = 1
+    for n in range(support + 1):
+        families *= backend.multilinear_count(A, A, n)
+        if families ** 2 > faa.MAX_CANDIDATES:
+            raise SizeLimit(f"at least {families ** 2} family pairs exceed the limit")
     fams = enumerate_families(backend, A, A, support)
     kls = [faa.kleisli_from_family(backend, fm) for fm in fams]
 
@@ -499,8 +507,6 @@ def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,
             return None
         return law
 
-    if len(kls) ** 2 > faa.MAX_CANDIDATES:
-        raise SizeLimit(f"{len(kls) ** 2} family pairs exceed the limit")
     # the exhaustive pairs are one lazy stream; the builder's top and the
     # skipped count follow from how many families have each support
     supports = collections.Counter(max(kf.support, 0) for kf in kls)

@@ -64,6 +64,47 @@ def test_q_presheaf_differential_of_a_point():
         assert QX.diff(1, q) == expected
 
 
+@pytest.mark.parametrize("modulus", [2, 3])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_q_differential_of_a_sum_is_the_sum_of_its_generators_images(modulus, stage):
+    # the oracle maps each generator alone, in a Q presheaf that has
+    # mapped nothing else
+    base = small_base(modulus, (1, 2))
+    y1 = dpsh.representable(base, 1)
+    QX = dpsh.presheaf_Q(y1, bound=2)
+    gens = QX.spanning(stage)
+    rng = random.Random(stage)
+    for _ in range(25):
+        terms = [(rng.randrange(1, modulus), rng.choice(gens))
+                 for _ in range(rng.randrange(2, 6))]
+        q = sum((g.scale(c) for c, g in terms[1:]), terms[0][1].scale(terms[0][0]))
+        expected = [dpsh.presheaf_Q(y1, bound=2).diff(stage, g).scale(c)
+                    for c, g in terms]
+        assert QX.diff(stage, q) == sum(expected[1:], expected[0])
+
+
+def test_q_differential_maps_each_generator_once(monkeypatch):
+    base = small_base(2, (1, 2))
+    QX = dpsh.presheaf_Q(dpsh.representable(base, 1), bound=2)
+    calls = []
+    original = dpsh.q_inject
+
+    def counting(point, tails):
+        calls.append(len(tails))
+        return original(point, tails)
+
+    monkeypatch.setattr(dpsh, "q_inject", counting)
+    p, q = QX.spanning(2)[-2:]
+    first = QX.diff(2, q)
+    assert len(calls) == next(iter(q.coeffs)).degree + 1
+    calls.clear()
+    assert QX.diff(2, q) == first
+    assert calls == []
+    # a sum maps only the generator it has not met
+    QX.diff(2, p + q)
+    assert len(calls) == next(iter(p.coeffs)).degree + 1
+
+
 def test_finite_presheaf_elements_over_z_mod_1_are_zero():
     # 1 = 0 in Z/1, so every basis element is the zero element
     base = small_base(1, (1, 2))
@@ -324,6 +365,28 @@ def test_corrupted_family_fails_differential_respect():
     f = be.identity(1)
     alpha = faa.FaaMap(be, 1, 1, [f, be.proj([1, 1], 0)])
     assert dpsh.differential_test(base, 1, 1)(alpha) is not None
+
+
+def test_differential_test_stops_every_candidate_off_the_image_at_its_first_case(
+        monkeypatch):
+    # the Yoneda element <id_A> comes first, where the law reads
+    # "level 1 = D(level 0)"; y(2)(1) and y(2)(2) give 12 + 80 generators
+    # of degree at most 1, and each case evaluates the family twice
+    base = small_base(2, (1, 2))
+    calls = collections.Counter()
+    original = dpsh._evaluate
+
+    def counting(X, Z, terms, sequence):
+        calls[tuple(sequence)] += 1
+        return original(X, Z, terms, sequence)
+
+    monkeypatch.setattr(dpsh, "_evaluate", counting)
+    assert dpsh.full_fidelity(base, 2, 2).passed
+    images = {tuple(dpsh.yoneda_map(base, f).family) for f in base.all_maps(2, 2)}
+    assert len(calls) == 256 and len(images) == 16
+    assert all(n == (2 * 92 if family in images else 2)
+               for family, n in calls.items())
+    assert sum(calls.values()) == 240 * 2 + 16 * 2 * 92 == 3424
 
 
 def test_differential_test_reads_generators_up_to_its_degree_bound():

@@ -48,6 +48,25 @@ def test_kleisli_suite_refuses_more_exhaustive_pairs_than_max_candidates():
     assert time.perf_counter() - start < 5
 
 
+def test_kleisli_suite_refuses_its_pairs_before_listing_any_family(monkeypatch):
+    # Z/3 at dim 1 and support 3 has 27^4 = 531,441 families, so 2.8e11
+    # pairs: the count comes from multilinear_count, and no level is built
+    calls = []
+    original = FinFnBackend.multilinear_maps
+
+    def counting(self, A, B, n):
+        calls.append(n)
+        return original(self, A, B, n)
+
+    monkeypatch.setattr(FinFnBackend, "multilinear_maps", counting)
+    with pytest.raises(SizeLimit):
+        suites.kleisli_suite(3, max_dim=1, support=3)
+    assert calls == []
+    # a suite under the limit still lists its levels through the same method
+    assert suites.kleisli_suite(2, max_dim=1, support=1).passed
+    assert calls == [0, 1]
+
+
 def test_kleisli_suite_decides_its_exhaustive_pairs_from_a_stream(monkeypatch):
     # Z/3 at dim 1 and support 1 has 729 families, so 531,441 pairs; with
     # the Q and Faa sides made trivial, listing the pairs would take tens
