@@ -5,11 +5,17 @@ presheaf axioms, the classification of derivative sequences by Q of a
 representable, and the full fidelity of the Yoneda embedding are all
 decided by exhaustive enumeration.
 
+A finite presheaf has one stage interface: a Free space at each stage and
+the LinearMaps of its action and differential between those spaces, which
+the tensor and Q presheaves read their factors through.  Unit and tensor
+elements are ModuleElements over the stage spaces, Q's are Q elements over
+them, and representables keep MatMaps for Yoneda and classify.
+
 One memo policy holds: an object keeps only tables of its own definition
-(a presheaf's basis images, Q's spaces, spanning sets and linear maps), fixed
-at first use, and a result on an element lives only in the call that reuses
-it.  The base keeps nothing, so a seam patched between two checks is never
-served an earlier result; build a fresh presheaf after patching one.
+(a presheaf's stage spaces and maps, Q's spanning sets and differentials),
+fixed at first use, and a result on an element lives only in the call that
+reuses it.  The base keeps nothing, so a seam patched between two checks is
+never served an earlier result; build a fresh presheaf after patching one.
 """
 
 from __future__ import annotations
@@ -18,11 +24,12 @@ import itertools
 import random
 
 from . import faa
-from .algebra import Free, ModuleElement, QSpace, add_scaled, basis_elem, rig_value
-from .errors import InvalidSequence, nonnegative
+from .algebra import (Free, ModuleElement, QSpace, Tensor, add_scaled, basis_keys,
+                      zero_elem)
+from .errors import InvalidArgument, InvalidSequence, nonnegative
 from .matcat import MatBackend, MatMap, trusted_matmap
 from .qmodality import (LinearMap, enum_generators, on_generators, q_gen_elem,
-                        q_inject, q_map)
+                        q_inject, q_map, tensor_map)
 from .reports import Report
 
 
@@ -41,26 +48,63 @@ class FiniteCdcBase:
 # ---------------------------------------------------------------------------
 # presheaf flavours
 
+def _memo(table, key, build):
+    """table[key], built by build(key) at its first use."""
+    out = table.get(key)
+    if out is None:
+        out = table[key] = build(key)
+    return out
+
+
 class FinitePresheaf:
     """A presheaf that is a finite free Z/m-module at each stage A, given by
-    dim(A), coords and from_coords.  Elements are dicts from basis index to
-    nonzero residue unless a subclass says otherwise; every element compares
-    with ==, and `key` names it in the memos of check_presheaf.  Each
-    instance memoises the coordinates of its basis images under the action
-    and the differential, which the tensor and Q presheaves read their
-    factors through."""
+    dim(A), coords and from_coords, with the stage interface space(A), the
+    Free space b1..b_dim(A), and the memoised LinearMaps act_map(f) and
+    diff_map(A).  Elements are ModuleElements over space(A) unless a
+    subclass says otherwise; every element compares with ==, and `key`
+    names it in the memos of check_presheaf."""
 
     def __init__(self, base: FiniteCdcBase):
         self.base = base
-        self._images = {}  # (f.dom, f.cod, f.rows, k) or (A, k) -> coords
+        self.rig = base.backend.rig
+        self._spaces = {}
+        self._act_maps = {}  # (f.dom, f.cod, f.rows) -> LinearMap
+        self._diff_maps = {}  # A -> LinearMap
 
-    def _unit(self, A, k):
-        one = self.base.backend.rig.one  # Z/1 has 1 = 0
-        return self.from_coords(A, tuple(one if i == k else 0
-                                         for i in range(self.dim(A))))
+    def space(self, A):
+        return _memo(self._spaces, A, self._space)
+
+    def _space(self, A):
+        return Free(tuple(f"b{i + 1}" for i in range(self.dim(A))))
+
+    def act_map(self, f: MatMap) -> LinearMap:
+        """The action of f: space(f.cod) -> space(f.dom)."""
+        return _memo(self._act_maps, (f.dom, f.cod, f.rows), lambda key: self._act_map(f))
+
+    def diff_map(self, A) -> LinearMap:
+        """The differential space(A) -> space(2A)."""
+        return _memo(self._diff_maps, A, self._diff_map)
+
+    def _act_map(self, f):
+        return self._reading(f.cod, f.dom, self.act, f)
+
+    def _diff_map(self, A):
+        return self._reading(A, 2 * A, self.diff, A)
+
+    def _reading(self, A, Z, fn, arg) -> LinearMap:
+        """space(A) -> space(Z): fn(arg, b) on one basis element b per key."""
+        dst = self.space(Z)
+        return LinearMap(self.rig, self.space(A), dst, lambda key: faa.vec_to_elem(
+            self.rig, dst, self.coords(Z, fn(arg, self._element(A, key)))))
+
+    def _element(self, A, key):
+        """The basis element of stage A named by a key of space(A)."""
+        one = self.rig.one  # Z/1 has 1 = 0
+        return self.from_coords(A, tuple(one if k == key else 0
+                                         for k in basis_keys(self.space(A))))
 
     def basis(self, A):
-        return [self._unit(A, k) for k in range(self.dim(A))]
+        return [self._element(A, key) for key in basis_keys(self.space(A))]
 
     def spanning(self, A):
         """Every element of the stage, in the order of its coordinates."""
@@ -68,42 +112,29 @@ class FinitePresheaf:
         return [self.from_coords(A, vec)
                 for vec in itertools.product(scalars, repeat=self.dim(A))]
 
-    def act_image(self, f: MatMap, k):
-        """coords(act(f, b)) for the k-th basis element b at stage f.cod."""
-        key = (f.dom, f.cod, f.rows, k)
-        if key not in self._images:
-            self._images[key] = self.coords(f.dom, self.act(f, self._unit(f.cod, k)))
-        return self._images[key]
-
-    def diff_image(self, A, k):
-        """coords(diff(A, b)) for the k-th basis element b at stage A."""
-        key = (A, k)
-        if key not in self._images:
-            self._images[key] = self.coords(2 * A, self.diff(A, self._unit(A, k)))
-        return self._images[key]
-
     def coords(self, A, xi):
-        return tuple(xi.get(k, 0) for k in range(self.dim(A)))
+        return faa.elem_to_vec(xi, self.space(A))
 
     def key(self, xi):
-        return frozenset(xi.items())
+        return frozenset(xi.coeffs.items())
 
     def from_coords(self, A, vec):
-        return {k: v for k, v in enumerate(vec) if v}
+        return faa.vec_to_elem(self.rig, self.space(A), vec)
 
     def zero(self, A):
-        return {}
+        return zero_elem(self.rig, self.space(A))
 
     def add(self, x, y):
-        m = self.base.modulus
-        out = dict(x)
-        for k, v in y.items():
-            out[k] = (out.get(k, 0) + v) % m
-        return {k: v for k, v in out.items() if v}
+        return x + y
 
     def scale(self, c, x):
-        c, m = rig_value(self.base.backend.rig, c), self.base.modulus
-        return {k: c * v % m for k, v in x.items() if c * v % m}
+        return x.scale(c)
+
+
+def _finite(X):
+    if not isinstance(X, FinitePresheaf):
+        raise InvalidArgument(f"{type(X).__name__} is not a finite presheaf")
+    return X
 
 
 class ReprPresheaf(FinitePresheaf):
@@ -127,7 +158,7 @@ class ReprPresheaf(FinitePresheaf):
 
     def from_coords(self, A, vec) -> MatMap:
         rows = tuple(tuple(vec[i * A:(i + 1) * A]) for i in range(self.target))
-        return trusted_matmap(self.base.backend.rig, A, self.target, rows)
+        return trusted_matmap(self.rig, A, self.target, rows)
 
     def zero(self, A):
         return self.base.backend.zero(A, self.target)
@@ -157,99 +188,74 @@ class UnitPresheaf(FinitePresheaf):
         return xi
 
     def diff(self, A, xi):
-        return {}
+        return self.zero(2 * A)
 
 
 class TensorPresheaf(FinitePresheaf):
-    """Pointwise tensor with the product-rule differential.  Basis index
-    i * Y.dim(A) + j names b_i (x) b_j; the spanning set is the basis."""
+    """Pointwise tensor with the product-rule differential.  space(A) is
+    X.space(A) (x) Y.space(A), whose basis b_i (x) b_j comes at place
+    i * Y.dim(A) + j (counting from 0); f acts by X.act_map(f) (x)
+    Y.act_map(f), memoised per f, and the spanning set is the basis."""
 
     def __init__(self, X, Y):
-        super().__init__(X.base)
+        super().__init__(_finite(X).base)
         self.X = X
-        self.Y = Y
+        self.Y = _finite(Y)
         self.name = f"{X.name}(x){Y.name}"
 
     def dim(self, A):
         return self.X.dim(A) * self.Y.dim(A)
 
+    def _space(self, A):
+        return Tensor((self.X.space(A), self.Y.space(A)))
+
     def spanning(self, A):
         return self.basis(A)
 
-    def act(self, f: MatMap, xi):
-        X, Y = self.X, self.Y
-        return self._expand(xi, f.cod, f.dom,
-                            lambda i, j: [(X.act_image(f, i), Y.act_image(f, j))])
+    def _act_map(self, f):
+        return tensor_map(self.X.act_map(f), self.Y.act_map(f))
 
-    def diff(self, A, xi):
+    def _diff_map(self, A):
+        # D(x (x) y) = Dx (x) y.pi0 + x.pi0 (x) Dy
         X, Y = self.X, self.Y
         pi0 = self.base.backend.proj([A, A], 0)
-        return self._expand(xi, A, 2 * A, lambda i, j: [
-            (X.diff_image(A, i), Y.act_image(pi0, j)),
-            (X.act_image(pi0, i), Y.diff_image(A, j)),
-        ])
+        left = tensor_map(X.diff_map(A), Y.act_map(pi0))
+        right = tensor_map(X.act_map(pi0), Y.diff_map(A))
+        return LinearMap(self.rig, self.space(A), self.space(2 * A),
+                         lambda key: left.on_basis(key) + right.on_basis(key))
 
-    def _expand(self, xi, A, Z, images):
-        """The stage-Z element sum c * (x (x) y) over the terms c * b_(i,j)
-        of xi (at stage A) and the coordinate pairs (x, y) in images(i, j)."""
-        m, height, width = self.base.modulus, self.Y.dim(A), self.Y.dim(Z)
-        acc = {}
-        for k, c in xi.items():
-            for xv, yv in images(*divmod(k, height)):
-                for i, a in enumerate(xv):
-                    if a:
-                        for j, b in enumerate(yv):
-                            if b:
-                                key = i * width + j
-                                acc[key] = (acc.get(key, 0) + c * a * b) % m
-        return {k: v for k, v in acc.items() if v}
+    def act(self, f: MatMap, xi):
+        return self.act_map(f).apply(xi)
+
+    def diff(self, A, xi):
+        return self.diff_map(A).apply(xi)
 
 
 class QPresheaf:
-    """Q applied componentwise: elements are QElements over the component
-    basis of a finite presheaf X, which Q reads through X's memo of basis
-    images; the differential shifts every entry by pi0 and appends one
-    base-level derivative, one linear map per stage that keeps the image
-    of each generator it has mapped.  Q is not finite: `bound` limits only
-    the enumerated spanning set (and is echoed in reports), not the
+    """Q applied componentwise: elements are QElements over X.space(A),
+    read through X's stage maps alone.  f acts by Q(X.act_map(f)); the
+    differential shifts every entry by pi0 and appends one base-level
+    derivative, one linear map per stage that keeps the image of each
+    generator it has mapped.  Q is not finite: `bound` limits only the
+    enumerated spanning set (and is echoed in reports), not the
     arithmetic."""
 
     def __init__(self, X: FinitePresheaf, bound: int = 2):
-        self.base = X.base
+        self.base = _finite(X).base
         self.X = X
         self.bound = nonnegative(bound, "degree bound")
-        self.rig = X.base.backend.rig
+        self.rig = X.rig
         self.name = f"Q{X.name}"
-        self._spaces = {}
         self._spannings = {}
-        self._act_maps = {}
         self._diff_maps = {}
 
-    def _space(self, A) -> Free:
-        if A not in self._spaces:
-            self._spaces[A] = Free(tuple(f"b{i + 1}" for i in range(self.X.dim(A))))
-        return self._spaces[A]
-
     def _to_elem(self, A, xi) -> ModuleElement:
-        return faa.vec_to_elem(self.rig, self._space(A), self.X.coords(A, xi))
-
-    def _linear(self, A, Z, image) -> LinearMap:
-        """Linear map between component spaces from the coordinates image(k)
-        of the k-th basis element's image."""
-        src, dst = self._space(A), self._space(Z)
-        index = {key: k for k, key in enumerate(src.basis)}
-        return LinearMap(
-            self.rig, src, dst,
-            lambda key: faa.vec_to_elem(self.rig, dst, image(index[key])),
-        )
+        return faa.vec_to_elem(self.rig, self.X.space(A), self.X.coords(A, xi))
 
     def spanning(self, A):
-        if A not in self._spannings:
-            self._spannings[A] = [
-                q_gen_elem(self.rig, gen)
-                for gen in enum_generators(self.rig, self._space(A), self.bound)
-            ]
-        return self._spannings[A]
+        return _memo(self._spannings, A, lambda A: [
+            q_gen_elem(self.rig, gen)
+            for gen in enum_generators(self.rig, self.X.space(A), self.bound)])
 
     def add(self, x, y):
         return x + y
@@ -261,40 +267,29 @@ class QPresheaf:
         return q
 
     def act(self, f: MatMap, q):
-        key = (f.dom, f.cod, f.rows)
-        if key not in self._act_maps:
-            self._act_maps[key] = self._linear(
-                f.cod, f.dom, lambda k: self.X.act_image(f, k))
-        return q_map(self._act_maps[key], q)
+        return q_map(self.X.act_map(f), q)
 
     def diff(self, A, q):
-        if A not in self._diff_maps:
-            self._diff_maps[A] = self._diff_map(A)
-        return self._diff_maps[A].apply(q)
+        return _memo(self._diff_maps, A, self._diff_map).apply(q)
 
     def _diff_map(self, A) -> LinearMap:
-        AA = 2 * A
+        X = self.X
         pi0 = self.base.backend.proj([A, A], 0)
-        act0 = self._linear(A, AA, lambda k: self.X.act_image(pi0, k))
-        dmap = self._linear(A, AA, lambda k: self.X.diff_image(A, k))
-        src, cod = self._space(A), QSpace(self._space(AA))
+        act0, dmap = X.act_map(pi0), X.diff_map(A)
+        cod = QSpace(X.space(2 * A))
 
         def on_generator(q):
             out = {}
             for gen, c in q.coeffs.items():
-                entries = [gen.point] + [
-                    basis_elem(self.rig, src, k) for k in gen.tail.keys
-                ]
-                shifted = [act0.apply(e) for e in entries]
-                for i, e in enumerate(entries):
-                    if i == 0:
-                        tails = shifted[1:] + [dmap.apply(e)]
-                    else:
-                        tails = shifted[1:i] + [dmap.apply(e)] + shifted[i + 1:]
-                    add_scaled(out, c, q_inject(shifted[0], tails))
+                keys = gen.tail.keys
+                point, shifted = act0.apply(gen.point), [act0.on_basis(k) for k in keys]
+                add_scaled(out, c, q_inject(point, shifted + [dmap.apply(gen.point)]))
+                for i, k in enumerate(keys):
+                    tails = shifted[:i] + [dmap.on_basis(k)] + shifted[i + 1:]
+                    add_scaled(out, c, q_inject(point, tails))
             return ModuleElement(self.rig, cod, out)
 
-        return on_generators(self.rig, src, cod, on_generator)
+        return on_generators(self.rig, X.space(A), cod, on_generator)
 
 
 def representable(base: FiniteCdcBase, target: int) -> ReprPresheaf:
@@ -509,11 +504,14 @@ def _generator_maps(yA, Z, q) -> list:
 
 def _evaluate(X, Z, terms, sequence):
     """The sum of c * (sequence[n] . m) over the terms (n, c, m) of a
-    decoded generator, at stage Z of X; entries past the end are zero."""
+    decoded generator, at stage Z of X; entries past the end are zero.  A
+    term with c = 1 is not scaled, which over Z/2 is every term."""
+    one = X.rig.one
     out = X.zero(Z)
     for n, c, m in terms:
         if n < len(sequence):
-            out = X.add(out, X.scale(c, X.act(m, sequence[n])))
+            image = X.act(m, sequence[n])
+            out = X.add(out, image if c == one else X.scale(c, image))
     return out
 
 

@@ -122,6 +122,14 @@ def proj_map(rig, prod: Product, slot: int) -> LinearMap:
     return LinearMap(rig, prod, target, on_basis)
 
 
+def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
+    """f (x) g: A (x) B -> C (x) D on pair keys."""
+    return LinearMap(
+        f.rig, Tensor((f.domain, g.domain)), Tensor((f.codomain, g.codomain)),
+        lambda key: tensor_elem(f.on_basis(key[0]), g.on_basis(key[1])),
+    )
+
+
 def inject_elem(elem: ModuleElement, prod: Product, slot: int) -> ModuleElement:
     """Place an element of the slot-th factor into the product."""
     if prod.factors[slot] != elem.space:

@@ -76,13 +76,6 @@ def _gen_elems(rig, space, maxdeg):
     return [qm.q_gen_elem(rig, g) for g in qm.enum_generators(rig, space, maxdeg)]
 
 
-def _pair_tensor_lin(f: LinearMap, g: LinearMap) -> LinearMap:
-    return LinearMap(
-        f.rig, Tensor((f.domain, g.domain)), Tensor((f.codomain, g.codomain)),
-        lambda key: tensor_elem(f.on_basis(key[0]), g.on_basis(key[1])),
-    )
-
-
 def _swap_tensor(t, space):
     return ModuleElement(
         t.rig, space, {(kb, ka): v for (ka, kb), v in t.coeffs.items()}
@@ -243,7 +236,7 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
         return None
 
     # naturality of the monoidal multiplication in sampled linear maps
-    nat_maps = [(f, g, _pair_tensor_lin(f, g)) for f, g in [
+    nat_maps = [(f, g, qm.tensor_map(f, g)) for f, g in [
         (_random_linear(rig, A, A, rng), _random_linear(rig, B, B, rng))
         for _ in range(3)]]
 
@@ -393,7 +386,7 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
     nat_fs = []
     for f in [_random_linear(rig, A, B, rng) for _ in range(4)]:
         qf = qm.q_functor(f)
-        nat_fs.append((f, qf, _pair_tensor_lin(qf, qf)))
+        nat_fs.append((f, qf, qm.tensor_map(qf, qf)))
 
     def natural(q):
         for f, qf_lin, ff in nat_fs:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cdcat import dpsh, faa, qmodality, suites
-from cdcat.algebra import Monomial
+from cdcat.algebra import Monomial, QSpace, tensor_elem
 from cdcat.errors import InvalidSequence, ObjectMismatch, SizeLimit
 from cdcat.matcat import MatMap
 from cdcat.qmodality import q_gen_elem, q_inject
@@ -111,8 +111,8 @@ def test_finite_presheaf_elements_over_z_mod_1_are_zero():
     unit = dpsh.unit_presheaf(base)
     y1 = dpsh.representable(base, 1)
     tensor = dpsh.presheaf_tensor(y1, unit)
-    assert unit.basis(1) == unit.spanning(1) == [{}]
-    assert tensor.basis(2) == [{}, {}]
+    assert unit.basis(1) == unit.spanning(1) == [unit.zero(1)]
+    assert tensor.basis(2) == [tensor.zero(2)] * 2
     assert y1.basis(2) == [base.backend.zero(2, 1)] * 2
 
 
@@ -122,14 +122,59 @@ def test_tensor_basis_images_read_the_factor_memos():
     tensor = dpsh.presheaf_tensor(y1, y2)
     be = base.backend
     f = MatMap(be.rig, 1, 2, ((1,), (2,)))
-    k = 1 * y2.dim(2) + 3  # b_1 (x) b_3 at stage 2
-    got = tensor.act(f, tensor.basis(2)[k])
-    xv, yv = y1.act_image(f, 1), y2.act_image(f, 3)
-    expected = {i * y2.dim(1) + j: a * b % 3
-                for i, a in enumerate(xv) for j, b in enumerate(yv) if a * b % 3}
-    assert got == expected
-    assert xv == y1.coords(1, y1.act(f, y1.basis(2)[1]))
-    assert y1.diff_image(2, 1) == y1.coords(4, y1.diff(2, y1.basis(2)[1]))
+    act = tensor.act_map(f)
+    assert tensor.act_map(f) is act
+    assert act.domain == tensor.space(2) and act.codomain == tensor.space(1)
+    key = ("b2", "b4")  # b_1 (x) b_3 at stage 2
+    xs, ys = y1.act_map(f), y2.act_map(f)
+    assert y1.act_map(f) is xs and y2.act_map(f) is ys
+    assert act.on_basis(key) == tensor_elem(xs.on_basis("b2"), ys.on_basis("b4"))
+    # the factor maps read act and diff on one basis element per key
+    assert y1.coords(1, y1.act(f, y1.basis(2)[1])) == faa.elem_to_vec(
+        xs.on_basis("b2"), y1.space(1))
+    assert y1.coords(4, y1.diff(2, y1.basis(2)[1])) == faa.elem_to_vec(
+        y1.diff_map(2).on_basis("b2"), y1.space(4))
+
+
+def test_tensor_action_is_the_product_of_the_factor_coordinates():
+    # coordinate i * Y.dim(B) + j of (b_k (x) b_l).f is
+    # (b_k.f)_i * (b_l.f)_j, in the basis order of the old index kernel
+    base = small_base(3, (1, 2))
+    y1, y2 = dpsh.representable(base, 1), dpsh.representable(base, 2)
+    tensor = dpsh.presheaf_tensor(y1, y2)
+    for A, B in itertools.product(base.objects, repeat=2):
+        width, basis = y2.dim(B), tensor.basis(A)
+        for f in base.all_maps(B, A):
+            for k, xi in enumerate(y1.basis(A)):
+                xv = y1.coords(B, y1.act(f, xi))
+                for l, eta in enumerate(y2.basis(A)):
+                    yv = y2.coords(B, y2.act(f, eta))
+                    expected = [0] * (len(xv) * width)
+                    for i, j in itertools.product(range(len(xv)), range(width)):
+                        expected[i * width + j] = xv[i] * yv[j] % 3
+                    got = tensor.act(f, basis[k * y2.dim(A) + l])
+                    assert tensor.coords(B, got) == tuple(expected)
+
+
+def test_monoidal_mult_lands_in_q_of_the_tensor_presheaf():
+    # m(p, q) of generators of Qy(1)(1) and Qy(2)(1) is an element of
+    # Q(y(1) (x) y(2))(1) as it stands, with no re-indexing, and m is
+    # natural in the base maps that act on the three Q presheaves
+    base = small_base(2, (1, 2))
+    y1, y2 = dpsh.representable(base, 1), dpsh.representable(base, 2)
+    tensor = dpsh.presheaf_tensor(y1, y2)
+    Q1, Q2, QT = (dpsh.presheaf_Q(y1, 1), dpsh.presheaf_Q(y2, 1),
+                  dpsh.presheaf_Q(tensor, 2))
+    gens = {g for t in QT.spanning(1) for g in t.coeffs}
+    maps = [f for Z in base.objects for f in base.all_maps(Z, 1)]
+    for p in Q1.spanning(1):
+        for q in Q2.spanning(1):
+            m = qmodality.monoidal_mult(p, q)
+            assert m.space == QSpace(tensor.space(1))
+            assert set(m.coeffs) <= gens
+            assert QT.diff(1, m).space == QSpace(tensor.space(2))
+            for f in maps:
+                assert QT.act(f, m) == qmodality.monoidal_mult(Q1.act(f, p), Q2.act(f, q))
 
 
 def test_sabotaged_differential_fails_chain_axiom():
@@ -206,14 +251,14 @@ def test_check_presheaf_acts_once_per_distinct_input_within_one_call(kind):
 
     class Counting(cls):
         def act(self, f, xi):
-            # a dict element counts by its items; MatMaps and Q elements hash
-            calls[f, frozenset(xi.items()) if isinstance(xi, dict) else xi] += 1
+            # MatMaps and ModuleElements hash by value
+            calls[f, xi] += 1
             return super().act(f, xi)
 
     X = Counting(*args)
     assert X.name == kind
     # the tables of X's own definition may fill at first use; nothing else
-    tables = {"_images", "_spaces", "_spannings", "_act_maps", "_diff_maps"}
+    tables = {"_spaces", "_spannings", "_act_maps", "_diff_maps"}
     before = _state(X, tables)
     first = dpsh.check_presheaf(X, map_budget=4, seed=3)
     assert first.passed

@@ -32,6 +32,13 @@ def faa_axioms():
     return cdc.check_axioms(faa.FaaBackend(be), sampler, samples=5)
 
 
+def q_of_a_tensor():
+    # Q(y(1) (x) unit): Q reads a tensor factor through its stage maps
+    base = dpsh.FiniteCdcBase(2, [1, 2])
+    X = dpsh.presheaf_tensor(dpsh.representable(base, 1), dpsh.unit_presheaf(base))
+    return dpsh.check_presheaf(dpsh.presheaf_Q(X, 1), map_budget=4)
+
+
 def poly_D_dropping_last_direction(f):
     n, rig = f.dom, f.rig
     comps = []
@@ -97,6 +104,8 @@ GOLDEN = {
                        "4cdd3da068a538a2dc39e9da1e02f45ca73031134e38f884cfea7469194ca9de"),
     "faa-axioms": (faa_axioms,
                    "6ea896c9b1aedf63c51a7e7383d9e21ae4283251b73b3d1a854ae0312b47ce4a"),
+    "presheaf-q-tensor": (q_of_a_tensor,
+                          "89643cd2ac9f7c604a35803e0e7eda2846ab2736a5ccbb4dc4e5a703e1b17f0b"),
 }
 
 

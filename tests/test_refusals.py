@@ -53,6 +53,7 @@ B = Free(("b",))
 SQUARE = parse_poly_map("[x1^2]", INT, 1)
 Z2, Z3 = zmod(2), zmod(3)
 BASE = dpsh.FiniteCdcBase(2, (1,))
+Y1 = dpsh.representable(BASE, 1)
 M1 = FinFnBackend(2).module(1)
 
 
@@ -120,6 +121,11 @@ M1 = FinFnBackend(2).module(1)
     lambda: next(faa.all_families(MatBackend(2), -1, 1, 1)),
     lambda: next(faa.all_families(cdc.PolyBackend(INT), 1, 1, 1)),
     lambda: suites.enumerate_families(cdc.PolyBackend(INT), 1, 1, 1),
+    lambda: dpsh.presheaf_Q(dpsh.presheaf_Q(Y1)).spanning(1),
+    lambda: dpsh.presheaf_tensor(dpsh.presheaf_Q(Y1), Y1).basis(1),
+    lambda: dpsh.presheaf_tensor(Y1, dpsh.presheaf_Q(Y1)).basis(1),
+    lambda: dpsh.QPresheaf(BASE),
+    lambda: dpsh.TensorPresheaf(Y1, None),
 ], ids=["rig-kind", "rig-modulus", "zmod-0", "finfn-0", "modality-0", "parse-rig",
         "parse-zmod", "free-repeat", "partitions", "partial-isos", "power",
         "enum-elements", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
@@ -136,7 +142,8 @@ M1 = FinFnBackend(2).module(1)
         "table-bool", "table-wrong-length", "table-bare-value", "table-not-modules",
         "from-callable-float", "from-callable-out-of-range", "from-callable-not-modules",
         "families-negative-size", "families-without-levels",
-        "enumerate-without-levels"])
+        "enumerate-without-levels", "presheaf-q-of-q", "presheaf-tensor-q-left",
+        "presheaf-tensor-q-right", "q-presheaf-of-a-base", "tensor-presheaf-of-none"])
 def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
     with pytest.raises(InvalidArgument) as info:
         call()

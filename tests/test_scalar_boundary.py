@@ -92,8 +92,8 @@ def _presheaf_rows(rig):
     tensor, q = dpsh.presheaf_tensor(y1, y1), dpsh.QPresheaf(y1, 1)
     return {
         "dpsh.ReprPresheaf.scale": lambda c: y1.scale(c, y1.spanning(1)[1]),
-        "dpsh.FinitePresheaf.scale": lambda c: unit.scale(c, {0: 1}),
-        "dpsh.FinitePresheaf.scale[tensor]": lambda c: tensor.scale(c, {0: 1}),
+        "dpsh.FinitePresheaf.scale": lambda c: unit.scale(c, unit.basis(1)[0]),
+        "dpsh.FinitePresheaf.scale[tensor]": lambda c: tensor.scale(c, tensor.basis(1)[0]),
         "dpsh.QPresheaf.scale": lambda c: q.scale(c, q.spanning(1)[0]),
     }
 
