@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .algebra import add_into, rig_value
 from .combinat import partitions
-from .errors import ArityError, InvalidArgument, nonnegative
+from .errors import ArityError, InvalidArgument, in_range, nonempty, nonnegative
 from .poly import (
     PolyMap,
     Polynomial,
@@ -66,6 +66,7 @@ class PolyBackend:
         pi = self._projs.get(key)
         if pi is None:
             objs = key[0]
+            in_range(i, len(objs), "projection index")
             total = sum(objs)
             offset = sum(objs[:i])
             pi = self._projs[key] = _trusted_polymap(self.rig, total, objs[i], tuple(
@@ -74,6 +75,8 @@ class PolyBackend:
 
     def pairing(self, maps):
         maps = list(maps)
+        if not maps:
+            nonempty(maps, "a pairing")
         first = maps[0]
         comps = []
         for f in maps:

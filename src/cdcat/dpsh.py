@@ -14,8 +14,10 @@ them, and representables keep MatMaps for Yoneda and classify.
 One memo policy holds: an object keeps only tables of its own definition
 (a presheaf's stage spaces and maps, Q's spanning sets and differentials),
 fixed at first use, and a result on an element lives only in the call that
-reuses it.  The base keeps nothing, so a seam patched between two checks is
-never served an earlier result; build a fresh presheaf after patching one.
+reuses it.  Memo keys are the values themselves: MatMaps and ModuleElements
+hash by value, each once.  The base keeps nothing, so a seam patched between
+two checks is never served an earlier result; build a fresh presheaf after
+patching one.
 """
 
 from __future__ import annotations
@@ -61,14 +63,14 @@ class FinitePresheaf:
     dim(A), coords and from_coords, with the stage interface space(A), the
     Free space b1..b_dim(A), and the memoised LinearMaps act_map(f) and
     diff_map(A).  Elements are ModuleElements over space(A) unless a
-    subclass says otherwise; every element compares with ==, and `key`
-    names it in the memos of check_presheaf."""
+    subclass says otherwise; every element compares with == and hashes by
+    value, so it is its own key in the memos of check_presheaf."""
 
     def __init__(self, base: FiniteCdcBase):
         self.base = base
         self.rig = base.backend.rig
         self._spaces = {}
-        self._act_maps = {}  # (f.dom, f.cod, f.rows) -> LinearMap
+        self._act_maps = {}  # f -> LinearMap
         self._diff_maps = {}  # A -> LinearMap
 
     def space(self, A):
@@ -79,7 +81,7 @@ class FinitePresheaf:
 
     def act_map(self, f: MatMap) -> LinearMap:
         """The action of f: space(f.cod) -> space(f.dom)."""
-        return _memo(self._act_maps, (f.dom, f.cod, f.rows), lambda key: self._act_map(f))
+        return _memo(self._act_maps, f, self._act_map)
 
     def diff_map(self, A) -> LinearMap:
         """The differential space(A) -> space(2A)."""
@@ -115,9 +117,6 @@ class FinitePresheaf:
     def coords(self, A, xi):
         return faa.elem_to_vec(xi, self.space(A))
 
-    def key(self, xi):
-        return frozenset(xi.coeffs.items())
-
     def from_coords(self, A, vec):
         return faa.vec_to_elem(self.rig, self.space(A), vec)
 
@@ -152,9 +151,6 @@ class ReprPresheaf(FinitePresheaf):
 
     def coords(self, A, xi: MatMap):
         return sum(xi.rows, ())
-
-    def key(self, xi: MatMap):
-        return xi.rows  # MatMap's dataclass hash and == run in Python
 
     def from_coords(self, A, vec) -> MatMap:
         rows = tuple(tuple(vec[i * A:(i + 1) * A]) for i in range(self.target))
@@ -263,9 +259,6 @@ class QPresheaf:
     def scale(self, c, x):
         return x.scale(c)
 
-    def key(self, q):
-        return q
-
     def act(self, f: MatMap, q):
         return q_map(self.X.act_map(f), q)
 
@@ -354,9 +347,9 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
         config["degree_bound"] = bound
     report = Report("presheaf-axioms", config)
     scalars = list(range(base.modulus))
-    # a map is named by its fields, an element by X.key
-    act = _call_memo(X.act, lambda f, xi: (f.dom, f.cod, f.rows, X.key(xi)))
-    diff = _call_memo(X.diff, lambda A, xi: (A, X.key(xi)))
+    # maps and elements are their own keys
+    act = _call_memo(X.act, lambda f, xi: (f, xi))
+    diff = _call_memo(X.diff, lambda A, xi: (A, xi))
     # the pairings of axioms (ii), (iv) and (v), shared by every xi
     pair = _call_memo(lambda *maps: be.pairing(maps), lambda *maps: maps)
 

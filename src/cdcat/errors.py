@@ -18,6 +18,20 @@ def nonnegative(n, what: str):
     return n
 
 
+def in_range(i, n: int, what: str):
+    """i, refused with IndexOutOfRange unless 0 <= i < n."""
+    if not 0 <= i < n:
+        raise IndexOutOfRange(f"{what} must be in range({n}), got {i}")
+    return i
+
+
+def nonempty(items, what: str):
+    """items, refused with InvalidArgument when it is empty."""
+    if not items:
+        raise InvalidArgument(f"{what} needs at least one argument")
+    return items
+
+
 def positive(n, what: str):
     """n, refused with InvalidArgument when it is less than 1."""
     if n < 1:

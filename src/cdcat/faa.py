@@ -31,6 +31,7 @@ from .errors import (
     ObjectMismatch,
     SizeLimit,
     SpaceMismatch,
+    nonempty,
     nonnegative,
 )
 from .poly import FinFnBackend, FinModule, _trusted_tablemap, fin_product
@@ -325,6 +326,8 @@ class FaaBackend:
 
     def pairing(self, maps):
         maps = list(maps)
+        if not maps:
+            nonempty(maps, "a pairing")
         A = maps[0].dom
         if any(f.dom != A for f in maps):
             raise ObjectMismatch("pairing needs a common domain")

@@ -8,21 +8,23 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .algebra import RigSpec, rig_value
-from .errors import ArityError, ObjectMismatch, SpecMismatch, nonnegative
+from .errors import ArityError, ObjectMismatch, SpecMismatch, in_range, nonempty, nonnegative
 
 
 @dataclass(frozen=True)
 class MatMap:
     """cod x dom matrix of residues; objects are dimensions.  Each entry is
-    reduced through rig_value, which refuses a non-integer."""
+    reduced through rig_value, which refuses a non-integer.  The hash is
+    computed once, at first use, so a MatMap is its own memo key."""
 
     rig: RigSpec
     dom: int
     cod: int
     rows: tuple  # tuple of cod tuples, each of length dom
+    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rig.kind != "zmod":
@@ -31,6 +33,12 @@ class MatMap:
             raise ArityError("matrix shape mismatch")
         object.__setattr__(self, "rows", tuple(
             tuple(rig_value(self.rig, a) for a in r) for r in self.rows))
+
+    def __hash__(self):
+        # most backend results are never hashed, so not at build
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.dom, self.cod, self.rows)))
+        return self._hash
 
     @property
     def is_zero(self) -> bool:
@@ -51,8 +59,8 @@ def trusted_matmap(rig: RigSpec, dom: int, cod: int, rows: tuple) -> MatMap:
 class MatBackend:
     """CDC backend: objects are dimensions, morphisms MatMaps, Df = f pi1.
     identity, proj, zero, all_maps and multilinear_count refuse a negative
-    size (through a plain comparison first: zero and identity run thousands
-    of times in one presheaf check)."""
+    size, and proj an index outside its factors (through a plain comparison
+    first: zero and identity run thousands of times in one presheaf check)."""
 
     def __init__(self, modulus: int):
         from .algebra import zmod
@@ -88,6 +96,8 @@ class MatBackend:
         return sum(objs)
 
     def proj(self, objs, i: int) -> MatMap:
+        if not 0 <= i < len(objs):
+            in_range(i, len(objs), "projection index")
         if min(objs, default=0) < 0:
             nonnegative(min(objs), "matrix size")
         total = sum(objs)
@@ -101,6 +111,8 @@ class MatBackend:
 
     def pairing(self, maps) -> MatMap:
         maps = list(maps)
+        if not maps:
+            nonempty(maps, "a pairing")
         dom = maps[0].dom
         if any(f.dom != dom for f in maps):
             raise ObjectMismatch("pairing needs a common domain")

@@ -25,6 +25,8 @@ from .errors import (
     SizeLimit,
     SpecMismatch,
     UnknownVariable,
+    in_range,
+    nonempty,
     nonnegative,
 )
 
@@ -546,6 +548,8 @@ class FinModule:
 
 def fin_product(mods) -> FinModule:
     mods = list(mods)
+    if not mods:
+        nonempty(mods, "a product")
     rig = mods[0].rig
     return FinModule(rig, sum(m.dim for m in mods))
 
@@ -642,12 +646,16 @@ class FinFnBackend:
         return fin_product(mods)
 
     def proj(self, mods, i) -> TableMap:
+        if not 0 <= i < len(mods):
+            in_range(i, len(mods), "projection index")
         lo, dom = sum(m.dim for m in mods[:i]), fin_product(mods)
         hi = lo + mods[i].dim
         return _trusted_tablemap(dom, mods[i], {x: x[lo:hi] for x in dom.elements()})
 
     def pairing(self, maps) -> TableMap:
         maps = list(maps)
+        if not maps:
+            nonempty(maps, "a pairing")
         dom = maps[0].dom
         if any(f.dom != dom for f in maps):
             raise ObjectMismatch("pairing needs a common domain")

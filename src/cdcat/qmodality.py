@@ -7,7 +7,8 @@ multilinear in the tail entries but not in the point).  Every structure map
 below acts on generators and extends linearly; a law or builder that
 needs such a map as a LinearMap gets it from on_generators (or
 on_generator_pairs on QA (x) QB), and one applied factorwise after Delta
-or chi is a sum_terms.
+or chi is a sum_terms.  A map that only renames basis keys (a unitor,
+associator or symmetry of (x), a projection, a zero map) is one relabel.
 
 Generators are interned (algebra._generator): a structure map makes each
 point it creates canonical once, with algebra._point, and every generator
@@ -103,23 +104,18 @@ class LinearMap:
         return ModuleElement(self.rig, self.codomain, out)
 
 
-def identity_map(rig, space) -> LinearMap:
-    return LinearMap(rig, space, space, lambda k: basis_elem(rig, space, k))
-
-
-def zero_map(rig, domain, codomain) -> LinearMap:
-    return LinearMap(rig, domain, codomain, lambda k: zero_elem(rig, codomain))
-
-
-def proj_map(rig, prod: Product, slot: int) -> LinearMap:
-    target = prod.factors[slot]
-
+def relabel(rig, domain, codomain, fn) -> LinearMap:
+    """The map sending basis key k to the basis element fn(k) of codomain,
+    or to zero where fn(k) is None."""
     def on_basis(key):
-        if key[0] == slot:
-            return basis_elem(rig, target, key[1])
-        return zero_elem(rig, target)
+        image = fn(key)
+        return zero_elem(rig, codomain) if image is None else basis_elem(rig, codomain, image)
 
-    return LinearMap(rig, prod, target, on_basis)
+    return LinearMap(rig, domain, codomain, on_basis)
+
+
+def identity_map(rig, space) -> LinearMap:
+    return relabel(rig, space, space, lambda k: k)
 
 
 def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
@@ -364,7 +360,8 @@ def storage(q: ModuleElement) -> ModuleElement:
     prod = q.space.inner
     if not isinstance(prod, Product) or len(prod.factors) != 2:
         raise SpaceMismatch("storage expects Q of a binary product")
-    left, right = proj_map(rig, prod, 0), proj_map(rig, prod, 1)
+    left = relabel(rig, prod, prod.factors[0], lambda key: key[1] if key[0] == 0 else None)
+    right = relabel(rig, prod, prod.factors[1], lambda key: key[1] if key[0] == 1 else None)
     lefts, rights = {}, {}  # Q(pi0)<g1> and Q(pi1)<g2> per distinct generator
     out = {}
     for (g1, g2), c in comonoid_comult(q).coeffs.items():
@@ -405,7 +402,7 @@ def bialg_unit(rig: RigSpec, space) -> ModuleElement:
     <0_A>, and only <0_A> satisfies the bialgebra unit law with the stated
     multiplication; we follow the composite.
     """
-    return q_map(zero_map(rig, UNIT_SPACE, space), monoidal_unit(rig))
+    return q_map(relabel(rig, UNIT_SPACE, space, lambda k: None), monoidal_unit(rig))
 
 
 def bialg_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:

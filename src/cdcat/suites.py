@@ -76,19 +76,6 @@ def _gen_elems(rig, space, maxdeg):
     return [qm.q_gen_elem(rig, g) for g in qm.enum_generators(rig, space, maxdeg)]
 
 
-def _swap_tensor(t, space):
-    return ModuleElement(
-        t.rig, space, {(kb, ka): v for (ka, kb), v in t.coeffs.items()}
-    )
-
-
-def _reassociate(t, space):
-    # (X (x) Y) (x) Z -> X (x) (Y (x) Z) on basis keys
-    return ModuleElement(
-        t.rig, space, {(a, (b, c)): v for ((a, b), c), v in t.coeffs.items()}
-    )
-
-
 def _random_linear(rig, dom: Free, cod: Free, rng) -> LinearMap:
     table = {
         k: ModuleElement(rig, cod, {kk: rng.randrange(rig.modulus) for kk in cod.basis})
@@ -123,6 +110,9 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
     QA2 = Tensor((QA, QA))
     eps_a = qm.on_generators(rig, A, A, qm.counit)
     delta_a = qm.on_generators(rig, A, QQA, qm.comult)
+    swap = qm.relabel(rig, QA2, QA2, lambda key: (key[1], key[0]))
+    reassoc = qm.relabel(rig, Tensor((QA2, QA)), Tensor((QA, QA2)),
+                         lambda key: (key[0][0], (key[0][1], key[1])))
 
     def gen(g):
         return qm.q_gen_elem(rig, g)
@@ -144,7 +134,7 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
             qm.comonoid_comult(gen(g1)), gen(g2)))
         rhs = qm.sum_terms(d, Tensor((QA, QA2)), lambda g1, g2: tensor_elem(
             gen(g1), qm.comonoid_comult(gen(g2))))
-        if _reassociate(lhs, rhs.space) != rhs:
+        if reassoc.apply(lhs) != rhs:
             return f"Delta not coassociative at {q}"
         return None
 
@@ -158,10 +148,8 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
 
     unit_i = basis_elem(rig, UNIT_SPACE, "1")
     mi = qm.monoidal_unit(rig)
-    lam = LinearMap(rig, Tensor((UNIT_SPACE, A)), A,
-                    lambda key: basis_elem(rig, A, key[1]))
-    rho = LinearMap(rig, Tensor((A, UNIT_SPACE)), A,
-                    lambda key: basis_elem(rig, A, key[0]))
+    lam = qm.relabel(rig, Tensor((UNIT_SPACE, A)), A, lambda key: key[1])
+    rho = qm.relabel(rig, Tensor((A, UNIT_SPACE)), A, lambda key: key[0])
 
     report.check(
         gens,
@@ -178,8 +166,7 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
         ("comonoid-coassociative", coassoc),
         ("comonoid-cocommutative",
          lambda q: None
-         if _swap_tensor(qm.comonoid_comult(q), QA2)
-         == qm.comonoid_comult(q)
+         if swap.apply(qm.comonoid_comult(q)) == qm.comonoid_comult(q)
          else f"Delta not cocommutative at {q}"),
         ("comult-preserves-e",
          lambda q: None
@@ -197,12 +184,8 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
     # monoidal functor laws
     C = Free(tuple(f"c{i + 1}" for i in range(dim)))
     gens_c = _gen_elems(rig, C, maxdeg)
-    assoc = LinearMap(
-        rig, Tensor((Tensor((A, B)), C)), Tensor((A, Tensor((B, C)))),
-        lambda key: basis_elem(
-            rig, Tensor((A, Tensor((B, C)))), (key[0][0], (key[0][1], key[1]))
-        ),
-    )
+    assoc = qm.relabel(rig, Tensor((Tensor((A, B)), C)), Tensor((A, Tensor((B, C)))),
+                       lambda key: (key[0][0], (key[0][1], key[1])))
 
     # m(p, q) per pair of generator elements, computed once in this call;
     # products of sums are always computed afresh
@@ -224,8 +207,7 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
 
     report.check(triples, ("monoidal-associative", associativity))
 
-    sym = LinearMap(rig, Tensor((A, B)), Tensor((B, A)),
-                    lambda key: basis_elem(rig, Tensor((B, A)), (key[1], key[0])))
+    sym = qm.relabel(rig, Tensor((A, B)), Tensor((B, A)), lambda key: (key[1], key[0]))
 
     def symmetry(item):
         p, q = item

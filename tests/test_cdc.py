@@ -22,7 +22,7 @@ from cdcat.cdc import (
 )
 from cdcat.errors import ArityError, ObjectMismatch, SpecMismatch
 from cdcat.dpsh import FiniteCdcBase, representable
-from cdcat.matcat import MatBackend, MatMap, MatSampler
+from cdcat.matcat import MatBackend, MatMap, MatSampler, trusted_matmap
 from cdcat.poly import parse_poly_map, substitute
 
 BE = PolyBackend(INT)
@@ -239,7 +239,28 @@ def test_internal_mat_results_equal_their_public_rebuild(data):
     m = data.draw(st.sampled_from([1, 3]))  # Z/1 has 1 = 0
     for r in internal_results(data.draw, m):
         assert all(x in range(m) for row in r.rows for x in row)
-        assert r == MatMap(r.rig, r.dom, r.cod, r.rows)
+        rebuilt = MatMap(r.rig, r.dom, r.cod, r.rows)
+        assert r == rebuilt and hash(r) == hash(rebuilt)
+
+
+def test_equal_mat_maps_hash_equal_and_share_one_dict_entry():
+    rig = zmod(3)
+    mat = MatBackend(3)
+    equal = [
+        MatMap(rig, 2, 1, ((4, -2),)),  # unreduced entries
+        MatMap(rig, 2, 1, ((1, 1),)),
+        trusted_matmap(rig, 2, 1, ((1, 1),)),
+        mat.add(mat.proj([1, 1], 0), mat.proj([1, 1], 1)),
+    ]
+    assert len({hash(f) for f in equal}) == 1
+    table = {}
+    for n, f in enumerate(equal):
+        table[f] = n
+    assert len(table) == 1 and table[equal[0]] == len(equal) - 1
+    others = [MatMap(rig, 2, 1, ((1, 2),)), MatMap(zmod(2), 2, 1, ((1, 1),)),
+              MatMap(rig, 1, 2, ((1,), (1,)))]
+    assert all(f not in table for f in others)
+
 
 def test_mat_axioms_pass():
     backend = MatBackend(4)

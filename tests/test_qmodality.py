@@ -84,6 +84,31 @@ def test_linear_map_rejects_images_outside_its_codomain():
         qm.q_map(f, one_gen(E1, "e2"))
 
 
+@pytest.mark.parametrize("rig", [INT, zmod(2), zmod(3)])
+def test_relabel_sends_each_key_to_its_image_and_none_to_zero(rig):
+    prod = Product((A, B))
+    images = {(0, "e1"): "f2", (0, "e2"): None, (1, "f1"): "f1", (1, "f2"): None}
+    f = qm.relabel(rig, prod, B, images.get)
+    for key, image in images.items():
+        expected = zero_elem(rig, B) if image is None else basis_elem(rig, B, image)
+        assert f.on_basis(key) == expected
+    x = basis_elem(rig, prod, (0, "e1")).scale(2) + basis_elem(rig, prod, (1, "f1"))
+    assert f.apply(x) == basis_elem(rig, B, "f2").scale(2) + basis_elem(rig, B, "f1")
+    y = basis_elem(rig, A, "e1") + basis_elem(rig, A, "e2").scale(2)
+    assert qm.identity_map(rig, A).apply(y) == y
+
+
+def test_relabel_refuses_an_image_outside_the_codomain():
+    f = qm.relabel(INT, A, B, lambda k: "e1")
+    with pytest.raises(SpaceMismatch):
+        f.on_basis("e1")
+    with pytest.raises(SpaceMismatch):
+        f.apply(E2)
+    swap = qm.relabel(INT, Tensor((A, B)), Tensor((A, B)), lambda key: (key[1], key[0]))
+    with pytest.raises(SpaceMismatch):
+        swap.apply(tensor_elem(E1, F1))
+
+
 def test_q_functor_preserves_identity_and_composition():
     rig = zmod(3)
     a = Free(("e1", "e2"))

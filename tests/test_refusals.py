@@ -23,6 +23,7 @@ from cdcat.combinat import partial_isos, partitions
 from cdcat.errors import (
     ArityError,
     CdcatError,
+    IndexOutOfRange,
     InvalidArgument,
     ObjectMismatch,
     ParseError,
@@ -35,6 +36,7 @@ from cdcat.poly import (
     Polynomial,
     PolyMap,
     TableMap,
+    fin_product,
     parse_poly_map,
     table_from_poly,
 )
@@ -53,6 +55,10 @@ B = Free(("b",))
 SQUARE = parse_poly_map("[x1^2]", INT, 1)
 Z2, Z3 = zmod(2), zmod(3)
 BASE = dpsh.FiniteCdcBase(2, (1,))
+MAT = MatBackend(2)
+POLY = cdc.PolyBackend(INT)
+FINFN = FinFnBackend(2)
+FAA = faa.FaaBackend(MAT)
 Y1 = dpsh.representable(BASE, 1)
 M1 = FinFnBackend(2).module(1)
 
@@ -126,6 +132,11 @@ M1 = FinFnBackend(2).module(1)
     lambda: dpsh.presheaf_tensor(Y1, dpsh.presheaf_Q(Y1)).basis(1),
     lambda: dpsh.QPresheaf(BASE),
     lambda: dpsh.TensorPresheaf(Y1, None),
+    lambda: MAT.pairing([]),
+    lambda: POLY.pairing([]),
+    lambda: FINFN.pairing([]),
+    lambda: FAA.pairing([]),
+    lambda: fin_product([]),
 ], ids=["rig-kind", "rig-modulus", "zmod-0", "finfn-0", "modality-0", "parse-rig",
         "parse-zmod", "free-repeat", "partitions", "partial-isos", "power",
         "enum-elements", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
@@ -143,7 +154,9 @@ M1 = FinFnBackend(2).module(1)
         "from-callable-float", "from-callable-out-of-range", "from-callable-not-modules",
         "families-negative-size", "families-without-levels",
         "enumerate-without-levels", "presheaf-q-of-q", "presheaf-tensor-q-left",
-        "presheaf-tensor-q-right", "q-presheaf-of-a-base", "tensor-presheaf-of-none"])
+        "presheaf-tensor-q-right", "q-presheaf-of-a-base", "tensor-presheaf-of-none",
+        "mat-pairing-empty", "poly-pairing-empty", "finfn-pairing-empty",
+        "faa-pairing-empty", "fin-product-empty"])
 def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
     with pytest.raises(InvalidArgument) as info:
         call()
@@ -180,10 +193,20 @@ def _kleisli_mismatch():
      SpecMismatch),
     (lambda: qmodality.sum_terms(q_inject(basis_elem(INT, A, "a"), []), A, tensor_elem),
      SpaceMismatch),
+    (lambda: MAT.proj([1, 2], -1), IndexOutOfRange),
+    (lambda: MAT.proj([1, 2], 2), IndexOutOfRange),
+    (lambda: POLY.proj([1, 2], -1), IndexOutOfRange),
+    (lambda: POLY.proj([1, 2], 2), IndexOutOfRange),
+    (lambda: FINFN.proj([M1, M1], -1), IndexOutOfRange),
+    (lambda: FINFN.proj([M1, M1], 2), IndexOutOfRange),
+    (lambda: FAA.proj([1, 2], -1), IndexOutOfRange),
+    (lambda: FAA.proj([1, 2], 2), IndexOutOfRange),
 ], ids=["rig-value", "tensor-elem", "linear-apply", "linear-apply-rig", "q-map-rig",
         "deriving-rig", "fusion-rig", "inject-elem", "bialg-mult",
         "kleisli-compose", "poly-var", "zero-denominator", "table-over-int",
-        "table-rigs", "sum-terms-not-a-tensor"])
+        "table-rigs", "sum-terms-not-a-tensor", "mat-proj-negative", "mat-proj-past-end",
+        "poly-proj-negative", "poly-proj-past-end", "finfn-proj-negative",
+        "finfn-proj-past-end", "faa-proj-negative", "faa-proj-past-end"])
 def test_mismatched_inputs_are_refused(call, error):
     with pytest.raises(error):
         call()
@@ -196,3 +219,11 @@ def test_a_full_table_of_residues_is_accepted():
     f = TableMap(A, A, table)
     table[(0,)] = (1,)  # the map keeps its own copy
     assert f == backend.scale(2, backend.identity(A))
+
+
+def test_a_refused_projection_is_not_remembered():
+    # PolyBackend memoises its projections; a refused index leaves no entry
+    with pytest.raises(IndexOutOfRange):
+        POLY.proj([1, 2], -1)
+    assert POLY.proj([1, 2], 1) == cdc.PolyBackend(INT).proj([1, 2], 1)
+    assert all(0 <= i < len(objs) for objs, i in POLY._projs)

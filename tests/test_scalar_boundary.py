@@ -208,3 +208,20 @@ def test_only_algebra_calls_the_q_value_constructors():
         if path.name != "algebra.py":
             for name in ("QGenerator", "Monomial"):
                 assert not _calls(tree, name), f"{path.name} calls {name}(...)"
+
+
+# a renaming of basis keys is built once, by qmodality.relabel: outside
+# qmodality no LinearMap is given a lambda whose body is a basis_elem call
+
+def _is_renaming(arg) -> bool:
+    body = arg.body if isinstance(arg, ast.Lambda) else None
+    return (isinstance(body, ast.Call)
+            and getattr(body.func, "id", getattr(body.func, "attr", None)) == "basis_elem")
+
+
+def test_renamings_are_built_by_relabel_only():
+    for path, tree in _sources():
+        if path.name != "qmodality.py":
+            for call in _calls(tree, "LinearMap"):
+                args = call.args + [k.value for k in call.keywords]
+                assert not any(map(_is_renaming, args)), f"{path.name}:{call.lineno}"

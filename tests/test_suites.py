@@ -1,6 +1,7 @@
 """Suite plumbing: rig parsing, family enumeration, report shape."""
 
 import collections
+import itertools
 import json
 import random
 import time
@@ -8,8 +9,21 @@ import tracemalloc
 
 import pytest
 
-from cdcat import faa, suites
-from cdcat.algebra import INT, NAT, RAT, zmod
+from cdcat import faa, qmodality as qm, suites
+from cdcat.algebra import (
+    INT,
+    NAT,
+    RAT,
+    Free,
+    ModuleElement,
+    Product,
+    QSpace,
+    Tensor,
+    basis_elem,
+    basis_keys,
+    zero_elem,
+    zmod,
+)
 from cdcat.combinat import partitions
 from cdcat.errors import SizeLimit
 from cdcat.poly import FinFnBackend
@@ -137,6 +151,83 @@ def test_modality_suite_tiny():
     assert "comonad-counit-outer" in names
     assert "deriving-product-rule" in names
     assert "storage-left-inverse" in names
+
+
+def _hand_written_renamings(rig, A, B, C):
+    """The renamings modality_suite and qmodality built by hand before
+    qmodality.relabel, as they were, keyed on (domain, codomain)."""
+    LinearMap, I = qm.LinearMap, qm.UNIT_SPACE
+    QA = QSpace(A)
+    QA2 = Tensor((QA, QA))
+    prod = Product((A, B))
+
+    def swap_tensor(t):
+        return ModuleElement(t.rig, QA2, {(kb, ka): v for (ka, kb), v in t.coeffs.items()})
+
+    def reassociate(t):
+        return ModuleElement(t.rig, Tensor((QA, QA2)),
+                             {(a, (b, c)): v for ((a, b), c), v in t.coeffs.items()})
+
+    def proj_map(slot):
+        target = prod.factors[slot]
+
+        def on_basis(key):
+            if key[0] == slot:
+                return basis_elem(rig, target, key[1])
+            return zero_elem(rig, target)
+
+        return LinearMap(rig, prod, target, on_basis)
+
+    maps = [
+        LinearMap(rig, Tensor((I, A)), A, lambda key: basis_elem(rig, A, key[1])),
+        LinearMap(rig, Tensor((A, I)), A, lambda key: basis_elem(rig, A, key[0])),
+        LinearMap(rig, Tensor((Tensor((A, B)), C)), Tensor((A, Tensor((B, C)))),
+                  lambda key: basis_elem(rig, Tensor((A, Tensor((B, C)))),
+                                         (key[0][0], (key[0][1], key[1])))),
+        LinearMap(rig, Tensor((A, B)), Tensor((B, A)),
+                  lambda key: basis_elem(rig, Tensor((B, A)), (key[1], key[0]))),
+        proj_map(0),
+        proj_map(1),
+        LinearMap(rig, I, A, lambda k: zero_elem(rig, A)),
+    ]
+    oracle = {(f.domain, f.codomain): f.apply for f in maps}
+    oracle[QA2, QA2] = swap_tensor
+    oracle[Tensor((QA2, QA)), Tensor((QA, QA2))] = reassociate
+    return oracle
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_modality_renamings_agree_with_the_hand_written_maps(modulus, monkeypatch):
+    # every map the suite gets from qmodality.relabel (its lambda, rho,
+    # associator, symmetry, swap and reassociation, and the projections and
+    # zero map of storage and bialg_unit) on every basis element of its
+    # domain, Q generators up to degree 2
+    rig = zmod(modulus)
+    built = []
+    relabel = qm.relabel
+
+    def recording(*args):
+        built.append(relabel(*args))
+        return built[-1]
+
+    monkeypatch.setattr(qm, "relabel", recording)
+    assert suites.modality_suite(modulus, dim=1, maxdeg=1, pair_total_degree=1).passed
+    A, B, C = (Free((f"{x}1",)) for x in "abc")
+    oracle = _hand_written_renamings(rig, A, B, C)
+
+    def keys(space):
+        if isinstance(space, QSpace):
+            return qm.enum_generators(rig, space.inner, 2)
+        if isinstance(space, Tensor):
+            return list(itertools.product(*map(keys, space.factors)))
+        return basis_keys(space)
+
+    assert {(f.domain, f.codomain) for f in built} == set(oracle)
+    for f in built:
+        old = oracle[f.domain, f.codomain]
+        for key in keys(f.domain):
+            x = basis_elem(rig, f.domain, key)
+            assert f.apply(x) == old(x), (f.domain, key)
 
 
 def test_kleisli_sampled_checks_count_their_own_instances():
