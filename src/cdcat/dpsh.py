@@ -7,17 +7,20 @@ decided by exhaustive enumeration.
 
 A finite presheaf has one stage interface: a Free space at each stage and
 the LinearMaps of its action and differential between those spaces, which
-the tensor and Q presheaves read their factors through.  Unit and tensor
-elements are ModuleElements over the stage spaces, Q's are Q elements over
-them, and representables keep MatMaps for Yoneda and classify.
+the tensor and Q presheaves read their factors through (a tensor acts
+straight from its factors' maps, keeping no map of its own per f).  Unit
+and tensor elements are ModuleElements over the stage spaces, Q's are Q
+elements over them, and representables keep MatMaps for Yoneda and
+classify.
 
 One memo policy holds: an object keeps only tables of its own definition
 (a presheaf's stage spaces and maps, Q's spanning sets and differentials),
 fixed at first use, and a result on an element lives only in the call that
 reuses it.  Memo keys are the values themselves: MatMaps and ModuleElements
-hash by value, each once.  The base keeps nothing, so a seam patched between
-two checks is never served an earlier result; build a fresh presheaf after
-patching one.
+hash by value, each once, and the backend's MatMaps are interned, so a
+probe usually meets the same object.  The base keeps nothing, so a seam
+patched between two checks is never served an earlier result; build a
+fresh presheaf after patching one.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ import itertools
 import random
 
 from . import faa
-from .algebra import (Free, ModuleElement, QSpace, Tensor, add_scaled, basis_keys,
-                      zero_elem)
-from .errors import InvalidArgument, InvalidSequence, nonnegative
+from .algebra import (Free, ModuleElement, QSpace, Tensor, add_into, add_scaled,
+                      basis_keys, zero_elem)
+from .errors import (InvalidArgument, InvalidSequence, SpaceMismatch, SpecMismatch,
+                     nonnegative)
 from .matcat import MatBackend, MatMap, trusted_matmap
 from .qmodality import (LinearMap, enum_generators, on_generators, q_gen_elem,
                         q_inject, q_map, tensor_map)
@@ -190,8 +194,10 @@ class UnitPresheaf(FinitePresheaf):
 class TensorPresheaf(FinitePresheaf):
     """Pointwise tensor with the product-rule differential.  space(A) is
     X.space(A) (x) Y.space(A), whose basis b_i (x) b_j comes at place
-    i * Y.dim(A) + j (counting from 0); f acts by X.act_map(f) (x)
-    Y.act_map(f), memoised per f, and the spanning set is the basis."""
+    i * Y.dim(A) + j (counting from 0), and the spanning set is the basis.
+    f acts on each term x (x) y straight from the factors' maps, as
+    X.act_map(f)(x) (x) Y.act_map(f)(y), so the tensor keeps no map per f;
+    the differential is one map per stage."""
 
     def __init__(self, X, Y):
         super().__init__(_finite(X).base)
@@ -208,9 +214,6 @@ class TensorPresheaf(FinitePresheaf):
     def spanning(self, A):
         return self.basis(A)
 
-    def _act_map(self, f):
-        return tensor_map(self.X.act_map(f), self.Y.act_map(f))
-
     def _diff_map(self, A):
         # D(x (x) y) = Dx (x) y.pi0 + x.pi0 (x) Dy
         X, Y = self.X, self.Y
@@ -221,7 +224,20 @@ class TensorPresheaf(FinitePresheaf):
                          lambda key: left.on_basis(key) + right.on_basis(key))
 
     def act(self, f: MatMap, xi):
-        return self.act_map(f).apply(xi)
+        stage = self.space(f.cod)
+        if xi.space is not stage and xi.space != stage:
+            raise SpaceMismatch(f"{xi.space} vs {stage}")
+        if xi.rig is not self.rig and xi.rig != self.rig:
+            raise SpecMismatch(f"{xi.rig} vs {self.rig}")
+        xs, ys = self.X.act_map(f), self.Y.act_map(f)
+        out = {}
+        for (kx, ky), c in xi.coeffs.items():
+            y = ys.on_basis(ky).coeffs
+            for kx2, a in xs.on_basis(kx).coeffs.items():
+                ca = c * a
+                for ky2, b in y.items():
+                    add_into(out, (kx2, ky2), ca * b)
+        return ModuleElement(self.rig, self.space(f.dom), out)
 
     def diff(self, A, xi):
         return self.diff_map(A).apply(xi)
@@ -312,17 +328,16 @@ def _sample_triples(maps, k: int, rng) -> list:
             for i in rng.sample(range(n ** 3), k)]
 
 
-def _call_memo(fn, key):
+def _call_memo(fn):
     """fn memoised for one call of the check that builds it, so that no
     result outlives a seam patched between two checks: fn runs once per
-    distinct key(*args)."""
+    distinct tuple of arguments."""
     results = {}
 
     def memoised(*args):
-        k = key(*args)
-        out = results.get(k)
+        out = results.get(args)
         if out is None:
-            out = results[k] = fn(*args)
+            out = results[args] = fn(*args)
         return out
 
     return memoised
@@ -348,10 +363,10 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
     report = Report("presheaf-axioms", config)
     scalars = list(range(base.modulus))
     # maps and elements are their own keys
-    act = _call_memo(X.act, lambda f, xi: (f, xi))
-    diff = _call_memo(X.diff, lambda A, xi: (A, xi))
+    act = _call_memo(X.act)
+    diff = _call_memo(X.diff)
     # the pairings of axioms (ii), (iv) and (v), shared by every xi
-    pair = _call_memo(lambda *maps: be.pairing(maps), lambda *maps: maps)
+    pair = _call_memo(lambda *maps: be.pairing(maps))
 
     def tuples_of(maps):
         if map_budget is not None and len(maps) ** 3 > map_budget:
@@ -438,8 +453,7 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
 
     # (iii) D(xi . f) = D(xi) . (f pi0, Df), the pairing built once per f
     lift = _call_memo(
-        lambda f: be.pairing([be.compose(f, be.proj([f.dom, f.dom], 0)), be.D(f)]),
-        lambda f: f)
+        lambda f: be.pairing([be.compose(f, be.proj([f.dom, f.dom], 0)), be.D(f)]))
 
     def chain(item):
         (A, Z, _), xi, dxi, _, f = item

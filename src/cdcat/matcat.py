@@ -2,6 +2,14 @@
 
 A k-linear category with biproducts; every morphism is D-linear.  Serves
 as the finite carrier for exhaustive presheaf and embedding checks.
+
+Every backend result is interned: trusted_matmap returns the one MatMap of
+each value from a value table under algebra's one bound and policy
+(_remember), with its hash computed at build.  So a probe of the memos of
+a presheaf check, which key on maps, usually meets the stored object itself
+and skips __eq__.  Interning is only a fast path: equality and hashing stay
+by value, so a MatMap from the public constructor, or one built after the
+table was emptied, compares and hashes equal to the interned one.
 """
 
 from __future__ import annotations
@@ -10,21 +18,22 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .algebra import RigSpec, rig_value
+from .algebra import RigSpec, _remember, rig_value
 from .errors import ArityError, ObjectMismatch, SpecMismatch, in_range, nonempty, nonnegative
 
 
 @dataclass(frozen=True)
 class MatMap:
     """cod x dom matrix of residues; objects are dimensions.  Each entry is
-    reduced through rig_value, which refuses a non-integer.  The hash is
-    computed once, at first use, so a MatMap is its own memo key."""
+    reduced through rig_value, which refuses a non-integer.  The hash of
+    (dom, cod, rows) is computed once, at build, so a MatMap is its own memo
+    key; equality and hashing are by value, whichever way a map was built."""
 
     rig: RigSpec
     dom: int
     cod: int
     rows: tuple  # tuple of cod tuples, each of length dom
-    _hash: int | None = field(default=None, init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rig.kind != "zmod":
@@ -33,11 +42,9 @@ class MatMap:
             raise ArityError("matrix shape mismatch")
         object.__setattr__(self, "rows", tuple(
             tuple(rig_value(self.rig, a) for a in r) for r in self.rows))
+        object.__setattr__(self, "_hash", hash((self.dom, self.cod, self.rows)))
 
     def __hash__(self):
-        # most backend results are never hashed, so not at build
-        if self._hash is None:
-            object.__setattr__(self, "_hash", hash((self.dom, self.cod, self.rows)))
         return self._hash
 
     @property
@@ -48,11 +55,21 @@ class MatMap:
         return "[" + "; ".join(",".join(map(str, r)) for r in self.rows) + "]"
 
 
+# (dom, cod, rows) -> the interned MatMap of that value
+_MATS: dict = {}
+
+
 def trusted_matmap(rig: RigSpec, dom: int, cod: int, rows: tuple) -> MatMap:
-    """A MatMap built without MatMap's rig and shape checks, for results
-    whose shape the caller already guarantees (the backend's own outputs)."""
-    f = object.__new__(MatMap)
-    f.__dict__.update(rig=rig, dom=dom, cod=cod, rows=rows)
+    """The interned MatMap of a value, built without MatMap's rig and shape
+    checks, for results whose shape the caller already guarantees (the
+    backend's own outputs)."""
+    key = (dom, cod, rows)
+    f = _MATS.get(key)
+    # both rigs are zmod; each backend builds its own spec object
+    if f is None or f.rig is not rig and f.rig.modulus != rig.modulus:
+        f = object.__new__(MatMap)
+        f.__dict__.update(rig=rig, dom=dom, cod=cod, rows=rows, _hash=hash(key))
+        _remember(_MATS, key, f)
     return f
 
 

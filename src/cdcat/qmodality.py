@@ -119,11 +119,18 @@ def identity_map(rig, space) -> LinearMap:
 
 
 def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
-    """f (x) g: A (x) B -> C (x) D on pair keys."""
-    return LinearMap(
-        f.rig, Tensor((f.domain, g.domain)), Tensor((f.codomain, g.codomain)),
-        lambda key: tensor_elem(f.on_basis(key[0]), g.on_basis(key[1])),
-    )
+    """f (x) g: A (x) B -> C (x) D on pair keys.  The rigs are checked
+    once, here, and every image is built in the one codomain space."""
+    _same_rig(f.rig, g.rig)
+    rig, cod = f.rig, Tensor((f.codomain, g.codomain))
+
+    def on_basis(key):
+        y = g.on_basis(key[1]).coeffs
+        return ModuleElement(rig, cod, {(kx, ky): a * b
+                                        for kx, a in f.on_basis(key[0]).coeffs.items()
+                                        for ky, b in y.items()})
+
+    return LinearMap(rig, Tensor((f.domain, g.domain)), cod, on_basis)
 
 
 def inject_elem(elem: ModuleElement, prod: Product, slot: int) -> ModuleElement:

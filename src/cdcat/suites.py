@@ -189,7 +189,7 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
 
     # m(p, q) per pair of generator elements, computed once in this call;
     # products of sums are always computed afresh
-    mult = dpsh._call_memo(qm.monoidal_mult, lambda p, q: (p, q))
+    mult = dpsh._call_memo(qm.monoidal_mult)
 
     total = pair_total_degree
     deg_a, deg_b, deg_c = (
@@ -325,9 +325,8 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
     # elements, computed once in this call: the rebuild and the two inverse
     # laws map the same generators and pairs.  The left inverse's chi^{-1}
     # inputs are distinct (chi is injective), so it calls qm.storage_inv.
-    storage = dpsh._call_memo(qm.storage, lambda q: q)
-    storage_inv = dpsh._call_memo(
-        lambda p, q: qm.storage_inv(tensor_elem(p, q)), lambda p, q: (p, q))
+    storage = dpsh._call_memo(qm.storage)
+    storage_inv = dpsh._call_memo(lambda p, q: qm.storage_inv(tensor_elem(p, q)))
     chi_lin = qm.on_generators(rig, Product((A, B)), Tensor((QA, QB)), storage)
     epseps = qm.on_generator_pairs(rig, A, B, Tensor((A, B)),
                                    lambda p, q: tensor_elem(qm.counit(p), qm.counit(q)))
@@ -565,7 +564,7 @@ def yoneda_suite(modulus: int = 2, max_dim: int = 2) -> Report:
                 degree_bound=YONEDA_DEGREE_BOUND))
 
     # each tower y(f) is built once in this call, for every law that reads it
-    y = dpsh._call_memo(lambda f: dpsh.yoneda_map(base, f), lambda f: f)
+    y = dpsh._call_memo(lambda f: dpsh.yoneda_map(base, f))
 
     # functoriality of the embedding
     def functorial(item):

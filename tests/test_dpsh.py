@@ -136,6 +136,25 @@ def test_tensor_basis_images_read_the_factor_memos():
         y1.diff_map(2).on_basis("b2"), y1.space(4))
 
 
+def test_a_tensor_check_keeps_no_act_map_of_its_own():
+    # the act maps (and their basis images) each presheaf keeps after one
+    # tensor check; the factor bounds are the figures of the check before
+    # the tensor acted straight from the factors' maps
+    base = small_base(2, (1, 2))
+    y1, y2 = dpsh.representable(base, 1), dpsh.representable(base, 2)
+    tensor = dpsh.presheaf_tensor(y1, y2)
+    assert dpsh.check_presheaf(tensor, map_budget=4, seed=3).passed
+
+    def kept(X):
+        return len(X._act_maps), sum(len(m._memo) for m in X._act_maps.values())
+
+    assert kept(tensor) == (0, 0)
+    maps, images = kept(y1)
+    assert maps <= 328 and images <= 1138
+    maps, images = kept(y2)
+    assert maps <= 328 and images <= 1412
+
+
 def test_tensor_action_is_the_product_of_the_factor_coordinates():
     # coordinate i * Y.dim(B) + j of (b_k (x) b_l).f is
     # (b_k.f)_i * (b_l.f)_j, in the basis order of the old index kernel

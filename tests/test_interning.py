@@ -1,4 +1,5 @@
-"""Hash-consed Q values: one object per distinct monomial, generator and point.
+"""Hash-consed values: one object per distinct monomial, generator, point and
+Mat backend result.
 
 Interning is a fast path only.  Equality and hashing stay by value, so a
 value built outside the tables, or after they were emptied, still compares
@@ -10,8 +11,9 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from cdcat import algebra, qmodality as qm, suites
+from cdcat import algebra, matcat, qmodality as qm, suites
 from cdcat.algebra import Free, ModuleElement, Monomial, QGenerator, basis_elem, zmod
+from cdcat.matcat import MatBackend, MatMap, trusted_matmap
 
 Z2 = zmod(2)
 A = Free(("a1", "a2"))
@@ -21,6 +23,7 @@ TABLES = ("_TOKENS", "_MONOMIALS", "_GENERATORS", "_POINTS")
 def empty_tables():
     for name in TABLES:
         getattr(algebra, name).clear()
+    matcat._MATS.clear()
 
 
 @pytest.fixture(autouse=True)
@@ -144,3 +147,55 @@ def test_tails_go_through_the_module_seam(monkeypatch):
     # one tail per generator built: <x0; a1, a2>, then comult's <x0> and,
     # for the partitions {12} and {1}{2}, one tail per block and the outer one
     assert seen[0] == ("a1", "a2") and len(seen) == 1 + 1 + (1 + 1) + (2 + 1)
+
+
+# ---------------------------------------------------------------------------
+# Mat backend results
+
+def test_a_public_mat_map_equals_the_interned_one():
+    be = MatBackend(2)
+    f = be.identity(2)
+    assert be.compose(f, f) is f and trusted_matmap(be.rig, 2, 2, f.rows) is f
+    public = MatMap(be.rig, 2, 2, ((3, 0), (-2, 1)))  # unreduced entries
+    assert public is not f and public == f and f == public and hash(public) == hash(f)
+    assert {f: 1}.keys() == {public: 1}.keys()
+    assert MatBackend(2).identity(2) is f  # another backend over an equal rig
+    # the same rows over another rig are another value
+    other = MatBackend(3).identity(2)
+    assert other != f and other.rig == zmod(3) and f.rig == zmod(2)
+
+
+def test_mat_results_built_after_the_table_is_emptied_compare_by_value():
+    be = MatBackend(2)
+    maps = list(be.all_maps(1, 2))
+    empty_tables()
+    again = list(be.all_maps(1, 2))
+    assert not set(map(id, maps)) & set(map(id, again))
+    for f, g in zip(maps, again):
+        assert f is not g and f == g and hash(f) == hash(g)
+    assert {f: 1 for f in maps}.keys() == {g: 1 for g in again}.keys()
+
+
+def test_a_small_bound_keeps_the_mat_table_within_it(monkeypatch):
+    monkeypatch.setattr(algebra, "_TOKENS_MAX", 4)
+    be = MatBackend(2)
+    maps = list(be.all_maps(2, 2))
+    assert len(matcat._MATS) <= 4
+    again = [be.compose(f, be.identity(2)) for f in maps]
+    assert len(matcat._MATS) <= 4
+    assert again == maps == [MatMap(be.rig, 2, 2, f.rows) for f in maps]
+    assert [hash(f) for f in again] == [hash(f) for f in maps]
+
+
+def test_warm_and_emptied_mat_tables_give_the_same_reports(monkeypatch):
+    def reports():
+        return (report_json(suites.yoneda_suite(2, max_dim=2)),
+                report_json(suites.presheaf_suite(2, max_dim=2, q_bound=2, map_budget=4)))
+
+    warm = reports()
+    assert all(json.loads(r)["passed"] for r in warm)
+    assert reports() == warm
+    empty_tables()
+    assert reports() == warm
+    monkeypatch.setattr(algebra, "_TOKENS_MAX", 4)
+    assert reports() == warm

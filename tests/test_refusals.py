@@ -61,6 +61,7 @@ FINFN = FinFnBackend(2)
 FAA = faa.FaaBackend(MAT)
 Y1 = dpsh.representable(BASE, 1)
 M1 = FinFnBackend(2).module(1)
+TENSOR = dpsh.presheaf_tensor(Y1, dpsh.unit_presheaf(BASE))
 
 
 @pytest.mark.parametrize("call", [
@@ -201,12 +202,18 @@ def _kleisli_mismatch():
     (lambda: FINFN.proj([M1, M1], 2), IndexOutOfRange),
     (lambda: FAA.proj([1, 2], -1), IndexOutOfRange),
     (lambda: FAA.proj([1, 2], 2), IndexOutOfRange),
+    (lambda: qmodality.tensor_map(identity_map(Z2, A), identity_map(Z3, B)),
+     SpecMismatch),
+    (lambda: TENSOR.act(MAT.identity(1), TENSOR.basis(2)[0]), SpaceMismatch),
+    (lambda: TENSOR.act(MAT.identity(1), basis_elem(Z3, TENSOR.space(1), ("b1", "b1"))),
+     SpecMismatch),
 ], ids=["rig-value", "tensor-elem", "linear-apply", "linear-apply-rig", "q-map-rig",
         "deriving-rig", "fusion-rig", "inject-elem", "bialg-mult",
         "kleisli-compose", "poly-var", "zero-denominator", "table-over-int",
         "table-rigs", "sum-terms-not-a-tensor", "mat-proj-negative", "mat-proj-past-end",
         "poly-proj-negative", "poly-proj-past-end", "finfn-proj-negative",
-        "finfn-proj-past-end", "faa-proj-negative", "faa-proj-past-end"])
+        "finfn-proj-past-end", "faa-proj-negative", "faa-proj-past-end",
+        "tensor-map-rigs", "tensor-act-wrong-stage", "tensor-act-rig"])
 def test_mismatched_inputs_are_refused(call, error):
     with pytest.raises(error):
         call()
