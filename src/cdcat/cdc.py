@@ -36,7 +36,7 @@ from .poly import (
     substitute,
     _trusted_polymap,
 )
-from .reports import Report
+from .reports import Report, equation
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +359,6 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
                 return f"D(proj {i}) != proj.pi1 at objects ({A},{B})"
         return None
 
-    def ax_iv(A):
-        if backend.D(backend.identity(A)) != backend.proj([A, A], 1):
-            return f"D(id) != pi1 at object {A}"
-        return None
-
     def draw_v():
         A = sampler.random_object()
         B = sampler.random_object()
@@ -371,48 +366,34 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
         f = sampler.random_morphism(A, B)
         return A, f, sampler.random_morphism(B, C)
 
-    def ax_v(item):
-        A, f, g = item
-        lhs = backend.D(backend.compose(g, f))
-        pi0 = backend.proj([A, A], 0)
-        rhs = backend.compose(
-            backend.D(g),
-            backend.pairing([backend.compose(f, pi0), backend.D(f)]),
-        )
-        if lhs != rhs:
-            return f"chain rule fails for f={f}, g={g}"
-        return None
-
-    def second_order(item):
-        A, _, f = item
+    # f, DDf, zero and the three projections of A x A x A
+    def second_order():
+        A, _, f = rand_f()
         blocks3 = [A, A, A]
         z = backend.zero(backend.product(blocks3), A)
-        return (backend.D(backend.D(f)), z,
+        return (f, backend.D(backend.D(f)), z,
                 *(backend.proj(blocks3, j) for j in range(3)))
-
-    def ax_vi(item):
-        f = item[2]
-        ddf, z, p0, p1, p2 = second_order(item)
-        lhs = backend.compose(ddf, backend.pairing([p0, p1, z, p2]))
-        rhs = backend.compose(backend.D(f), backend.pairing([p0, p2]))
-        if lhs != rhs:
-            return f"DDf(x,r,0,v) != Df(x,v) for f={f}"
-        return None
-
-    def ax_vii(item):
-        ddf, z, p0, p1, p2 = second_order(item)
-        lhs = backend.compose(ddf, backend.pairing([p0, p1, p2, z]))
-        rhs = backend.compose(ddf, backend.pairing([p0, p2, p1, z]))
-        if lhs != rhs:
-            return f"DDf(x,r,s,0) != DDf(x,s,r,0) for f={item[2]}"
-        return None
 
     report.check(drawn(draw_i), ("axiom-i-D-linear-in-f", ax_i))
     report.check(drawn(rand_f), ("axiom-ii-Df-linear-in-direction", ax_ii))
     report.check(drawn(lambda: (sampler.random_object(), sampler.random_object())),
                  ("axiom-iii-D-of-projections", ax_iii))
-    report.check(drawn(sampler.random_object), ("axiom-iv-D-of-identity", ax_iv))
-    report.check(drawn(draw_v), ("axiom-v-chain-rule", ax_v))
-    report.check(drawn(rand_f), ("axiom-vi-first-order-slice", ax_vi))
-    report.check(drawn(rand_f), ("axiom-vii-mixed-symmetry", ax_vii))
+    report.check(drawn(sampler.random_object), equation(
+        "axiom-iv-D-of-identity", lambda A: backend.D(backend.identity(A)),
+        lambda A: backend.proj([A, A], 1), "D(id) != pi1 at object {}"))
+    report.check(drawn(draw_v), equation(
+        "axiom-v-chain-rule", lambda A, f, g: backend.D(backend.compose(g, f)),
+        lambda A, f, g: backend.compose(backend.D(g), backend.pairing(
+            [backend.compose(f, backend.proj([A, A], 0)), backend.D(f)])),
+        "chain rule fails for f={1}, g={2}"))
+    report.check(drawn(second_order), equation(
+        "axiom-vi-first-order-slice",
+        lambda f, ddf, z, x, r, v: backend.compose(ddf, backend.pairing([x, r, z, v])),
+        lambda f, ddf, z, x, r, v: backend.compose(backend.D(f), backend.pairing([x, v])),
+        "DDf(x,r,0,v) != Df(x,v) for f={0}"))
+    report.check(drawn(second_order), equation(
+        "axiom-vii-mixed-symmetry",
+        lambda f, ddf, z, x, r, s: backend.compose(ddf, backend.pairing([x, r, s, z])),
+        lambda f, ddf, z, x, r, s: backend.compose(ddf, backend.pairing([x, s, r, z])),
+        "DDf(x,r,s,0) != DDf(x,s,r,0) for f={0}"))
     return report

@@ -14,13 +14,13 @@ elements over them, and representables keep MatMaps for Yoneda and
 classify.
 
 One memo policy holds: an object keeps only tables of its own definition
-(a presheaf's stage spaces and maps, Q's spanning sets and differentials),
-fixed at first use, and a result on an element lives only in the call that
-reuses it.  Memo keys are the values themselves: MatMaps and ModuleElements
-hash by value, each once, and the backend's MatMaps are interned, so a
-probe usually meets the same object.  The base keeps nothing, so a seam
-patched between two checks is never served an earlier result; build a
-fresh presheaf after patching one.
+(a presheaf's stage spaces, bases and maps, Q's spanning sets and
+differentials), fixed at first use, and a result on an element lives only
+in the call that reuses it.  Memo keys are the values themselves: MatMaps
+and ModuleElements hash by value, each once, and the backend's MatMaps are
+interned, so a probe usually meets the same object.  The base keeps
+nothing, so a seam patched between two checks is never served an earlier
+result; build a fresh presheaf after patching one.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .errors import (InvalidArgument, InvalidSequence, SpaceMismatch, SpecMismat
 from .matcat import MatBackend, MatMap, trusted_matmap
 from .qmodality import (LinearMap, enum_generators, on_generators, q_gen_elem,
                         q_inject, q_map, tensor_map)
-from .reports import Report
+from .reports import Report, equation
 
 
 class FiniteCdcBase:
@@ -65,15 +65,16 @@ def _memo(table, key, build):
 class FinitePresheaf:
     """A presheaf that is a finite free Z/m-module at each stage A, given by
     dim(A), coords and from_coords, with the stage interface space(A), the
-    Free space b1..b_dim(A), and the memoised LinearMaps act_map(f) and
-    diff_map(A).  Elements are ModuleElements over space(A) unless a
-    subclass says otherwise; every element compares with == and hashes by
-    value, so it is its own key in the memos of check_presheaf."""
+    Free space b1..b_dim(A), its basis, and the memoised LinearMaps
+    act_map(f) and diff_map(A).  Elements are ModuleElements over space(A)
+    unless a subclass says otherwise; every element compares with == and
+    hashes by value, so it is its own key in the memos of check_presheaf."""
 
     def __init__(self, base: FiniteCdcBase):
         self.base = base
         self.rig = base.backend.rig
         self._spaces = {}
+        self._bases = {}  # A -> {key of space(A): its basis element}
         self._act_maps = {}  # f -> LinearMap
         self._diff_maps = {}  # A -> LinearMap
 
@@ -98,19 +99,19 @@ class FinitePresheaf:
         return self._reading(A, 2 * A, self.diff, A)
 
     def _reading(self, A, Z, fn, arg) -> LinearMap:
-        """space(A) -> space(Z): fn(arg, b) on one basis element b per key."""
-        dst = self.space(Z)
+        """space(A) -> space(Z): fn(arg, b) on the basis element b of a key."""
+        dst, basis = self.space(Z), _memo(self._bases, A, self._basis)
         return LinearMap(self.rig, self.space(A), dst, lambda key: faa.vec_to_elem(
-            self.rig, dst, self.coords(Z, fn(arg, self._element(A, key)))))
+            self.rig, dst, self.coords(Z, fn(arg, basis[key]))))
 
-    def _element(self, A, key):
-        """The basis element of stage A named by a key of space(A)."""
+    def _basis(self, A):
+        keys = basis_keys(self.space(A))
         one = self.rig.one  # Z/1 has 1 = 0
-        return self.from_coords(A, tuple(one if k == key else 0
-                                         for k in basis_keys(self.space(A))))
+        return {key: self.from_coords(A, tuple(one if k == key else 0 for k in keys))
+                for key in keys}
 
     def basis(self, A):
-        return [self._element(A, key) for key in basis_keys(self.space(A))]
+        return list(_memo(self._bases, A, self._basis).values())
 
     def spanning(self, A):
         """Every element of the stage, in the order of its coordinates."""
@@ -374,10 +375,9 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
         return list(itertools.product(maps, repeat=3))
 
     # functoriality
-    report.check(((A, xi) for A in objects for xi in X.spanning(A)), (
-        "action-preserves-identity",
-        lambda item: None if act(be.identity(item[0]), item[1]) == item[1]
-        else f"xi.id != xi at A={item[0]}"))
+    report.check(((A, xi) for A in objects for xi in X.spanning(A)), equation(
+        "action-preserves-identity", lambda A, xi: act(be.identity(A), xi),
+        lambda A, xi: xi, "xi.id != xi at A={}"))
 
     # each composite fg is computed once per (A, B, C); the instance order
     # is (A, B, C, xi, f, g)
@@ -393,13 +393,10 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
                         for g, fg in zip(gs, row):
                             yield A, B, C, xi, xf, g, fg
 
-    def composition(item):
-        A, B, C, xi, xf, g, fg = item
-        if act(g, xf) != act(fg, xi):
-            return f"(xi.f).g != xi.(fg) at A={A},B={B},C={C}"
-        return None
-
-    report.check(compositions(), ("action-preserves-composition", composition))
+    report.check(compositions(), equation(
+        "action-preserves-composition", lambda A, B, C, xi, xf, g, fg: act(g, xf),
+        lambda A, B, C, xi, xf, g, fg: act(fg, xi),
+        "(xi.f).g != xi.(fg) at A={},B={},C={}"))
 
     # (i) D is k-linear; homogeneity rides on the last pair of each xi
     def pairs():
@@ -422,21 +419,22 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
     report.check(pairs(), ("axiom-i-D-linear", linear))
 
     # the derivative axioms act with maps drawn from hom(Z, A) on D xi (and
-    # DD xi), computed once per xi; zero is computed once per stage
+    # DD xi), computed once per xi; zero is computed once per stage.  An
+    # instance is (A, Z, zero, xi, dxi, ddxi) and then the drawn maps
     def derivatives(draw, second=False):
         for A in objects:
             for Z in objects:
                 maps = base.all_maps(Z, A)
-                stage = (A, Z, be.zero(Z, A))
+                zero = be.zero(Z, A)
                 for xi in X.spanning(A):
                     dxi = diff(A, xi)
                     ddxi = diff(2 * A, dxi) if second else None
                     for args in draw(maps):
-                        yield stage, xi, dxi, ddxi, args
+                        yield A, Z, zero, xi, dxi, ddxi, *args
 
     # (ii) D xi linear in the direction argument
     def direction_linear(item):
-        n, ((A, Z, _), _, dxi, _, (x, v, w)) = item
+        n, (A, Z, _, _, dxi, _, x, v, w) = item
         lhs = act(pair(x, be.add(v, w)), dxi)
         rhs = X.add(act(pair(x, v), dxi), act(pair(x, w), dxi))
         if lhs != rhs:
@@ -455,32 +453,23 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
     lift = _call_memo(
         lambda f: be.pairing([be.compose(f, be.proj([f.dom, f.dom], 0)), be.D(f)]))
 
-    def chain(item):
-        (A, Z, _), xi, dxi, _, f = item
-        lhs = diff(Z, act(f, xi))
-        rhs = act(lift(f), dxi)
-        if lhs != rhs:
-            return f"axiom (iii) fails at A={A}, Z={Z}"
-        return None
-
-    report.check(derivatives(iter), ("axiom-iii-chain-compatibility", chain))
+    report.check(derivatives(lambda maps: ((f,) for f in maps)), equation(
+        "axiom-iii-chain-compatibility",
+        lambda A, Z, zero, xi, dxi, ddxi, f: diff(Z, act(f, xi)),
+        lambda A, Z, zero, xi, dxi, ddxi, f: act(lift(f), dxi),
+        "axiom (iii) fails at A={}, Z={}"))
 
     # (iv)/(v): second-order identities, on one sampled stream
-    def first_order_slice(item):
-        (A, Z, zero), _, dxi, ddxi, (x, r, s) = item
-        if act(pair(x, r, zero, s), ddxi) != act(pair(x, s), dxi):
-            return f"axiom (iv) fails at A={A}, Z={Z}"
-        return None
-
-    def mixed_symmetry(item):
-        (A, Z, zero), _, _, ddxi, (x, r, s) = item
-        if act(pair(x, r, s, zero), ddxi) != act(pair(x, s, r, zero), ddxi):
-            return f"axiom (v) fails at A={A}, Z={Z}"
-        return None
-
-    report.check(derivatives(tuples_of, second=True),
-                 ("axiom-iv-first-order-slice", first_order_slice),
-                 ("axiom-v-mixed-symmetry", mixed_symmetry))
+    report.check(
+        derivatives(tuples_of, second=True),
+        equation("axiom-iv-first-order-slice",
+                 lambda A, Z, zero, xi, dxi, ddxi, x, r, s: act(pair(x, r, zero, s), ddxi),
+                 lambda A, Z, zero, xi, dxi, ddxi, x, r, s: act(pair(x, s), dxi),
+                 "axiom (iv) fails at A={}, Z={}"),
+        equation("axiom-v-mixed-symmetry",
+                 lambda A, Z, zero, xi, dxi, ddxi, x, r, s: act(pair(x, r, s, zero), ddxi),
+                 lambda A, Z, zero, xi, dxi, ddxi, x, r, s: act(pair(x, s, r, zero), ddxi),
+                 "axiom (v) fails at A={}, Z={}"))
     return report
 
 

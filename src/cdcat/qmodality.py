@@ -59,6 +59,21 @@ def _same_rig(a: RigSpec, b: RigSpec) -> None:
         raise SpecMismatch(f"{a} vs {b}")
 
 
+def _inner(space):
+    """A for a space QA, refusing any other: a structure map checks its
+    argument's space once per call, not per term."""
+    if not isinstance(space, QSpace):
+        raise SpaceMismatch(f"{space} is not a Q space")
+    return space.inner
+
+
+def _binary(space) -> tuple:
+    """The two factors of a binary tensor."""
+    if not isinstance(space, Tensor) or len(space.factors) != 2:
+        raise SpaceMismatch(f"{space} is not a binary tensor")
+    return space.factors
+
+
 # ---------------------------------------------------------------------------
 # linear maps between spaces, given on basis keys
 
@@ -179,6 +194,7 @@ def q_inject(point: ModuleElement, tails) -> ModuleElement:
 
 def q_map(f: LinearMap, q: ModuleElement) -> ModuleElement:
     """Functorial action Qf: <x0,...,xn> -> <f(x0),...,f(xn)>."""
+    _inner(q.space)
     _same_rig(q.rig, f.rig)
     out = {}
     for gen, c in q.coeffs.items():
@@ -205,8 +221,7 @@ def on_generator_pairs(rig: RigSpec, A, B, cod, fn) -> LinearMap:
 def sum_terms(t: ModuleElement, space, term) -> ModuleElement:
     """The sum in `space` of c * term(k1, k2) over the terms c * (k1, k2)
     of t, an element of a binary tensor such as Delta q or chi(q)."""
-    if not isinstance(t.space, Tensor) or len(t.space.factors) != 2:
-        raise SpaceMismatch(f"{t.space} is not a binary tensor")
+    _binary(t.space)
     out = {}
     for (k1, k2), c in t.coeffs.items():
         add_scaled(out, c, term(k1, k2))
@@ -223,19 +238,20 @@ def q_functor(f: LinearMap) -> LinearMap:
 
 def counit(q: ModuleElement) -> ModuleElement:
     """epsilon: <x0> -> x0, <x0,x1> -> x1, 0 in degrees >= 2."""
+    A = _inner(q.space)
     out = {}
     for gen, c in q.coeffs.items():
         if gen.degree == 0:
             add_scaled(out, c, gen.point)
         elif gen.degree == 1:
             add_into(out, gen.tail.keys[0], c)
-    return ModuleElement(q.rig, q.space.inner, out)
+    return ModuleElement(q.rig, A, out)
 
 
 def comult(q: ModuleElement) -> ModuleElement:
     """delta: partition sum <<x0>, <x_{A1}>, ..., <x_{Ak}>> in QQA."""
     rig = q.rig
-    A = q.space.inner
+    A = _inner(q.space)
     out = {}
     for gen, c in q.coeffs.items():
         inner = _generator(gen.point, _make_tail(()))
@@ -255,6 +271,7 @@ def comult(q: ModuleElement) -> ModuleElement:
 
 def comonoid_counit(q: ModuleElement):
     """e: QA -> k, keeping only degree-0 coefficients; returns a payload."""
+    _inner(q.space)
     total = sum(c for gen, c in q.coeffs.items() if gen.degree == 0)
     return rig_value(q.rig, total)
 
@@ -262,6 +279,7 @@ def comonoid_counit(q: ModuleElement):
 def comonoid_comult(q: ModuleElement) -> ModuleElement:
     """Delta: subset sum of <x_I> (x) <x_{[n] minus I}> in QA (x) QA."""
     QA = q.space
+    _inner(QA)
     out = {}
     for gen, c in q.coeffs.items():
         keys = gen.tail.keys
@@ -293,8 +311,8 @@ def monoidal_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     """m_tensor: partial-isomorphism sum of pairwise-tensored arranged lists."""
     rig = p.rig
     one = rig.one
-    A = p.space.inner
-    B = q.space.inner
+    A = _inner(p.space)
+    B = _inner(q.space)
     out = {}
     q_rows = [(h, ch, [h.point.coeffs] + [{k: one} for k in h.tail.keys])
               for h, ch in q.coeffs.items()]
@@ -318,7 +336,7 @@ def monoidal_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
 def deriving(q: ModuleElement, y: ModuleElement) -> ModuleElement:
     """d: QA (x) A -> QA, appending y to the tail."""
     rig = q.rig
-    if y.space != q.space.inner:
+    if y.space != _inner(q.space):
         raise SpaceMismatch(f"{y.space} vs {q.space.inner}")
     _same_rig(y.rig, rig)
     out = {}
@@ -334,8 +352,8 @@ def fusion(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     rig = p.rig
     _same_rig(q.rig, rig)
     one = rig.one
-    A = p.space.inner
-    B = q.space.inner
+    A = _inner(p.space)
+    B = _inner(q.space)
     QB = QSpace(B)
     out = {}
     for g, cg in p.coeffs.items():
@@ -364,7 +382,7 @@ def fusion(p: ModuleElement, q: ModuleElement) -> ModuleElement:
 def storage(q: ModuleElement) -> ModuleElement:
     """chi: Q(A x B) -> QA (x) QB, computed as (Q pi0 (x) Q pi1) after Delta."""
     rig = q.rig
-    prod = q.space.inner
+    prod = _inner(q.space)
     if not isinstance(prod, Product) or len(prod.factors) != 2:
         raise SpaceMismatch("storage expects Q of a binary product")
     left = relabel(rig, prod, prod.factors[0], lambda key: key[1] if key[0] == 0 else None)
@@ -388,8 +406,7 @@ def storage(q: ModuleElement) -> ModuleElement:
 def storage_inv(t: ModuleElement) -> ModuleElement:
     """chi^{-1}: <x0..xp> (x) <y0..yq> -> <(x0,y0),(x1,0),..,(0,yq)>."""
     rig = t.rig
-    QA, QB = t.space.factors
-    prod = Product((QA.inner, QB.inner))
+    prod = Product(tuple(map(_inner, _binary(t.space))))
     out = {}
     for (g1, g2), v in t.coeffs.items():
         point = _point(inject_elem(g1.point, prod, 0) + inject_elem(g2.point, prod, 1))
@@ -417,6 +434,7 @@ def bialg_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     rig = p.rig
     if p.space != q.space:
         raise SpaceMismatch(f"{p.space} vs {q.space}")
+    _inner(p.space)
     out = {}
     for g, cg in p.coeffs.items():
         for h, ch in q.coeffs.items():

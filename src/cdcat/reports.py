@@ -3,6 +3,10 @@
 A check's `checked` is the number of instances it decided, up to and
 including its first failure: a passing check decided every instance, a
 failing one stops at the instance its counterexample names.
+
+A law is a row of name, two sides and message, built by `equation` and
+decided by `Report.check`; a law that needs more than one test or more
+than one message is a closure returning its counterexample or None.
 """
 
 from __future__ import annotations
@@ -23,6 +27,23 @@ class CheckResult:
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
         return out
+
+
+def equation(name, lhs, rhs, message):
+    """The law `name`: lhs and rhs agree on every instance.
+
+    Returns the (name, law) pair Report.check takes.  A tuple instance is
+    spread over the sides' parameters and the message's fields, any other
+    is passed whole; a failing instance's counterexample is the message
+    formatted with it.
+    """
+    def law(item):
+        args = item if isinstance(item, tuple) else (item,)
+        if lhs(*args) == rhs(*args):
+            return None
+        return message.format(*args)
+
+    return name, law
 
 
 @dataclass

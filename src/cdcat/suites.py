@@ -28,7 +28,7 @@ from .algebra import (
 from .errors import InvalidArgument, SizeLimit, nonnegative, positive
 from .poly import FinFnBackend, FinModule
 from .qmodality import UNIT_SPACE, LinearMap
-from .reports import Report
+from .reports import Report, equation
 
 
 def parse_rig(name: str) -> RigSpec:
@@ -128,24 +128,6 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
             return f"Delta not counital at {q}"
         return None
 
-    def coassoc(q):
-        d = qm.comonoid_comult(q)
-        lhs = qm.sum_terms(d, Tensor((QA2, QA)), lambda g1, g2: tensor_elem(
-            qm.comonoid_comult(gen(g1)), gen(g2)))
-        rhs = qm.sum_terms(d, Tensor((QA, QA2)), lambda g1, g2: tensor_elem(
-            gen(g1), qm.comonoid_comult(gen(g2))))
-        if reassoc.apply(lhs) != rhs:
-            return f"Delta not coassociative at {q}"
-        return None
-
-    def delta_comonoid(q):
-        lhs = qm.comonoid_comult(qm.comult(q))
-        rhs = qm.sum_terms(qm.comonoid_comult(q), Tensor((QQA, QQA)), lambda g1, g2: (
-            tensor_elem(qm.comult(gen(g1)), qm.comult(gen(g2)))))
-        if lhs != rhs:
-            return f"Delta.delta != (delta x delta).Delta at {q}"
-        return None
-
     unit_i = basis_elem(rig, UNIT_SPACE, "1")
     mi = qm.monoidal_unit(rig)
     lam = qm.relabel(rig, Tensor((UNIT_SPACE, A)), A, lambda key: key[1])
@@ -153,32 +135,34 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
 
     report.check(
         gens,
-        ("comonad-counit-outer",
-         lambda q: None if qm.counit(qm.comult(q)) == q else f"eps.delta != id at {q}"),
-        ("comonad-counit-inner",
-         lambda q: None if qm.q_map(eps_a, qm.comult(q)) == q
-         else f"Q(eps).delta != id at {q}"),
-        ("comonad-coassociative",
-         lambda q: None
-         if qm.q_map(delta_a, qm.comult(q)) == qm.comult(qm.comult(q))
-         else f"delta not coassociative at {q}"),
+        equation("comonad-counit-outer", lambda q: qm.counit(qm.comult(q)),
+                 lambda q: q, "eps.delta != id at {}"),
+        equation("comonad-counit-inner", lambda q: qm.q_map(eps_a, qm.comult(q)),
+                 lambda q: q, "Q(eps).delta != id at {}"),
+        equation("comonad-coassociative", lambda q: qm.q_map(delta_a, qm.comult(q)),
+                 lambda q: qm.comult(qm.comult(q)), "delta not coassociative at {}"),
         ("comonoid-counital", counital),
-        ("comonoid-coassociative", coassoc),
-        ("comonoid-cocommutative",
-         lambda q: None
-         if swap.apply(qm.comonoid_comult(q)) == qm.comonoid_comult(q)
-         else f"Delta not cocommutative at {q}"),
-        ("comult-preserves-e",
-         lambda q: None
-         if qm.comonoid_counit(qm.comult(q)) == qm.comonoid_counit(q)
-         else f"e.delta != e at {q}"),
-        ("comult-preserves-Delta", delta_comonoid),
-        ("monoidal-left-unit",
-         lambda q: None if qm.q_map(lam, qm.monoidal_mult(mi, q)) == q
-         else f"left unit coherence fails at {q}"),
-        ("monoidal-right-unit",
-         lambda q: None if qm.q_map(rho, qm.monoidal_mult(q, mi)) == q
-         else f"right unit coherence fails at {q}"),
+        equation("comonoid-coassociative",
+                 lambda q: reassoc.apply(qm.sum_terms(
+                     qm.comonoid_comult(q), Tensor((QA2, QA)), lambda g1, g2: tensor_elem(
+                         qm.comonoid_comult(gen(g1)), gen(g2)))),
+                 lambda q: qm.sum_terms(
+                     qm.comonoid_comult(q), Tensor((QA, QA2)), lambda g1, g2: tensor_elem(
+                         gen(g1), qm.comonoid_comult(gen(g2)))),
+                 "Delta not coassociative at {}"),
+        equation("comonoid-cocommutative", lambda q: swap.apply(qm.comonoid_comult(q)),
+                 lambda q: qm.comonoid_comult(q), "Delta not cocommutative at {}"),
+        equation("comult-preserves-e", lambda q: qm.comonoid_counit(qm.comult(q)),
+                 lambda q: qm.comonoid_counit(q), "e.delta != e at {}"),
+        equation("comult-preserves-Delta", lambda q: qm.comonoid_comult(qm.comult(q)),
+                 lambda q: qm.sum_terms(
+                     qm.comonoid_comult(q), Tensor((QQA, QQA)), lambda g1, g2: (
+                         tensor_elem(qm.comult(gen(g1)), qm.comult(gen(g2))))),
+                 "Delta.delta != (delta x delta).Delta at {}"),
+        equation("monoidal-left-unit", lambda q: qm.q_map(lam, qm.monoidal_mult(mi, q)),
+                 lambda q: q, "left unit coherence fails at {}"),
+        equation("monoidal-right-unit", lambda q: qm.q_map(rho, qm.monoidal_mult(q, mi)),
+                 lambda q: q, "right unit coherence fails at {}"),
     )
 
     # monoidal functor laws
@@ -197,25 +181,13 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
     triples = [(p, q, r) for p, dp in deg_a for q, dq in deg_b if dp + dq <= total
                for r, dr in deg_c if dp + dq + dr <= total]
 
-    def associativity(item):
-        p, q, r = item
-        lhs = qm.q_map(assoc, qm.monoidal_mult(mult(p, q), r))
-        rhs = qm.monoidal_mult(p, mult(q, r))
-        if lhs != rhs:
-            return f"monoidal associativity fails at {p}, {q}, {r}"
-        return None
-
-    report.check(triples, ("monoidal-associative", associativity))
+    report.check(triples, equation(
+        "monoidal-associative",
+        lambda p, q, r: qm.q_map(assoc, qm.monoidal_mult(mult(p, q), r)),
+        lambda p, q, r: qm.monoidal_mult(p, mult(q, r)),
+        "monoidal associativity fails at {}, {}, {}"))
 
     sym = qm.relabel(rig, Tensor((A, B)), Tensor((B, A)), lambda key: (key[1], key[0]))
-
-    def symmetry(item):
-        p, q = item
-        lhs = qm.q_map(sym, mult(p, q))
-        rhs = qm.monoidal_mult(q, p)
-        if lhs != rhs:
-            return f"monoidal symmetry fails at {p}, {q}"
-        return None
 
     # naturality of the monoidal multiplication in sampled linear maps
     nat_maps = [(f, g, qm.tensor_map(f, g)) for f, g in [
@@ -232,94 +204,65 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
         return None
 
     ab_pairs = [(p, q) for p, dp in deg_a for q, dq in deg_b if dp + dq <= total]
-    report.check(ab_pairs, ("monoidal-symmetric", symmetry),
+    report.check(ab_pairs,
+                 equation("monoidal-symmetric", lambda p, q: qm.q_map(sym, mult(p, q)),
+                          lambda p, q: qm.monoidal_mult(q, p),
+                          "monoidal symmetry fails at {}, {}"),
                  ("monoidal-mult-natural", mult_natural))
 
     # monoidality of epsilon and delta
-    report.check([mi], ("counit-monoidal-unit",
-                        lambda q: None if qm.counit(q) == unit_i else "eps(m_I) != 1"))
-
-    def counit_monoidal(item):
-        p, q = item
-        lhs = qm.counit(mult(p, q))
-        rhs = tensor_elem(qm.counit(p), qm.counit(q))
-        if lhs != rhs:
-            return f"eps not monoidal at {p}, {q}"
-        return None
-
-    report.check(ab_pairs, ("counit-monoidal-mult", counit_monoidal))
+    report.check([mi], equation("counit-monoidal-unit", lambda q: qm.counit(q),
+                                lambda q: unit_i, "eps(m_I) != 1"))
+    report.check(ab_pairs, equation(
+        "counit-monoidal-mult", lambda p, q: qm.counit(mult(p, q)),
+        lambda p, q: tensor_elem(qm.counit(p), qm.counit(q)),
+        "eps not monoidal at {}, {}"))
 
     mi_lin = LinearMap(rig, UNIT_SPACE, QSpace(UNIT_SPACE),
                        lambda key: qm.monoidal_unit(rig))
-    report.check([mi], ("comult-monoidal-unit",
-                        lambda q: None if qm.comult(q) == qm.q_map(mi_lin, q)
-                        else "delta(m_I) != Q(m_I).m_I"))
+    report.check([mi], equation("comult-monoidal-unit", lambda q: qm.comult(q),
+                                lambda q: qm.q_map(mi_lin, q),
+                                "delta(m_I) != Q(m_I).m_I"))
 
     mx = qm.on_generator_pairs(rig, A, B, QSpace(Tensor((A, B))), qm.monoidal_mult)
-
-    def comult_monoidal(item):
-        p, q = item
-        lhs = qm.comult(mult(p, q))
-        inner = qm.monoidal_mult(qm.comult(p), qm.comult(q))
-        rhs = qm.q_map(mx, inner)
-        if lhs != rhs:
-            return f"delta not monoidal at {p}, {q}"
-        return None
-
-    report.check(ab_pairs, ("comult-monoidal-mult", comult_monoidal))
+    report.check(ab_pairs, equation(
+        "comult-monoidal-mult", lambda p, q: qm.comult(mult(p, q)),
+        lambda p, q: qm.q_map(mx, qm.monoidal_mult(qm.comult(p), qm.comult(q))),
+        "delta not monoidal at {}, {}"))
 
     # the four deriving rules
     gy = [(q, y) for q in gens for y in vecs]
-
-    def product_rule(item):
-        q, y = item
-        lhs = qm.comonoid_comult(qm.deriving(q, y))
-        rhs = qm.sum_terms(qm.comonoid_comult(q), QA2, lambda g1, g2: (
-            tensor_elem(gen(g1), qm.deriving(gen(g2), y))
-            + tensor_elem(qm.deriving(gen(g1), y), gen(g2))))
-        if lhs != rhs:
-            return f"product rule fails at {q}, {y}"
-        return None
-
-    def chain_rule(item):
-        q, y = item
-        lhs = qm.comult(qm.deriving(q, y))
-        rhs = qm.sum_terms(qm.comonoid_comult(q), QQA, lambda g1, g2: qm.deriving(
-            qm.comult(gen(g1)), qm.deriving(gen(g2), y)))
-        if lhs != rhs:
-            return f"chain rule fails at {q}, {y}"
-        return None
-
     report.check(
         gy,
-        ("deriving-product-rule", product_rule),
-        ("deriving-linear-rule",
-         lambda item: None
-         if qm.counit(qm.deriving(item[0], item[1]))
-         == item[1].scale(qm.comonoid_counit(item[0]))
-         else f"linear rule fails at {item[0]}, {item[1]}"),
-        ("deriving-chain-rule", chain_rule),
+        equation("deriving-product-rule",
+                 lambda q, y: qm.comonoid_comult(qm.deriving(q, y)),
+                 lambda q, y: qm.sum_terms(qm.comonoid_comult(q), QA2, lambda g1, g2: (
+                     tensor_elem(gen(g1), qm.deriving(gen(g2), y))
+                     + tensor_elem(qm.deriving(gen(g1), y), gen(g2)))),
+                 "product rule fails at {}, {}"),
+        equation("deriving-linear-rule", lambda q, y: qm.counit(qm.deriving(q, y)),
+                 lambda q, y: y.scale(qm.comonoid_counit(q)),
+                 "linear rule fails at {}, {}"),
+        equation("deriving-chain-rule", lambda q, y: qm.comult(qm.deriving(q, y)),
+                 lambda q, y: qm.sum_terms(qm.comonoid_comult(q), QQA, lambda g1, g2: (
+                     qm.deriving(qm.comult(gen(g1)), qm.deriving(gen(g2), y)))),
+                 "chain rule fails at {}, {}"),
     )
     report.check(
         [(q, a, b) for q in gens for a in vecs for b in vecs],
-        ("deriving-interchange",
-         lambda item: None
-         if qm.deriving(qm.deriving(item[0], item[1]), item[2])
-         == qm.deriving(qm.deriving(item[0], item[2]), item[1])
-         else f"interchange fails at {item}"),
+        equation("deriving-interchange", lambda q, a, b: qm.deriving(qm.deriving(q, a), b),
+                 lambda q, a, b: qm.deriving(qm.deriving(q, b), a),
+                 "interchange fails at ({}, {}, {})"),
     )
 
     # fusion is the composite through delta
-    report.check(ab_pairs, ("fusion-factors-through-comult",
-                            lambda item: None
-                            if qm.fusion(item[0], item[1])
-                            == qm.monoidal_mult(item[0], qm.comult(item[1]))
-                            else f"fusion mismatch at {item[0]}, {item[1]}"))
+    report.check(ab_pairs, equation(
+        "fusion-factors-through-comult", lambda p, q: qm.fusion(p, q),
+        lambda p, q: qm.monoidal_mult(p, qm.comult(q)), "fusion mismatch at {}, {}"))
 
     # reconstruction of the monoidal constraints from the storage maps
-    report.check([mi], ("rebuild-monoidal-unit",
-                        lambda q: None if _rebuild_unit(rig) == q
-                        else "m_I rebuild mismatch"))
+    report.check([mi], equation("rebuild-monoidal-unit", lambda q: _rebuild_unit(rig),
+                                lambda q: q, "m_I rebuild mismatch"))
 
     # chi per generator element and chi^{-1} per pair (p, q) of generator
     # elements, computed once in this call: the rebuild and the two inverse
@@ -330,38 +273,30 @@ def modality_suite(modulus: int = 2, dim: int = 2, maxdeg: int = 3,
     chi_lin = qm.on_generators(rig, Product((A, B)), Tensor((QA, QB)), storage)
     epseps = qm.on_generator_pairs(rig, A, B, Tensor((A, B)),
                                    lambda p, q: tensor_elem(qm.counit(p), qm.counit(q)))
-
-    def rebuild_mult(item):
-        p, q = item
-        x = storage_inv(p, q)
-        got = qm.q_map(epseps, qm.q_map(chi_lin, qm.comult(x)))
-        if got != mult(p, q):
-            return f"m-tensor rebuild mismatch at {p}, {q}"
-        return None
-
-    report.check(ab_pairs, ("rebuild-monoidal-mult", rebuild_mult))
+    report.check(ab_pairs, equation(
+        "rebuild-monoidal-mult",
+        lambda p, q: qm.q_map(epseps, qm.q_map(chi_lin, qm.comult(storage_inv(p, q)))),
+        mult, "m-tensor rebuild mismatch at {}, {}"))
 
     # storage is a two-sided inverse
     prod_gens = _gen_elems(rig, Product((A, B)), maxdeg)
-    report.check(prod_gens, ("storage-left-inverse",
-                             lambda q: None if qm.storage_inv(storage(q)) == q
-                             else f"chi-inv.chi != id at {q}"))
-    report.check(ab_pairs, ("storage-right-inverse",
-                            lambda item: None
-                            if storage(storage_inv(*item))
-                            == tensor_elem(item[0], item[1])
-                            else f"chi.chi-inv != id at {item[0]}, {item[1]}"))
+    report.check(prod_gens, equation("storage-left-inverse",
+                                     lambda q: qm.storage_inv(storage(q)),
+                                     lambda q: q, "chi-inv.chi != id at {}"))
+    report.check(ab_pairs, equation("storage-right-inverse",
+                                    lambda p, q: storage(storage_inv(p, q)),
+                                    lambda p, q: tensor_elem(p, q),
+                                    "chi.chi-inv != id at {}, {}"))
 
     # deriving transformation vs codereliction and the bialgebra maps
     u = qm.bialg_unit(rig, A)
-    report.check(gy, ("deriving-from-codereliction",
-                      lambda item: None
-                      if qm.deriving(item[0], item[1])
-                      == qm.bialg_mult(item[0], qm.codereliction(item[1]))
-                      else f"d != nabla.(1 x eta) at {item[0]}, {item[1]}"))
-    report.check(vecs, ("codereliction-from-deriving",
-                        lambda y: None if qm.codereliction(y) == qm.deriving(u, y)
-                        else f"eta != d.(u x 1) at {y}"))
+    report.check(gy, equation(
+        "deriving-from-codereliction", lambda q, y: qm.deriving(q, y),
+        lambda q, y: qm.bialg_mult(q, qm.codereliction(y)),
+        "d != nabla.(1 x eta) at {}, {}"))
+    report.check(vecs, equation(
+        "codereliction-from-deriving", lambda y: qm.codereliction(y),
+        lambda y: qm.deriving(u, y), "eta != d.(u x 1) at {}"))
 
     # naturality in sampled linear maps
     nat_fs = []
@@ -460,26 +395,20 @@ def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,
     def derivable(kf):
         return max(kf.support, 0) + 1 <= degree_bound
 
-    def compose_law(what, dom, top):
+    # a compose instance is (n, (kf, kg)), the n-th pair, g after f; a
+    # derivative instance is (n, kf)
+    def compose_law(name, what, dom, top):
         compose = faa.build_kleisli_compose(backend, dom, top)
+        return equation(name, lambda n, fg: list(compose(fg[1], fg[0]).family),
+                        lambda n, fg: list(faa.faa_compose(fg[1], fg[0]).family),
+                        f"composition mismatch at {what} #{{}}")
 
-        def law(item):
-            n, (kf, kg) = item
-            if list(compose(kg, kf).family) != list(faa.faa_compose(kg, kf).family):
-                return f"composition mismatch at {what} #{n}"
-            return None
-        return law
-
-    def derivative_law(what, dom, families):
+    def derivative_law(name, what, dom, families):
         derive = faa.build_kleisli_D(backend, dom, max(
             (max(kf.support, 0) for kf in families), default=0))
-
-        def law(item):
-            n, kf = item
-            if list(derive(kf).family) != list(faa.faa_D(kf).family):
-                return f"derivative mismatch at {what} #{n}"
-            return None
-        return law
+        return equation(name, lambda n, kf: list(derive(kf).family),
+                        lambda n, kf: list(faa.faa_D(kf).family),
+                        f"derivative mismatch at {what} #{{}}")
 
     # the exhaustive pairs are one lazy stream; the builder's top and the
     # skipped count follow from how many families have each support
@@ -489,13 +418,13 @@ def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,
     in_bound = ((kf, kg) for kf, kg in itertools.product(kls, repeat=2)
                 if within_bound(kf, kg))
     top = max((s for s, _ in products if s <= degree_bound), default=0)
-    report.check(enumerate(in_bound, 1), ("compose-matches-faa-exhaustive-dim1",
-                                          compose_law("pair", A, top)))
+    report.check(enumerate(in_bound, 1), compose_law(
+        "compose-matches-faa-exhaustive-dim1", "pair", A, top))
     report.add("pairs-skipped-by-degree-bound", True,
                sum(n for s, n in products if s > degree_bound))
     derivs = [kf for kf in kls if derivable(kf)]
-    report.check(enumerate(derivs, 1), ("derivative-matches-faa-exhaustive-dim1",
-                                         derivative_law("family", A, derivs)))
+    report.check(enumerate(derivs, 1), derivative_law(
+        "derivative-matches-faa-exhaustive-dim1", "family", A, derivs))
 
     # sampled pairs at the higher dimensions, all drawn before any is decided
     rng = random.Random(seed)
@@ -506,11 +435,11 @@ def kleisli_suite(modulus: int = 2, max_dim: int = 2, support: int = 2,
                  for _ in range(samples)]
         in_bound = [pair for pair in drawn if within_bound(*pair)]
         top = max((faa.composite_support(kg, kf) for kf, kg in in_bound), default=0)
-        report.check(enumerate(in_bound, 1), (f"compose-matches-faa-sampled-dim{dim}",
-                                              compose_law("sample", A2, top)))
+        report.check(enumerate(in_bound, 1), compose_law(
+            f"compose-matches-faa-sampled-dim{dim}", "sample", A2, top))
         derivs = [kf for kf, _ in drawn if derivable(kf)]
-        report.check(enumerate(derivs, 1), (f"derivative-matches-faa-sampled-dim{dim}",
-                                            derivative_law("sample", A2, derivs)))
+        report.check(enumerate(derivs, 1), derivative_law(
+            f"derivative-matches-faa-sampled-dim{dim}", "sample", A2, derivs))
     return report
 
 
@@ -567,25 +496,17 @@ def yoneda_suite(modulus: int = 2, max_dim: int = 2) -> Report:
     y = dpsh._call_memo(lambda f: dpsh.yoneda_map(base, f))
 
     # functoriality of the embedding
-    def functorial(item):
-        f, g = item
-        lhs = y(be.compose(g, f))
-        rhs = faa.faa_compose(y(g), y(f))
-        if lhs != rhs:
-            return f"y(g.f) != y(g).y(f) at {f}, {g}"
-        return None
-
     report.check(((f, g) for A, B, C in itertools.product(base.objects, repeat=3)
                   for f in base.all_maps(A, B) for g in base.all_maps(B, C)),
-                 ("yoneda-functorial", functorial))
+                 equation("yoneda-functorial", lambda f, g: y(be.compose(g, f)),
+                          lambda f, g: faa.faa_compose(y(g), y(f)),
+                          "y(g.f) != y(g).y(f) at {}, {}"))
 
     # identities and units
-    report.check(base.objects, (
-        "yoneda-preserves-identity",
-        lambda A: None
-        if list(y(be.identity(A)).family)
-        == list(faa.FaaBackend(be).identity(A).family)
-        else f"y(id) is not the identity family at {A}"))
+    report.check(base.objects, equation(
+        "yoneda-preserves-identity", lambda A: list(y(be.identity(A)).family),
+        lambda A: list(faa.FaaBackend(be).identity(A).family),
+        "y(id) is not the identity family at {}"))
 
     # the higher-action dictionary: acting with <f> is reindexing, acting
     # with <pi0, pi1> is the differential; the last instance of each xi

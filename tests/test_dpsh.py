@@ -277,7 +277,7 @@ def test_check_presheaf_acts_once_per_distinct_input_within_one_call(kind):
     X = Counting(*args)
     assert X.name == kind
     # the tables of X's own definition may fill at first use; nothing else
-    tables = {"_spaces", "_spannings", "_act_maps", "_diff_maps"}
+    tables = {"_spaces", "_bases", "_spannings", "_act_maps", "_diff_maps"}
     before = _state(X, tables)
     first = dpsh.check_presheaf(X, map_budget=4, seed=3)
     assert first.passed

@@ -62,6 +62,7 @@ FAA = faa.FaaBackend(MAT)
 Y1 = dpsh.representable(BASE, 1)
 M1 = FinFnBackend(2).module(1)
 TENSOR = dpsh.presheaf_tensor(Y1, dpsh.unit_presheaf(BASE))
+NOT_Q = basis_elem(INT, A, "a")  # an element of A, not of QA
 
 
 @pytest.mark.parametrize("call", [
@@ -207,13 +208,27 @@ def _kleisli_mismatch():
     (lambda: TENSOR.act(MAT.identity(1), TENSOR.basis(2)[0]), SpaceMismatch),
     (lambda: TENSOR.act(MAT.identity(1), basis_elem(Z3, TENSOR.space(1), ("b1", "b1"))),
      SpecMismatch),
+    (lambda: qmodality.counit(NOT_Q), SpaceMismatch),
+    (lambda: qmodality.comult(NOT_Q), SpaceMismatch),
+    (lambda: qmodality.comonoid_counit(NOT_Q), SpaceMismatch),
+    (lambda: qmodality.comonoid_comult(NOT_Q), SpaceMismatch),
+    (lambda: qmodality.storage(NOT_Q), SpaceMismatch),
+    (lambda: qmodality.storage_inv(NOT_Q), SpaceMismatch),
+    (lambda: q_map(identity_map(INT, A), NOT_Q), SpaceMismatch),
+    (lambda: deriving(NOT_Q, NOT_Q), SpaceMismatch),
+    (lambda: fusion(NOT_Q, NOT_Q), SpaceMismatch),
+    (lambda: qmodality.monoidal_mult(NOT_Q, NOT_Q), SpaceMismatch),
+    (lambda: bialg_mult(NOT_Q, NOT_Q), SpaceMismatch),
 ], ids=["rig-value", "tensor-elem", "linear-apply", "linear-apply-rig", "q-map-rig",
         "deriving-rig", "fusion-rig", "inject-elem", "bialg-mult",
         "kleisli-compose", "poly-var", "zero-denominator", "table-over-int",
         "table-rigs", "sum-terms-not-a-tensor", "mat-proj-negative", "mat-proj-past-end",
         "poly-proj-negative", "poly-proj-past-end", "finfn-proj-negative",
         "finfn-proj-past-end", "faa-proj-negative", "faa-proj-past-end",
-        "tensor-map-rigs", "tensor-act-wrong-stage", "tensor-act-rig"])
+        "tensor-map-rigs", "tensor-act-wrong-stage", "tensor-act-rig",
+        "counit-not-q", "comult-not-q", "comonoid-counit-not-q",
+        "comonoid-comult-not-q", "storage-not-q", "storage-inv-not-q", "q-map-not-q",
+        "deriving-not-q", "fusion-not-q", "monoidal-mult-not-q", "bialg-mult-not-q"])
 def test_mismatched_inputs_are_refused(call, error):
     with pytest.raises(error):
         call()

@@ -225,3 +225,51 @@ def test_renamings_are_built_by_relabel_only():
             for call in _calls(tree, "LinearMap"):
                 args = call.args + [k.value for k in call.keywords]
                 assert not any(map(_is_renaming, args)), f"{path.name}:{call.lineno}"
+
+
+# a law with one equation and one message is a row of reports.equation, not
+# a function whose only text is `if a != b: return <text>` before `return
+# None`, nor a lambda `None if a == b else <text>`
+
+def _is_text(node) -> bool:
+    return isinstance(node, ast.JoinedStr) or (
+        isinstance(node, ast.Constant) and isinstance(node.value, str))
+
+
+def _is_none(node) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def _compares(node, op) -> bool:
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], op))
+
+
+def _own_texts(fn):
+    """The return statements of text in fn, not in the functions it nests."""
+    stack, texts = list(fn.body), []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Return) and _is_text(node.value):
+            texts.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return texts
+
+
+def _is_single_message_law(fn) -> bool:
+    if isinstance(fn, ast.Lambda):
+        body = fn.body
+        return (isinstance(body, ast.IfExp) and _compares(body.test, ast.Eq)
+                and _is_none(body.body) and _is_text(body.orelse))
+    test, last = ([None, None] + fn.body)[-2:]
+    return (isinstance(last, ast.Return) and _is_none(last.value)
+            and isinstance(test, ast.If) and _compares(test.test, ast.NotEq)
+            and not test.orelse and test.body == _own_texts(fn))
+
+
+def test_single_message_laws_are_equation_rows():
+    for path, tree in _sources():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                assert not _is_single_message_law(fn), f"{path.name}:{fn.lineno}"
