@@ -255,18 +255,20 @@ def _value_token(p):
     return ("i", p)
 
 
-# Value tables: a key token, a monomial, a Q generator and a generator point
-# depend only on their value, so each table maps a value to one canonical
-# object.  A table is emptied when it reaches _TOKENS_MAX entries, which
-# bounds its memory.  Interning is only a fast path (a dict probe or a tuple
-# comparison meets the same object and skips __eq__): equality and hashing
-# stay by value, so a value built outside a table, or before one was
-# emptied, still compares correctly.  The tables hold values, never a
+# Value tables: a key token, a monomial, a Q generator, a generator point and
+# the tensor x0 (x) y0 of two points depend only on their value, so each
+# table maps a value to one canonical object.  A table is emptied when it
+# reaches _TOKENS_MAX entries, which bounds its memory.  Interning is only a
+# fast path (a dict probe or a tuple comparison meets the same object and
+# skips __eq__): equality and hashing stay by value, so a value built
+# outside a table, or before one was emptied, still compares correctly.
+# The tables hold values (x0 (x) y0 is one of the bilinear pairing), never a
 # structure map's result.
 _TOKENS: dict = {}
 _MONOMIALS: dict = {}
 _GENERATORS: dict = {}
 _POINTS: dict = {}
+_TENSOR_POINTS: dict = {}
 _TOKENS_MAX = 1 << 16
 
 
@@ -497,4 +499,14 @@ def _point(elem: ModuleElement) -> ModuleElement:
     point = _POINTS.get(elem)
     if point is None:
         point = _remember(_POINTS, elem, elem)
+    return point
+
+
+def tensor_point(a: ModuleElement, b: ModuleElement) -> ModuleElement:
+    """The canonical point a (x) b of two canonical points: a value of the
+    bilinear pairing, tensored once per pair while the table keeps it."""
+    key = (a, b)
+    point = _TENSOR_POINTS.get(key)
+    if point is None:
+        point = _remember(_TENSOR_POINTS, key, _point(tensor_elem(a, b)))
     return point

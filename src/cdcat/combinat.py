@@ -77,12 +77,23 @@ class PartialIso:
         return tuple(j for _, j in self.pairs)
 
     @functools.cached_property
+    def free_rows(self) -> tuple[int, ...]:
+        """The rows of [m] outside the domain, increasing."""
+        rows = set(self.domain)
+        return tuple(i for i in range(1, self.m + 1) if i not in rows)
+
+    @functools.cached_property
+    def free_cols(self) -> tuple[int, ...]:
+        """The columns of [n] outside the image, increasing."""
+        cols = set(self.image)
+        return tuple(j for j in range(1, self.n + 1) if j not in cols)
+
+    @functools.cached_property
     def cells(self) -> tuple:
         """The grid indices `arrange` reads, in its order."""
-        rows, cols = set(self.domain), set(self.image)
         return (((0, 0),) + tuple(sorted(self.pairs))
-                + tuple((i, 0) for i in range(1, self.m + 1) if i not in rows)
-                + tuple((0, j) for j in range(1, self.n + 1) if j not in cols))
+                + tuple((i, 0) for i in self.free_rows)
+                + tuple((0, j) for j in self.free_cols))
 
     def __str__(self):
         body = ",".join(f"{i}->{j}" for i, j in self.pairs)

@@ -488,21 +488,24 @@ def _tables(dom: FinModule, cod: FinModule, levels, values) -> list:
 def build_kleisli_D(backend: FinFnBackend, A: FinModule, top: int):
     """kleisli_D as a function of a family f: A ~> B of support <= top.
 
-    The build reads no family: each cell <x0; x1..xn>, n <= top, of Q(A x A)
-    goes once through storage, the counit on the second factor and
-    deriving, and the resulting element of QA is decoded once into table
-    terms.  The function reads those terms from f's tables, for the levels
-    up to f's own support."""
+    The build reads no family: storage, the counit on the second factor and
+    deriving make one linear map Q(A x A) -> QA, which maps each distinct
+    generator once; each cell <x0; x1..xn>, n <= top, goes through it and
+    the resulting element of QA is decoded once into table terms.  The
+    function reads those terms from f's tables, for the levels up to f's
+    own support."""
     rig = backend.rig
     A_space = fin_space(A)
-    levels, counts, qs = _generator_cells(backend, Product((A_space, A_space)), top)
+    AA = Product((A_space, A_space))
+    levels, counts, qs = _generator_cells(backend, AA, top)
 
     QA = QSpace(A_space)
 
     def derived(g1, g2):
         return deriving(q_gen_elem(rig, g1), q_counit(q_gen_elem(rig, g2)))
 
-    terms = [_table_terms(sum_terms(storage(q), QA, derived), A_space) for q in qs]
+    D_hat = on_generators(rig, AA, QA, lambda q: sum_terms(storage(q), QA, derived))
+    terms = [_table_terms(D_hat.apply(q), A_space) for q in qs]
     P = fin_product([A, A])
 
     def apply(f: KleisliMap) -> KleisliMap:
@@ -522,13 +525,15 @@ def build_kleisli_compose(backend: FinFnBackend, A: FinModule, top: int):
     whose composite support is <= top.
 
     The build reads no family: it takes comult of each cell <x0; x1..xn>,
-    n <= top, of QA once.  The function maps each of them through Q of f,
-    read as a linear map QA -> B, then reads g on the result, for the levels
-    up to the composite's support."""
+    n <= top, of QA once, through one linear map QA -> QQA that maps each
+    distinct generator once.  The function maps each of them through Q of
+    f, read as a linear map QA -> B, then reads g on the result, for the
+    levels up to the composite's support."""
     rig = backend.rig
     A_space = fin_space(A)
     levels, counts, qs = _generator_cells(backend, A_space, top)
-    comults = [comult(q) for q in qs]
+    delta = on_generators(rig, A_space, QSpace(QSpace(A_space)), comult)
+    comults = [delta.apply(q) for q in qs]
 
     def apply(g: KleisliMap, f: KleisliMap) -> KleisliMap:
         if g.dom != f.cod or f.dom != A:

@@ -11,9 +11,12 @@ or chi is a sum_terms.  A map that only renames basis keys (a unitor,
 associator or symmetry of (x), a projection, a zero map) is one relabel.
 
 Generators are interned (algebra._generator): a structure map makes each
-point it creates canonical once, with algebra._point, and every generator
-it builds on that point is the one object of its value, so dict probes and
-comparisons of Q keys meet identical objects.
+point it creates canonical once, with algebra._point (a tensored point
+x0 (x) y0 with algebra.tensor_point), and every generator it builds on that
+point is the one object of its value, so dict probes and comparisons of Q
+keys meet identical objects.  monoidal_mult and fusion share one kernel,
+_partial_iso_sum, which builds each partial isomorphism's tail directly in
+combinat.arrange's order, with no grid of tensored cells.
 
 Memo policy: a LinearMap keeps two tables of values fixed by its own
 definition, the image of each basis key (on_basis) and the canonical image
@@ -43,10 +46,10 @@ from .algebra import (
     enum_elements,
     monomial_mul,
     rig_value,
-    tensor_elem,
+    tensor_point,
     zero_elem,
 )
-from .combinat import arrange, partial_isos, partitions
+from .combinat import partial_isos, partitions
 from .errors import SpaceMismatch, SpecMismatch
 
 # the rig k viewed as the one-dimensional free module
@@ -166,12 +169,13 @@ def _make_tail(keys) -> Monomial:
     return Monomial.of(keys)
 
 
-def _inject_into(out: dict, c, point: ModuleElement, tails) -> None:
-    """out += c * <point; tails>, each tail a coefficient dict on the point's
-    basis.  A structure map adds every term of its result into one dict and
-    builds one ModuleElement at the end: wrapping each <point; tails> on its
-    own would filter and copy terms that are only added into `out` again."""
-    choices = {(): c}
+def _inject_into(out: dict, c, point: ModuleElement, tails, head=()) -> None:
+    """out += c * <point; head, tails>: `head` holds single tail keys and
+    each of `tails` is a coefficient dict on the point's basis.  A structure
+    map adds every term of its result into one dict and builds one
+    ModuleElement at the end: wrapping each <point; tails> on its own would
+    filter and copy terms that are only added into `out` again."""
+    choices = {head: c}
     for t in tails:
         choices = {keys + (k,): d * v
                    for keys, d in choices.items() for k, v in t.items()}
@@ -300,33 +304,37 @@ def monoidal_unit(rig: RigSpec) -> ModuleElement:
     return q_inject(one, [])
 
 
-def _tensor_grid(rows, cols) -> dict:
-    """grid[i, j] = rows[i] (x) cols[j] as a coefficient dict.  Every cell
-    is read by some partial isomorphism, so all of them are built."""
-    return {(i, j): {(ka, kb): va * vb for ka, va in x.items() for kb, vb in y.items()}
-            for i, x in enumerate(rows) for j, y in enumerate(cols)}
+def _partial_iso_sum(out: dict, c, point, x0: dict, xs, y0: dict, ys) -> None:
+    """out += c * the sum over partial isomorphisms theta: [m] =~ [n] of
+    <point; tail_theta>, for the tails x1..xm and y1..yn of single keys and
+    the points x0 and y0 as coefficient dicts.  tail_theta reads the grid
+    x_i (x) y_j in combinat.arrange's order, without building the grid: the
+    matched keys (x_i, y_theta(i)) by increasing i, then x_i (x) y0 for each
+    free row, then x0 (x) y_j for each free column."""
+    rows = [{(x, k): v for k, v in y0.items()} for x in xs]
+    cols = [{(k, y): v for k, v in x0.items()} for y in ys]
+    for theta in partial_isos(len(xs), len(ys)):
+        free_rows, free_cols = theta.free_rows, theta.free_cols
+        if free_rows and not y0 or free_cols and not x0:
+            continue  # a free row or column tensors with a zero point
+        _inject_into(out, c, point,
+                     [rows[i - 1] for i in free_rows] + [cols[j - 1] for j in free_cols],
+                     tuple([(xs[i - 1], ys[j - 1]) for i, j in theta.pairs]))
 
 
 def monoidal_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
-    """m_tensor: partial-isomorphism sum of pairwise-tensored arranged lists."""
+    """m_tensor: <x0; x1..xm> (x) <y0; y1..yn> -> the partial-isomorphism
+    sum of <x0 (x) y0; tail_theta> (see _partial_iso_sum)."""
     rig = p.rig
-    one = rig.one
+    _same_rig(q.rig, rig)
     A = _inner(p.space)
     B = _inner(q.space)
     out = {}
-    q_rows = [(h, ch, [h.point.coeffs] + [{k: one} for k in h.tail.keys])
-              for h, ch in q.coeffs.items()]
-    points = {}  # x0 (x) y0 per pair of points, which generators often share
     for g, cg in p.coeffs.items():
-        xs = [g.point.coeffs] + [{k: one} for k in g.tail.keys]
-        for h, ch, ys in q_rows:
-            point = points.get((g.point, h.point))
-            if point is None:
-                point = points[g.point, h.point] = _point(tensor_elem(g.point, h.point))
-            grid = _tensor_grid(xs, ys)
-            c = cg * ch
-            for theta in partial_isos(g.degree, h.degree):
-                _inject_into(out, c, point, arrange(theta, grid)[1:])
+        x0, xs = g.point, g.tail.keys
+        for h, ch in q.coeffs.items():
+            _partial_iso_sum(out, cg * ch, tensor_point(x0, h.point), x0.coeffs, xs,
+                             h.point.coeffs, h.tail.keys)
     return ModuleElement(rig, QSpace(Tensor((A, B))), out)
 
 
@@ -354,26 +362,20 @@ def fusion(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     one = rig.one
     A = _inner(p.space)
     B = _inner(q.space)
-    QB = QSpace(B)
     out = {}
     for g, cg in p.coeffs.items():
-        xs = [g.point.coeffs] + [{k: one} for k in g.tail.keys]
-        m = g.degree
+        x0, xs = g.point, g.tail.keys
         for h, ch in q.coeffs.items():
             keys = h.tail.keys
             c = cg * ch
             # block 0 is empty: <y_{A_0}> = <y0>
-            y0 = {_generator(h.point, _make_tail(())): one}
-            point = _point(tensor_elem(g.point, ModuleElement(rig, QB, y0)))
+            y0 = _generator(h.point, _make_tail(()))
+            point = tensor_point(x0, _point(q_gen_elem(rig, y0)))
             for part in partitions(h.degree):
-                ys = [y0] + [
-                    {_generator(h.point, _make_tail(tuple(keys[i - 1] for i in block))): one}
-                    for block in part.blocks
-                ]
-                grid = _tensor_grid(xs, ys)
-                for theta in partial_isos(m, part.block_count):
-                    _inject_into(out, c, point, arrange(theta, grid)[1:])
-    return ModuleElement(rig, QSpace(Tensor((A, QB))), out)
+                ys = [_generator(h.point, _make_tail(tuple(keys[i - 1] for i in block)))
+                      for block in part.blocks]
+                _partial_iso_sum(out, c, point, x0.coeffs, xs, {y0: one}, ys)
+    return ModuleElement(rig, QSpace(Tensor((A, QSpace(B)))), out)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +437,7 @@ def bialg_mult(p: ModuleElement, q: ModuleElement) -> ModuleElement:
     if p.space != q.space:
         raise SpaceMismatch(f"{p.space} vs {q.space}")
     _inner(p.space)
+    _same_rig(q.rig, rig)
     out = {}
     for g, cg in p.coeffs.items():
         for h, ch in q.coeffs.items():

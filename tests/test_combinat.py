@@ -124,6 +124,19 @@ def test_arrange_reports_missing_grid_entries():
         arrange(theta, Grid(1, 1))
 
 
+@pytest.mark.parametrize("m,n", list(itertools.product(range(4), repeat=2)))
+def test_free_rows_and_columns_are_the_cells_outside_the_graph(m, n):
+    for theta in partial_isos(m, n):
+        assert theta.free_rows == tuple(i for i, j in theta.cells[1:] if j == 0)
+        assert theta.free_cols == tuple(j for i, j in theta.cells[1:] if i == 0)
+        # the graph, the free rows and the free columns cover [m] and [n] once
+        assert sorted(theta.domain + theta.free_rows) == list(range(1, m + 1))
+        assert sorted(theta.image + theta.free_cols) == list(range(1, n + 1))
+        assert list(theta.free_rows) == sorted(theta.free_rows)
+        assert list(theta.free_cols) == sorted(theta.free_cols)
+        assert len(theta.pairs) + len(theta.free_rows) + len(theta.free_cols) == theta.size
+
+
 def test_negative_arguments_rejected():
     with pytest.raises(ValueError):
         partitions(-1)

@@ -438,6 +438,37 @@ def test_a_builder_serves_every_family_up_to_its_top_and_refuses_the_rest():
         compose(kf, plane)
 
 
+def _counted(monkeypatch, name):
+    calls = []
+    fn = getattr(faa, name)
+
+    def counted(q):
+        calls.append(q)
+        return fn(q)
+
+    monkeypatch.setattr(faa, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("modulus, dim, top", [(2, 1, 2), (3, 1, 2), (2, 2, 1)])
+def test_a_builder_maps_each_distinct_generator_once(monkeypatch, modulus, dim, top):
+    # the cells are sums sharing generators: each generator goes through
+    # storage (or comult) once per build, not once per cell
+    backend = FinFnBackend(modulus)
+    A = backend.module(dim)
+    A_space = faa.fin_space(A)
+    for space, name, build in (
+            (Product((A_space, A_space)), "storage", faa.build_kleisli_D),
+            (A_space, "comult", faa.build_kleisli_compose)):
+        _, _, qs = faa._generator_cells(backend, space, top)
+        gens = {g for q in qs for g in q.coeffs}
+        calls = _counted(monkeypatch, name)
+        build(backend, A, top)
+        assert len(calls) == len(gens) < len(qs)
+        assert all(len(q.coeffs) == 1 for q in calls)
+        assert {g for q in calls for g in q.coeffs} == gens
+
+
 def test_zero_family_support():
     z = FAA.zero(1, 1)
     assert z.support == -1

@@ -1,5 +1,5 @@
-"""Hash-consed values: one object per distinct monomial, generator, point and
-Mat backend result.
+"""Hash-consed values: one object per distinct monomial, generator, point,
+tensored pair of points and Mat backend result.
 
 Interning is a fast path only.  Equality and hashing stay by value, so a
 value built outside the tables, or after they were emptied, still compares
@@ -17,7 +17,7 @@ from cdcat.matcat import MatBackend, MatMap, trusted_matmap
 
 Z2 = zmod(2)
 A = Free(("a1", "a2"))
-TABLES = ("_TOKENS", "_MONOMIALS", "_GENERATORS", "_POINTS")
+TABLES = ("_TOKENS", "_MONOMIALS", "_GENERATORS", "_POINTS", "_TENSOR_POINTS")
 
 
 def empty_tables():
@@ -101,18 +101,50 @@ def test_values_never_interned_compare_by_value():
 def test_a_small_bound_keeps_every_table_within_it(monkeypatch):
     monkeypatch.setattr(algebra, "_TOKENS_MAX", 4)
 
-    def comults():
-        return [qm.comult(qm.q_gen_elem(Z2, g)) for g in qm.enum_generators(Z2, A, 2)]
+    def images():
+        gens = [qm.q_gen_elem(Z2, g) for g in qm.enum_generators(Z2, A, 2)]
+        return ([qm.comult(p) for p in gens]
+                + [qm.monoidal_mult(p, q) for p in gens[::3] for q in gens[::4]])
 
-    first = comults()
+    first = images()
     for name in TABLES:
         assert len(getattr(algebra, name)) <= 4, name
-    again = comults()
+    again = images()
     assert again == first
     assert [hash(x) for x in again] == [hash(x) for x in first]
     for x, y in zip(first, again):
         for g, h in zip(x.coeffs, y.coeffs):
             assert g == h and hash(g) == hash(h)
+
+
+def test_a_point_tensored_after_the_table_was_emptied_equals_the_interned_one():
+    x = algebra._point(basis_elem(Z2, A, "a1") + basis_elem(Z2, A, "a2"))
+    y = algebra._point(basis_elem(Z2, A, "a2"))
+    point = algebra.tensor_point(x, y)
+    assert algebra.tensor_point(x, y) is point
+    assert point == algebra.tensor_elem(x, y) and algebra._point(point) is point
+    empty_tables()
+    again = algebra.tensor_point(x, y)
+    assert again is not point and again == point and hash(again) == hash(point)
+    assert {point: 1}.keys() == {again: 1}.keys()
+
+
+def test_a_second_product_of_the_same_points_tensors_nothing(monkeypatch):
+    calls = []
+    tensor_elem = algebra.tensor_elem
+
+    def counted(a, b):
+        calls.append((a, b))
+        return tensor_elem(a, b)
+
+    monkeypatch.setattr(algebra, "tensor_elem", counted)
+    p, q = inject(("a1",)), inject(("a2", "a2"))
+    first = qm.monoidal_mult(p, q)
+    assert len(calls) == 1
+    # another generator pair on the same two points
+    again = qm.monoidal_mult(inject(("a2",)), inject(()))
+    assert len(calls) == 1
+    assert len({id(g.point) for g in (*first.coeffs, *again.coeffs)}) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Structure maps of the free monoidal differential modality Q."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,7 @@ from cdcat import qmodality as qm
 from cdcat.algebra import (
     INT,
     Free,
+    ModuleElement,
     Monomial,
     Product,
     QGenerator,
@@ -18,6 +21,7 @@ from cdcat.algebra import (
     zero_elem,
     zmod,
 )
+from cdcat.combinat import arrange, partial_isos, partitions
 from cdcat.errors import SpaceMismatch
 
 A = Free(("e1", "e2"))
@@ -300,6 +304,108 @@ def test_fusion_factors_through_comult_small():
         for g2 in qm.enum_generators(rig, b, 2):
             p, q = qm.q_gen_elem(rig, g1), qm.q_gen_elem(rig, g2)
             assert qm.fusion(p, q) == qm.monoidal_mult(p, qm.comult(q))
+
+
+# ---------------------------------------------------------------------------
+# the partial-isomorphism kernel against the grid-and-arrange formula
+
+def _grid(rows, cols):
+    """grid[i, j] = rows[i] (x) cols[j], as coefficient dicts."""
+    return {(i, j): {(ka, kb): va * vb for ka, va in x.items() for kb, vb in y.items()}
+            for i, x in enumerate(rows) for j, y in enumerate(cols)}
+
+
+def _arranged_sum(out, c, point, xs, ys):
+    """out += c * sum over theta of <point; arrange(theta, grid)[1:]>, each
+    tail expanded over its cells' terms and made by the module's seam."""
+    grid = _grid(xs, ys)
+    for theta in partial_isos(len(xs) - 1, len(ys) - 1):
+        for choice in itertools.product(*(d.items() for d in arrange(theta, grid)[1:])):
+            coeff = c
+            for _, v in choice:
+                coeff *= v
+            key = QGenerator(point, qm._make_tail(tuple(k for k, _ in choice)))
+            out[key] = out.get(key, 0) + coeff
+
+
+def oracle_monoidal_mult(p, q):
+    one = p.rig.one
+    out = {}
+    for g, cg in p.coeffs.items():
+        for h, ch in q.coeffs.items():
+            _arranged_sum(out, cg * ch, tensor_elem(g.point, h.point),
+                          [g.point.coeffs] + [{k: one} for k in g.tail.keys],
+                          [h.point.coeffs] + [{k: one} for k in h.tail.keys])
+    return ModuleElement(p.rig, QSpace(Tensor((p.space.inner, q.space.inner))), out)
+
+
+def oracle_fusion(p, q):
+    rig, one = p.rig, p.rig.one
+    QB = q.space
+    out = {}
+    for g, cg in p.coeffs.items():
+        for h, ch in q.coeffs.items():
+            keys = h.tail.keys
+            y0 = {QGenerator(h.point, qm._make_tail(())): one}
+            point = tensor_elem(g.point, ModuleElement(rig, QB, y0))
+            for part in partitions(h.degree):
+                ys = [y0] + [{QGenerator(h.point, qm._make_tail(tuple(keys[i - 1] for i in b))): one}
+                             for b in part.blocks]
+                _arranged_sum(out, cg * ch, point,
+                              [g.point.coeffs] + [{k: one} for k in g.tail.keys], ys)
+    return ModuleElement(rig, QSpace(Tensor((p.space.inner, QB))), out)
+
+
+Z3 = zmod(3)
+A2 = Free(("a1", "a2"))
+B2 = Free(("b1", "b2"))
+
+
+def test_monoidal_mult_is_the_arranged_grid_sum_on_every_generator_pair():
+    for g in qm.enum_generators(Z3, A2, 2):
+        p = qm.q_gen_elem(Z3, g)
+        for h in qm.enum_generators(Z3, B2, 2):
+            q = qm.q_gen_elem(Z3, h)
+            assert qm.monoidal_mult(p, q) == oracle_monoidal_mult(p, q), (g, h)
+
+
+def test_fusion_is_the_arranged_grid_sum_on_every_generator_pair():
+    for g in qm.enum_generators(Z3, A2, 2):
+        p = qm.q_gen_elem(Z3, g)
+        for h in qm.enum_generators(Z3, B2, 2):
+            q = qm.q_gen_elem(Z3, h)
+            assert qm.fusion(p, q) == oracle_fusion(p, q), (g, h)
+
+
+@given(st.lists(st.tuples(st.integers(0, 80), st.integers(1, 2)), min_size=1, max_size=4),
+       st.lists(st.tuples(st.integers(0, 80), st.integers(1, 2)), min_size=1, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_the_kernel_is_the_arranged_grid_sum_on_sums(left, right):
+    def total(space, terms):
+        gens = qm.enum_generators(Z3, space, 2)
+        return sum((qm.q_gen_elem(Z3, gens[i % len(gens)]).scale(c) for i, c in terms),
+                   zero_elem(Z3, QSpace(space)))
+
+    p, q = total(A2, left), total(B2, right)
+    assert qm.monoidal_mult(p, q) == oracle_monoidal_mult(p, q)
+    assert qm.fusion(p, q) == oracle_fusion(p, q)
+
+
+def test_the_kernel_keeps_the_arranged_tail_order(monkeypatch):
+    # unsorted tails keep their keys in the order they were made, so the
+    # kernel must make them in arrange's order
+    rig = zmod(2)
+    gens = qm.enum_generators(rig, A2, 2)
+    pairs = [(qm.q_gen_elem(rig, g), qm.q_gen_elem(rig, h)) for g in gens for h in gens]
+    sorted_tails = [qm.monoidal_mult(p, q) for p, q in pairs]
+    monkeypatch.setattr(qm, "_make_tail", lambda keys: Monomial(tuple(keys)))
+    moved = 0
+    for (p, q), before in zip(pairs, sorted_tails):
+        got = qm.monoidal_mult(p, q)
+        assert got == oracle_monoidal_mult(p, q)
+        assert qm.fusion(p, q) == oracle_fusion(p, q)
+        moved += got != before
+    assert moved  # the seam is seen
 
 
 # ---------------------------------------------------------------------------

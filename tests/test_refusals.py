@@ -17,6 +17,7 @@ from cdcat.algebra import (
     rig_op,
     rig_value,
     tensor_elem,
+    zero_elem,
     zmod,
 )
 from cdcat.combinat import partial_isos, partitions
@@ -63,6 +64,7 @@ Y1 = dpsh.representable(BASE, 1)
 M1 = FinFnBackend(2).module(1)
 TENSOR = dpsh.presheaf_tensor(Y1, dpsh.unit_presheaf(BASE))
 NOT_Q = basis_elem(INT, A, "a")  # an element of A, not of QA
+P2 = q_inject(basis_elem(Z2, A, "a"), [basis_elem(Z2, A, "a")])
 
 
 @pytest.mark.parametrize("call", [
@@ -219,6 +221,9 @@ def _kleisli_mismatch():
     (lambda: fusion(NOT_Q, NOT_Q), SpaceMismatch),
     (lambda: qmodality.monoidal_mult(NOT_Q, NOT_Q), SpaceMismatch),
     (lambda: bialg_mult(NOT_Q, NOT_Q), SpaceMismatch),
+    # a zero factor has no term whose tensor or sum would meet the other rig
+    (lambda: qmodality.monoidal_mult(P2, zero_elem(Z3, QSpace(A))), SpecMismatch),
+    (lambda: bialg_mult(P2, zero_elem(Z3, QSpace(A))), SpecMismatch),
 ], ids=["rig-value", "tensor-elem", "linear-apply", "linear-apply-rig", "q-map-rig",
         "deriving-rig", "fusion-rig", "inject-elem", "bialg-mult",
         "kleisli-compose", "poly-var", "zero-denominator", "table-over-int",
@@ -228,7 +233,8 @@ def _kleisli_mismatch():
         "tensor-map-rigs", "tensor-act-wrong-stage", "tensor-act-rig",
         "counit-not-q", "comult-not-q", "comonoid-counit-not-q",
         "comonoid-comult-not-q", "storage-not-q", "storage-inv-not-q", "q-map-not-q",
-        "deriving-not-q", "fusion-not-q", "monoidal-mult-not-q", "bialg-mult-not-q"])
+        "deriving-not-q", "fusion-not-q", "monoidal-mult-not-q", "bialg-mult-not-q",
+        "monoidal-mult-rig", "bialg-mult-rig"])
 def test_mismatched_inputs_are_refused(call, error):
     with pytest.raises(error):
         call()
