@@ -23,6 +23,9 @@ Accumulation rule: a linear sum adds its (key, coefficient) terms into one
 dict with `add_into` / `add_scaled` and builds one ModuleElement at the end,
 which normalises once; adding ModuleElements term by term would copy the
 partial sum at every step.  Hashes are order-free, so no dict probe sorts.
+
+Memos: `Memo`, the one memo type, is owned by an object or a call;
+`Table` is a Memo at module level, of values only.
 """
 
 from __future__ import annotations
@@ -255,20 +258,18 @@ def _value_token(p):
     return ("i", p)
 
 
+# A Memo dies with the object or call that made it, so a seam patched
+# between two calls is seen.  A Table is emptied when it reaches
+# _TOKENS_MAX entries, which bounds its memory.
+#
 # Value tables: a key token, a monomial, a Q generator, a generator point and
 # the tensor x0 (x) y0 of two points depend only on their value, so each
-# table maps a value to one canonical object.  A table is emptied when it
-# reaches _TOKENS_MAX entries, which bounds its memory.  Interning is only a
-# fast path (a dict probe or a tuple comparison meets the same object and
-# skips __eq__): equality and hashing stay by value, so a value built
-# outside a table, or before one was emptied, still compares correctly.
-# The tables hold values (x0 (x) y0 is one of the bilinear pairing), never a
+# table maps a value to one canonical object.  Interning is only a fast
+# path (a dict probe or a tuple comparison meets the same object and skips
+# __eq__): equality and hashing stay by value, so a value built outside a
+# table, or before one was emptied, still compares correctly.  The tables
+# hold values (x0 (x) y0 is one of the bilinear pairing), never a
 # structure map's result.
-_TOKENS: dict = {}
-_MONOMIALS: dict = {}
-_GENERATORS: dict = {}
-_POINTS: dict = {}
-_TENSOR_POINTS: dict = {}
 _TOKENS_MAX = 1 << 16
 
 
@@ -279,12 +280,32 @@ def _remember(table: dict, key, value):
     return value
 
 
+class Memo(dict):
+    """A dict whose missing entry `key` is built once, by build(key), and
+    kept: a hit is one subscript, and a build that raises stores nothing."""
+
+    __slots__ = ("build",)
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class Table(Memo):
+    """A Memo of values, emptied when it reaches _TOKENS_MAX entries."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return _remember(self, key, self.build(key))
+
+
 def key_token(key):
     """Canonical, totally ordered token for any basis key (possibly nested)."""
-    token = _TOKENS.get(key)
-    if token is None:
-        token = _remember(_TOKENS, key, _key_token(key))
-    return token
+    return _TOKENS[key]
 
 
 def _key_token(key):
@@ -297,6 +318,9 @@ def _key_token(key):
     if isinstance(key, QGenerator):
         return ("q", key.point._token(), tuple(key_token(k) for k in key.tail.keys))
     raise InvalidArgument(f"unsupported basis key {key!r}")
+
+
+_TOKENS = Table(_key_token)
 
 
 def add_into(out: dict, key, val) -> None:
@@ -430,16 +454,7 @@ class Monomial:
     @staticmethod
     def of(keys) -> "Monomial":
         """The interned monomial of `keys`, in any order."""
-        keys = tuple(keys)
-        mono = _MONOMIALS.get(keys)
-        if mono is None:
-            # fewer than two keys need no sort tokens
-            normal = tuple(sorted(keys, key=key_token)) if len(keys) > 1 else keys
-            mono = _MONOMIALS.get(normal)
-            if mono is None:
-                mono = _remember(_MONOMIALS, normal, Monomial(normal))
-            _remember(_MONOMIALS, keys, mono)
-        return mono
+        return _MONOMIALS[tuple(keys)]
 
     @property
     def degree(self) -> int:
@@ -447,6 +462,13 @@ class Monomial:
 
     def __str__(self):
         return "{" + ",".join(map(str, self.keys)) + "}"
+
+
+# the monomial of each tuple of keys, by way of its sorted tuple; fewer than
+# two keys need no sort tokens
+_MONOMIALS = Table(lambda keys: _SORTED_MONOMIALS[
+    tuple(sorted(keys, key=key_token)) if len(keys) > 1 else keys])
+_SORTED_MONOMIALS = Table(Monomial)
 
 
 def monomial_mul(mu: Monomial, nu: Monomial) -> Monomial:
@@ -487,26 +509,20 @@ def _generator(point: ModuleElement, tail: Monomial) -> QGenerator:
     QGenerator.  A structure map passes a point it made canonical with
     _point, once where it made the point, so a hit meets the same point and
     tail objects."""
-    key = (point, tail)
-    gen = _GENERATORS.get(key)
-    if gen is None:
-        gen = _remember(_GENERATORS, key, QGenerator(point, tail))
-    return gen
+    return _GENERATORS[point, tail]
 
 
 def _point(elem: ModuleElement) -> ModuleElement:
     """The canonical object of a generator point's value."""
-    point = _POINTS.get(elem)
-    if point is None:
-        point = _remember(_POINTS, elem, elem)
-    return point
+    return _POINTS[elem]
 
 
 def tensor_point(a: ModuleElement, b: ModuleElement) -> ModuleElement:
     """The canonical point a (x) b of two canonical points: a value of the
     bilinear pairing, tensored once per pair while the table keeps it."""
-    key = (a, b)
-    point = _TENSOR_POINTS.get(key)
-    if point is None:
-        point = _remember(_TENSOR_POINTS, key, _point(tensor_elem(a, b)))
-    return point
+    return _TENSOR_POINTS[a, b]
+
+
+_GENERATORS = Table(lambda key: QGenerator(*key))
+_POINTS = Table(lambda elem: elem)
+_TENSOR_POINTS = Table(lambda key: _point(tensor_elem(*key)))

@@ -25,7 +25,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from .algebra import add_into, rig_value
+from .algebra import Memo, add_into, rig_value
 from .combinat import partitions
 from .errors import ArityError, InvalidArgument, in_range, nonempty, nonnegative
 from .poly import (
@@ -42,6 +42,14 @@ from .reports import Report, equation
 # ---------------------------------------------------------------------------
 # the polynomial backend
 
+def _projection(rig, objs: tuple, i):
+    in_range(i, len(objs), "projection index")
+    total = sum(objs)
+    offset = sum(objs[:i])
+    return _trusted_polymap(rig, total, objs[i], tuple(
+        Polynomial.var(rig, total, offset + j) for j in range(objs[i])))
+
+
 class PolyBackend:
     """Objects are arities, morphisms PolyMaps, D the total derivative.
     Its results are built with _trusted_polymap: each component has the
@@ -49,7 +57,8 @@ class PolyBackend:
 
     def __init__(self, rig):
         self.rig = rig
-        self._projs = {}  # (objs, i) -> projection; PolyMaps are never mutated
+        # (objs, i) -> projection; PolyMaps are never mutated
+        self._projs = Memo(lambda key: _projection(rig, *key))
 
     def identity(self, n):
         return _trusted_polymap(self.rig, n, n,
@@ -62,16 +71,7 @@ class PolyBackend:
         return sum(objs)
 
     def proj(self, objs, i):
-        key = (tuple(objs), i)
-        pi = self._projs.get(key)
-        if pi is None:
-            objs = key[0]
-            in_range(i, len(objs), "projection index")
-            total = sum(objs)
-            offset = sum(objs[:i])
-            pi = self._projs[key] = _trusted_polymap(self.rig, total, objs[i], tuple(
-                Polynomial.var(self.rig, total, offset + j) for j in range(objs[i])))
-        return pi
+        return self._projs[tuple(objs), i]
 
     def pairing(self, maps):
         maps = list(maps)

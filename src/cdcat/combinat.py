@@ -10,6 +10,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .algebra import Table
 from .errors import IndexOutOfRange, nonnegative
 
 
@@ -35,24 +36,26 @@ def _canon(blocks, n) -> SetPartition:
     return SetPartition(blocks, n)
 
 
-# partitions(n) per n, built once; callers get a fresh list each time
-_PARTITIONS: dict[int, list[SetPartition]] = {}
-
-
 def partitions(n: int) -> list[SetPartition]:
     """All unordered partitions of [n]; n = 0 gives the empty partition."""
-    if n not in _PARTITIONS:
-        nonnegative(n, "n")
-        out = [[]]
-        for k in range(1, n + 1):
-            nxt = []
-            for p in out:
-                for i in range(len(p)):
-                    nxt.append(p[:i] + [p[i] + (k,)] + p[i + 1:])
-                nxt.append(p + [(k,)])
-            out = nxt
-        _PARTITIONS[n] = [_canon(p, n) for p in out]
     return list(_PARTITIONS[n])
+
+
+def _partitions(n: int) -> list[SetPartition]:
+    nonnegative(n, "n")
+    out = [[]]
+    for k in range(1, n + 1):
+        nxt = []
+        for p in out:
+            for i in range(len(p)):
+                nxt.append(p[:i] + [p[i] + (k,)] + p[i + 1:])
+            nxt.append(p + [(k,)])
+        out = nxt
+    return [_canon(p, n) for p in out]
+
+
+# partitions(n) per n, built once; callers get a fresh list each time
+_PARTITIONS = Table(_partitions)
 
 
 @dataclass(frozen=True)
@@ -100,22 +103,25 @@ class PartialIso:
         return f"[{self.m}]=~[{self.n}]{{{body}}}"
 
 
-# partial_isos(m, n) per (m, n), built once; callers get a fresh list each time
-_PARTIAL_ISOS: dict[tuple[int, int], list[PartialIso]] = {}
-
-
 def partial_isos(m: int, n: int) -> list[PartialIso]:
     """Every partial bijection [m] =~ [n], each exactly once."""
-    if (m, n) not in _PARTIAL_ISOS:
-        nonnegative(min(m, n), "arity")
-        out = []
-        for k in range(min(m, n) + 1):
-            for dom in itertools.combinations(range(1, m + 1), k):
-                for img in itertools.combinations(range(1, n + 1), k):
-                    for perm in itertools.permutations(img):
-                        out.append(PartialIso(tuple(zip(dom, perm)), m, n))
-        _PARTIAL_ISOS[m, n] = out
     return list(_PARTIAL_ISOS[m, n])
+
+
+def _partial_isos(key) -> list[PartialIso]:
+    m, n = key
+    nonnegative(min(m, n), "arity")
+    out = []
+    for k in range(min(m, n) + 1):
+        for dom in itertools.combinations(range(1, m + 1), k):
+            for img in itertools.combinations(range(1, n + 1), k):
+                for perm in itertools.permutations(img):
+                    out.append(PartialIso(tuple(zip(dom, perm)), m, n))
+    return out
+
+
+# partial_isos(m, n) per (m, n), built once; callers get a fresh list each time
+_PARTIAL_ISOS = Table(_partial_isos)
 
 
 def arrange(theta: PartialIso, grid) -> list:

@@ -13,10 +13,11 @@ and tensor elements are ModuleElements over the stage spaces, Q's are Q
 elements over them, and representables keep MatMaps for Yoneda and
 classify.
 
-One memo policy holds: an object keeps only tables of its own definition
-(a presheaf's stage spaces, bases and maps, Q's spanning sets and
-differentials), fixed at first use, and a result on an element lives only
-in the call that reuses it.  Memo keys are the values themselves: MatMaps
+One memo policy holds, through algebra.Memo: an object's Memos hold only
+values of its own definition (a presheaf's stage spaces, bases and maps,
+Q's spanning sets and differentials), built at first use, and a result on
+an element lives only in a Memo of the call that reuses it (check_presheaf's
+act, diff, pairing and lift).  Memo keys are the values themselves: MatMaps
 and ModuleElements hash by value, each once, and the backend's MatMaps are
 interned, so a probe usually meets the same object.  The base keeps
 nothing, so a seam patched between two checks is never served an earlier
@@ -29,7 +30,7 @@ import itertools
 import random
 
 from . import faa
-from .algebra import (Free, ModuleElement, QSpace, Tensor, add_into, add_scaled,
+from .algebra import (Free, Memo, ModuleElement, QSpace, Tensor, add_into, add_scaled,
                       basis_keys, zero_elem)
 from .errors import (InvalidArgument, InvalidSequence, SpaceMismatch, SpecMismatch,
                      nonnegative)
@@ -54,14 +55,6 @@ class FiniteCdcBase:
 # ---------------------------------------------------------------------------
 # presheaf flavours
 
-def _memo(table, key, build):
-    """table[key], built by build(key) at its first use."""
-    out = table.get(key)
-    if out is None:
-        out = table[key] = build(key)
-    return out
-
-
 class FinitePresheaf:
     """A presheaf that is a finite free Z/m-module at each stage A, given by
     dim(A), coords and from_coords, with the stage interface space(A), the
@@ -73,24 +66,24 @@ class FinitePresheaf:
     def __init__(self, base: FiniteCdcBase):
         self.base = base
         self.rig = base.backend.rig
-        self._spaces = {}
-        self._bases = {}  # A -> {key of space(A): its basis element}
-        self._act_maps = {}  # f -> LinearMap
-        self._diff_maps = {}  # A -> LinearMap
+        self._spaces = Memo(self._space)
+        self._bases = Memo(self._basis)  # A -> {key of space(A): its basis element}
+        self._act_maps = Memo(self._act_map)  # f -> LinearMap
+        self._diff_maps = Memo(self._diff_map)  # A -> LinearMap
 
     def space(self, A):
-        return _memo(self._spaces, A, self._space)
+        return self._spaces[A]
 
     def _space(self, A):
         return Free(tuple(f"b{i + 1}" for i in range(self.dim(A))))
 
     def act_map(self, f: MatMap) -> LinearMap:
         """The action of f: space(f.cod) -> space(f.dom)."""
-        return _memo(self._act_maps, f, self._act_map)
+        return self._act_maps[f]
 
     def diff_map(self, A) -> LinearMap:
         """The differential space(A) -> space(2A)."""
-        return _memo(self._diff_maps, A, self._diff_map)
+        return self._diff_maps[A]
 
     def _act_map(self, f):
         return self._reading(f.cod, f.dom, self.act, f)
@@ -100,7 +93,7 @@ class FinitePresheaf:
 
     def _reading(self, A, Z, fn, arg) -> LinearMap:
         """space(A) -> space(Z): fn(arg, b) on the basis element b of a key."""
-        dst, basis = self.space(Z), _memo(self._bases, A, self._basis)
+        dst, basis = self.space(Z), self._bases[A]
         return LinearMap(self.rig, self.space(A), dst, lambda key: faa.vec_to_elem(
             self.rig, dst, self.coords(Z, fn(arg, basis[key]))))
 
@@ -111,7 +104,7 @@ class FinitePresheaf:
                 for key in keys}
 
     def basis(self, A):
-        return list(_memo(self._bases, A, self._basis).values())
+        return list(self._bases[A].values())
 
     def spanning(self, A):
         """Every element of the stage, in the order of its coordinates."""
@@ -158,8 +151,7 @@ class ReprPresheaf(FinitePresheaf):
         return sum(xi.rows, ())
 
     def from_coords(self, A, vec) -> MatMap:
-        rows = tuple(tuple(vec[i * A:(i + 1) * A]) for i in range(self.target))
-        return trusted_matmap(self.rig, A, self.target, rows)
+        return _matmap(self.rig, A, self.target, vec)
 
     def zero(self, A):
         return self.base.backend.zero(A, self.target)
@@ -175,6 +167,12 @@ class ReprPresheaf(FinitePresheaf):
 
     def diff(self, A, xi: MatMap) -> MatMap:
         return self.base.backend.D(xi)
+
+
+def _matmap(rig, dom: int, cod: int, vec) -> MatMap:
+    """The MatMap dom -> cod whose rows are the coordinates vec, in order."""
+    return trusted_matmap(rig, dom, cod,
+                          tuple(tuple(vec[i * dom:(i + 1) * dom]) for i in range(cod)))
 
 
 class UnitPresheaf(FinitePresheaf):
@@ -259,16 +257,18 @@ class QPresheaf:
         self.bound = nonnegative(bound, "degree bound")
         self.rig = X.rig
         self.name = f"Q{X.name}"
-        self._spannings = {}
-        self._diff_maps = {}
+        self._spannings = Memo(self._spanning)
+        self._diff_maps = Memo(self._diff_map)
 
     def _to_elem(self, A, xi) -> ModuleElement:
         return faa.vec_to_elem(self.rig, self.X.space(A), self.X.coords(A, xi))
 
     def spanning(self, A):
-        return _memo(self._spannings, A, lambda A: [
-            q_gen_elem(self.rig, gen)
-            for gen in enum_generators(self.rig, self.X.space(A), self.bound)])
+        return self._spannings[A]
+
+    def _spanning(self, A):
+        return [q_gen_elem(self.rig, gen)
+                for gen in enum_generators(self.rig, self.X.space(A), self.bound)]
 
     def add(self, x, y):
         return x + y
@@ -280,7 +280,7 @@ class QPresheaf:
         return q_map(self.X.act_map(f), q)
 
     def diff(self, A, q):
-        return _memo(self._diff_maps, A, self._diff_map).apply(q)
+        return self._diff_maps[A].apply(q)
 
     def _diff_map(self, A) -> LinearMap:
         X = self.X
@@ -329,21 +329,6 @@ def _sample_triples(maps, k: int, rng) -> list:
             for i in rng.sample(range(n ** 3), k)]
 
 
-def _call_memo(fn):
-    """fn memoised for one call of the check that builds it, so that no
-    result outlives a seam patched between two checks: fn runs once per
-    distinct tuple of arguments."""
-    results = {}
-
-    def memoised(*args):
-        out = results.get(args)
-        if out is None:
-            out = results[args] = fn(*args)
-        return out
-
-    return memoised
-
-
 def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
     """Verify functoriality and the five differential-presheaf axioms.
 
@@ -363,11 +348,12 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
         config["degree_bound"] = bound
     report = Report("presheaf-axioms", config)
     scalars = list(range(base.modulus))
-    # maps and elements are their own keys
-    act = _call_memo(X.act)
-    diff = _call_memo(X.diff)
+    # memos of this call, so that no result outlives a seam patched between
+    # two checks; maps and elements are their own keys
+    act = Memo(lambda key: X.act(*key))
+    diff = Memo(lambda key: X.diff(*key))
     # the pairings of axioms (ii), (iv) and (v), shared by every xi
-    pair = _call_memo(lambda *maps: be.pairing(maps))
+    pair = Memo(be.pairing)
 
     def tuples_of(maps):
         if map_budget is not None and len(maps) ** 3 > map_budget:
@@ -376,7 +362,7 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
 
     # functoriality
     report.check(((A, xi) for A in objects for xi in X.spanning(A)), equation(
-        "action-preserves-identity", lambda A, xi: act(be.identity(A), xi),
+        "action-preserves-identity", lambda A, xi: act[be.identity(A), xi],
         lambda A, xi: xi, "xi.id != xi at A={}"))
 
     # each composite fg is computed once per (A, B, C); the instance order
@@ -389,13 +375,13 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
                 fgs = [[be.compose(f, g) for g in gs] for f in fs]
                 for xi in X.spanning(A):
                     for f, row in zip(fs, fgs):
-                        xf = act(f, xi)
+                        xf = act[f, xi]
                         for g, fg in zip(gs, row):
                             yield A, B, C, xi, xf, g, fg
 
     report.check(compositions(), equation(
-        "action-preserves-composition", lambda A, B, C, xi, xf, g, fg: act(g, xf),
-        lambda A, B, C, xi, xf, g, fg: act(fg, xi),
+        "action-preserves-composition", lambda A, B, C, xi, xf, g, fg: act[g, xf],
+        lambda A, B, C, xi, xf, g, fg: act[fg, xi],
         "(xi.f).g != xi.(fg) at A={},B={},C={}"))
 
     # (i) D is k-linear; homogeneity rides on the last pair of each xi
@@ -409,10 +395,10 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
 
     def linear(item):
         A, xi, eta, cs = item
-        if diff(A, X.add(xi, eta)) != X.add(diff(A, xi), diff(A, eta)):
+        if diff[A, X.add(xi, eta)] != X.add(diff[A, xi], diff[A, eta]):
             return f"D not additive at A={A}"
         for c in cs:
-            if diff(A, X.scale(c, xi)) != X.scale(c, diff(A, xi)):
+            if diff[A, X.scale(c, xi)] != X.scale(c, diff[A, xi]):
                 return f"D not homogeneous at A={A}, c={c}"
         return None
 
@@ -427,21 +413,21 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
                 maps = base.all_maps(Z, A)
                 zero = be.zero(Z, A)
                 for xi in X.spanning(A):
-                    dxi = diff(A, xi)
-                    ddxi = diff(2 * A, dxi) if second else None
+                    dxi = diff[A, xi]
+                    ddxi = diff[2 * A, dxi] if second else None
                     for args in draw(maps):
                         yield A, Z, zero, xi, dxi, ddxi, *args
 
     # (ii) D xi linear in the direction argument
     def direction_linear(item):
         n, (A, Z, _, _, dxi, _, x, v, w) = item
-        lhs = act(pair(x, be.add(v, w)), dxi)
-        rhs = X.add(act(pair(x, v), dxi), act(pair(x, w), dxi))
+        lhs = act[pair[x, be.add(v, w)], dxi]
+        rhs = X.add(act[pair[x, v], dxi], act[pair[x, w], dxi])
         if lhs != rhs:
             return f"Dxi not additive in direction, A={A}, Z={Z}"
         c = scalars[n % len(scalars)]
-        lhs = act(pair(x, be.scale(c, v)), dxi)
-        rhs = X.scale(c, act(pair(x, v), dxi))
+        lhs = act[pair[x, be.scale(c, v)], dxi]
+        rhs = X.scale(c, act[pair[x, v], dxi])
         if lhs != rhs:
             return f"Dxi not homogeneous in direction, A={A}"
         return None
@@ -450,25 +436,25 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
                  ("axiom-ii-direction-linear", direction_linear))
 
     # (iii) D(xi . f) = D(xi) . (f pi0, Df), the pairing built once per f
-    lift = _call_memo(
+    lift = Memo(
         lambda f: be.pairing([be.compose(f, be.proj([f.dom, f.dom], 0)), be.D(f)]))
 
     report.check(derivatives(lambda maps: ((f,) for f in maps)), equation(
         "axiom-iii-chain-compatibility",
-        lambda A, Z, zero, xi, dxi, ddxi, f: diff(Z, act(f, xi)),
-        lambda A, Z, zero, xi, dxi, ddxi, f: act(lift(f), dxi),
+        lambda A, Z, zero, xi, dxi, ddxi, f: diff[Z, act[f, xi]],
+        lambda A, Z, zero, xi, dxi, ddxi, f: act[lift[f], dxi],
         "axiom (iii) fails at A={}, Z={}"))
 
     # (iv)/(v): second-order identities, on one sampled stream
     report.check(
         derivatives(tuples_of, second=True),
         equation("axiom-iv-first-order-slice",
-                 lambda A, Z, zero, xi, dxi, ddxi, x, r, s: act(pair(x, r, zero, s), ddxi),
-                 lambda A, Z, zero, xi, dxi, ddxi, x, r, s: act(pair(x, s), dxi),
+                 lambda A, Z, zero, xi, dxi, ddxi, x, r, s: act[pair[x, r, zero, s], ddxi],
+                 lambda A, Z, zero, xi, dxi, ddxi, x, r, s: act[pair[x, s], dxi],
                  "axiom (iv) fails at A={}, Z={}"),
         equation("axiom-v-mixed-symmetry",
-                 lambda A, Z, zero, xi, dxi, ddxi, x, r, s: act(pair(x, r, s, zero), ddxi),
-                 lambda A, Z, zero, xi, dxi, ddxi, x, r, s: act(pair(x, s, r, zero), ddxi),
+                 lambda A, Z, zero, xi, dxi, ddxi, x, r, s: act[pair[x, r, s, zero], ddxi],
+                 lambda A, Z, zero, xi, dxi, ddxi, x, r, s: act[pair[x, s, r, zero], ddxi],
                  "axiom (v) fails at A={}, Z={}"))
     return report
 
@@ -494,7 +480,7 @@ def _generator_maps(yA, Z, q) -> list:
     """The terms (degree n, coefficient, <point; tail units>: Z -> (n+1)A)
     of q in Q(yA)(Z), read by the one Q decoder faa._table_terms: a cell's
     coordinates are those of the map in y((n+1)A)(Z)."""
-    return [(n, c, representable(yA.base, (n + 1) * yA.target).from_coords(Z, cell))
+    return [(n, c, _matmap(yA.rig, Z, (n + 1) * yA.target, cell))
             for c, n, cell in faa._table_terms(q, q.space.inner)]
 
 

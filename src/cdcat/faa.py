@@ -13,8 +13,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from . import qmodality
 from .algebra import (
     Free,
+    Memo,
     ModuleElement,
     Product,
     QSpace,
@@ -35,17 +37,7 @@ from .errors import (
     nonnegative,
 )
 from .poly import FinFnBackend, FinModule, _trusted_tablemap, fin_product
-from .qmodality import (
-    comult,
-    counit as q_counit,
-    deriving,
-    on_generators,
-    q_gen_elem,
-    q_inject,
-    q_map,
-    storage,
-    sum_terms,
-)
+from .qmodality import deriving, on_generators, q_gen_elem, q_inject, q_map, sum_terms
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +181,8 @@ def faa_compose(g: FaaMap, f: FaaMap) -> FaaMap:
         return FaaMap(backend, f.dom, g.cod, [])
     nf, ng = max(f.support, 0), max(g.support, 0)
     bound = nf * ng
-    subsets = {}  # f^(I) per (I, n), shared by the partitions of this call
-
-    def on_subset(I, n):
-        h = subsets.get((I, n))
-        if h is None:
-            h = subsets[I, n] = component_on_subset(f, I, n)
-        return h
+    # f^(I) per (I, n), shared by the partitions of this call
+    on_subset = Memo(lambda key: component_on_subset(f, *key))
 
     family = []
     for n in range(bound + 1):
@@ -204,7 +191,7 @@ def faa_compose(g: FaaMap, f: FaaMap) -> FaaMap:
             k = part.block_count
             if k > ng or any(len(b) > nf for b in part.blocks):
                 continue  # the term vanishes by multilinearity
-            args = [on_subset((), n)] + [on_subset(block, n) for block in part.blocks]
+            args = [on_subset[(), n]] + [on_subset[block, n] for block in part.blocks]
             term = backend.compose(g.component(k), backend.pairing(args))
             total = term if total is None else backend.add(total, term)
         if total is None:  # no term survives, as when a partition is dropped
@@ -502,9 +489,10 @@ def build_kleisli_D(backend: FinFnBackend, A: FinModule, top: int):
     QA = QSpace(A_space)
 
     def derived(g1, g2):
-        return deriving(q_gen_elem(rig, g1), q_counit(q_gen_elem(rig, g2)))
+        return deriving(q_gen_elem(rig, g1), qmodality.counit(q_gen_elem(rig, g2)))
 
-    D_hat = on_generators(rig, AA, QA, lambda q: sum_terms(storage(q), QA, derived))
+    D_hat = on_generators(rig, AA, QA,
+                          lambda q: sum_terms(qmodality.storage(q), QA, derived))
     terms = [_table_terms(D_hat.apply(q), A_space) for q in qs]
     P = fin_product([A, A])
 
@@ -532,7 +520,7 @@ def build_kleisli_compose(backend: FinFnBackend, A: FinModule, top: int):
     rig = backend.rig
     A_space = fin_space(A)
     levels, counts, qs = _generator_cells(backend, A_space, top)
-    delta = on_generators(rig, A_space, QSpace(QSpace(A_space)), comult)
+    delta = on_generators(rig, A_space, QSpace(QSpace(A_space)), qmodality.comult)
     comults = [delta.apply(q) for q in qs]
 
     def apply(g: KleisliMap, f: KleisliMap) -> KleisliMap:

@@ -20,16 +20,19 @@ combinat.arrange's order, with no grid of tensored cells.
 
 Memo policy: a LinearMap keeps two tables of values fixed by its own
 definition, the image of each basis key (on_basis) and the canonical image
-of each generator point that q_map has sent through it.  A structure map
-keeps nothing beyond its call (storage maps each distinct generator once
-per call), and a suite keeps its _call_memo tables of structure-map
-results for one call only, so a seam patched between two calls is seen.
+of each generator point that q_map has sent through it.  They are plain
+dicts, probed by hand, because a Memo's build would add a closure or a
+reference cycle to each of the many short-lived maps.  A structure map
+keeps nothing beyond its call (storage's Memos map each distinct generator
+once per call), and a suite keeps its Memos of structure-map results for
+one call only, so a seam patched between two calls is seen.
 """
 
 from __future__ import annotations
 
 from .algebra import (
     Free,
+    Memo,
     ModuleElement,
     Monomial,
     Product,
@@ -389,15 +392,12 @@ def storage(q: ModuleElement) -> ModuleElement:
         raise SpaceMismatch("storage expects Q of a binary product")
     left = relabel(rig, prod, prod.factors[0], lambda key: key[1] if key[0] == 0 else None)
     right = relabel(rig, prod, prod.factors[1], lambda key: key[1] if key[0] == 1 else None)
-    lefts, rights = {}, {}  # Q(pi0)<g1> and Q(pi1)<g2> per distinct generator
+    # Q(pi0)<g1> and Q(pi1)<g2> per distinct generator
+    lefts = Memo(lambda g1: q_map(left, q_gen_elem(rig, g1)).coeffs)
+    rights = Memo(lambda g2: q_map(right, q_gen_elem(rig, g2)).coeffs)
     out = {}
     for (g1, g2), c in comonoid_comult(q).coeffs.items():
-        xs = lefts.get(g1)
-        if xs is None:
-            xs = lefts[g1] = q_map(left, q_gen_elem(rig, g1)).coeffs
-        ys = rights.get(g2)
-        if ys is None:
-            ys = rights[g2] = q_map(right, q_gen_elem(rig, g2)).coeffs
+        xs, ys = lefts[g1], rights[g2]
         for ka, va in xs.items():
             cv = c * va
             for kb, vb in ys.items():

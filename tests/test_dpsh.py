@@ -382,6 +382,35 @@ def test_generator_maps_read_q_of_a_representable_as_pairings(modulus):
                             == pairings_of_point_and_units(yA, stage, elem))
 
 
+def _counted_presheaves(monkeypatch):
+    built = []
+    init = dpsh.FinitePresheaf.__init__
+
+    def counting(self, base):
+        built.append(self)
+        init(self, base)
+
+    monkeypatch.setattr(dpsh.FinitePresheaf, "__init__", counting)
+    return built
+
+
+def test_decoding_a_generator_builds_no_presheaf(monkeypatch):
+    # each decoded cell becomes its MatMap directly: full fidelity builds
+    # y(A) and y(B), and evaluating a classified map builds nothing per term
+    built = _counted_presheaves(monkeypatch)
+    assert dpsh.full_fidelity(dpsh.FiniteCdcBase(2, [1, 2]), 1, 2).passed
+    assert [X.name for X in built] == ["y(1)", "y(2)"]
+    base = small_base(2, (1, 2))
+    y1 = dpsh.representable(base, 1)
+    cm = dpsh.classify(base, y1, 1, [base.backend.identity(1)])
+    QyA = dpsh.presheaf_Q(y1, 1)
+    del built[:]
+    for Z in base.objects:
+        for q in QyA.spanning(Z):
+            cm.eval(Z, q)
+    assert built == []
+
+
 def test_classified_map_is_linear_in_q():
     base = small_base(2, (1,))
     y1 = dpsh.representable(base, 1)

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdcat import faa, suites
+from cdcat import faa, qmodality, suites
 from cdcat.algebra import INT, RAT, Product, basis_elem, zmod
 from cdcat.cdc import PolyBackend, PolySampler, check_axioms, iterated_D, nth_derivative
 from cdcat.errors import (
@@ -439,14 +439,16 @@ def test_a_builder_serves_every_family_up_to_its_top_and_refuses_the_rest():
 
 
 def _counted(monkeypatch, name):
+    # the builders call the Q structure maps through qmodality, so a map
+    # patched there, as criterion 8 patches its seams, is the one they run
     calls = []
-    fn = getattr(faa, name)
+    fn = getattr(qmodality, name)
 
     def counted(q):
         calls.append(q)
         return fn(q)
 
-    monkeypatch.setattr(faa, name, counted)
+    monkeypatch.setattr(qmodality, name, counted)
     return calls
 
 
@@ -467,6 +469,13 @@ def test_a_builder_maps_each_distinct_generator_once(monkeypatch, modulus, dim, 
         assert len(calls) == len(gens) < len(qs)
         assert all(len(q.coeffs) == 1 for q in calls)
         assert {g for q in calls for g in q.coeffs} == gens
+
+
+def test_the_d_builder_reads_the_counit_seam(monkeypatch):
+    backend = FinFnBackend(2)
+    calls = _counted(monkeypatch, "counit")
+    faa.build_kleisli_D(backend, backend.module(1), 1)
+    assert len(calls) == 12
 
 
 def test_zero_family_support():

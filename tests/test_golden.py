@@ -220,6 +220,15 @@ def test_modality_suite_keeps_no_q_result_across_calls(monkeypatch, attr, value,
         assert digest(report) == expected
 
 
+def test_kleisli_suite_sees_a_sabotaged_counit(monkeypatch):
+    # the co-Kleisli differential reads the counit through qmodality, so
+    # criterion 8's swapped counit reaches it
+    monkeypatch.setattr(qmodality, "counit", counit_with_the_degree_cases_swapped)
+    report = suites.kleisli_suite(2, max_dim=2, support=1, samples=3)
+    assert [c.name for c in report.checks if not c.passed] == [
+        "derivative-matches-faa-exhaustive-dim1", "derivative-matches-faa-sampled-dim2"]
+
+
 def test_presheaf_suite_keeps_no_result_across_calls(monkeypatch):
     # the act and pairing memos live for one call, so a run after a passing
     # one still sees a sabotaged differential, with the pinned report

@@ -11,18 +11,24 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from cdcat import algebra, matcat, qmodality as qm, suites
-from cdcat.algebra import Free, ModuleElement, Monomial, QGenerator, basis_elem, zmod
+from cdcat import algebra, combinat, matcat, qmodality as qm, suites
+from cdcat.algebra import (Free, Memo, ModuleElement, Monomial, QGenerator, Table,
+                           basis_elem, zmod)
+from cdcat.errors import InvalidArgument
 from cdcat.matcat import MatBackend, MatMap, trusted_matmap
 
 Z2 = zmod(2)
 A = Free(("a1", "a2"))
-TABLES = ("_TOKENS", "_MONOMIALS", "_GENERATORS", "_POINTS", "_TENSOR_POINTS")
+TABLES = ("_TOKENS", "_MONOMIALS", "_SORTED_MONOMIALS", "_GENERATORS", "_POINTS",
+          "_TENSOR_POINTS")
+COMBINAT_TABLES = ("_PARTITIONS", "_PARTIAL_ISOS")
 
 
 def empty_tables():
     for name in TABLES:
         getattr(algebra, name).clear()
+    for name in COMBINAT_TABLES:
+        getattr(combinat, name).clear()
     matcat._MATS.clear()
 
 
@@ -109,6 +115,10 @@ def test_a_small_bound_keeps_every_table_within_it(monkeypatch):
     first = images()
     for name in TABLES:
         assert len(getattr(algebra, name)) <= 4, name
+    for name in COMBINAT_TABLES:
+        assert len(getattr(combinat, name)) <= 4, name
+    assert [len(combinat.partitions(n)) for n in range(6)] == [1, 1, 2, 5, 15, 52]
+    assert len(combinat._PARTITIONS) <= 4
     again = images()
     assert again == first
     assert [hash(x) for x in again] == [hash(x) for x in first]
@@ -231,3 +241,41 @@ def test_warm_and_emptied_mat_tables_give_the_same_reports(monkeypatch):
     assert reports() == warm
     monkeypatch.setattr(algebra, "_TOKENS_MAX", 4)
     assert reports() == warm
+
+
+# ---------------------------------------------------------------------------
+# the memo types
+
+def test_a_memo_builds_each_key_once():
+    built = []
+    memo = Memo(lambda k: built.append(k) or 2 * k)
+    assert [memo[k] for k in (1, 2, 1, 3, 2)] == [2, 4, 2, 6, 4]
+    assert built == [1, 2, 3] and memo == {1: 2, 2: 4, 3: 6}
+
+
+@pytest.mark.parametrize("kind", [Memo, Table])
+def test_a_build_that_raises_stores_nothing(kind):
+    def build(k):
+        if k < 0:
+            raise InvalidArgument("negative key")
+        return k
+
+    memo = kind(build)
+    with pytest.raises(InvalidArgument):
+        memo[-1]
+    assert memo == {} and memo[1] == 1 and memo == {1: 1}
+    with pytest.raises(InvalidArgument):
+        memo[-1]
+    assert memo == {1: 1}
+
+
+def test_a_table_empties_at_the_bound_and_a_memo_never(monkeypatch):
+    monkeypatch.setattr(algebra, "_TOKENS_MAX", 3)
+    table, memo = Table(lambda k: k), Memo(lambda k: k)
+    for k in range(3):
+        assert table[k] == memo[k] == k
+    assert list(table) == [0, 1, 2]
+    assert table[2] == 2 and len(table) == 3  # a hit does not empty it
+    assert table[3] == memo[3] == 3
+    assert list(table) == [3]
+    assert list(memo) == [0, 1, 2, 3]  # a memo dies with its owner instead

@@ -270,8 +270,8 @@ def test_kleisli_suite_runs_its_q_side_once_per_distinct_input_within_one_call(
             return structure_map(q)
         return wrapped
 
-    monkeypatch.setattr(faa, "storage", counting("storage", faa.storage))
-    monkeypatch.setattr(faa, "comult", counting("comult", faa.comult))
+    monkeypatch.setattr(qm, "storage", counting("storage", qm.storage))
+    monkeypatch.setattr(qm, "comult", counting("comult", qm.comult))
     run = lambda: suites.kleisli_suite(2, max_dim=2, support=1,  # noqa: E731
                                        samples=3)
     first = run()
