@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import cdc, faa, suites
-from .errors import CdcatError, ParseError, SizeLimit
+from .errors import CdcatError, InvalidArgument, ParseError, SizeLimit
 from .poly import MAX_ARITY, parse_poly_map
 from .reports import Report
 
@@ -27,7 +27,8 @@ variable naming:
 rigs: nat, int, rat, zmod:<m> (e.g. zmod:5).
 
 exit codes: 0 all checks pass / computation ok; 1 a check failed
-(counterexample printed); 2 usage or parse error.
+(counterexample printed); 2 usage or parse error, including a `check`
+flag that the chosen suite does not read.
 
 defaults for randomized suites: --seed 0, so runs are reproducible.
 """
@@ -107,24 +108,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite",
                    choices=["cdc", "modality", "kleisli-iso", "yoneda",
                             "presheaf"])
-    p.add_argument("--rig", default=None,
-                   help="cdc only: nat | int | rat | zmod:<m> "
-                        "(default: all four standard rigs)")
-    p.add_argument("--mod", type=int, default=2,
+    # an omitted flag is None and takes the suite's default (SUITE_FLAGS)
+    p.add_argument("--rig", help="cdc only: nat | int | rat | zmod:<m> "
+                                 "(default: all four standard rigs)")
+    p.add_argument("--mod", type=int,
                    help="modulus for the finite-carrier suites (default 2)")
-    p.add_argument("--arity", type=int, default=3,
+    p.add_argument("--arity", type=int,
                    help="cdc: max arity of sampled maps (default 3)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=int,
                    help="seed for randomized checks (default 0)")
-    p.add_argument("--samples", type=int, default=None,
+    p.add_argument("--samples", type=int,
                    help="sample count where sampling is used")
-    p.add_argument("--maxdeg", type=int, default=3,
+    p.add_argument("--maxdeg", type=int,
                    help="max degree of sampled maps / enumerated tails "
                         "(default 3)")
-    p.add_argument("--degree", type=int, default=None,
+    p.add_argument("--degree", type=int,
                    help="Q truncation degree (kleisli-iso composite bound, "
                         "default 4; presheaf generator bound, default 2)")
-    p.add_argument("--dim", type=int, default=2,
+    p.add_argument("--dim", type=int,
                    help="max module dimension / matrix size (default 2)")
     p.add_argument("--json", action="store_true",
                    help="emit the report as JSON")
@@ -203,45 +204,42 @@ def run(argv) -> int:
     raise AssertionError("unreachable")
 
 
+# the flags each suite reads, with the value an omitted one takes
+SUITE_FLAGS = {
+    "cdc": {"rig": None, "arity": 3, "seed": 0, "samples": 200, "maxdeg": 3},
+    "modality": {"mod": 2, "dim": 2, "maxdeg": 3, "seed": 0},
+    "kleisli-iso": {"mod": 2, "dim": 2, "degree": 4, "samples": 25, "seed": 0},
+    "yoneda": {"mod": 2, "dim": 2},
+    "presheaf": {"mod": 2, "dim": 2, "degree": 2, "seed": 0},
+}
+
+
 def _run_check(args) -> int:
-    suite = args.suite
+    suite, reads, given = args.suite, SUITE_FLAGS[args.suite], vars(args)
+    for flag in sorted(set().union(*SUITE_FLAGS.values()) - set(reads)):
+        if given[flag] is not None:
+            raise InvalidArgument(f"--{flag} is not read by the {suite} suite")
+    a = argparse.Namespace(**{flag: default if given[flag] is None else given[flag]
+                              for flag, default in reads.items()})
     if suite == "cdc":
-        rigs = [args.rig] if args.rig else ["nat", "int", "rat", "zmod:5"]
-        samples = args.samples if args.samples is not None else 200
-        merged = Report(
-            "cdc-axioms",
-            {"rigs": rigs, "seed": args.seed, "samples": samples,
-             "max_degree": args.maxdeg, "max_arity": args.arity},
-        )
+        rigs = [a.rig] if a.rig else ["nat", "int", "rat", "zmod:5"]
+        rep = Report("cdc-axioms", {"rigs": rigs, "seed": a.seed, "samples": a.samples,
+                                    "max_degree": a.maxdeg, "max_arity": a.arity})
         for rig_name in rigs:
-            merged.extend(f"{rig_name}:", suites.cdc_suite(
-                rig_name, seed=args.seed, samples=samples,
-                max_degree=args.maxdeg, max_arity=args.arity))
-        return _print_report(merged, args.json)
-
-    if suite == "modality":
-        rep = suites.modality_suite(args.mod, dim=args.dim,
-                                    maxdeg=args.maxdeg, seed=args.seed)
-        return _print_report(rep, args.json)
-
-    if suite == "kleisli-iso":
-        degree = args.degree if args.degree is not None else 4
-        samples = args.samples if args.samples is not None else 25
-        rep = suites.kleisli_suite(args.mod, max_dim=args.dim,
-                                   degree_bound=degree, samples=samples,
-                                   seed=args.seed)
-        return _print_report(rep, args.json)
-
-    if suite == "yoneda":
-        rep = suites.yoneda_suite(args.mod, max_dim=args.dim)
-        return _print_report(rep, args.json)
-
-    if suite == "presheaf":
-        q_bound = args.degree if args.degree is not None else 2
-        rep = suites.presheaf_suite(args.mod, max_dim=args.dim,
-                                    q_bound=q_bound, seed=args.seed)
-        return _print_report(rep, args.json)
-    raise AssertionError("unreachable")
+            rep.extend(f"{rig_name}:", suites.cdc_suite(
+                rig_name, seed=a.seed, samples=a.samples,
+                max_degree=a.maxdeg, max_arity=a.arity))
+    elif suite == "modality":
+        rep = suites.modality_suite(a.mod, dim=a.dim, maxdeg=a.maxdeg, seed=a.seed)
+    elif suite == "kleisli-iso":
+        rep = suites.kleisli_suite(a.mod, max_dim=a.dim, degree_bound=a.degree,
+                                   samples=a.samples, seed=a.seed)
+    elif suite == "yoneda":
+        rep = suites.yoneda_suite(a.mod, max_dim=a.dim)
+    else:
+        rep = suites.presheaf_suite(a.mod, max_dim=a.dim, q_bound=a.degree,
+                                    seed=a.seed)
+    return _print_report(rep, args.json)
 
 
 def main() -> None:

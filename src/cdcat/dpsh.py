@@ -10,8 +10,10 @@ the LinearMaps of its action and differential between those spaces, which
 the tensor and Q presheaves read their factors through (a tensor acts
 straight from its factors' maps, keeping no map of its own per f).  Unit
 and tensor elements are ModuleElements over the stage spaces, Q's are Q
-elements over them, and representables keep MatMaps for Yoneda and
-classify.
+elements over them, and representables keep the base's maps for Yoneda
+and classify; to_elem(A, xi) reads any of them as a ModuleElement over
+space(A).  A map reaches its coordinates only through the backend's
+hom-set codec (coords, from_coords); no code here reads its entries.
 
 One memo policy holds, through algebra.Memo: an object's Memos hold only
 values of its own definition (a presheaf's stage spaces, bases and maps,
@@ -34,7 +36,7 @@ from .algebra import (Free, Memo, ModuleElement, QSpace, Tensor, add_into, add_s
                       basis_keys, zero_elem)
 from .errors import (InvalidArgument, InvalidSequence, SpaceMismatch, SpecMismatch,
                      nonnegative)
-from .matcat import MatBackend, MatMap, trusted_matmap
+from .matcat import MatBackend, MatMap
 from .qmodality import (LinearMap, enum_generators, on_generators, q_gen_elem,
                         q_inject, q_map, tensor_map)
 from .reports import Report, equation
@@ -93,9 +95,9 @@ class FinitePresheaf:
 
     def _reading(self, A, Z, fn, arg) -> LinearMap:
         """space(A) -> space(Z): fn(arg, b) on the basis element b of a key."""
-        dst, basis = self.space(Z), self._bases[A]
-        return LinearMap(self.rig, self.space(A), dst, lambda key: faa.vec_to_elem(
-            self.rig, dst, self.coords(Z, fn(arg, basis[key]))))
+        basis = self._bases[A]
+        return LinearMap(self.rig, self.space(A), self.space(Z),
+                         lambda key: self.to_elem(Z, fn(arg, basis[key])))
 
     def _basis(self, A):
         keys = basis_keys(self.space(A))
@@ -111,6 +113,11 @@ class FinitePresheaf:
         scalars = range(self.base.modulus)
         return [self.from_coords(A, vec)
                 for vec in itertools.product(scalars, repeat=self.dim(A))]
+
+    def to_elem(self, A, xi) -> ModuleElement:
+        """xi as a ModuleElement over space(A): xi itself, unless a subclass
+        keeps elements of another type."""
+        return xi
 
     def coords(self, A, xi):
         return faa.elem_to_vec(xi, self.space(A))
@@ -136,8 +143,8 @@ def _finite(X):
 
 class ReprPresheaf(FinitePresheaf):
     """The representable y(B): components hom(-, B), action by precomposition,
-    differential inherited from the base.  Elements are MatMaps, with the
-    base's module operations; coordinates read the rows in order."""
+    differential inherited from the base.  Elements are the base's maps,
+    with its module operations, read through its hom-set codec."""
 
     def __init__(self, base: FiniteCdcBase, target: int):
         super().__init__(base)
@@ -148,10 +155,13 @@ class ReprPresheaf(FinitePresheaf):
         return self.target * A
 
     def coords(self, A, xi: MatMap):
-        return sum(xi.rows, ())
+        return self.base.backend.coords(xi)
 
     def from_coords(self, A, vec) -> MatMap:
-        return _matmap(self.rig, A, self.target, vec)
+        return self.base.backend.from_coords(A, self.target, vec)
+
+    def to_elem(self, A, xi: MatMap) -> ModuleElement:
+        return faa.vec_to_elem(self.rig, self.space(A), self.coords(A, xi))
 
     def zero(self, A):
         return self.base.backend.zero(A, self.target)
@@ -167,12 +177,6 @@ class ReprPresheaf(FinitePresheaf):
 
     def diff(self, A, xi: MatMap) -> MatMap:
         return self.base.backend.D(xi)
-
-
-def _matmap(rig, dom: int, cod: int, vec) -> MatMap:
-    """The MatMap dom -> cod whose rows are the coordinates vec, in order."""
-    return trusted_matmap(rig, dom, cod,
-                          tuple(tuple(vec[i * dom:(i + 1) * dom]) for i in range(cod)))
 
 
 class UnitPresheaf(FinitePresheaf):
@@ -260,9 +264,6 @@ class QPresheaf:
         self._spannings = Memo(self._spanning)
         self._diff_maps = Memo(self._diff_map)
 
-    def _to_elem(self, A, xi) -> ModuleElement:
-        return faa.vec_to_elem(self.rig, self.X.space(A), self.X.coords(A, xi))
-
     def spanning(self, A):
         return self._spannings[A]
 
@@ -300,22 +301,6 @@ class QPresheaf:
             return ModuleElement(self.rig, cod, out)
 
         return on_generators(self.rig, X.space(A), cod, on_generator)
-
-
-def representable(base: FiniteCdcBase, target: int) -> ReprPresheaf:
-    return ReprPresheaf(base, target)
-
-
-def unit_presheaf(base: FiniteCdcBase) -> UnitPresheaf:
-    return UnitPresheaf(base)
-
-
-def presheaf_tensor(X, Y) -> TensorPresheaf:
-    return TensorPresheaf(X, Y)
-
-
-def presheaf_Q(X, bound: int = 2) -> QPresheaf:
-    return QPresheaf(X, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +454,7 @@ class ClassifiedMap:
     def __init__(self, base, X, A, sequence):
         self.X = X
         self.sequence = list(sequence)
-        self.yA = representable(base, A)
+        self.yA = ReprPresheaf(base, A)
 
     def eval(self, Z: int, q: ModuleElement):
         """q is an element of Q(yA)(Z)."""
@@ -480,7 +465,8 @@ def _generator_maps(yA, Z, q) -> list:
     """The terms (degree n, coefficient, <point; tail units>: Z -> (n+1)A)
     of q in Q(yA)(Z), read by the one Q decoder faa._table_terms: a cell's
     coordinates are those of the map in y((n+1)A)(Z)."""
-    return [(n, c, _matmap(yA.rig, Z, (n + 1) * yA.target, cell))
+    be = yA.base.backend
+    return [(n, c, be.from_coords(Z, (n + 1) * yA.target, cell))
             for c, n, cell in faa._table_terms(q, q.space.inner)]
 
 
@@ -510,9 +496,9 @@ def canonical_generator(base, A: int, n: int) -> ModuleElement:
     """<pi0, ..., pin> as an element of Q(yA)((n+1)A): evaluating a
     classified map there recovers the n-th sequence entry."""
     be = base.backend
-    QyA = presheaf_Q(representable(base, A))
+    yA = ReprPresheaf(base, A)
     blocks = [A] * (n + 1)
-    pis = [QyA._to_elem((n + 1) * A, be.proj(blocks, j)) for j in range(n + 1)]
+    pis = [yA.to_elem((n + 1) * A, be.proj(blocks, j)) for j in range(n + 1)]
     return q_inject(pis[0], pis[1:])
 
 
@@ -534,15 +520,15 @@ def differential_test(base: FiniteCdcBase, A: int, B: int, degree_bound: int = 1
     alpha the function is called on.  The order of the generators decides
     only how soon a failing alpha stops, never whether it fails."""
     be = base.backend
-    yA, yB = representable(base, A), representable(base, B)
-    QyA = presheaf_Q(yA, degree_bound)
+    yA, yB = ReprPresheaf(base, A), ReprPresheaf(base, B)
+    QyA = QPresheaf(yA, degree_bound)
     cases = [(Z, q, _generator_maps(yA, Z, q),
               _generator_maps(yA, 2 * Z, QyA.diff(Z, q)))
              for Z in base.objects for q in QyA.spanning(Z)]
     # the Yoneda element <id_A> in Q(yA)(A) first, the rest in order: there
     # the law reads "level 1 = D(level 0)", which over Mat every alpha off
     # the Yoneda image breaks, so those stop at their first case
-    yoneda = q_inject(QyA._to_elem(A, be.identity(A)), [])
+    yoneda = q_inject(yA.to_elem(A, be.identity(A)), [])
     cases.sort(key=lambda case: case[:2] != (A, yoneda))
 
     def problem(alpha) -> str | None:

@@ -1,7 +1,10 @@
 """Matrices over Z/m with the trivial differential Df = f pi1.
 
 A k-linear category with biproducts; every morphism is D-linear.  Serves
-as the finite carrier for exhaustive presheaf and embedding checks.
+as the finite carrier for exhaustive presheaf and embedding checks, which
+reach a map's entries only through the backend's hom-set codec: coords(f)
+is f's rows concatenated in order, and from_coords(dom, cod, vec) is the
+one place a vector is split back into rows.
 
 Every backend result is interned: trusted_matmap returns the one MatMap of
 each value from a value table under algebra's one bound and policy
@@ -164,15 +167,26 @@ class MatBackend:
         rows = tuple((0,) * f.dom + r for r in f.rows)
         return trusted_matmap(self.rig, 2 * f.dom, f.cod, rows)
 
+    # -- the coordinate codec of a hom-set: a map's rows concatenated in order
+
+    def coords(self, f: MatMap) -> tuple:
+        return sum(f.rows, ())
+
+    def from_coords(self, dom: int, cod: int, vec) -> MatMap:
+        """The map dom -> cod whose rows are the coordinates vec, in order."""
+        if min(dom, cod) < 0 or len(vec) != dom * cod:
+            raise ArityError(f"{len(vec)} coordinates for a {cod}x{dom} matrix")
+        return trusted_matmap(self.rig, dom, cod,
+                              tuple(tuple(vec[i * dom:(i + 1) * dom]) for i in range(cod)))
+
     # -- finite enumeration
 
     def all_maps(self, dom: int, cod: int):
+        """Every map dom -> cod, its coordinates in itertools.product order."""
         if dom < 0 or cod < 0:
             nonnegative(min(dom, cod), "matrix size")
-        entries = itertools.product(range(self.modulus), repeat=dom * cod)
-        for flat in entries:
-            rows = tuple(flat[i * dom:(i + 1) * dom] for i in range(cod))
-            yield trusted_matmap(self.rig, dom, cod, rows)
+        for vec in itertools.product(range(self.modulus), repeat=dom * cod):
+            yield self.from_coords(dom, cod, vec)
 
     def multilinear_count(self, A: int, B: int, n: int) -> int:
         """How many maps multilinear_maps(A, B, n) returns."""

@@ -541,10 +541,10 @@ def presheaf_suite(modulus: int = 2, max_dim: int = 2, q_bound: int = 2,
         {"modulus": modulus, "max_dim": max_dim, "q_bound": q_bound,
          "map_budget": map_budget, "seed": seed},
     )
-    presheaves = [dpsh.representable(base, d) for d in base.objects]
-    presheaves.append(dpsh.unit_presheaf(base))
-    presheaves.append(dpsh.presheaf_tensor(presheaves[0], presheaves[-2]))
-    presheaves.append(dpsh.presheaf_Q(presheaves[0], bound=q_bound))
+    presheaves = [dpsh.ReprPresheaf(base, d) for d in base.objects]
+    presheaves.append(dpsh.UnitPresheaf(base))
+    presheaves.append(dpsh.TensorPresheaf(presheaves[0], presheaves[-2]))
+    presheaves.append(dpsh.QPresheaf(presheaves[0], bound=q_bound))
     for X in presheaves:
         report.extend(f"{X.name}:", dpsh.check_presheaf(X, map_budget=map_budget, seed=seed))
     return report

@@ -21,7 +21,7 @@ from cdcat.cdc import (
     reconstruct_from_iterated,
 )
 from cdcat.errors import ArityError, ObjectMismatch, SpecMismatch
-from cdcat.dpsh import FiniteCdcBase, representable
+from cdcat.dpsh import FiniteCdcBase, ReprPresheaf
 from cdcat.matcat import MatBackend, MatMap, MatSampler, trusted_matmap
 from cdcat.poly import parse_poly_map, substitute
 
@@ -228,9 +228,10 @@ def internal_results(draw, m):
     yield mat.identity(a)
     if a * b <= 4:
         yield from mat.all_maps(a, b)
-    y = representable(FiniteCdcBase(m, [1]), b)
+    y = ReprPresheaf(FiniteCdcBase(m, [1]), b)
     yield from y.basis(a)
     yield y.from_coords(a, y.coords(a, f))
+    yield mat.from_coords(a, b, tuple(reversed(mat.coords(f))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,6 +242,25 @@ def test_internal_mat_results_equal_their_public_rebuild(data):
         assert all(x in range(m) for row in r.rows for x in row)
         rebuilt = MatMap(r.rig, r.dom, r.cod, r.rows)
         assert r == rebuilt and hash(r) == hash(rebuilt)
+
+
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_the_mat_hom_set_codec_round_trips_in_product_order(modulus):
+    mat = MatBackend(modulus)
+    for dom, cod in itertools.product(range(3), repeat=2):
+        maps = list(mat.all_maps(dom, cod))
+        assert [mat.coords(f) for f in maps] == list(
+            itertools.product(range(modulus), repeat=dom * cod))
+        for f in maps:
+            assert mat.from_coords(dom, cod, mat.coords(f)) is f
+            assert mat.coords(f) == tuple(a for row in f.rows for a in row)
+
+
+@pytest.mark.parametrize("dom, cod, vec", [(2, 1, (1,)), (1, 2, (1, 0, 1)),
+                                           (0, -1, ()), (-1, -1, (0,))])
+def test_the_mat_codec_refuses_a_vector_of_another_shape(dom, cod, vec):
+    with pytest.raises(ArityError):
+        MatBackend(2).from_coords(dom, cod, vec)
 
 
 def test_equal_mat_maps_hash_equal_and_share_one_dict_entry():

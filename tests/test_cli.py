@@ -231,11 +231,52 @@ def test_out_of_range_numeric_flags_are_usage_errors(capsys, argv):
     assert err.startswith("error: --")
 
 
+# each suite at a small config, and a value for every check flag: a flag
+# the suite does not read is refused, even at the value it would default to
+SMALL_CHECKS = {
+    "cdc": ["--rig", "int", "--samples", "1"],
+    "modality": ["--dim", "1", "--maxdeg", "1"],
+    "kleisli-iso": ["--dim", "1", "--degree", "1", "--samples", "1"],
+    "yoneda": ["--dim", "1"],
+    "presheaf": ["--dim", "1", "--degree", "0"],
+}
+FLAG_VALUES = {"--rig": "zmod:3", "--mod": "2", "--arity": "3", "--seed": "0",
+               "--samples": "3", "--maxdeg": "3", "--degree": "2", "--dim": "1"}
+READS = {
+    "cdc": {"--rig", "--arity", "--seed", "--samples", "--maxdeg"},
+    "modality": {"--mod", "--dim", "--maxdeg", "--seed"},
+    "kleisli-iso": {"--mod", "--dim", "--degree", "--samples", "--seed"},
+    "yoneda": {"--mod", "--dim"},
+    "presheaf": {"--mod", "--dim", "--degree", "--seed"},
+}
+UNREAD = [(suite, name) for suite in READS for name in FLAG_VALUES
+          if name not in READS[suite]]
+
+
+@pytest.mark.parametrize("suite, name", UNREAD, ids=[f"{s}{n}" for s, n in UNREAD])
+def test_a_flag_the_suite_does_not_read_is_a_usage_error(capsys, suite, name):
+    code, out, err = run(capsys, "check", suite, *SMALL_CHECKS[suite],
+                         name, FLAG_VALUES[name], "--json")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {name} ")
+
+
+@pytest.mark.parametrize("suite", sorted(READS))
+def test_every_flag_a_suite_reads_is_accepted_and_defaults_when_omitted(capsys, suite):
+    # FLAG_VALUES holds the default of each flag this adds
+    argv = ["check", suite, *SMALL_CHECKS[suite], "--json"]
+    given = [a for name in sorted(READS[suite] - set(argv)) for a in (name, FLAG_VALUES[name])]
+    omitted = run(capsys, *argv)
+    assert omitted[0] == 0 and run(capsys, *argv, *given) == omitted
+
+
 # ---------------------------------------------------------------------------
 # fuzzing: any argv built from the real verbs, flags and map text exits 0, 1
 # or 2 without a traceback.  Suite sizes stay at their smallest valid values
 # (a size of -1 is the invalid draw), and faa-compose gets maps of degree at
-# most 3: valid runs outside those bounds take seconds to minutes.
+# most 3: valid runs outside those bounds take seconds to minutes.  A check
+# gives only flags its suite reads, except for one drawn unread flag, which
+# must exit 2.
 
 VARIABLES = ["x1", "x2", "x3"]
 NUMBERS = ["0", "2", "7", "1/2"]
@@ -271,22 +312,36 @@ def flag(name, values):
     return st.one_of(st.just([]), values.map(lambda v: [name, str(v)]))
 
 
+# the values the fuzz draws for each check flag; SIZES are always given
+# where the suite reads them
+FUZZ_FLAGS = {"--mod": size((1, 2)), "--dim": size((1,)), "--samples": size((1, 2)),
+              "--degree": size((0, 1)), "--maxdeg": size((0, 1, 2)),
+              "--arity": size((1, 2)), "--seed": st.integers(0, 3),
+              "--rig": st.sampled_from(RIGS)}
+SIZES = {"--mod", "--dim", "--samples", "--degree"}
+
+
 @st.composite
 def cli_argv(draw):
+    """(argv, whether it gives a check flag the suite does not read)."""
     verb = draw(st.sampled_from(["diff", "nderiv", "partial", "faa-compose",
                                  "check", "frobnicate"]))
     argv = [verb]
+    refused = False
     if verb == "check":
-        argv.append(draw(st.sampled_from(
-            ["cdc", "modality", "kleisli-iso", "yoneda", "presheaf", "bogus"])))
+        suite = draw(st.sampled_from(sorted(READS) + ["bogus"]))
+        argv.append(suite)
+        reads = READS.get(suite, set(FUZZ_FLAGS))
         # sizes always given: the defaults of kleisli-iso and cdc run for seconds
-        for name, valid in (("--mod", (1, 2)), ("--dim", (1,)),
-                            ("--samples", (1, 2)), ("--degree", (0, 1))):
-            argv += [name, str(draw(size(valid)))]
-        argv += draw(flag("--maxdeg", size((0, 1, 2))))
-        argv += draw(flag("--arity", size((1, 2))))
-        argv += draw(flag("--seed", st.integers(0, 3)))
-        argv += draw(flag("--rig", st.sampled_from(RIGS)))
+        for name, values in FUZZ_FLAGS.items():
+            if name in reads:
+                given = [name, str(draw(values))]
+                argv += given if name in SIZES else draw(st.sampled_from([[], given]))
+        unread = sorted(set(FUZZ_FLAGS) - reads)
+        if unread and draw(st.integers(0, 3)) == 0:
+            name = draw(st.sampled_from(unread))
+            argv += [name, str(draw(FUZZ_FLAGS[name]))]
+            refused = True
         argv += draw(st.sampled_from([[], ["--json"]]))
     elif verb != "frobnicate":
         argv += draw(flag("--rig", st.sampled_from(RIGS)))
@@ -303,14 +358,15 @@ def cli_argv(draw):
     if draw(st.integers(0, 3)) == 0:
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(
             ["--bogus", "--json", "--rig", "--n", "-1", "[x1]", ""])))
-    return argv
+    return argv, refused
 
 
 @settings(max_examples=60, deadline=None)
 @given(cli_argv())
-def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+def test_fuzzed_argv_keeps_the_exit_code_contract(case):
+    argv, refused = case
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
-    assert code in (0, 1, 2), (argv, code)
+    assert code in ((2,) if refused else (0, 1, 2)), (argv, code)
     assert "Traceback" not in err.getvalue(), argv

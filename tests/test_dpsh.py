@@ -22,29 +22,29 @@ def small_base(modulus=2, objects=(1,)):
 
 def test_representable_differential_of_identity():
     base = small_base(2, (1, 2))
-    y2 = dpsh.representable(base, 2)
+    y2 = dpsh.ReprPresheaf(base, 2)
     be = base.backend
     assert y2.diff(2, be.identity(2)) == be.proj([2, 2], 1)
 
 
 def test_representable_passes_axioms():
     base = small_base(3, (1,))
-    report = dpsh.check_presheaf(dpsh.representable(base, 1))
+    report = dpsh.check_presheaf(dpsh.ReprPresheaf(base, 1))
     assert report.passed, report.render()
 
 
 def test_unit_and_tensor_pass_axioms():
     base = small_base(2, (1,))
-    unit = dpsh.unit_presheaf(base)
-    y1 = dpsh.representable(base, 1)
-    for X in (unit, dpsh.presheaf_tensor(unit, y1), dpsh.presheaf_tensor(y1, y1)):
+    unit = dpsh.UnitPresheaf(base)
+    y1 = dpsh.ReprPresheaf(base, 1)
+    for X in (unit, dpsh.TensorPresheaf(unit, y1), dpsh.TensorPresheaf(y1, y1)):
         report = dpsh.check_presheaf(X)
         assert report.passed, report.render()
 
 
 def test_q_presheaf_passes_axioms():
     base = small_base(2, (1,))
-    report = dpsh.check_presheaf(dpsh.presheaf_Q(dpsh.representable(base, 1), bound=2))
+    report = dpsh.check_presheaf(dpsh.QPresheaf(dpsh.ReprPresheaf(base, 1), bound=2))
     assert report.passed, report.render()
     assert report.config["degree_bound"] == 2
 
@@ -52,14 +52,14 @@ def test_q_presheaf_passes_axioms():
 def test_q_presheaf_differential_of_a_point():
     # D<xi0> = <xi0 pi0; D xi0>
     base = small_base(2, (1, 2))
-    y1 = dpsh.representable(base, 1)
-    QX = dpsh.presheaf_Q(y1, bound=1)
+    y1 = dpsh.ReprPresheaf(base, 1)
+    QX = dpsh.QPresheaf(y1, bound=1)
     be = base.backend
     for xi in y1.spanning(1):
-        q = q_inject(QX._to_elem(1, xi), [])
+        q = q_inject(y1.to_elem(1, xi), [])
         pi0 = be.proj([1, 1], 0)
         expected = q_inject(
-            QX._to_elem(2, y1.act(pi0, xi)), [QX._to_elem(2, y1.diff(1, xi))]
+            y1.to_elem(2, y1.act(pi0, xi)), [y1.to_elem(2, y1.diff(1, xi))]
         )
         assert QX.diff(1, q) == expected
 
@@ -70,22 +70,22 @@ def test_q_differential_of_a_sum_is_the_sum_of_its_generators_images(modulus, st
     # the oracle maps each generator alone, in a Q presheaf that has
     # mapped nothing else
     base = small_base(modulus, (1, 2))
-    y1 = dpsh.representable(base, 1)
-    QX = dpsh.presheaf_Q(y1, bound=2)
+    y1 = dpsh.ReprPresheaf(base, 1)
+    QX = dpsh.QPresheaf(y1, bound=2)
     gens = QX.spanning(stage)
     rng = random.Random(stage)
     for _ in range(25):
         terms = [(rng.randrange(1, modulus), rng.choice(gens))
                  for _ in range(rng.randrange(2, 6))]
         q = sum((g.scale(c) for c, g in terms[1:]), terms[0][1].scale(terms[0][0]))
-        expected = [dpsh.presheaf_Q(y1, bound=2).diff(stage, g).scale(c)
+        expected = [dpsh.QPresheaf(y1, bound=2).diff(stage, g).scale(c)
                     for c, g in terms]
         assert QX.diff(stage, q) == sum(expected[1:], expected[0])
 
 
 def test_q_differential_maps_each_generator_once(monkeypatch):
     base = small_base(2, (1, 2))
-    QX = dpsh.presheaf_Q(dpsh.representable(base, 1), bound=2)
+    QX = dpsh.QPresheaf(dpsh.ReprPresheaf(base, 1), bound=2)
     calls = []
     original = dpsh.q_inject
 
@@ -108,18 +108,36 @@ def test_q_differential_maps_each_generator_once(monkeypatch):
 def test_finite_presheaf_elements_over_z_mod_1_are_zero():
     # 1 = 0 in Z/1, so every basis element is the zero element
     base = small_base(1, (1, 2))
-    unit = dpsh.unit_presheaf(base)
-    y1 = dpsh.representable(base, 1)
-    tensor = dpsh.presheaf_tensor(y1, unit)
+    unit = dpsh.UnitPresheaf(base)
+    y1 = dpsh.ReprPresheaf(base, 1)
+    tensor = dpsh.TensorPresheaf(y1, unit)
     assert unit.basis(1) == unit.spanning(1) == [unit.zero(1)]
     assert tensor.basis(2) == [tensor.zero(2)] * 2
     assert y1.basis(2) == [base.backend.zero(2, 1)] * 2
 
 
+@pytest.mark.parametrize("modulus", [2, 3])
+def test_to_elem_keeps_module_elements_and_reads_maps_on_their_coordinates(modulus):
+    base = small_base(modulus, (1, 2))
+    y1, y2, unit = (dpsh.ReprPresheaf(base, 1), dpsh.ReprPresheaf(base, 2),
+                    dpsh.UnitPresheaf(base))
+    for X in (unit, dpsh.TensorPresheaf(y1, y2), dpsh.TensorPresheaf(unit, y1)):
+        for A in base.objects:
+            for xi in X.spanning(A) + [X.zero(A)]:
+                assert X.to_elem(A, xi) is xi
+    for yB in (y1, y2):
+        for A in base.objects:
+            for xi in yB.spanning(A):
+                elem = yB.to_elem(A, xi)
+                assert elem == faa.vec_to_elem(yB.rig, yB.space(A), yB.coords(A, xi))
+                assert elem.space == yB.space(A)
+                assert yB.from_coords(A, faa.elem_to_vec(elem, yB.space(A))) is xi
+
+
 def test_tensor_basis_images_read_the_factor_memos():
     base = small_base(3, (1, 2))
-    y1, y2 = dpsh.representable(base, 1), dpsh.representable(base, 2)
-    tensor = dpsh.presheaf_tensor(y1, y2)
+    y1, y2 = dpsh.ReprPresheaf(base, 1), dpsh.ReprPresheaf(base, 2)
+    tensor = dpsh.TensorPresheaf(y1, y2)
     be = base.backend
     f = MatMap(be.rig, 1, 2, ((1,), (2,)))
     act = tensor.act_map(f)
@@ -141,8 +159,8 @@ def test_a_tensor_check_keeps_no_act_map_of_its_own():
     # tensor check; the factor bounds are the figures of the check before
     # the tensor acted straight from the factors' maps
     base = small_base(2, (1, 2))
-    y1, y2 = dpsh.representable(base, 1), dpsh.representable(base, 2)
-    tensor = dpsh.presheaf_tensor(y1, y2)
+    y1, y2 = dpsh.ReprPresheaf(base, 1), dpsh.ReprPresheaf(base, 2)
+    tensor = dpsh.TensorPresheaf(y1, y2)
     assert dpsh.check_presheaf(tensor, map_budget=4, seed=3).passed
 
     def kept(X):
@@ -159,8 +177,8 @@ def test_tensor_action_is_the_product_of_the_factor_coordinates():
     # coordinate i * Y.dim(B) + j of (b_k (x) b_l).f is
     # (b_k.f)_i * (b_l.f)_j, in the basis order of the old index kernel
     base = small_base(3, (1, 2))
-    y1, y2 = dpsh.representable(base, 1), dpsh.representable(base, 2)
-    tensor = dpsh.presheaf_tensor(y1, y2)
+    y1, y2 = dpsh.ReprPresheaf(base, 1), dpsh.ReprPresheaf(base, 2)
+    tensor = dpsh.TensorPresheaf(y1, y2)
     for A, B in itertools.product(base.objects, repeat=2):
         width, basis = y2.dim(B), tensor.basis(A)
         for f in base.all_maps(B, A):
@@ -180,10 +198,10 @@ def test_monoidal_mult_lands_in_q_of_the_tensor_presheaf():
     # Q(y(1) (x) y(2))(1) as it stands, with no re-indexing, and m is
     # natural in the base maps that act on the three Q presheaves
     base = small_base(2, (1, 2))
-    y1, y2 = dpsh.representable(base, 1), dpsh.representable(base, 2)
-    tensor = dpsh.presheaf_tensor(y1, y2)
-    Q1, Q2, QT = (dpsh.presheaf_Q(y1, 1), dpsh.presheaf_Q(y2, 1),
-                  dpsh.presheaf_Q(tensor, 2))
+    y1, y2 = dpsh.ReprPresheaf(base, 1), dpsh.ReprPresheaf(base, 2)
+    tensor = dpsh.TensorPresheaf(y1, y2)
+    Q1, Q2, QT = (dpsh.QPresheaf(y1, 1), dpsh.QPresheaf(y2, 1),
+                  dpsh.QPresheaf(tensor, 2))
     gens = {g for t in QT.spanning(1) for g in t.coeffs}
     maps = [f for Z in base.objects for f in base.all_maps(Z, 1)]
     for p in Q1.spanning(1):
@@ -259,7 +277,7 @@ def _state(obj, skip=()):
 @pytest.mark.parametrize("kind", ["y(1)", "unit", "y(1)(x)y(2)", "Qy(1)"])
 def test_check_presheaf_acts_once_per_distinct_input_within_one_call(kind):
     base = small_base(2, (1, 2))
-    y1, y2 = dpsh.representable(base, 1), dpsh.representable(base, 2)
+    y1, y2 = dpsh.ReprPresheaf(base, 1), dpsh.ReprPresheaf(base, 2)
     cls, args = {
         "y(1)": (dpsh.ReprPresheaf, (base, 1)),
         "unit": (dpsh.UnitPresheaf, (base,)),
@@ -318,7 +336,7 @@ def test_sampled_triples_are_the_sample_of_the_listed_triples(n, k):
 
 def test_hom_element_round_trip():
     base = small_base(3, (1, 2))
-    y2 = dpsh.representable(base, 2)
+    y2 = dpsh.ReprPresheaf(base, 2)
     for f in base.all_maps(2, 2):
         vec = y2.coords(2, f)
         assert y2.from_coords(2, vec) == f
@@ -326,7 +344,7 @@ def test_hom_element_round_trip():
 
 def test_classify_round_trip_on_canonical_generators():
     base = small_base(2, (1, 2))
-    y2 = dpsh.representable(base, 2)
+    y2 = dpsh.ReprPresheaf(base, 2)
     be = base.backend
     for f in base.all_maps(2, 2):
         sequence = [f, be.D(f)]
@@ -338,7 +356,7 @@ def test_classify_round_trip_on_canonical_generators():
 
 def test_classified_map_is_zero_beyond_support():
     base = small_base(2, (1,))
-    y1 = dpsh.representable(base, 1)
+    y1 = dpsh.ReprPresheaf(base, 1)
     cm = dpsh.classify(base, y1, 1, [base.backend.identity(1)])
     q = dpsh.canonical_generator(base, 1, 1)
     assert cm.eval(2, q) == y1.zero(2)
@@ -346,7 +364,7 @@ def test_classified_map_is_zero_beyond_support():
 
 def test_classify_rejects_asymmetric_sequences():
     base = small_base(2, (1,))
-    y1 = dpsh.representable(base, 1)
+    y1 = dpsh.ReprPresheaf(base, 1)
     be = base.backend
     asym = MatMap(be.rig, 3, 1, ((0, 1, 0),))
     with pytest.raises(InvalidSequence) as info:
@@ -373,8 +391,8 @@ def test_generator_maps_read_q_of_a_representable_as_pairings(modulus):
     # on every spanning element of Q(y1) and Q(y2) and on its differential
     base = small_base(modulus, (1, 2))
     for A in (1, 2):
-        yA = dpsh.representable(base, A)
-        QyA = dpsh.presheaf_Q(yA, 2)
+        yA = dpsh.ReprPresheaf(base, A)
+        QyA = dpsh.QPresheaf(yA, 2)
         for Z in base.objects:
             for q in QyA.spanning(Z):
                 for stage, elem in ((Z, q), (2 * Z, QyA.diff(Z, q))):
@@ -401,9 +419,9 @@ def test_decoding_a_generator_builds_no_presheaf(monkeypatch):
     assert dpsh.full_fidelity(dpsh.FiniteCdcBase(2, [1, 2]), 1, 2).passed
     assert [X.name for X in built] == ["y(1)", "y(2)"]
     base = small_base(2, (1, 2))
-    y1 = dpsh.representable(base, 1)
+    y1 = dpsh.ReprPresheaf(base, 1)
     cm = dpsh.classify(base, y1, 1, [base.backend.identity(1)])
-    QyA = dpsh.presheaf_Q(y1, 1)
+    QyA = dpsh.QPresheaf(y1, 1)
     del built[:]
     for Z in base.objects:
         for q in QyA.spanning(Z):
@@ -413,7 +431,7 @@ def test_decoding_a_generator_builds_no_presheaf(monkeypatch):
 
 def test_classified_map_is_linear_in_q():
     base = small_base(2, (1,))
-    y1 = dpsh.representable(base, 1)
+    y1 = dpsh.ReprPresheaf(base, 1)
     be = base.backend
     f = be.identity(1)
     cm = dpsh.classify(base, y1, 1, [f, be.D(f)])
@@ -499,13 +517,13 @@ def test_differential_test_reads_generators_up_to_its_degree_bound():
 
 def test_full_fidelity_builds_q_of_the_representable_once(monkeypatch):
     built = []
-    original = dpsh.presheaf_Q
+    original = dpsh.QPresheaf
 
     def counting(X, bound=2):
         built.append((X.name, bound))
         return original(X, bound)
 
-    monkeypatch.setattr(dpsh, "presheaf_Q", counting)
+    monkeypatch.setattr(dpsh, "QPresheaf", counting)
     base = small_base(2, (1, 2))
     report = dpsh.full_fidelity(base, 1, 2, support_bound=2, degree_bound=1)
     assert report.passed, report.render()

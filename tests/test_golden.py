@@ -35,8 +35,8 @@ def faa_axioms():
 def q_of_a_tensor():
     # Q(y(1) (x) unit): Q reads a tensor factor through its stage maps
     base = dpsh.FiniteCdcBase(2, [1, 2])
-    X = dpsh.presheaf_tensor(dpsh.representable(base, 1), dpsh.unit_presheaf(base))
-    return dpsh.check_presheaf(dpsh.presheaf_Q(X, 1), map_budget=4)
+    X = dpsh.TensorPresheaf(dpsh.ReprPresheaf(base, 1), dpsh.UnitPresheaf(base))
+    return dpsh.check_presheaf(dpsh.QPresheaf(X, 1), map_budget=4)
 
 
 def poly_D_dropping_last_direction(f):

@@ -60,9 +60,9 @@ MAT = MatBackend(2)
 POLY = cdc.PolyBackend(INT)
 FINFN = FinFnBackend(2)
 FAA = faa.FaaBackend(MAT)
-Y1 = dpsh.representable(BASE, 1)
+Y1 = dpsh.ReprPresheaf(BASE, 1)
 M1 = FinFnBackend(2).module(1)
-TENSOR = dpsh.presheaf_tensor(Y1, dpsh.unit_presheaf(BASE))
+TENSOR = dpsh.TensorPresheaf(Y1, dpsh.UnitPresheaf(BASE))
 NOT_Q = basis_elem(INT, A, "a")  # an element of A, not of QA
 P2 = q_inject(basis_elem(Z2, A, "a"), [basis_elem(Z2, A, "a")])
 
@@ -91,7 +91,7 @@ P2 = q_inject(basis_elem(Z2, A, "a"), [basis_elem(Z2, A, "a")])
     lambda: dpsh.full_fidelity(BASE, 1, 1, degree_bound=-1),
     lambda: dpsh.full_fidelity(BASE, 1, 1, support_bound=-1),
     lambda: suites.presheaf_suite(max_dim=1, q_bound=-1),
-    lambda: dpsh.check_presheaf(dpsh.representable(BASE, 1), map_budget=-1),
+    lambda: dpsh.check_presheaf(dpsh.ReprPresheaf(BASE, 1), map_budget=-1),
     lambda: suites.presheaf_suite(max_dim=1, map_budget=-1),
     lambda: suites.cdc_suite(max_arity=0),
     lambda: suites.cdc_suite(samples=-1),
@@ -111,7 +111,7 @@ P2 = q_inject(basis_elem(Z2, A, "a"), [basis_elem(Z2, A, "a")])
     lambda: parse_poly_map("[1]", INT, -1),
     lambda: PolyMap(INT, -1, 1, [Polynomial.zero(INT, -1)]),
     lambda: FinFnBackend(2).module(-1).elements(),
-    lambda: dpsh.check_presheaf(dpsh.representable(dpsh.FiniteCdcBase(2, [-1]), 1)),
+    lambda: dpsh.check_presheaf(dpsh.ReprPresheaf(dpsh.FiniteCdcBase(2, [-1]), 1)),
     lambda: MatBackend(2).identity(-1),
     lambda: MatBackend(2).zero(-1, 2),
     lambda: MatBackend(2).zero(2, -1),
@@ -131,9 +131,9 @@ P2 = q_inject(basis_elem(Z2, A, "a"), [basis_elem(Z2, A, "a")])
     lambda: next(faa.all_families(MatBackend(2), -1, 1, 1)),
     lambda: next(faa.all_families(cdc.PolyBackend(INT), 1, 1, 1)),
     lambda: suites.enumerate_families(cdc.PolyBackend(INT), 1, 1, 1),
-    lambda: dpsh.presheaf_Q(dpsh.presheaf_Q(Y1)).spanning(1),
-    lambda: dpsh.presheaf_tensor(dpsh.presheaf_Q(Y1), Y1).basis(1),
-    lambda: dpsh.presheaf_tensor(Y1, dpsh.presheaf_Q(Y1)).basis(1),
+    lambda: dpsh.QPresheaf(dpsh.QPresheaf(Y1)).spanning(1),
+    lambda: dpsh.TensorPresheaf(dpsh.QPresheaf(Y1), Y1).basis(1),
+    lambda: dpsh.TensorPresheaf(Y1, dpsh.QPresheaf(Y1)).basis(1),
     lambda: dpsh.QPresheaf(BASE),
     lambda: dpsh.TensorPresheaf(Y1, None),
     lambda: MAT.pairing([]),

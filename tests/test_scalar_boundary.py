@@ -88,8 +88,8 @@ def _faa(base):
 
 def _presheaf_rows(rig):
     base = dpsh.FiniteCdcBase(rig.modulus, [1])
-    y1, unit = dpsh.representable(base, 1), dpsh.unit_presheaf(base)
-    tensor, q = dpsh.presheaf_tensor(y1, y1), dpsh.QPresheaf(y1, 1)
+    y1, unit = dpsh.ReprPresheaf(base, 1), dpsh.UnitPresheaf(base)
+    tensor, q = dpsh.TensorPresheaf(y1, y1), dpsh.QPresheaf(y1, 1)
     return {
         "dpsh.ReprPresheaf.scale": lambda c: y1.scale(c, y1.spanning(1)[1]),
         "dpsh.FinitePresheaf.scale": lambda c: unit.scale(c, unit.basis(1)[0]),
@@ -225,6 +225,34 @@ def test_renamings_are_built_by_relabel_only():
             for call in _calls(tree, "LinearMap"):
                 args = call.args + [k.value for k in call.keywords]
                 assert not any(map(_is_renaming, args)), f"{path.name}:{call.lineno}"
+
+
+# presheaves reach their matrix base only through MatBackend: dpsh names no
+# trusted_matmap, reads no .rows and slices no window out of a vector, and
+# in matcat only the codec's from_coords splits a vector into rows
+
+def _windows(node):
+    """The slices with both bounds under node, such as vec[i * n:(i + 1) * n]."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Slice)
+            and n.lower is not None and n.upper is not None]
+
+
+def test_presheaves_reach_mat_through_the_backend_codec_only():
+    trees = {path.name: tree for path, tree in _sources()}
+    dpsh_tree = trees["dpsh.py"]
+    names = {n.id for n in ast.walk(dpsh_tree) if isinstance(n, ast.Name)}
+    names |= {a.name for n in ast.walk(dpsh_tree) if isinstance(n, ast.ImportFrom)
+              for a in n.names}
+    attrs = {n.attr for n in ast.walk(dpsh_tree) if isinstance(n, ast.Attribute)}
+    assert "trusted_matmap" not in names | attrs
+    assert "rows" not in attrs
+    assert _windows(dpsh_tree) == []
+    backend = next(n for n in trees["matcat.py"].body
+                   if isinstance(n, ast.ClassDef) and n.name == "MatBackend")
+    from_coords = next(n for n in backend.body
+                       if isinstance(n, ast.FunctionDef) and n.name == "from_coords")
+    assert _windows(from_coords)
+    assert len(_windows(trees["matcat.py"])) == len(_windows(from_coords))
 
 
 # one memo type: a get-or-build block (`x = d.get(k)`, then `if x is None:`
