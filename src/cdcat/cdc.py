@@ -9,14 +9,15 @@ one place their structure is implemented.  The backends are PolyBackend
 (below), matcat.MatBackend, poly.FinFnBackend (no D: the base the Faa di
 Bruno and co-Kleisli constructions are built over) and faa.FaaBackend
 over any of them.  Optional: all_maps(dom, cod), every morphism of a
-finite hom-set (Mat); multilinear_count and multilinear_maps, the levels
-faa.all_families enumerates (Mat, FinFn); and PolyBackend's syntactic
-refinements d_second_block_linear and is_linear_syntactic, which
-check_axioms and is_k_linear use when a backend has them.
+finite hom-set (Mat); and multilinear_count and multilinear_maps, the
+levels faa.all_families enumerates (Mat, FinFn).  One optional law
+refinement: d_second_block_linear(f, df), PolyBackend's syntactic test
+that df = D(f) has degree exactly 1 in its direction block, which
+check_axioms adds to axiom (ii) when a backend has it.
 
 On top of that this module derives partial and iterated derivatives,
-the partition-sum decomposition of n-fold D and its inverse, linearity
-tests, and an executable check of the seven differential axioms.
+the partition-sum decomposition of n-fold D and its inverse, and an
+executable check of the seven differential axioms.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import ArityError, InvalidArgument, in_range, nonempty, nonnegative
 from .poly import (
     PolyMap,
     Polynomial,
-    is_linear_syntactic,
     poly_D,
     substitute,
     _trusted_polymap,
@@ -101,19 +101,15 @@ class PolyBackend:
     def D(self, f):
         return poly_D(f)
 
-    # syntactic refinement of axiom (ii): each monomial of Df has total
-    # degree exactly 1 in the direction block
-    def d_second_block_linear(self, f) -> bool:
-        df = poly_D(f)
+    # syntactic refinement of axiom (ii): each monomial of df = D(f) has
+    # total degree exactly 1 in the direction block
+    def d_second_block_linear(self, f, df) -> bool:
         n = f.dom
         for p in df.components:
             for e in p.terms:
                 if sum(e[n:]) != 1:
                     return False
         return True
-
-    def is_linear_syntactic(self, f) -> bool:
-        return is_linear_syntactic(f)
 
 
 class PolySampler:
@@ -199,18 +195,13 @@ def nth_derivative(backend, f, A, n: int):
 
 def subset_pairing(backend, A, I, n: int):
     """The pairing A x A^n -> A x A^|I| of slot 0, then the slots in I in
-    increasing order."""
+    increasing order; I must be a set of distinct slots in 1..n."""
+    slots = sorted(I)
+    if any(not 1 <= i <= n for i in slots) or len(set(slots)) < len(slots):
+        raise ArityError(f"slots {slots} are not a subset of 1..{n}")
     blocks = [A] * (n + 1)
     return backend.pairing([backend.proj(blocks, 0)]
-                           + [backend.proj(blocks, i) for i in sorted(I)])
-
-
-def derivative_on_subset(backend, f, A, I, n: int):
-    """f^(I): A x A^n -> B, the |I|-th derivative fed slots 0 and I."""
-    if any(not 1 <= i <= n for i in I):
-        raise ArityError(f"subset {sorted(I)} outside 1..{n}")
-    return backend.compose(nth_derivative(backend, f, A, len(I)),
-                           subset_pairing(backend, A, I, n))
+                           + [backend.proj(blocks, i) for i in slots])
 
 
 def iterated_D(backend, f, n: int):
@@ -254,41 +245,6 @@ def reconstruct_from_iterated(backend, Dnf, A, n: int):
         else:
             args.append(backend.zero(dom_obj, A))
     return backend.compose(Dnf, backend.pairing(args))
-
-
-# ---------------------------------------------------------------------------
-# linearity tests
-
-def is_k_linear(backend, f, sampler, samples: int = 20):
-    """Sampled additivity/homogeneity of f(-), plus the syntactic test when
-    the backend offers one.  Returns (verdict, witness-or-None)."""
-    A = f.dom
-    for _ in range(samples):
-        Z = sampler.random_object()
-        g = sampler.random_morphism(Z, A)
-        h = sampler.random_morphism(Z, A)
-        lhs = backend.compose(f, backend.add(g, h))
-        rhs = backend.add(backend.compose(f, g), backend.compose(f, h))
-        if lhs != rhs:
-            return False, f"additivity fails at g={g}, h={h}"
-        c = sampler.random_scalar()
-        lhs = backend.compose(f, backend.scale(c, g))
-        rhs = backend.scale(c, backend.compose(f, g))
-        if lhs != rhs:
-            return False, f"homogeneity fails at c={c}, g={g}"
-    if hasattr(backend, "is_linear_syntactic") and not backend.is_linear_syntactic(f):
-        return False, "a monomial of total degree != 1 survives sampling"
-    return True, None
-
-
-def is_D_linear(backend, f):
-    """Exact comparison of Df against f pi1."""
-    A = f.dom
-    fpi1 = backend.compose(f, backend.proj([A, A], 1))
-    df = backend.D(f)
-    if df == fpi1:
-        return True, None
-    return False, f"Df={df} differs from f.pi1={fpi1}"
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +301,8 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
         rhs = backend.scale(c, df)
         if lhs != rhs:
             return f"Df not homogeneous in the direction, c={c}, f={f}"
-        if hasattr(backend, "d_second_block_linear") and not backend.d_second_block_linear(f):
+        if (hasattr(backend, "d_second_block_linear")
+                and not backend.d_second_block_linear(f, df)):
             return f"direction-block degree != 1 in Df for f={f}"
         return None
 

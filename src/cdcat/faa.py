@@ -263,11 +263,6 @@ def faa_higher(f: FaaMap, m: int, n: int):
     return total
 
 
-def faa_counit(f: FaaMap):
-    """The cofreeness counit: the 0th component."""
-    return f.component(0)
-
-
 def coalgebra(backend, f, max_support: int = 16) -> FaaMap:
     """Lift a base CDC morphism to its family of iterated first partials;
     support s needs max_support >= s + 1, to compute f^(s+1) = 0."""
@@ -433,10 +428,6 @@ class KleisliMap(FaaMap):
 
 def kleisli_from_family(backend: FinFnBackend, f: FaaMap) -> KleisliMap:
     return KleisliMap(backend, f.dom, f.cod, f.family)
-
-
-def kleisli_identity(backend: FinFnBackend, mod: FinModule) -> KleisliMap:
-    return kleisli_from_family(backend, FaaBackend(backend).identity(mod))
 
 
 def composite_support(g: FaaMap, f: FaaMap) -> int:

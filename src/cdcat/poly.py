@@ -348,13 +348,6 @@ def poly_D(f: PolyMap) -> PolyMap:
     return _trusted_polymap(f.rig, 2 * n, f.cod, tuple(comps))
 
 
-def is_linear_syntactic(f: PolyMap) -> bool:
-    """Every monomial of every component has total degree exactly 1."""
-    return all(
-        all(sum(e) == 1 for e in p.terms) for p in f.components
-    )
-
-
 # ---------------------------------------------------------------------------
 # parser
 

@@ -135,10 +135,6 @@ def relabel(rig, domain, codomain, fn) -> LinearMap:
     return LinearMap(rig, domain, codomain, on_basis)
 
 
-def identity_map(rig, space) -> LinearMap:
-    return relabel(rig, space, space, lambda k: k)
-
-
 def tensor_map(f: LinearMap, g: LinearMap) -> LinearMap:
     """f (x) g: A (x) B -> C (x) D on pair keys.  The rigs are checked
     once, here, and every image is built in the one codomain space."""

@@ -12,9 +12,6 @@ from cdcat.cdc import (
     PolySampler,
     check_axioms,
     decompose_iterated,
-    derivative_on_subset,
-    is_D_linear,
-    is_k_linear,
     iterated_D,
     nth_derivative,
     partial_derivative,
@@ -23,7 +20,7 @@ from cdcat.cdc import (
 from cdcat.errors import ArityError, ObjectMismatch, SpecMismatch
 from cdcat.dpsh import FiniteCdcBase, ReprPresheaf
 from cdcat.matcat import MatBackend, MatMap, MatSampler, trusted_matmap
-from cdcat.poly import parse_poly_map, substitute
+from cdcat.poly import PolyMap, Polynomial, parse_poly_map, substitute
 
 BE = PolyBackend(INT)
 
@@ -53,15 +50,6 @@ def test_nth_derivatives_of_cubic():
     assert nth_derivative(BE, f, 1, 2) == p("[6*x1*x2*x3]", arity=3)
     assert nth_derivative(BE, f, 1, 3) == p("[6*x2*x3*x4]", arity=4)
     assert nth_derivative(BE, f, 1, 4).is_zero
-
-
-def test_derivative_on_subset():
-    # f^({2}) at n = 2 feeds slots 0 and 2 into f^(1)
-    f = p("[x1^3]")
-    assert derivative_on_subset(BE, f, 1, [2], 2) == p("[3*x1^2*x3]", arity=3)
-    assert derivative_on_subset(BE, f, 1, [], 2) == p("[x1^3]", arity=3)
-    with pytest.raises(ArityError):
-        derivative_on_subset(BE, f, 1, [3], 2)
 
 
 def test_nth_derivative_is_symmetric_and_additive_in_directions():
@@ -123,28 +111,13 @@ def test_chain_rule_for_partials():
 
 
 # ---------------------------------------------------------------------------
-# linearity predicates
-
-def test_is_k_linear():
-    sampler = PolySampler(INT, seed=0)
-    ok, _ = is_k_linear(BE, p("[2*x1 + 3*x2]", arity=2), sampler)
-    assert ok
-    bad, witness = is_k_linear(BE, p("[x1^2]"), sampler)
-    assert not bad and witness is not None
-
-
-def test_is_D_linear():
-    ok, _ = is_D_linear(BE, p("[2*x1]"))
-    assert ok
-    bad, witness = is_D_linear(BE, p("[x1^2]"))
-    assert not bad and witness is not None
-
+# linear maps
 
 def test_every_mat_map_is_D_linear():
+    # Df = f pi1: a Mat map is its own derivative in the direction
     mat = MatBackend(5)
     for f in mat.all_maps(2, 1):
-        ok, _ = is_D_linear(mat, f)
-        assert ok
+        assert mat.D(f) == mat.compose(f, mat.proj([2, 2], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -301,3 +274,23 @@ def test_axiom_checker_catches_a_broken_differential():
     assert not report.passed
     failing = [c for c in report.checks if not c.passed]
     assert failing and all(c.counterexample for c in failing)
+
+
+def test_axiom_ii_refinement_checks_the_differential_under_test():
+    # D raising each direction to the 5th power over Z/5: v^5 is additive
+    # and c^5 = c there, so only the syntactic degree test can see it
+    rig = zmod(5)
+
+    class Frobenius(PolyBackend):
+        def D(self, f):
+            n = f.dom
+            frob = PolyMap(rig, 2 * n, 2 * n, [
+                Polynomial.var(rig, 2 * n, i) ** (5 if i >= n else 1)
+                for i in range(2 * n)])
+            return self.compose(super().D(f), frob)
+
+    sampler = PolySampler(rig, seed=1, max_arity=2, max_degree=2)
+    report = check_axioms(Frobenius(rig), sampler, samples=20)
+    ax_ii = next(c for c in report.checks if c.name == "axiom-ii-Df-linear-in-direction")
+    assert not ax_ii.passed
+    assert ax_ii.counterexample.startswith("direction-block degree != 1")

@@ -10,6 +10,7 @@ from cdcat import faa, qmodality, suites
 from cdcat.algebra import INT, RAT, Product, basis_elem, zmod
 from cdcat.cdc import PolyBackend, PolySampler, check_axioms, iterated_D, nth_derivative
 from cdcat.errors import (
+    ArityError,
     DegreeBoundExceeded,
     NoFiniteSupport,
     ObjectMismatch,
@@ -71,7 +72,20 @@ def test_coalgebra_support_bound(src, support, max_support):
 
 def test_counit_splits_coalgebra():
     f = p("[x1^3 + x1]")
-    assert faa.faa_counit(tower(f)) == f
+    assert tower(f).component(0) == f
+
+
+def test_component_on_subset_feeds_slot_0_and_the_subset():
+    # f^({2}) at n = 2 feeds slots 0 and 2 into f^(1)
+    fam = tower(p("[x1^3]"))
+    assert faa.component_on_subset(fam, [2], 2) == p("[3*x1^2*x3]", arity=3)
+    assert faa.component_on_subset(fam, [], 2) == p("[x1^3]", arity=3)
+
+
+@pytest.mark.parametrize("slots", [[3], [0], [2, 2], [-1, 1]])
+def test_component_on_subset_refuses_slots_that_are_not_a_subset(slots):
+    with pytest.raises(ArityError):
+        faa.component_on_subset(tower(p("[x1^3]")), slots, 2)
 
 
 def test_validate_family_rejects_nonlinear_entries():
@@ -402,7 +416,8 @@ def test_kleisli_D_matches_faa():
 
 def test_kleisli_identity_composes_trivially():
     backend, kf, _ = finite_pair("[x1^2]", "[x1]")
-    ident = faa.kleisli_identity(backend, backend.module(1))
+    A = backend.module(1)
+    ident = faa.kleisli_from_family(backend, faa.FaaBackend(backend).identity(A))
     assert list(faa.kleisli_compose(kf, ident).family) == list(kf.family)
 
 
@@ -418,7 +433,8 @@ def test_a_builder_serves_every_family_up_to_its_top_and_refuses_the_rest():
     # one build at the largest support; each family reads its own levels
     backend, kf, kg = finite_pair("[x1^2]", "[x1^2 + x1]", modulus=3)
     A = backend.module(1)
-    ident = faa.kleisli_identity(backend, A)
+    identity = faa.FaaBackend(backend).identity
+    ident = faa.kleisli_from_family(backend, identity(A))
     derive = faa.build_kleisli_D(backend, A, 2)
     compose = faa.build_kleisli_compose(backend, A, 4)
     for f in (kf, kg, ident):
@@ -429,7 +445,7 @@ def test_a_builder_serves_every_family_up_to_its_top_and_refuses_the_rest():
         faa.build_kleisli_D(backend, A, 1)(kf)
     with pytest.raises(DegreeBoundExceeded):
         faa.build_kleisli_compose(backend, A, 3)(kg, kf)
-    plane = faa.kleisli_identity(backend, backend.module(2))
+    plane = faa.kleisli_from_family(backend, identity(backend.module(2)))
     with pytest.raises(ObjectMismatch):
         derive(plane)
     with pytest.raises(ObjectMismatch):

@@ -25,7 +25,6 @@ from cdcat.poly import (
     Polynomial,
     PolyMap,
     TableMap,
-    is_linear_syntactic,
     parse_poly_map,
     poly_D,
     substitute,
@@ -346,12 +345,6 @@ def test_print_parse_round_trip_rat(seed):
     sampler = PolySampler(RAT, seed=seed, max_arity=2, max_degree=2)
     f = sampler.random_morphism(2, 1)
     assert parse_poly_map(f.to_str(), RAT, 2) == f
-
-
-def test_is_linear_syntactic():
-    assert is_linear_syntactic(p("[2*x1 + x2]", arity=2))
-    assert not is_linear_syntactic(p("[x1^2]"))
-    assert not is_linear_syntactic(p("[x1 + 1]"))
 
 
 # ---------------------------------------------------------------------------

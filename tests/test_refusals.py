@@ -45,10 +45,10 @@ from cdcat.qmodality import (
     bialg_mult,
     deriving,
     fusion,
-    identity_map,
     inject_elem,
     q_inject,
     q_map,
+    relabel,
 )
 
 A = Free(("a",))
@@ -169,8 +169,9 @@ def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
 
 def _kleisli_mismatch():
     backend = FinFnBackend(2)
-    one = faa.kleisli_identity(backend, backend.module(1))
-    two = faa.kleisli_identity(backend, backend.module(2))
+    identity = faa.FaaBackend(backend).identity
+    one = faa.kleisli_from_family(backend, identity(backend.module(1)))
+    two = faa.kleisli_from_family(backend, identity(backend.module(2)))
     return faa.kleisli_compose(one, two)
 
 
@@ -178,9 +179,9 @@ def _kleisli_mismatch():
     (lambda: rig_value(INT, RigValue(zmod(2), 1)), SpecMismatch),
     (lambda: tensor_elem(basis_elem(INT, A, "a"), basis_elem(zmod(2), B, "b")),
      SpecMismatch),
-    (lambda: identity_map(INT, A).apply(basis_elem(INT, B, "b")), SpaceMismatch),
-    (lambda: identity_map(Z3, A).apply(basis_elem(Z2, A, "a")), SpecMismatch),
-    (lambda: q_map(identity_map(Z3, A), q_inject(basis_elem(Z2, A, "a"), [])),
+    (lambda: relabel(INT, A, A, lambda k: k).apply(basis_elem(INT, B, "b")), SpaceMismatch),
+    (lambda: relabel(Z3, A, A, lambda k: k).apply(basis_elem(Z2, A, "a")), SpecMismatch),
+    (lambda: q_map(relabel(Z3, A, A, lambda k: k), q_inject(basis_elem(Z2, A, "a"), [])),
      SpecMismatch),
     (lambda: deriving(q_inject(basis_elem(Z2, A, "a"), []), basis_elem(Z3, A, "a")),
      SpecMismatch),
@@ -205,7 +206,7 @@ def _kleisli_mismatch():
     (lambda: FINFN.proj([M1, M1], 2), IndexOutOfRange),
     (lambda: FAA.proj([1, 2], -1), IndexOutOfRange),
     (lambda: FAA.proj([1, 2], 2), IndexOutOfRange),
-    (lambda: qmodality.tensor_map(identity_map(Z2, A), identity_map(Z3, B)),
+    (lambda: qmodality.tensor_map(relabel(Z2, A, A, lambda k: k), relabel(Z3, B, B, lambda k: k)),
      SpecMismatch),
     (lambda: TENSOR.act(MAT.identity(1), TENSOR.basis(2)[0]), SpaceMismatch),
     (lambda: TENSOR.act(MAT.identity(1), basis_elem(Z3, TENSOR.space(1), ("b1", "b1"))),
@@ -216,7 +217,7 @@ def _kleisli_mismatch():
     (lambda: qmodality.comonoid_comult(NOT_Q), SpaceMismatch),
     (lambda: qmodality.storage(NOT_Q), SpaceMismatch),
     (lambda: qmodality.storage_inv(NOT_Q), SpaceMismatch),
-    (lambda: q_map(identity_map(INT, A), NOT_Q), SpaceMismatch),
+    (lambda: q_map(relabel(INT, A, A, lambda k: k), NOT_Q), SpaceMismatch),
     (lambda: deriving(NOT_Q, NOT_Q), SpaceMismatch),
     (lambda: fusion(NOT_Q, NOT_Q), SpaceMismatch),
     (lambda: qmodality.monoidal_mult(NOT_Q, NOT_Q), SpaceMismatch),
