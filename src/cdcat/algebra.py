@@ -73,6 +73,15 @@ class RigSpec:
         """The payload of the unit, built once per spec (that of zmod:1 is 0)."""
         return rig_value(self, 1)
 
+    @functools.cached_property
+    def elements(self) -> tuple:
+        """The payloads of a finite rig, in the one order every exhaustive
+        check enumerates them: range(m) for zmod:m.  An infinite rig raises
+        InvalidArgument."""
+        if self.kind != "zmod":
+            raise InvalidArgument(f"rig {self} is not finite")
+        return tuple(range(self.modulus))
+
     def __str__(self):
         return f"zmod:{self.modulus}" if self.kind == "zmod" else self.kind
 
@@ -427,11 +436,9 @@ def tensor_elem(a: ModuleElement, b: ModuleElement) -> ModuleElement:
 
 
 def enum_elements(rig: RigSpec, space):
-    """All elements of a finite free-ish module (zmod rig, enumerable basis)."""
-    if rig.kind != "zmod":
-        raise InvalidArgument(f"rig {rig} is not finite")
+    """All elements of a finite free-ish module (finite rig, enumerable basis)."""
     keys = basis_keys(space)
-    for combo in itertools.product(range(rig.modulus), repeat=len(keys)):
+    for combo in itertools.product(rig.elements, repeat=len(keys)):
         yield ModuleElement(rig, space, dict(zip(keys, combo)))
 
 

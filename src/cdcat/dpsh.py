@@ -47,7 +47,6 @@ class FiniteCdcBase:
 
     def __init__(self, modulus: int, objects=(1, 2)):
         self.backend = MatBackend(modulus)
-        self.modulus = modulus
         self.objects = [nonnegative(A, "object") for A in objects]
 
     def all_maps(self, dom, cod):
@@ -110,9 +109,8 @@ class FinitePresheaf:
 
     def spanning(self, A):
         """Every element of the stage, in the order of its coordinates."""
-        scalars = range(self.base.modulus)
         return [self.from_coords(A, vec)
-                for vec in itertools.product(scalars, repeat=self.dim(A))]
+                for vec in itertools.product(self.rig.elements, repeat=self.dim(A))]
 
     def to_elem(self, A, xi) -> ModuleElement:
         """xi as a ModuleElement over space(A): xi itself, unless a subclass
@@ -328,11 +326,11 @@ def check_presheaf(X, map_budget: int | None = None, seed: int = 0) -> Report:
     objects = list(base.objects)
     rng = random.Random(seed)
     bound = getattr(X, "bound", None)
-    config = {"presheaf": X.name, "objects": objects, "modulus": base.modulus}
+    config = {"presheaf": X.name, "objects": objects, "modulus": be.rig.modulus}
     if bound is not None:
         config["degree_bound"] = bound
     report = Report("presheaf-axioms", config)
-    scalars = list(range(base.modulus))
+    scalars = be.rig.elements
     # memos of this call, so that no result outlives a seam patched between
     # two checks; maps and elements are their own keys
     act = Memo(lambda key: X.act(*key))
@@ -550,7 +548,7 @@ def full_fidelity(base: FiniteCdcBase, A: int, B: int, support_bound: int = 2,
     be = base.backend
     report = Report(
         "full-fidelity",
-        {"A": A, "B": B, "modulus": base.modulus,
+        {"A": A, "B": B, "modulus": be.rig.modulus,
          "support_bound": support_bound, "degree_bound": degree_bound},
     )
     respects = differential_test(base, A, B, degree_bound)

@@ -158,7 +158,7 @@ def validate_family(backend, A, family, action) -> str | None:
 def _validation_scalars(rig):
     # raw payloads: every scalar of a finite rig, a few of an infinite one
     if rig.kind == "zmod":
-        return range(rig.modulus)
+        return rig.elements
     if rig.kind == "rat":
         return [2, Fraction(1, 2)]
     return [2] if rig.kind == "nat" else [2, -1]
@@ -407,7 +407,8 @@ def _read_terms(family, terms, cod: FinModule):
         if n < len(family):
             for i, v in enumerate(family[n].table[cell]):
                 acc[i] += c * v
-    return tuple(v % cod.modulus for v in acc)
+    m = cod.rig.modulus
+    return tuple(v % m for v in acc)
 
 
 class KleisliMap(FaaMap):

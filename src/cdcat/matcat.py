@@ -21,7 +21,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .algebra import RigSpec, _remember, rig_value
+from .algebra import RigSpec, _remember, rig_value, zmod
 from .errors import ArityError, ObjectMismatch, SpecMismatch, in_range, nonempty, nonnegative
 
 
@@ -58,7 +58,7 @@ class MatMap:
         return "[" + "; ".join(",".join(map(str, r)) for r in self.rows) + "]"
 
 
-# (dom, cod, rows) -> the interned MatMap of that value
+# (modulus, dom, cod, rows) -> the interned MatMap of that value
 _MATS: dict = {}
 
 
@@ -66,12 +66,12 @@ def trusted_matmap(rig: RigSpec, dom: int, cod: int, rows: tuple) -> MatMap:
     """The interned MatMap of a value, built without MatMap's rig and shape
     checks, for results whose shape the caller already guarantees (the
     backend's own outputs)."""
-    key = (dom, cod, rows)
+    key = (rig.modulus, dom, cod, rows)
     f = _MATS.get(key)
-    # both rigs are zmod; each backend builds its own spec object
-    if f is None or f.rig is not rig and f.rig.modulus != rig.modulus:
+    if f is None:
         f = object.__new__(MatMap)
-        f.__dict__.update(rig=rig, dom=dom, cod=cod, rows=rows, _hash=hash(key))
+        f.__dict__.update(rig=rig, dom=dom, cod=cod, rows=rows,
+                          _hash=hash((dom, cod, rows)))
         _remember(_MATS, key, f)
     return f
 
@@ -79,14 +79,12 @@ def trusted_matmap(rig: RigSpec, dom: int, cod: int, rows: tuple) -> MatMap:
 class MatBackend:
     """CDC backend: objects are dimensions, morphisms MatMaps, Df = f pi1.
     identity, proj, zero, all_maps and multilinear_count refuse a negative
-    size, and proj an index outside its factors (through a plain comparison
-    first: zero and identity run thousands of times in one presheaf check)."""
+    size, both multilinear functions a negative level, and proj an index
+    outside its factors (through a plain comparison first: zero and
+    identity run thousands of times in one presheaf check)."""
 
     def __init__(self, modulus: int):
-        from .algebra import zmod
-
         self.rig = zmod(modulus)
-        self.modulus = modulus
 
     # -- category structure
 
@@ -102,7 +100,7 @@ class MatBackend:
     def compose(self, g: MatMap, f: MatMap) -> MatMap:
         if g.dom != f.cod:
             raise ObjectMismatch(f"{g.dom} vs {f.cod}")
-        m = self.modulus
+        m = self.rig.modulus
         cols = list(zip(*f.rows)) or [()] * f.dom  # f.cod == 0 has no rows
         rows = tuple(
             tuple(sum(map(operator.mul, row, col)) % m for col in cols)
@@ -149,7 +147,7 @@ class MatBackend:
     def add(self, f: MatMap, g: MatMap) -> MatMap:
         if (f.dom, f.cod) != (g.dom, g.cod):
             raise ObjectMismatch(f"{f.cod}x{f.dom} vs {g.cod}x{g.dom}")
-        m = self.modulus
+        m = self.rig.modulus
         rows = tuple(
             tuple((a + b) % m for a, b in zip(r1, r2))
             for r1, r2 in zip(f.rows, g.rows)
@@ -157,7 +155,7 @@ class MatBackend:
         return trusted_matmap(self.rig, f.dom, f.cod, rows)
 
     def scale(self, c, f: MatMap) -> MatMap:
-        c, m = rig_value(self.rig, c), self.modulus
+        c, m = rig_value(self.rig, c), self.rig.modulus
         rows = tuple(tuple((c * a) % m for a in r) for r in f.rows)
         return trusted_matmap(self.rig, f.dom, f.cod, rows)
 
@@ -173,9 +171,13 @@ class MatBackend:
         return sum(f.rows, ())
 
     def from_coords(self, dom: int, cod: int, vec) -> MatMap:
-        """The map dom -> cod whose rows are the coordinates vec, in order."""
+        """The map dom -> cod whose rows are the coordinates vec, in order.
+        An entry that is not a residue goes through rig_value, as in MatMap."""
         if min(dom, cod) < 0 or len(vec) != dom * cod:
             raise ArityError(f"{len(vec)} coordinates for a {cod}x{dom} matrix")
+        m = self.rig.modulus
+        if not all(type(a) is int and 0 <= a < m for a in vec):
+            vec = [rig_value(self.rig, a) for a in vec]
         return trusted_matmap(self.rig, dom, cod,
                               tuple(tuple(vec[i * dom:(i + 1) * dom]) for i in range(cod)))
 
@@ -185,19 +187,21 @@ class MatBackend:
         """Every map dom -> cod, its coordinates in itertools.product order."""
         if dom < 0 or cod < 0:
             nonnegative(min(dom, cod), "matrix size")
-        for vec in itertools.product(range(self.modulus), repeat=dom * cod):
+        for vec in itertools.product(self.rig.elements, repeat=dom * cod):
             yield self.from_coords(dom, cod, vec)
 
     def multilinear_count(self, A: int, B: int, n: int) -> int:
         """How many maps multilinear_maps(A, B, n) returns."""
         nonnegative(min(A, B), "matrix size")
-        return self.modulus ** (A * B) if n < 2 else 1
+        nonnegative(n, "level")
+        return len(self.rig.elements) ** (A * B) if n < 2 else 1
 
     def multilinear_maps(self, A: int, B: int, n: int) -> list:
         """Every map A x A^n -> B symmetric and k-linear in its last n
         slots, in all_maps order.  Additivity in slot j kills every other
         block, so level 0 is every map, level 1 the maps reading only the
         direction block, and each level from 2 only zero."""
+        nonnegative(n, "level")
         if n >= 2:
             return [self.zero((n + 1) * A, B)]
         return [trusted_matmap(self.rig, (n + 1) * A, B,
@@ -219,10 +223,10 @@ class MatSampler:
         return self.rng.randint(1, self.max_dim)
 
     def random_scalar(self) -> int:
-        return self.rng.randrange(self.backend.modulus)
+        return self.rng.randrange(self.backend.rig.modulus)
 
     def random_morphism(self, dom: int, cod: int) -> MatMap:
-        m = self.backend.modulus
+        m = self.backend.rig.modulus
         rows = tuple(
             tuple(self.rng.randrange(m) for _ in range(dom)) for _ in range(cod)
         )

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RigSpec, add_into, rig_value
+from .algebra import RigSpec, add_into, rig_value, zmod
 from .errors import (
     ArityError,
     InvalidArgument,
@@ -523,16 +523,12 @@ class FinModule:
             raise SpecMismatch("FinModule needs a zmod rig")
         nonnegative(self.dim, "dimension")
 
-    @property
-    def modulus(self) -> int:
-        return self.rig.modulus
-
     def elements(self):
-        return list(itertools.product(range(self.modulus), repeat=self.dim))
+        return list(itertools.product(self.rig.elements, repeat=self.dim))
 
     @property
     def size(self) -> int:
-        return self.modulus ** self.dim
+        return len(self.rig.elements) ** self.dim
 
     @property
     def zero_vec(self):
@@ -544,12 +540,14 @@ def fin_product(mods) -> FinModule:
     if not mods:
         nonempty(mods, "a product")
     rig = mods[0].rig
+    if any(m.rig is not rig and m.rig != rig for m in mods):
+        raise SpecMismatch("a product needs its factors over one rig")
     return FinModule(rig, sum(m.dim for m in mods))
 
 
 def _is_point(v, mod: FinModule) -> bool:
     return (type(v) is tuple and len(v) == mod.dim
-            and all(type(a) is int and 0 <= a < mod.modulus for a in v))
+            and all(type(a) is int and 0 <= a < mod.rig.modulus for a in v))
 
 
 class TableMap:
@@ -572,7 +570,7 @@ class TableMap:
                 f"the table must hold exactly the {dom.size} points of its domain")
         for y in table.values():
             if not _is_point(y, cod):
-                raise InvalidArgument(f"{y!r} is not a point of (Z/{cod.modulus})^{cod.dim}")
+                raise InvalidArgument(f"{y!r} is not a point of (Z/{cod.rig.modulus})^{cod.dim}")
         self.dom = dom
         self.cod = cod
         self.table = dict(table)
@@ -619,10 +617,7 @@ class FinFnBackend:
     """
 
     def __init__(self, modulus: int):
-        from .algebra import zmod
-
         self.rig = zmod(modulus)
-        self.modulus = modulus
 
     def module(self, dim: int) -> FinModule:
         return FinModule(self.rig, dim)
@@ -661,18 +656,19 @@ class FinFnBackend:
     def add(self, f: TableMap, g: TableMap) -> TableMap:
         if (f.dom, f.cod) != (g.dom, g.cod):
             raise ObjectMismatch(f"{f.dom.dim}->{f.cod.dim} vs {g.dom.dim}->{g.cod.dim}")
-        m = f.cod.modulus
+        m = f.cod.rig.modulus
         return _trusted_tablemap(f.dom, f.cod, {x: tuple(
             (a + b) % m for a, b in zip(y, g.table[x])) for x, y in f.table.items()})
 
     def scale(self, c, f: TableMap) -> TableMap:
-        c, m = rig_value(f.cod.rig, c), f.cod.modulus
+        c, m = rig_value(f.cod.rig, c), f.cod.rig.modulus
         return _trusted_tablemap(f.dom, f.cod, {
             x: tuple(c * a % m for a in y) for x, y in f.table.items()})
 
     def multilinear_count(self, A: FinModule, B: FinModule, n: int) -> int:
         """How many maps multilinear_maps(A, B, n) returns: a value in B
         for each point of A and each multiset of n of A's dim basis indices."""
+        nonnegative(n, "level")
         multisets = math.comb(A.dim + n - 1, n) if A.dim else int(n == 0)
         return B.size ** (A.size * multisets)
 
@@ -681,7 +677,8 @@ class FinFnBackend:
         slots, in the order of their value sequences on the points of
         A x A^n: any g(x, S) on points x of A and multisets S of n basis
         indices, as f(x, v1..vn) = sum_w v1[w1]...vn[wn] * g(x, sorted w)."""
-        m, d = self.modulus, A.dim
+        nonnegative(n, "level")
+        m, d = self.rig.modulus, A.dim
         keys = list(itertools.product(
             A.elements(), itertools.combinations_with_replacement(range(d), n)))
         dom = fin_product([A] * (n + 1))

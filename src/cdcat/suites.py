@@ -449,7 +449,7 @@ def _random_kleisli(backend, A, B, support, rng):
             exps = [0] * A.dim
             for _ in range(rng.randrange(support + 1)):
                 exps[rng.randrange(A.dim)] += 1
-            coeff = rng.randrange(backend.modulus)
+            coeff = rng.randrange(rig.modulus)
             p = p + Polynomial(rig, A.dim, {tuple(exps): coeff})
         comps.append(p)
     pm = PolyMap(rig, A.dim, B.dim, comps)

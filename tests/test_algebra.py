@@ -31,7 +31,7 @@ from cdcat.algebra import (
     zero_elem,
     zmod,
 )
-from cdcat.errors import NegationUnsupported, SpaceMismatch, SpecMismatch
+from cdcat.errors import InvalidArgument, NegationUnsupported, SpaceMismatch, SpecMismatch
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,17 @@ def test_rig_one_is_built_once_per_spec():
     assert RAT.one is RAT.one
     assert zmod(1).one == 0
     assert RAT.one == Fraction(1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_a_finite_rig_lists_its_payloads_in_order(m):
+    assert zmod(m).elements == tuple(range(m))
+
+
+@pytest.mark.parametrize("spec", [NAT, INT, RAT], ids=str)
+def test_an_infinite_rig_has_no_element_list(spec):
+    with pytest.raises(InvalidArgument):
+        spec.elements
 
 
 @pytest.mark.parametrize("m", range(1, 8))

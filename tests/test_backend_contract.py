@@ -31,10 +31,10 @@ class TableSampler:
         return self.backend.module(self.rng.randint(1, self.max_dim))
 
     def random_scalar(self):
-        return self.rng.randrange(self.backend.modulus)
+        return self.rng.randrange(self.backend.rig.modulus)
 
     def random_morphism(self, dom, cod):
-        m = self.backend.modulus
+        m = self.backend.rig.modulus
         return TableMap.from_callable(
             dom, cod, lambda x: tuple(self.rng.randrange(m) for _ in range(cod.dim)))
 

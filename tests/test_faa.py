@@ -149,7 +149,7 @@ def filtered_level(backend, A, B, n):
              backend.pairing(eprojs[:j] + [eprojs[n + 1]] + eprojs[j + 1:n + 1]))
             for j in range(1, n + 1)]
     scalings = [(c, backend.pairing(projs[:j] + [backend.scale(c, projs[j])] + projs[j + 1:]))
-                for j in range(1, n + 1) for c in range(backend.modulus)]
+                for j in range(1, n + 1) for c in backend.rig.elements]
 
     def passes(x):
         return (all(act(swap, x) == x for swap in swaps)
@@ -175,7 +175,7 @@ def test_multilinear_maps_filter_all_maps_in_order(backend, A):
     # over Mat(Z/m) at dim 1 the level-1 maps are (x, v) -> c v
     if isinstance(backend, MatBackend):
         assert [f.rows for f in backend.multilinear_maps(1, 1, 1)] == [
-            ((0, c),) for c in range(backend.modulus)]
+            ((0, c),) for c in backend.rig.elements]
 
 
 # every (modulus, A, B, n) whose filter reads at most 3^8 tables

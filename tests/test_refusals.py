@@ -141,6 +141,10 @@ P2 = q_inject(basis_elem(Z2, A, "a"), [basis_elem(Z2, A, "a")])
     lambda: FINFN.pairing([]),
     lambda: FAA.pairing([]),
     lambda: fin_product([]),
+    lambda: MAT.multilinear_count(1, 1, -1),
+    lambda: MAT.multilinear_maps(1, 1, -1),
+    lambda: FINFN.multilinear_count(M1, M1, -1),
+    lambda: FINFN.multilinear_maps(M1, M1, -1),
 ], ids=["rig-kind", "rig-modulus", "zmod-0", "finfn-0", "modality-0", "parse-rig",
         "parse-zmod", "free-repeat", "partitions", "partial-isos", "power",
         "enum-elements", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
@@ -160,7 +164,8 @@ P2 = q_inject(basis_elem(Z2, A, "a"), [basis_elem(Z2, A, "a")])
         "enumerate-without-levels", "presheaf-q-of-q", "presheaf-tensor-q-left",
         "presheaf-tensor-q-right", "q-presheaf-of-a-base", "tensor-presheaf-of-none",
         "mat-pairing-empty", "poly-pairing-empty", "finfn-pairing-empty",
-        "faa-pairing-empty", "fin-product-empty"])
+        "faa-pairing-empty", "fin-product-empty", "mat-level-count", "mat-level-maps",
+        "finfn-level-count", "finfn-level-maps"])
 def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
     with pytest.raises(InvalidArgument) as info:
         call()
@@ -196,6 +201,8 @@ def _kleisli_mismatch():
     (lambda: table_from_poly(parse_poly_map("[x1]", INT, 1)), SpecMismatch),
     (lambda: TableMap(M1, FinFnBackend(3).module(1), {(0,): (0,), (1,): (1,)}),
      SpecMismatch),
+    (lambda: FINFN.proj([M1, FinFnBackend(3).module(1)], 1), SpecMismatch),
+    (lambda: fin_product([M1, FinFnBackend(3).module(1)]), SpecMismatch),
     (lambda: qmodality.sum_terms(q_inject(basis_elem(INT, A, "a"), []), A, tensor_elem),
      SpaceMismatch),
     (lambda: MAT.proj([1, 2], -1), IndexOutOfRange),
@@ -228,7 +235,8 @@ def _kleisli_mismatch():
 ], ids=["rig-value", "tensor-elem", "linear-apply", "linear-apply-rig", "q-map-rig",
         "deriving-rig", "fusion-rig", "inject-elem", "bialg-mult",
         "kleisli-compose", "poly-var", "zero-denominator", "table-over-int",
-        "table-rigs", "sum-terms-not-a-tensor", "mat-proj-negative", "mat-proj-past-end",
+        "table-rigs", "finfn-proj-rigs", "fin-product-rigs", "sum-terms-not-a-tensor",
+        "mat-proj-negative", "mat-proj-past-end",
         "poly-proj-negative", "poly-proj-past-end", "finfn-proj-negative",
         "finfn-proj-past-end", "faa-proj-negative", "faa-proj-past-end",
         "tensor-map-rigs", "tensor-act-wrong-stage", "tensor-act-rig",
@@ -248,6 +256,12 @@ def test_a_full_table_of_residues_is_accepted():
     f = TableMap(A, A, table)
     table[(0,)] = (1,)  # the map keeps its own copy
     assert f == backend.scale(2, backend.identity(A))
+
+
+def test_a_product_over_equal_rigs_built_apart_is_accepted():
+    other = FinFnBackend(2).module(2)
+    assert other.rig is not M1.rig
+    assert fin_product([M1, other]) == FinFnBackend(2).module(3)
 
 
 def test_a_refused_projection_is_not_remembered():

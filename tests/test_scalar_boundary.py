@@ -143,6 +143,22 @@ def test_scalars_that_enter_are_reduced(rig):
     assert mat.scale(m + 1, mat.identity(2)) == mat.identity(2)
 
 
+# the hom-set codec's from_coords is a boundary too: its entries are reduced
+# or refused as MatMap's are
+
+@pytest.mark.parametrize("rig", ZMODS, ids=str)
+def test_coordinates_enter_through_rig_value(rig):
+    m = rig.modulus
+    mat = MatBackend(m)
+    one = mat.identity(1)
+    assert mat.from_coords(1, 1, (m + 1,)) is one
+    assert mat.from_coords(1, 1, (1 - m,)) is one
+    assert mat.from_coords(1, 2, [0, m]) == mat.zero(1, 2)
+    for bad in BAD:
+        with pytest.raises(CdcatError):
+            mat.from_coords(1, 1, (bad,))
+
+
 # Public functions that take a parameter named c or raw but are not
 # boundaries: add_scaled is a payload kernel whose callers pass payloads.
 EXEMPT = {"algebra.add_scaled"}
@@ -198,6 +214,36 @@ def test_only_algebra_names_rig_value_and_nothing_builds_one():
         if path.name != "algebra.py":
             assert "RigValue" not in names, path.name
         assert not _calls(tree, "RigValue"), path.name
+
+
+# one finite rig: outside algebra nothing keeps a copy of a modulus (assigns
+# an attribute or defines a property of that name), and no range(...) or **
+# reads a .modulus, so a finite rig's scalars, their order and their number
+# come from RigSpec.elements
+
+def _reads_modulus(node) -> bool:
+    return any(isinstance(n, ast.Attribute) and n.attr == "modulus" for n in ast.walk(node))
+
+
+def _modulus_copies_and_ranges(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == "modulus"
+                   for target in targets for t in ast.walk(target)):
+                yield node
+        elif isinstance(node, ast.FunctionDef) and node.name == "modulus":
+            yield node
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            if _reads_modulus(node):
+                yield node
+    yield from (call for call in _calls(tree, "range") if _reads_modulus(call))
+
+
+def test_finite_scalars_come_from_the_rig_alone():
+    found = [f"{path.name}:{node.lineno}" for path, tree in _sources()
+             if path.name != "algebra.py" for node in _modulus_copies_and_ranges(tree)]
+    assert found == []
 
 
 # Q generators and monomials are built in algebra only, through its
@@ -258,7 +304,7 @@ def test_presheaves_reach_mat_through_the_backend_codec_only():
 # one memo type: a get-or-build block (`x = d.get(k)`, then `if x is None:`
 # storing into d, or `if k not in d:` storing into d) is an algebra.Memo,
 # whose missing entries build themselves.  Two keep their own probe:
-# matcat.trusted_matmap, which also replaces an entry of another modulus,
+# matcat.trusted_matmap, whose build reads the caller's rig besides the key,
 # and LinearMap's two tables, since a Memo's build would add a closure or a
 # reference cycle to each of the many short-lived maps.  A Memo at module
 # level is a bounded algebra.Table of values.
