@@ -73,14 +73,14 @@ class RigSpec:
         """The payload of the unit, built once per spec (that of zmod:1 is 0)."""
         return rig_value(self, 1)
 
-    @functools.cached_property
-    def elements(self) -> tuple:
+    @property
+    def elements(self) -> range:
         """The payloads of a finite rig, in the one order every exhaustive
-        check enumerates them: range(m) for zmod:m.  An infinite rig raises
-        InvalidArgument."""
+        check enumerates them: range(m) for zmod:m, whose len costs O(1)
+        however large m is.  An infinite rig raises InvalidArgument."""
         if self.kind != "zmod":
             raise InvalidArgument(f"rig {self} is not finite")
-        return tuple(range(self.modulus))
+        return range(self.modulus)
 
     def __str__(self):
         return f"zmod:{self.modulus}" if self.kind == "zmod" else self.kind

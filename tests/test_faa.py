@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +228,21 @@ def test_all_families_refuses_a_huge_level_before_building_it():
     with pytest.raises(SizeLimit):
         next(faa.all_families(be, A, be.module(1), 2))
     assert time.perf_counter() - start < 1
+
+
+def test_all_families_refuses_a_huge_rig_before_listing_its_scalars():
+    # over Z/10^6, levels 0 and 1 at 1 -> 1 have 10^6 maps each; the
+    # refusal reads both counts from the rig and allocates no scalar list
+    be = MatBackend(10 ** 6)
+    tracemalloc.start()
+    try:
+        assert be.multilinear_count(1, 1, 0) == 10 ** 6
+        with pytest.raises(SizeLimit):
+            next(faa.all_families(be, 1, 1, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_all_families_refuses_a_huge_level_while_filtering(monkeypatch):

@@ -1,5 +1,7 @@
 """Polynomial maps, the map grammar, and the finite table world."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -398,6 +400,21 @@ def test_table_from_poly_size_limit(monkeypatch):
     with pytest.raises(SizeLimit):
         table_from_poly(big)
     assert table_from_poly(f).table[(3,)] == (3,)
+
+
+def test_table_from_poly_refuses_a_huge_rig_before_listing_its_scalars():
+    # the line over Z/10^6 has more points than MAX_TABLE_POINTS; the
+    # refusal reads the count from the rig and allocates no scalar list
+    rig = zmod(10 ** 6)
+    f = PolyMap(rig, 1, 1, [Polynomial.var(rig, 1, 0)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeLimit):
+            table_from_poly(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_table_pairing_and_proj():
