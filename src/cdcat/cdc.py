@@ -3,7 +3,12 @@
 The backend contract: a backend supplies identity, compose, product, proj,
 pairing, zero, add, scale and D: composition, finite products (flattened:
 objects form a monoid under product), hom-module structure and a
-differential.  Its morphisms are data only: they carry dom, cod and
+differential.  A backend with a D also supplies partial(f, blocks, i):
+D_i f, the derivative in block i of f's domain split into blocks.
+partial_derivative checks the blocks and calls it only on two blocks or
+more.  PolyBackend differentiates block i alone, in one pass; Mat and Faa
+take partial_by_precomposition: D f after the pairing that zeroes every
+other direction block.  Its morphisms are data only: they carry dom, cod and
 is_zero, compare with == and print with str, and the backend class is the
 one place their structure is implemented.  The backends are PolyBackend
 (below), matcat.MatBackend, poly.FinFnBackend (no D: the base the Faa di
@@ -33,6 +38,7 @@ from .poly import (
     PolyMap,
     Polynomial,
     poly_D,
+    poly_partial,
     substitute,
     _trusted_polymap,
 )
@@ -44,6 +50,8 @@ from .reports import Report, equation
 
 def _projection(rig, objs: tuple, i):
     in_range(i, len(objs), "projection index")
+    if min(objs) < 0:
+        nonnegative(min(objs), "arity")
     total = sum(objs)
     offset = sum(objs[:i])
     return _trusted_polymap(rig, total, objs[i], tuple(
@@ -53,7 +61,8 @@ def _projection(rig, objs: tuple, i):
 class PolyBackend:
     """Objects are arities, morphisms PolyMaps, D the total derivative.
     Its results are built with _trusted_polymap: each component has the
-    arity and rig of the result by construction."""
+    arity and rig of the result by construction.  identity, zero, proj and
+    partial refuse a negative arity."""
 
     def __init__(self, rig):
         self.rig = rig
@@ -61,6 +70,8 @@ class PolyBackend:
         self._projs = Memo(lambda key: _projection(rig, *key))
 
     def identity(self, n):
+        if n < 0:
+            nonnegative(n, "arity")
         return _trusted_polymap(self.rig, n, n,
                                tuple(Polynomial.var(self.rig, n, i) for i in range(n)))
 
@@ -86,6 +97,8 @@ class PolyBackend:
         return _trusted_polymap(first.rig, first.dom, len(comps), tuple(comps))
 
     def zero(self, dom, cod):
+        if dom < 0 or cod < 0:
+            nonnegative(min(dom, cod), "arity")
         return _trusted_polymap(self.rig, dom, cod, (Polynomial.zero(self.rig, dom),) * cod)
 
     def add(self, f, g):
@@ -100,6 +113,11 @@ class PolyBackend:
 
     def D(self, f):
         return poly_D(f)
+
+    def partial(self, f, blocks, i):
+        if min(blocks) < 0:
+            nonnegative(min(blocks), "arity")
+        return poly_partial(f, sum(blocks[:i - 1]), blocks[i - 1])
 
     # syntactic refinement of axiom (ii): each monomial of df = D(f) has
     # total degree exactly 1 in the direction block
@@ -160,11 +178,24 @@ def partial_derivative(backend, f, blocks, i: int):
     """D_i f: differentiate in block i (1-based) of a product domain.
 
     Returns a morphism on blocks + [blocks[i-1]], the new last block being
-    the direction argument.
+    the direction argument.  On a single block it is D f, since the
+    pairing <pi0, pi1> that would follow D is the identity.
     """
     n = len(blocks)
     if not 1 <= i <= n:
         raise ArityError(f"partial index {i} outside 1..{n}")
+    if backend.product(blocks) != f.dom:
+        raise ArityError(f"blocks {list(blocks)} do not make up the domain {f.dom}")
+    if n == 1:
+        return backend.D(f)
+    return backend.partial(f, blocks, i)
+
+
+def partial_by_precomposition(backend, f, blocks, i: int):
+    """D_i f as D f after <pi_0..pi_(n-1), 0.., pi_n, 0..>, the new block
+    pi_n in direction slot i and zero in every other: partial for a
+    backend whose D has no cheaper restriction to one block."""
+    n = len(blocks)
     ext = list(blocks) + [blocks[i - 1]]
     dom_obj = backend.product(ext)
     first = [backend.proj(ext, j) for j in range(n)]
@@ -275,9 +306,10 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
 
     def ax_i(item):
         f, g, c = item
-        if backend.D(backend.add(f, g)) != backend.add(backend.D(f), backend.D(g)):
+        df = backend.D(f)
+        if backend.D(backend.add(f, g)) != backend.add(df, backend.D(g)):
             return f"D(f+g) != Df+Dg for f={f}, g={g}"
-        if backend.D(backend.scale(c, f)) != backend.scale(c, backend.D(f)):
+        if backend.D(backend.scale(c, f)) != backend.scale(c, df):
             return f"D(c f) != c Df for c={c}, f={f}"
         return None
 
@@ -323,12 +355,13 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
         f = sampler.random_morphism(A, B)
         return A, f, sampler.random_morphism(B, C)
 
-    # f, DDf, zero and the three projections of A x A x A
+    # f, Df, DDf, zero and the three projections of A x A x A
     def second_order():
         A, _, f = rand_f()
         blocks3 = [A, A, A]
         z = backend.zero(backend.product(blocks3), A)
-        return (f, backend.D(backend.D(f)), z,
+        df = backend.D(f)
+        return (f, df, backend.D(df), z,
                 *(backend.proj(blocks3, j) for j in range(3)))
 
     report.check(drawn(draw_i), ("axiom-i-D-linear-in-f", ax_i))
@@ -345,12 +378,12 @@ def check_axioms(backend, sampler, samples: int = 50, suite_name: str = "cdc-axi
         "chain rule fails for f={1}, g={2}"))
     report.check(drawn(second_order), equation(
         "axiom-vi-first-order-slice",
-        lambda f, ddf, z, x, r, v: backend.compose(ddf, backend.pairing([x, r, z, v])),
-        lambda f, ddf, z, x, r, v: backend.compose(backend.D(f), backend.pairing([x, v])),
+        lambda f, df, ddf, z, x, r, v: backend.compose(ddf, backend.pairing([x, r, z, v])),
+        lambda f, df, ddf, z, x, r, v: backend.compose(df, backend.pairing([x, v])),
         "DDf(x,r,0,v) != Df(x,v) for f={0}"))
     report.check(drawn(second_order), equation(
         "axiom-vii-mixed-symmetry",
-        lambda f, ddf, z, x, r, s: backend.compose(ddf, backend.pairing([x, r, s, z])),
-        lambda f, ddf, z, x, r, s: backend.compose(ddf, backend.pairing([x, s, r, z])),
+        lambda f, df, ddf, z, x, r, s: backend.compose(ddf, backend.pairing([x, r, s, z])),
+        lambda f, df, ddf, z, x, r, s: backend.compose(ddf, backend.pairing([x, s, r, z])),
         "DDf(x,r,s,0) != DDf(x,s,r,0) for f={0}"))
     return report

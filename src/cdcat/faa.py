@@ -24,7 +24,7 @@ from .algebra import (
     basis_keys,
     rig_value,
 )
-from .cdc import derivative_tower, subset_pairing
+from .cdc import derivative_tower, partial_by_precomposition, subset_pairing
 from .combinat import partial_isos, partitions, arrange
 from .errors import (
     DegreeBoundExceeded,
@@ -335,6 +335,9 @@ class FaaBackend:
 
     def D(self, f):
         return faa_D(f)
+
+    def partial(self, f, blocks, i):
+        return partial_by_precomposition(self, f, blocks, i)
 
 
 class FaaSampler:

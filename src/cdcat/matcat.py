@@ -22,6 +22,7 @@ import operator
 from dataclasses import dataclass, field
 
 from .algebra import RigSpec, _remember, rig_value, zmod
+from .cdc import partial_by_precomposition
 from .errors import ArityError, ObjectMismatch, SpecMismatch, in_range, nonempty, nonnegative
 
 
@@ -81,10 +82,20 @@ class MatBackend:
     identity, proj, zero, all_maps and multilinear_count refuse a negative
     size, both multilinear functions a negative level, and proj an index
     outside its factors (through a plain comparison first: zero and
-    identity run thousands of times in one presheaf check)."""
+    identity run thousands of times in one presheaf check).  compose, add,
+    scale, pairing and D refuse a map over another rig with SpecMismatch."""
 
     def __init__(self, modulus: int):
         self.rig = zmod(modulus)
+
+    def _own(self, *maps):
+        # every MatMap is over a zmod, so equal moduli are equal rigs; an
+        # `is` test of the rigs would miss on most maps of a presheaf check,
+        # since an interned map carries the rig of the backend that built it
+        m = self.rig.modulus
+        for f in maps:
+            if f.rig.modulus != m:
+                raise SpecMismatch(f"a map over {f.rig} in a backend over {self.rig}")
 
     # -- category structure
 
@@ -101,6 +112,8 @@ class MatBackend:
         if g.dom != f.cod:
             raise ObjectMismatch(f"{g.dom} vs {f.cod}")
         m = self.rig.modulus
+        if g.rig.modulus != m or f.rig.modulus != m:
+            self._own(g, f)
         cols = list(zip(*f.rows)) or [()] * f.dom  # f.cod == 0 has no rows
         rows = tuple(
             tuple(sum(map(operator.mul, row, col)) % m for col in cols)
@@ -134,6 +147,7 @@ class MatBackend:
         dom = maps[0].dom
         if any(f.dom != dom for f in maps):
             raise ObjectMismatch("pairing needs a common domain")
+        self._own(*maps)
         rows = tuple(r for f in maps for r in f.rows)
         return trusted_matmap(self.rig, dom, sum(f.cod for f in maps), rows)
 
@@ -148,6 +162,8 @@ class MatBackend:
         if (f.dom, f.cod) != (g.dom, g.cod):
             raise ObjectMismatch(f"{f.cod}x{f.dom} vs {g.cod}x{g.dom}")
         m = self.rig.modulus
+        if f.rig.modulus != m or g.rig.modulus != m:
+            self._own(f, g)
         rows = tuple(
             tuple((a + b) % m for a, b in zip(r1, r2))
             for r1, r2 in zip(f.rows, g.rows)
@@ -155,6 +171,7 @@ class MatBackend:
         return trusted_matmap(self.rig, f.dom, f.cod, rows)
 
     def scale(self, c, f: MatMap) -> MatMap:
+        self._own(f)
         c, m = rig_value(self.rig, c), self.rig.modulus
         rows = tuple(tuple((c * a) % m for a in r) for r in f.rows)
         return trusted_matmap(self.rig, f.dom, f.cod, rows)
@@ -162,8 +179,12 @@ class MatBackend:
     # -- differential (trivial: biproduct instance)
 
     def D(self, f: MatMap) -> MatMap:
+        self._own(f)
         rows = tuple((0,) * f.dom + r for r in f.rows)
         return trusted_matmap(self.rig, 2 * f.dom, f.cod, rows)
+
+    def partial(self, f: MatMap, blocks, i: int) -> MatMap:
+        return partial_by_precomposition(self, f, blocks, i)
 
     # -- the coordinate codec of a hom-set: a map's rows concatenated in order
 

@@ -332,20 +332,30 @@ def _rename(terms: dict, targets: list, inner: int) -> dict:
     return out
 
 
-def poly_D(f: PolyMap) -> PolyMap:
-    """Total derivative: (Df)(x, v) = sum_j (df_i/dx_j) v_j, arity doubled."""
+def poly_partial(f: PolyMap, lo: int, size: int) -> PolyMap:
+    """Derivative in the variables x_lo .. x_(lo+size-1) only, in one pass:
+    sum_j (df_i/dx_(lo+j)) v_j, with one direction variable v_j appended
+    per variable differentiated."""
     n = f.dom
-    # e + shifts[j] widens e to 2n variables and multiplies by v_j; distinct
-    # j give distinct keys, so each component is one dict with nothing summed
-    shifts = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    # e + shifts[j] widens e by size variables and multiplies by v_j;
+    # distinct j give distinct keys, so each component is one dict with
+    # nothing summed.  Polynomial.partial is looked up on the class, so a
+    # patch of it reaches every derivative.
+    shifts = [tuple(int(k == j) for k in range(size)) for j in range(size)]
     comps = []
     for p in f.components:
         terms = {}
         for j, shift in enumerate(shifts):
-            for e, c in p.partial(j).terms.items():
+            for e, c in p.partial(lo + j).terms.items():
                 terms[e + shift] = c
-        comps.append(Polynomial(f.rig, 2 * n, terms))
-    return _trusted_polymap(f.rig, 2 * n, f.cod, tuple(comps))
+        comps.append(Polynomial(f.rig, n + size, terms))
+    return _trusted_polymap(f.rig, n + size, f.cod, tuple(comps))
+
+
+def poly_D(f: PolyMap) -> PolyMap:
+    """Total derivative: (Df)(x, v) = sum_j (df_i/dx_j) v_j, arity doubled;
+    the whole-domain case of poly_partial."""
+    return poly_partial(f, 0, f.dom)
 
 
 # ---------------------------------------------------------------------------

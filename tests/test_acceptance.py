@@ -255,3 +255,15 @@ def test_criterion_8_poly_layer_sabotage(monkeypatch, rig):
     monkeypatch.setattr(Polynomial, "partial", partial_with_multiplicity_off_by_one)
     failing = first_failure(suites.cdc_suite(rig, samples=40))
     assert failing is not None and failing.counterexample is not None
+
+
+def test_criterion_8_poly_layer_seam_reaches_the_towers(monkeypatch):
+    """The one-pass D_i of a tower's upper levels differentiates through
+    Polynomial.partial, so the poly-layer sabotage reaches them too."""
+    backend = cdc.PolyBackend(INT)
+    f = parse_poly_map("[x1^2*x2]", INT, 2)
+    level_1, level_2 = faa.coalgebra(backend, f).family[1:3]
+    monkeypatch.setattr(Polynomial, "partial", partial_with_multiplicity_off_by_one)
+    assert faa.coalgebra(backend, f).family[2] != level_2
+    # D_1 of an unchanged level 1 changes as well
+    assert backend.partial(level_1, [2, 2], 1) != level_2

@@ -2,8 +2,9 @@
 products and left-additive hom-modules.
 
 Each backend is checked through its own methods only (identity, compose,
-product, proj, pairing, zero, add, scale) on seeded draws, so the laws
-hold whichever class implements them.
+product, proj, pairing, zero, add, scale, and D and partial where it has
+a differential) on seeded draws, so the laws hold whichever class
+implements them.
 """
 
 import random
@@ -142,3 +143,19 @@ def test_composition_is_left_additive(case):
         assert be.compose(be.add(g, h), f) == be.add(be.compose(g, f), be.compose(h, f))
         assert be.compose(be.scale(c, g), f) == be.scale(c, be.compose(g, f))
         assert be.compose(be.zero(B, C), f) == be.zero(A, C)
+
+
+@pytest.mark.parametrize("name", ["faa-poly-int", "mat-3", "poly-int", "poly-zmod5"])
+def test_partial_is_D_after_the_pairing_that_zeroes_other_directions(name):
+    # D_i f = D f <pi_0..pi_(n-1), 0.., pi_n in slot i, 0..>
+    be, s = BACKENDS[name]()
+    for n in range(SAMPLES):
+        blocks = [s.random_object() for _ in range(n % 2 + 2)]
+        f = s.random_morphism(be.product(blocks), s.random_object())
+        for i in range(1, len(blocks) + 1):
+            ext = blocks + [blocks[i - 1]]
+            dom = be.product(ext)
+            directions = [be.proj(ext, len(blocks)) if j == i - 1 else be.zero(dom, B)
+                          for j, B in enumerate(blocks)]
+            pairing = be.pairing([be.proj(ext, j) for j in range(len(blocks))] + directions)
+            assert be.partial(f, blocks, i) == be.compose(be.D(f), pairing)

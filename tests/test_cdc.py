@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdcat import cdc
 from cdcat.algebra import INT, NAT, RAT, zmod
 from cdcat.cdc import (
     PolyBackend,
@@ -14,6 +15,7 @@ from cdcat.cdc import (
     decompose_iterated,
     iterated_D,
     nth_derivative,
+    partial_by_precomposition,
     partial_derivative,
     reconstruct_from_iterated,
 )
@@ -42,6 +44,30 @@ def test_partial_of_product():
 def test_partial_index_out_of_range():
     with pytest.raises(ArityError):
         partial_derivative(BE, p("[x1]"), [1], 2)
+
+
+@pytest.mark.parametrize("rig", [NAT, INT, RAT, zmod(5)], ids=str)
+@pytest.mark.parametrize("blocks", [[1, 2, 1], [2, 2], [3]], ids=str)
+def test_one_pass_partial_is_D_then_precomposition(rig, blocks):
+    # the Poly kernel differentiates block i alone; the generic route takes
+    # all of D f and zeroes every other direction block afterwards
+    be = PolyBackend(rig)
+    sampler = PolySampler(rig, seed=5, max_arity=2, max_degree=3)
+    for _ in range(6):
+        f = sampler.random_morphism(sum(blocks), sampler.random_object())
+        for i in range(1, len(blocks) + 1):
+            assert be.partial(f, blocks, i) == partial_by_precomposition(be, f, blocks, i)
+
+
+def test_partial_on_one_block_is_the_backends_D(monkeypatch):
+    # <pi0, pi1> is the identity, so D_1 on one block is D itself, whatever
+    # D the backend has; a tower's first level is then D f
+    f = p("[x1^2*x2 + 3*x2]", arity=2)
+    assert partial_derivative(BE, f, [2], 1) == BE.D(f) == BE.partial(f, [2], 1)
+    marker = object()
+    monkeypatch.setattr(cdc, "poly_D", lambda g: marker)
+    assert partial_derivative(BE, f, [2], 1) is marker
+    assert nth_derivative(BE, f, 2, 1) is marker
 
 
 def test_nth_derivatives_of_cubic():

@@ -54,12 +54,14 @@ from cdcat.qmodality import (
 A = Free(("a",))
 B = Free(("b",))
 SQUARE = parse_poly_map("[x1^2]", INT, 1)
+X1_X2_SQUARED = parse_poly_map("[x1*x2^2]", INT, 2)
 Z2, Z3 = zmod(2), zmod(3)
 BASE = dpsh.FiniteCdcBase(2, (1,))
 MAT = MatBackend(2)
 POLY = cdc.PolyBackend(INT)
 FINFN = FinFnBackend(2)
 FAA = faa.FaaBackend(MAT)
+TWICE_Z3 = MatBackend(3).scale(2, MatBackend(3).identity(1))  # 2 id over Z/3
 Y1 = dpsh.ReprPresheaf(BASE, 1)
 M1 = FinFnBackend(2).module(1)
 TENSOR = dpsh.TensorPresheaf(Y1, dpsh.UnitPresheaf(BASE))
@@ -145,6 +147,12 @@ P2 = q_inject(basis_elem(Z2, A, "a"), [basis_elem(Z2, A, "a")])
     lambda: MAT.multilinear_maps(1, 1, -1),
     lambda: FINFN.multilinear_count(M1, M1, -1),
     lambda: FINFN.multilinear_maps(M1, M1, -1),
+    lambda: POLY.identity(-1),
+    lambda: POLY.zero(-1, 2),
+    lambda: POLY.zero(2, -1),
+    lambda: POLY.proj([2, -1], 1),
+    lambda: POLY.partial(X1_X2_SQUARED, [3, -1], 1),
+    lambda: cdc.partial_derivative(POLY, X1_X2_SQUARED, [3, -1], 1),
 ], ids=["rig-kind", "rig-modulus", "zmod-0", "finfn-0", "modality-0", "parse-rig",
         "parse-zmod", "free-repeat", "partitions", "partial-isos", "power",
         "enum-elements", "basis-keys", "rig-op", "key-token", "nth-derivative-order",
@@ -165,7 +173,8 @@ P2 = q_inject(basis_elem(Z2, A, "a"), [basis_elem(Z2, A, "a")])
         "presheaf-tensor-q-right", "q-presheaf-of-a-base", "tensor-presheaf-of-none",
         "mat-pairing-empty", "poly-pairing-empty", "finfn-pairing-empty",
         "faa-pairing-empty", "fin-product-empty", "mat-level-count", "mat-level-maps",
-        "finfn-level-count", "finfn-level-maps"])
+        "finfn-level-count", "finfn-level-maps", "poly-identity", "poly-zero-dom",
+        "poly-zero-cod", "poly-proj", "poly-partial-block", "partial-derivative-block"])
 def test_bad_arguments_raise_a_cdcat_error_that_is_a_value_error(call):
     with pytest.raises(InvalidArgument) as info:
         call()
@@ -232,6 +241,14 @@ def _kleisli_mismatch():
     # a zero factor has no term whose tensor or sum would meet the other rig
     (lambda: qmodality.monoidal_mult(P2, zero_elem(Z3, QSpace(A))), SpecMismatch),
     (lambda: bialg_mult(P2, zero_elem(Z3, QSpace(A))), SpecMismatch),
+    (lambda: cdc.partial_derivative(POLY, X1_X2_SQUARED, [2, -1], 1), ArityError),
+    (lambda: cdc.partial_derivative(MAT, MAT.identity(2), [1, 2], 1), ArityError),
+    (lambda: MAT.add(TWICE_Z3, TWICE_Z3), SpecMismatch),
+    (lambda: MAT.compose(TWICE_Z3, TWICE_Z3), SpecMismatch),
+    (lambda: MAT.compose(MAT.identity(1), TWICE_Z3), SpecMismatch),
+    (lambda: MAT.scale(1, TWICE_Z3), SpecMismatch),
+    (lambda: MAT.pairing([MAT.identity(1), TWICE_Z3]), SpecMismatch),
+    (lambda: MAT.D(TWICE_Z3), SpecMismatch),
 ], ids=["rig-value", "tensor-elem", "linear-apply", "linear-apply-rig", "q-map-rig",
         "deriving-rig", "fusion-rig", "inject-elem", "bialg-mult",
         "kleisli-compose", "poly-var", "zero-denominator", "table-over-int",
@@ -243,7 +260,9 @@ def _kleisli_mismatch():
         "counit-not-q", "comult-not-q", "comonoid-counit-not-q",
         "comonoid-comult-not-q", "storage-not-q", "storage-inv-not-q", "q-map-not-q",
         "deriving-not-q", "fusion-not-q", "monoidal-mult-not-q", "bialg-mult-not-q",
-        "monoidal-mult-rig", "bialg-mult-rig"])
+        "monoidal-mult-rig", "bialg-mult-rig", "partial-blocks-not-the-domain",
+        "mat-partial-blocks-not-the-domain", "mat-add-rig", "mat-compose-rig",
+        "mat-compose-rig-right", "mat-scale-rig", "mat-pairing-rig", "mat-D-rig"])
 def test_mismatched_inputs_are_refused(call, error):
     with pytest.raises(error):
         call()
@@ -262,6 +281,15 @@ def test_a_product_over_equal_rigs_built_apart_is_accepted():
     other = FinFnBackend(2).module(2)
     assert other.rig is not M1.rig
     assert fin_product([M1, other]) == FinFnBackend(2).module(3)
+
+
+def test_mat_maps_over_equal_rigs_built_apart_are_accepted():
+    other = MatBackend(3)
+    assert other.rig is not TWICE_Z3.rig and other.rig == TWICE_Z3.rig
+    # 2 * 2 = 2 + 2 = 1 in Z/3
+    assert other.compose(TWICE_Z3, TWICE_Z3) == other.identity(1)
+    assert other.add(TWICE_Z3, TWICE_Z3) == other.identity(1)
+    assert other.scale(2, TWICE_Z3) == other.identity(1)
 
 
 def test_a_refused_projection_is_not_remembered():
