@@ -303,6 +303,12 @@ class Memo(dict):
         return value
 
 
+def reindexing_memo(backend) -> Memo:
+    """A backend's Memo of its reindexing maps: the key (build, *objects)
+    holds build(backend, *objects).  See cdc's backend contract."""
+    return Memo(lambda key: key[0](backend, *key[1:]))
+
+
 class Table(Memo):
     """A Memo of values, emptied when it reaches _TOKENS_MAX entries."""
 

@@ -20,6 +20,14 @@ refinement: d_second_block_linear(f, df), PolyBackend's syntactic test
 that df = D(f) has degree exactly 1 in its direction block, which
 check_axioms adds to axiom (ii) when a backend has it.
 
+Every backend owns `reindexing`, an algebra.Memo of its reindexing maps:
+the key (build, *objects) holds build(backend, *objects), for a build
+that makes a map from objects alone: PolyBackend's projections, and the
+pairings of projections subset_pairing's <pi0, pi_I> and faa_D's slot
+maps.  Such a map depends on no user's map, so it is a value of the
+backend's definition, built once per backend; a build that raises stores
+nothing.
+
 On top of that this module derives partial and iterated derivatives,
 the partition-sum decomposition of n-fold D and its inverse, and an
 executable check of the seven differential axioms.
@@ -31,9 +39,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from .algebra import Memo, add_into, rig_value
+from .algebra import add_into, reindexing_memo, rig_value
 from .combinat import partitions
-from .errors import ArityError, InvalidArgument, in_range, nonempty, nonnegative
+from .errors import ArityError, InvalidArgument, SpecMismatch, in_range, nonempty, nonnegative
 from .poly import (
     PolyMap,
     Polynomial,
@@ -48,7 +56,8 @@ from .reports import Report, equation
 # ---------------------------------------------------------------------------
 # the polynomial backend
 
-def _projection(rig, objs: tuple, i):
+def _projection(backend, objs: tuple, i):
+    rig = backend.rig
     in_range(i, len(objs), "projection index")
     if min(objs) < 0:
         nonnegative(min(objs), "arity")
@@ -62,12 +71,20 @@ class PolyBackend:
     """Objects are arities, morphisms PolyMaps, D the total derivative.
     Its results are built with _trusted_polymap: each component has the
     arity and rig of the result by construction.  identity, zero, proj and
-    partial refuse a negative arity."""
+    partial refuse a negative arity; compose, pairing, add, scale and D
+    refuse a map over another rig with SpecMismatch."""
 
     def __init__(self, rig):
         self.rig = rig
-        # (objs, i) -> projection; PolyMaps are never mutated
-        self._projs = Memo(lambda key: _projection(rig, *key))
+        self.reindexing = reindexing_memo(self)
+
+    def _own(self, *maps):
+        # `is` first: most maps carry the backend's own rig object, but an
+        # equal rig built apart passes too
+        rig = self.rig
+        for f in maps:
+            if f.rig is not rig and f.rig != rig:
+                raise SpecMismatch(f"a map over {f.rig} in a backend over {rig}")
 
     def identity(self, n):
         if n < 0:
@@ -76,13 +93,14 @@ class PolyBackend:
                                tuple(Polynomial.var(self.rig, n, i) for i in range(n)))
 
     def compose(self, g, f):
+        self._own(g, f)
         return substitute(g, f)
 
     def product(self, objs):
         return sum(objs)
 
     def proj(self, objs, i):
-        return self._projs[tuple(objs), i]
+        return self.reindexing[_projection, tuple(objs), i]
 
     def pairing(self, maps):
         maps = list(maps)
@@ -94,6 +112,7 @@ class PolyBackend:
             if f.dom != first.dom or f.rig != first.rig:
                 raise ArityError("pairing needs a common domain and rig")
             comps.extend(f.components)
+        self._own(first)
         return _trusted_polymap(first.rig, first.dom, len(comps), tuple(comps))
 
     def zero(self, dom, cod):
@@ -104,14 +123,17 @@ class PolyBackend:
     def add(self, f, g):
         if (f.dom, f.cod) != (g.dom, g.cod):
             raise ArityError("sum needs equal arities")
+        self._own(f, g)
         return _trusted_polymap(f.rig, f.dom, f.cod,
                                tuple(a + b for a, b in zip(f.components, g.components)))
 
     def scale(self, c, f):
+        self._own(f)
         c = rig_value(f.rig, c)
         return _trusted_polymap(f.rig, f.dom, f.cod, tuple(p.scale(c) for p in f.components))
 
     def D(self, f):
+        self._own(f)
         return poly_D(f)
 
     def partial(self, f, blocks, i):
@@ -226,10 +248,14 @@ def nth_derivative(backend, f, A, n: int):
 
 def subset_pairing(backend, A, I, n: int):
     """The pairing A x A^n -> A x A^|I| of slot 0, then the slots in I in
-    increasing order; I must be a set of distinct slots in 1..n."""
-    slots = sorted(I)
+    increasing order; I must be a set of distinct slots in 1..n.  Built
+    once per backend and (A, sorted I, n), in its reindexing Memo."""
+    return backend.reindexing[_subset_pairing, A, tuple(sorted(I)), n]
+
+
+def _subset_pairing(backend, A, slots, n):
     if any(not 1 <= i <= n for i in slots) or len(set(slots)) < len(slots):
-        raise ArityError(f"slots {slots} are not a subset of 1..{n}")
+        raise ArityError(f"slots {list(slots)} are not a subset of 1..{n}")
     blocks = [A] * (n + 1)
     return backend.pairing([backend.proj(blocks, 0)]
                            + [backend.proj(blocks, i) for i in slots])

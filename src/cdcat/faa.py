@@ -22,6 +22,7 @@ from .algebra import (
     QSpace,
     Tensor,
     basis_keys,
+    reindexing_memo,
     rig_value,
 )
 from .cdc import derivative_tower, partial_by_precomposition, subset_pairing
@@ -209,25 +210,24 @@ def faa_D(f: FaaMap) -> FaaMap:
     """Differential: (Df)^(n) = f^(n+1)(x, y0) + sum_i f^(n)(x[y_i/x_i])."""
     backend = f.backend
     A = f.dom
-    P = backend.product([A, A])
     family = []
     for n in range(max(f.support, 0) + 1):
-        blocks = [P] * (n + 1)
-        xs = [
-            backend.compose(backend.proj([A, A], 0), backend.proj(blocks, i))
-            for i in range(n + 1)
-        ]
-        ys = [
-            backend.compose(backend.proj([A, A], 1), backend.proj(blocks, i))
-            for i in range(n + 1)
-        ]
-        total = backend.compose(
-            f.component(n + 1), backend.pairing(xs + [ys[0]])
-        )
-        for term in _substitution_terms(backend, f.component(n), xs, ys):
+        xs, ys, head = backend.reindexing[_slot_maps, A, n]
+        total = backend.compose(f.component(n + 1), head)
+        for term in _substitution_terms(backend, f.component(n), list(xs), list(ys)):
             total = backend.add(total, term)
         family.append(total)
-    return FaaMap(backend, P, f.cod, family)
+    return FaaMap(backend, backend.product([A, A]), f.cod, family)
+
+
+def _slot_maps(backend, A, n: int):
+    """faa_D's reindexing maps at level n, on (A x A)^(n+1): the halves
+    x_i and y_i of each slot i, and <x_0..x_n, y_0>."""
+    pair = [A, A]
+    blocks = [backend.product(pair)] * (n + 1)
+    xs, ys = (tuple(backend.compose(backend.proj(pair, half), backend.proj(blocks, i))
+                    for i in range(n + 1)) for half in (0, 1))
+    return xs, ys, backend.pairing(xs + ys[:1])
 
 
 def _substitution_terms(backend, fn, xs, ys):
@@ -289,6 +289,7 @@ class FaaBackend:
     def __init__(self, base):
         self.base = base
         self.rig = base.rig
+        self.reindexing = reindexing_memo(self)
 
     def identity(self, A):
         base = self.base

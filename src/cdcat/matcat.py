@@ -21,7 +21,7 @@ import itertools
 import operator
 from dataclasses import dataclass, field
 
-from .algebra import RigSpec, _remember, rig_value, zmod
+from .algebra import RigSpec, _remember, reindexing_memo, rig_value, zmod
 from .cdc import partial_by_precomposition
 from .errors import ArityError, ObjectMismatch, SpecMismatch, in_range, nonempty, nonnegative
 
@@ -87,6 +87,7 @@ class MatBackend:
 
     def __init__(self, modulus: int):
         self.rig = zmod(modulus)
+        self.reindexing = reindexing_memo(self)
 
     def _own(self, *maps):
         # every MatMap is over a zmod, so equal moduli are equal rigs; an

@@ -15,7 +15,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import RigSpec, add_into, rig_value, zmod
+from .algebra import RigSpec, add_into, reindexing_memo, rig_value, zmod
 from .errors import (
     ArityError,
     InvalidArgument,
@@ -623,11 +623,21 @@ class FinFnBackend:
     """Cartesian left-k-linear base: finite Z/m modules, arbitrary maps.
 
     No differential of its own; it is the base the Faa di Bruno and
-    co-Kleisli constructions are built over.
+    co-Kleisli constructions are built over.  compose, pairing, add and
+    scale refuse a map over another rig with SpecMismatch.
     """
 
     def __init__(self, modulus: int):
         self.rig = zmod(modulus)
+        self.reindexing = reindexing_memo(self)
+
+    def _own(self, *maps):
+        # every table is over a zmod, so equal moduli are equal rigs, and
+        # a map's domain is over its codomain's rig
+        m = self.rig.modulus
+        for f in maps:
+            if f.cod.rig.modulus != m:
+                raise SpecMismatch(f"a map over {f.cod.rig} in a backend over {self.rig}")
 
     def module(self, dim: int) -> FinModule:
         return FinModule(self.rig, dim)
@@ -638,6 +648,7 @@ class FinFnBackend:
     def compose(self, g: TableMap, f: TableMap) -> TableMap:
         if g.dom != f.cod:
             raise ObjectMismatch("tables not composable")
+        self._own(g, f)
         return _trusted_tablemap(f.dom, g.cod, {x: g.table[y] for x, y in f.table.items()})
 
     def product(self, mods) -> FinModule:
@@ -657,8 +668,11 @@ class FinFnBackend:
         dom = maps[0].dom
         if any(f.dom != dom for f in maps):
             raise ObjectMismatch("pairing needs a common domain")
+        self._own(*maps)
+        # keyed by the first table's own points, as compose and add are, so
+        # a kept pairing shares its key tuples with its first map
         return _trusted_tablemap(dom, fin_product([f.cod for f in maps]), {
-            x: sum((f.table[x] for f in maps), ()) for x in dom.elements()})
+            x: sum((f.table[x] for f in maps), ()) for x in maps[0].table})
 
     def zero(self, dom, cod) -> TableMap:
         return _trusted_tablemap(dom, cod, dict.fromkeys(dom.elements(), cod.zero_vec))
@@ -666,12 +680,14 @@ class FinFnBackend:
     def add(self, f: TableMap, g: TableMap) -> TableMap:
         if (f.dom, f.cod) != (g.dom, g.cod):
             raise ObjectMismatch(f"{f.dom.dim}->{f.cod.dim} vs {g.dom.dim}->{g.cod.dim}")
-        m = f.cod.rig.modulus
+        self._own(f, g)
+        m = self.rig.modulus
         return _trusted_tablemap(f.dom, f.cod, {x: tuple(
             (a + b) % m for a, b in zip(y, g.table[x])) for x, y in f.table.items()})
 
     def scale(self, c, f: TableMap) -> TableMap:
-        c, m = rig_value(f.cod.rig, c), f.cod.rig.modulus
+        self._own(f)
+        c, m = rig_value(self.rig, c), self.rig.modulus
         return _trusted_tablemap(f.dom, f.cod, {
             x: tuple(c * a % m for a in y) for x, y in f.table.items()})
 

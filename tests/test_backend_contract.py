@@ -7,12 +7,15 @@ a differential) on seeded draws, so the laws hold whichever class
 implements them.
 """
 
+import itertools
 import random
 
 import pytest
 
+from cdcat import cdc, faa
 from cdcat.algebra import INT, zmod
 from cdcat.cdc import PolyBackend, PolySampler
+from cdcat.errors import ArityError
 from cdcat.faa import FaaBackend, FaaSampler
 from cdcat.matcat import MatBackend, MatSampler
 from cdcat.poly import FinFnBackend, TableMap
@@ -159,3 +162,47 @@ def test_partial_is_D_after_the_pairing_that_zeroes_other_directions(name):
                           for j, B in enumerate(blocks)]
             pairing = be.pairing([be.proj(ext, j) for j in range(len(blocks))] + directions)
             assert be.partial(f, blocks, i) == be.compose(be.D(f), pairing)
+
+
+# the reindexing Memo: each map it holds equals the same map built fresh, on
+# another backend of the same kind, from proj and pairing
+
+def objects(be):
+    """The objects of size 1 and 2."""
+    return [be.module(d) for d in (1, 2)] if isinstance(be, FinFnBackend) else [1, 2]
+
+
+@pytest.mark.parametrize("name", sorted(BACKENDS))
+def test_memoised_reindexing_maps_equal_fresh_ones(name):
+    (be, _), (fresh, _) = BACKENDS[name](), BACKENDS[name]()
+    # faa_D's slot maps up to level `top`: over FinFn, (A x A)^(n+1) has
+    # 4^(n+1) points per dimension of A
+    for A, B, top in zip(objects(be), objects(fresh), (4, 2)):
+        for n in range(5):
+            blocks = [B] * (n + 1)
+            for I in itertools.chain.from_iterable(
+                    itertools.combinations(range(1, n + 1), k) for k in range(n + 1)):
+                want = fresh.pairing([fresh.proj(blocks, i) for i in (0, *I)])
+                got = cdc.subset_pairing(be, A, I[::-1], n)
+                assert got == want
+                assert cdc.subset_pairing(be, A, I, n) is got
+        for n in range(top + 1):
+            pair, P = [B, B], fresh.product([B, B])
+            blocks = [P] * (n + 1)
+            xs, ys = ([fresh.compose(fresh.proj(pair, h), fresh.proj(blocks, i))
+                       for i in range(n + 1)] for h in (0, 1))
+            want = (tuple(xs), tuple(ys), fresh.pairing(xs + ys[:1]))
+            assert be.reindexing[faa._slot_maps, A, n] == want
+
+
+@pytest.mark.parametrize("slots", [(3,), (0,), (2, 2), (-1, 1)])
+def test_a_refused_slot_set_leaves_the_memo_unchanged(case, slots):
+    be, _ = case
+    A = objects(be)[0]
+    cdc.subset_pairing(be, A, (1,), 2)
+    before = dict(be.reindexing)
+    for _ in range(2):
+        with pytest.raises(ArityError):
+            cdc.subset_pairing(be, A, slots, 2)
+    assert be.reindexing.keys() == before.keys()
+    assert all(be.reindexing[k] is v for k, v in before.items())

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from cdcat import faa, qmodality, suites
 from cdcat.algebra import INT, RAT, Product, basis_elem, zmod
 from cdcat.cdc import PolyBackend, PolySampler, check_axioms, iterated_D, nth_derivative
+from cdcat.combinat import partitions
 from cdcat.errors import (
     ArityError,
     DegreeBoundExceeded,
@@ -508,6 +509,51 @@ def test_the_d_builder_reads_the_counit_seam(monkeypatch):
     calls = _counted(monkeypatch, "counit")
     faa.build_kleisli_D(backend, backend.module(1), 1)
     assert len(calls) == 12
+
+
+# ---------------------------------------------------------------------------
+# the backend's reindexing memo holds maps of objects only, so a criterion-8
+# seam patched between two calls on the same backend object is still read
+
+SEAMS = {  # seam -> (sabotage, the operation it reaches)
+    "_composition_partitions": (lambda n: partitions(n)[:-1], "compose"),
+    "_substitution_terms": (lambda backend, fn, xs, ys: [], "D"),
+}
+
+
+def _results(g, f):
+    return {"compose": faa.faa_compose(g, f), "D": faa.faa_D(f)}
+
+
+@pytest.mark.parametrize("seam", sorted(SEAMS))
+def test_the_reindexing_memo_hides_no_seam(monkeypatch, seam):
+    _, kf, kg = finite_pair("[x1^2 + x1]", "[x1^2]", modulus=3)
+    be = PolyBackend(INT)
+    pf, pg = (faa.coalgebra(be, p(src)) for src in ("[x1^2 + x1]", "[x1^3]"))
+    pairs = [(kg, kf), (pg, pf)]
+    clean = [_results(g, f) for g, f in pairs]
+    assert all(f.backend.reindexing for _, f in pairs)
+    sabotage, reached = SEAMS[seam]
+    monkeypatch.setattr(faa, seam, sabotage)
+    for (g, f), before in zip(pairs, clean):
+        after = _results(g, f)
+        assert after[reached] != before[reached]
+        assert all(after[op] == before[op] for op in after if op != reached)
+
+
+@pytest.mark.parametrize("seam", sorted(SEAMS))
+def test_the_kleisli_oracle_still_sees_a_seam_patched_between_calls(monkeypatch, seam):
+    # as the benchmark's kleisli loop: single-call kleisli_* against faa_*
+    _, kf, kg = finite_pair("[x1^2 + x1]", "[x1^2]", modulus=3)
+
+    def agree():
+        return {"compose": faa.kleisli_compose(kg, kf) == faa.faa_compose(kg, kf),
+                "D": faa.kleisli_D(kf) == faa.faa_D(kf)}
+
+    assert agree() == {"compose": True, "D": True}
+    sabotage, reached = SEAMS[seam]
+    monkeypatch.setattr(faa, seam, sabotage)
+    assert agree() == {op: op != reached for op in ("compose", "D")}
 
 
 def test_zero_family_support():

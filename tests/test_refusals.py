@@ -62,6 +62,9 @@ POLY = cdc.PolyBackend(INT)
 FINFN = FinFnBackend(2)
 FAA = faa.FaaBackend(MAT)
 TWICE_Z3 = MatBackend(3).scale(2, MatBackend(3).identity(1))  # 2 id over Z/3
+FIN_Z3 = FinFnBackend(3)
+TWICE_FIN_Z3 = FIN_Z3.scale(2, FIN_Z3.identity(FIN_Z3.module(1)))  # 2 id over Z/3
+HALF_X = parse_poly_map("[1/2*x1]", RigSpec("rat"), 1)  # a map over rat
 Y1 = dpsh.ReprPresheaf(BASE, 1)
 M1 = FinFnBackend(2).module(1)
 TENSOR = dpsh.TensorPresheaf(Y1, dpsh.UnitPresheaf(BASE))
@@ -249,6 +252,15 @@ def _kleisli_mismatch():
     (lambda: MAT.scale(1, TWICE_Z3), SpecMismatch),
     (lambda: MAT.pairing([MAT.identity(1), TWICE_Z3]), SpecMismatch),
     (lambda: MAT.D(TWICE_Z3), SpecMismatch),
+    (lambda: POLY.compose(HALF_X, HALF_X), SpecMismatch),
+    (lambda: POLY.add(HALF_X, HALF_X), SpecMismatch),
+    (lambda: POLY.scale(1, HALF_X), SpecMismatch),
+    (lambda: POLY.pairing([HALF_X]), SpecMismatch),
+    (lambda: POLY.D(HALF_X), SpecMismatch),
+    (lambda: FINFN.add(TWICE_FIN_Z3, TWICE_FIN_Z3), SpecMismatch),
+    (lambda: FINFN.scale(1, TWICE_FIN_Z3), SpecMismatch),
+    (lambda: FINFN.compose(TWICE_FIN_Z3, TWICE_FIN_Z3), SpecMismatch),
+    (lambda: FINFN.pairing([TWICE_FIN_Z3]), SpecMismatch),
 ], ids=["rig-value", "tensor-elem", "linear-apply", "linear-apply-rig", "q-map-rig",
         "deriving-rig", "fusion-rig", "inject-elem", "bialg-mult",
         "kleisli-compose", "poly-var", "zero-denominator", "table-over-int",
@@ -262,7 +274,10 @@ def _kleisli_mismatch():
         "deriving-not-q", "fusion-not-q", "monoidal-mult-not-q", "bialg-mult-not-q",
         "monoidal-mult-rig", "bialg-mult-rig", "partial-blocks-not-the-domain",
         "mat-partial-blocks-not-the-domain", "mat-add-rig", "mat-compose-rig",
-        "mat-compose-rig-right", "mat-scale-rig", "mat-pairing-rig", "mat-D-rig"])
+        "mat-compose-rig-right", "mat-scale-rig", "mat-pairing-rig", "mat-D-rig",
+        "poly-compose-rig", "poly-add-rig", "poly-scale-rig", "poly-pairing-rig",
+        "poly-D-rig", "finfn-add-rig", "finfn-scale-rig", "finfn-compose-rig",
+        "finfn-pairing-rig"])
 def test_mismatched_inputs_are_refused(call, error):
     with pytest.raises(error):
         call()
@@ -292,9 +307,27 @@ def test_mat_maps_over_equal_rigs_built_apart_are_accepted():
     assert other.scale(2, TWICE_Z3) == other.identity(1)
 
 
+def test_poly_and_finfn_maps_over_equal_rigs_built_apart_are_accepted():
+    int_apart = RigSpec("int")
+    assert int_apart is not POLY.rig and int_apart == POLY.rig
+    f = parse_poly_map("[2*x1]", int_apart, 1)
+    assert POLY.add(f, f) == POLY.scale(2, f) == parse_poly_map("[4*x1]", INT, 1)
+    assert POLY.compose(f, f) == parse_poly_map("[4*x1]", INT, 1)
+    assert POLY.pairing([f]) == f
+    assert POLY.D(f) == parse_poly_map("[2*x2]", INT, 2)
+    other = FinFnBackend(3)
+    assert other.rig is not TWICE_FIN_Z3.cod.rig and other.rig == TWICE_FIN_Z3.cod.rig
+    one = other.identity(other.module(1))  # 2 * 2 = 2 + 2 = 1 in Z/3
+    assert other.compose(TWICE_FIN_Z3, TWICE_FIN_Z3) == one
+    assert other.add(TWICE_FIN_Z3, TWICE_FIN_Z3) == one
+    assert other.scale(2, TWICE_FIN_Z3) == one
+    assert other.pairing([TWICE_FIN_Z3]) == TWICE_FIN_Z3
+
+
 def test_a_refused_projection_is_not_remembered():
     # PolyBackend memoises its projections; a refused index leaves no entry
     with pytest.raises(IndexOutOfRange):
         POLY.proj([1, 2], -1)
     assert POLY.proj([1, 2], 1) == cdc.PolyBackend(INT).proj([1, 2], 1)
-    assert all(0 <= i < len(objs) for objs, i in POLY._projs)
+    projs = [key[1:] for key in POLY.reindexing if key[0] is cdc._projection]
+    assert all(0 <= i < len(objs) for objs, i in projs)
